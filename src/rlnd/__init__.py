@@ -7,53 +7,11 @@ per-stage cost and emission breakdowns, cost/emission trade-off fronts, and
 budget-protected robust counterparts.
 """
 
-from .builders import (ModelArtifacts, add_policy_constraints, build_system_model,
-                       build_user_model_i, build_user_model_ii)
-from .domain import (Arc, ArcData, InstanceError, NetworkInstance, PolicyData,
-                     ProcessingData, ProcessingEntry, SupplyData, ValidationReport,
-                     trip_multiplier, validate, with_supply_mass,
-                     with_total_capacity, with_trip_factor)
-from .geo import EARTH_RADIUS_KM, GeoPoint, GriddedDistances, grid_to_areas, haversine
-from .io import (instance_from_dict, instance_to_dict, load_bundled_instance,
-                 load_instance, read_arcs_csv, read_points_csv,
-                 read_processing_csv, save_instance)
-from .milp import (DEFAULT_SOLVER, EmbeddedSolver, LinExpr, MilpModel, ModelError,
-                   RowTag, Solution, Solver, Status, solve_lp, solve_milp)
-from .multiobjective import (ExpressionFamily, ParetoFront, ParetoPoint,
-                             SystemEpsilonFamily, UserEpsilonFamily, epsilon_sweep)
-from .objectives import (StageBreakdown, StageExpressions, VariableMap,
-                         breakdown_from_solution, collected_quantities,
-                         compose_user_totals, effective_opens, facility_inflows)
-from .robust import (RowUncertainty, UncertaintySpec, capacity_preset,
-                     load_uncertainty_spec, protection_value, robustify,
-                     robustify_artifacts, save_uncertainty_spec,
-                     split_equality_rows, violation_bound)
-from .scenarios import (ScenarioResult, ScenarioSpec, builtin_scenarios,
-                        calibrate_trip_factor, derive_throughput, materialize,
-                        run_scenario, solve_system, solve_user)
+from .io import load_bundled_instance
+from .multiobjective import SystemEpsilonFamily, epsilon_sweep
+from .scenarios import solve_system, solve_user
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc", "ArcData", "DEFAULT_SOLVER", "EARTH_RADIUS_KM", "EmbeddedSolver",
-    "ExpressionFamily", "GeoPoint", "GriddedDistances", "InstanceError",
-    "LinExpr", "MilpModel", "ModelArtifacts", "ModelError", "NetworkInstance",
-    "ParetoFront", "ParetoPoint", "PolicyData", "ProcessingData",
-    "ProcessingEntry", "RowTag", "RowUncertainty", "ScenarioResult",
-    "ScenarioSpec", "Solution", "Solver", "StageBreakdown", "StageExpressions",
-    "Status", "SupplyData", "SystemEpsilonFamily", "UncertaintySpec",
-    "UserEpsilonFamily", "ValidationReport", "VariableMap",
-    "add_policy_constraints", "breakdown_from_solution", "build_system_model",
-    "build_user_model_i", "build_user_model_ii", "builtin_scenarios",
-    "calibrate_trip_factor", "capacity_preset", "collected_quantities",
-    "compose_user_totals", "derive_throughput", "effective_opens",
-    "epsilon_sweep", "facility_inflows", "grid_to_areas", "haversine",
-    "instance_from_dict", "instance_to_dict", "load_bundled_instance",
-    "load_instance", "load_uncertainty_spec", "materialize",
-    "protection_value", "read_arcs_csv", "read_points_csv",
-    "read_processing_csv", "robustify", "robustify_artifacts", "run_scenario",
-    "save_instance", "save_uncertainty_spec", "solve_lp", "solve_milp",
-    "solve_system", "solve_user", "split_equality_rows", "trip_multiplier",
-    "validate", "violation_bound", "with_supply_mass", "with_total_capacity",
-    "with_trip_factor",
-]
+__all__ = ["SystemEpsilonFamily", "epsilon_sweep", "load_bundled_instance",
+           "solve_system", "solve_user"]

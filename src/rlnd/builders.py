@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from .domain import InstanceError, NetworkInstance, validate
 from .milp import LinExpr, MilpModel, ModelError, RowTag
-from .objectives import StageExpressions, VariableMap, build_stage_expressions
+from .objectives import (StageExpressions, VariableMap, _dropoff_inflow,
+                         build_stage_expressions)
 
 OBJECTIVES = ("cost", "emission")
 
@@ -70,16 +71,6 @@ def _register_downstream(model: MilpModel, instance: NetworkInstance) -> tuple[d
     return dtp, pts
 
 
-def _dropoff_inflow_expr(instance: NetworkInstance, vars: VariableMap,
-                         i: str, c: str) -> LinExpr:
-    expr = LinExpr()
-    for h in instance.areas:
-        name = vars.rtd.get((i, h, c))
-        if name is not None:
-            expr.add(name, instance.supply.mass[i][h])
-    return expr
-
-
 def _add_trip_balance(model: MilpModel, instance: NetworkInstance, vars: VariableMap,
                       warnings: list[str]) -> None:
     for i in instance.products:
@@ -100,7 +91,7 @@ def _add_dropoff_gates(model: MilpModel, instance: NetworkInstance,
     proc = instance.processing
     for i in instance.products:
         for c in instance.dropoffs:
-            inflow = _dropoff_inflow_expr(instance, vars, i, c)
+            inflow = _dropoff_inflow(instance, vars, i, c)
             entry = proc.dropoff[c][i]
             cap_row = inflow.copy().add(vars.x[c], -entry.capacity)
             model.add_row(cap_row, "<=", 0.0, RowTag("capacity", ("dropoff", i, c)))
@@ -163,7 +154,7 @@ def _maybe_total_capacity(model: MilpModel, instance: NetworkInstance,
         expr = LinExpr()
         if tier == "dropoff" and f in instance.dropoffs:
             for i in instance.products:
-                expr.add_expr(_dropoff_inflow_expr(instance, vars, i, f))
+                expr.add_expr(_dropoff_inflow(instance, vars, i, f))
             indicator = vars.x[f]
         elif tier == "primary" and f in instance.primaries:
             for (i, c, p), name in vars.dtp.items():
@@ -239,7 +230,7 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
                 name = vars.dtp.get((i, c, p))
                 if name is not None:
                     balance.add(name, 1.0)
-            balance.add_expr(_dropoff_inflow_expr(instance, vars, i, c),
+            balance.add_expr(_dropoff_inflow(instance, vars, i, c),
                              -(1.0 - proc.resale_dropoff[i]))
             model.add_row(balance, "==", 0.0, RowTag("flow-balance", ("dropoff", i, c)))
     _add_dropoff_gates(model, instance, vars)

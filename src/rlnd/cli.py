@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+# the user builders stay bound for perfbench, which wraps all three here by name
 from .builders import build_system_model, build_user_model_i, build_user_model_ii
 from .domain import InstanceError, NetworkInstance, validate
 from .geo import grid_to_areas
@@ -24,11 +25,10 @@ from .io import (load_bundled_instance, load_instance, read_points_csv,
 from .milp import EmbeddedSolver, ModelError, Solver, Status
 from .multiobjective import (POINTS_DEFAULT, SystemEpsilonFamily, THETA_DEFAULT,
                              UserEpsilonFamily, epsilon_sweep)
-from .objectives import (VariableMap, breakdown_from_solution, collected_quantities,
-                         compose_user_totals, effective_opens)
+from .objectives import breakdown_from_solution
 from .robust import capacity_preset, load_uncertainty_spec, robustify_artifacts
 from .scenarios import (SCENARIO_ORDER, builtin_scenarios, load_scenario_spec,
-                        run_scenario, write_comparison_csv)
+                        run_scenario, solve_system, solve_user, write_comparison_csv)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,52 +89,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load(args)
-    solver = _solver_from_args(args)
-    if args.model == "system":
-        artifacts = build_system_model(instance, args.objective,
-                                       include_policy=not args.no_policy)
-        if args.dump_lp:
-            Path(args.dump_lp).write_text(artifacts.dump(), encoding="utf-8")
-        solution = solver.solve(artifacts.model)
-        _print_solution_header(solution.status, solution.objective)
-        if solution.status is not Status.OPTIMAL and not solution.values:
-            return _STATUS_EXIT.get(solution.status, EXIT_ERROR)
-        final_status = solution.status
-        breakdown = breakdown_from_solution(instance, artifacts.vars, solution)
-        opens = effective_opens(instance, artifacts.vars, solution.values)
+    solve = solve_system if args.model == "system" else solve_user
+    side = solve(instance, args.objective, _solver_from_args(args),
+                 include_policy=not args.no_policy)
+    if args.dump_lp:
+        text = "\n".join(artifacts.dump() for artifacts, _ in side.phases)
+        Path(args.dump_lp).write_text(text, encoding="utf-8")
+    solutions = [solution for _, solution in side.phases]
+    if side.status is Status.OPTIMAL and len(solutions) == 2:
+        totals = " / ".join(f"{s.objective:.6f}" for s in solutions)
+        print(f"status: optimal  phase totals: {totals}")
     else:
-        phase1 = build_user_model_i(instance, args.objective,
-                                    include_policy=not args.no_policy)
-        s1 = solver.solve(phase1.model)
-        if s1.status is not Status.OPTIMAL:
-            _print_solution_header(s1.status, s1.objective)
-            return _STATUS_EXIT.get(s1.status, EXIT_ERROR)
-        rq = collected_quantities(instance, phase1.vars, s1.values)
-        phase2 = build_user_model_ii(instance, rq, args.objective)
-        if args.dump_lp:
-            text = phase1.dump() + "\n" + phase2.dump()
-            Path(args.dump_lp).write_text(text, encoding="utf-8")
-        s2 = solver.solve(phase2.model)
-        if s2.status is not Status.OPTIMAL:
-            _print_solution_header(s2.status, s2.objective)
-            return _STATUS_EXIT.get(s2.status, EXIT_ERROR)
-        breakdown = compose_user_totals(instance, phase1.vars, s1, phase2.vars, s2)
-        merged = dict(s1.values)
-        merged.update(s2.values)
-        merged_vars = VariableMap(rtd=phase1.vars.rtd, x=phase1.vars.x,
-                                  dtp=phase2.vars.dtp, pts=phase2.vars.pts,
-                                  y=phase2.vars.y, r=phase2.vars.r)
-        opens = effective_opens(instance, merged_vars, merged)
-        final_status = Status.OPTIMAL
-        print(f"status: optimal  phase totals: {s1.objective:.6f} / {s2.objective:.6f}")
+        _print_solution_header(solutions[-1].status, solutions[-1].objective)
+    if side.breakdown is None:
+        return _STATUS_EXIT.get(side.status, EXIT_ERROR)
 
-    print(breakdown.format_text())
-    open_names = sorted(f for f, is_open in opens.items() if is_open)
+    print(side.breakdown.format_text())
+    open_names = sorted(f for f, is_open in side.opens.items() if is_open)
     print(f"open facilities: {' '.join(open_names)}")
     if args.output:
-        write_breakdown_csv(breakdown.rows(), args.output)
+        write_breakdown_csv(side.breakdown.rows(), args.output)
         print(f"breakdown written to {args.output}")
-    return _STATUS_EXIT.get(final_status, EXIT_ERROR)
+    return _STATUS_EXIT.get(side.status, EXIT_ERROR)
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
@@ -168,7 +144,7 @@ def _cmd_robust(args: argparse.Namespace) -> int:
     _print_solution_header(solution.status, solution.objective)
     if solution.status is not Status.OPTIMAL and not solution.values:
         return _STATUS_EXIT.get(solution.status, EXIT_ERROR)
-    breakdown = breakdown_from_solution(instance, robust.vars, solution)
+    breakdown, _ = breakdown_from_solution(instance, robust.vars, solution)
     print(breakdown.format_text())
     if args.output:
         write_breakdown_csv(breakdown.rows(), args.output)
@@ -249,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-policy", action="store_true",
                    help="ignore siting-policy rows")
     p.add_argument("--dump-lp", type=Path, default=None,
-                   help="write the tagged LP text here before solving")
+                   help="write the tagged LP text of every model the command solved here")
     p.add_argument("--output", type=Path, default=None, help="breakdown CSV")
     p.set_defaults(func=_cmd_solve)
 

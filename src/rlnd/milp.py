@@ -139,9 +139,6 @@ class MilpModel:
     def binary_names(self) -> list[str]:
         return [v.name for v in self.variables.values() if v.binary]
 
-    def tag_of(self, row_index: int) -> RowTag:
-        return self.rows[row_index].tag
-
     # -- diagnostics ---------------------------------------------------
 
     def to_lp_format(self) -> str:

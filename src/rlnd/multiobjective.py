@@ -27,7 +27,8 @@ from .builders import build_system_model, build_user_model_i, build_user_model_i
 from .domain import NetworkInstance
 from .milp import (DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, RowTag,
                    Solution, Solver, Status)
-from .objectives import breakdown_from_solution, collected_quantities, compose_user_totals
+from .objectives import breakdown_from_solution, collected_quantities, merge_phases
+from .scenarios import solve_system
 
 THETA_DEFAULT = 1e-4
 THETA_RANGE = (1e-6, 1e-3)
@@ -220,12 +221,9 @@ class SystemEpsilonFamily:
         self.solver = solver or DEFAULT_SOLVER
 
     def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
-        artifacts = build_system_model(self.instance, objective, self.include_policy)
-        solution = self.solver.solve(artifacts.model)
-        if solution.status is not Status.OPTIMAL:
-            raise ModelError(f"anchor solve ended {solution.status.value}")
-        breakdown = breakdown_from_solution(self.instance, artifacts.vars, solution)
-        return breakdown.total_cost, breakdown.total_emission, dict(solution.values)
+        side = solve_system(self.instance, objective, self.solver,
+                            self.include_policy).require_optimal("anchor solve")
+        return side.total_cost, side.total_emission, side.values
 
     def solve_point(self, v: int, epsilon: float,
                     theta: float) -> tuple[float, float, dict[str, float]] | None:
@@ -237,7 +235,7 @@ class SystemEpsilonFamily:
             return None
         if solution.status is not Status.OPTIMAL:
             raise ModelError(f"grid solve {v} ended {solution.status.value}")
-        breakdown = breakdown_from_solution(self.instance, artifacts.vars, solution)
+        breakdown, _ = breakdown_from_solution(self.instance, artifacts.vars, solution)
         return breakdown.total_cost, breakdown.total_emission, dict(solution.values)
 
 
@@ -274,10 +272,9 @@ class UserEpsilonFamily:
         return solution
 
     def _compose(self, a1, s1: Solution, a2, s2: Solution):
-        breakdown = compose_user_totals(self.instance, a1.vars, s1, a2.vars, s2)
-        values = dict(s1.values)
-        values.update(s2.values)
-        return breakdown.total_cost, breakdown.total_emission, values
+        vars, merged = merge_phases(a1.vars, s1, a2.vars, s2)
+        breakdown, _ = breakdown_from_solution(self.instance, vars, merged)
+        return breakdown.total_cost, breakdown.total_emission, merged.values
 
     def _anchor_solutions(self, objective: str):
         a1 = build_user_model_i(self.instance, objective, self.include_policy)

@@ -16,7 +16,7 @@ secondary inflow is PTS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .domain import NetworkInstance, trip_multiplier
 from .milp import LinExpr, ModelError, Solution, Status
@@ -267,85 +267,6 @@ def build_stage_expressions(instance: NetworkInstance, vars: VariableMap) -> Sta
     return stages
 
 
-# Objective-level assemblers. Each sums the relevant stages so callers can
-# also get the granular pieces from build_stage_expressions.
-
-def build_transport_cost(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    stages = build_stage_expressions(instance, vars)
-    total = LinExpr()
-    for expr in stages.transport_cost.values():
-        total.add_expr(expr)
-    return total
-
-
-def build_processing_cost(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    stages = build_stage_expressions(instance, vars)
-    total = LinExpr()
-    for expr in stages.processing_cost.values():
-        total.add_expr(expr)
-    return total
-
-
-def build_fixed_cost(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    stages = build_stage_expressions(instance, vars)
-    total = LinExpr()
-    for expr in stages.fixed_cost.values():
-        total.add_expr(expr)
-    return total
-
-
-def build_resale_revenue(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    stages = build_stage_expressions(instance, vars)
-    total = LinExpr()
-    for expr in stages.resale_revenue.values():
-        total.add_expr(expr)
-    return total
-
-
-def build_transport_emission(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    stages = build_stage_expressions(instance, vars)
-    total = LinExpr()
-    for expr in stages.transport_emission.values():
-        total.add_expr(expr)
-    return total
-
-
-def build_processing_emission(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    stages = build_stage_expressions(instance, vars)
-    total = LinExpr()
-    for expr in stages.processing_emission.values():
-        total.add_expr(expr)
-    return total
-
-
-def build_emission_offset(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    stages = build_stage_expressions(instance, vars)
-    total = LinExpr()
-    for expr in stages.emission_offset.values():
-        total.add_expr(expr)
-    return total
-
-
-def build_user_phase_expressions(instance: NetworkInstance, vars: VariableMap,
-                                 phase: str) -> dict[str, LinExpr]:
-    """Objective expressions for one user phase.
-
-    Phase I sees only the residence->dropoff trip terms; phase II sees the
-    downstream network (transport, processing, fixed, resale for primary and
-    secondary tiers).
-    """
-    if phase == "I":
-        _require(bool(vars.rtd), "phase I expressions need RTD variables")
-        return {"cost": transport_cost_trip(instance, vars),
-                "emission": transport_emission_trip(instance, vars)}
-    if phase == "II":
-        _require(bool(vars.dtp), "phase II expressions need DTP variables "
-                                 "(build the phase-II model from collected quantities first)")
-        stages = build_stage_expressions(instance, vars)
-        return {"cost": stages.total_cost(), "emission": stages.total_emission()}
-    raise ValueError(f"unknown phase {phase!r}")
-
-
 # ----------------------------------------------------------------------
 # solution post-processing
 # ----------------------------------------------------------------------
@@ -426,25 +347,22 @@ def effective_opens(instance: NetworkInstance, vars: VariableMap,
 
 
 def breakdown_from_solution(instance: NetworkInstance, vars: VariableMap,
-                            solution: Solution) -> StageBreakdown:
-    """Stage breakdown of a solved model, with fixed costs charged to the
-    effective open set rather than raw (possibly degenerate) indicators."""
+                            solution: Solution) -> tuple[StageBreakdown, dict[str, bool]]:
+    """Stage breakdown of a solved model and its effective open set, with
+    fixed costs charged to that set rather than to raw (possibly degenerate)
+    indicators."""
     _require(solution.status in (Status.OPTIMAL, Status.BUDGET_EXCEEDED),
              f"cannot build a breakdown from a {solution.status.value} solution")
     stages = build_stage_expressions(instance, vars)
     breakdown = stages.evaluate(solution.values)
     opens = effective_opens(instance, vars, solution.values)
-    proc = instance.processing
-    if vars.x:
-        breakdown.fixed_cost["dropoff"] = sum(
-            proc.fixed_cost[c] for c in instance.dropoffs if opens.get(c))
-    if vars.y:
-        breakdown.fixed_cost["primary"] = sum(
-            proc.fixed_cost[p] for p in instance.primaries if opens.get(p))
-    if vars.r:
-        breakdown.fixed_cost["secondary"] = sum(
-            proc.fixed_cost[s] for s in instance.secondaries if opens.get(s))
-    return breakdown
+    fixed = instance.processing.fixed_cost
+    for tier, facilities in (("dropoff", instance.dropoffs),
+                             ("primary", instance.primaries),
+                             ("secondary", instance.secondaries)):
+        if tier in breakdown.fixed_cost:
+            breakdown.fixed_cost[tier] = sum(fixed[f] for f in facilities if opens.get(f))
+    return breakdown, opens
 
 
 def collected_quantities(instance: NetworkInstance, vars: VariableMap,
@@ -455,31 +373,17 @@ def collected_quantities(instance: NetworkInstance, vars: VariableMap,
             for i in instance.products}
 
 
-def compose_user_totals(instance: NetworkInstance,
-                        phase1_vars: VariableMap, phase1: Solution,
-                        phase2_vars: VariableMap, phase2: Solution) -> StageBreakdown:
-    """Whole-network breakdown of a two-phase user solution.
+def merge_phases(phase1_vars: VariableMap, phase1: Solution,
+                 phase2_vars: VariableMap, phase2: Solution) -> tuple[VariableMap, Solution]:
+    """One whole-network solution from the two solved user phases.
 
-    Phase I fixes the residence->dropoff assignment (and the dropoff tier's
-    processing/resale, which depend only on collected mass); phase II covers
-    everything downstream.  Totals equal the system objective expressions
-    evaluated on the concatenated solution.
+    Phase I fixes the residence->dropoff assignment and the dropoff openings;
+    phase II covers everything downstream.  The merged solution has no
+    objective of its own: its totals are the system objective expressions
+    evaluated on the concatenated values (see :func:`breakdown_from_solution`).
     """
     _require(phase1.status is Status.OPTIMAL, "phase I solution is not optimal")
     _require(phase2.status is Status.OPTIMAL, "phase II solution is not optimal")
-    merged_vars = VariableMap(rtd=phase1_vars.rtd, x=phase1_vars.x,
-                              dtp=phase2_vars.dtp, pts=phase2_vars.pts,
-                              y=phase2_vars.y, r=phase2_vars.r)
-    merged_values = dict(phase1.values)
-    merged_values.update(phase2.values)
-    stages = build_stage_expressions(instance, merged_vars)
-    breakdown = stages.evaluate(merged_values)
-    opens = effective_opens(instance, merged_vars, merged_values)
-    proc = instance.processing
-    breakdown.fixed_cost["dropoff"] = sum(
-        proc.fixed_cost[c] for c in instance.dropoffs if opens.get(c))
-    breakdown.fixed_cost["primary"] = sum(
-        proc.fixed_cost[p] for p in instance.primaries if opens.get(p))
-    breakdown.fixed_cost["secondary"] = sum(
-        proc.fixed_cost[s] for s in instance.secondaries if opens.get(s))
-    return breakdown
+    vars = VariableMap(rtd=phase1_vars.rtd, x=phase1_vars.x, dtp=phase2_vars.dtp,
+                       pts=phase2_vars.pts, y=phase2_vars.y, r=phase2_vars.r)
+    return vars, Solution(Status.OPTIMAL, None, {**phase1.values, **phase2.values})

@@ -6,6 +6,9 @@ throughput caps expressed as a fraction of the throughput the unconstrained
 network actually uses.  `run_scenario` solves the whole-network program and
 the two-phase program on the materialized instance and reports both as
 per-stage breakdowns.
+
+`solve_system` and `solve_user` are the one build, solve and report path for
+the two programs; every other caller, the CLI included, goes through them.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from .domain import (NetworkInstance, with_supply_mass, with_total_capacity,
                      with_trip_factor)
 from .io import load_bundled_instance
 from .milp import DEFAULT_SOLVER, ModelError, Solution, Solver, Status
-from .objectives import (StageBreakdown, VariableMap, breakdown_from_solution,
-                         collected_quantities, compose_user_totals,
-                         effective_opens, facility_inflows)
+from .objectives import (StageBreakdown, breakdown_from_solution,
+                         collected_quantities, facility_inflows, merge_phases)
 
 SCENARIO_ORDER = ("baseline", "capacity-80", "capacity-40", "supply-mix-1",
                   "supply-mix-2")
@@ -82,13 +84,6 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
 # materialization
 # ----------------------------------------------------------------------
 
-def _solved(model_artifacts: ModelArtifacts, solver: Solver, label: str) -> Solution:
-    solution = solver.solve(model_artifacts.model)
-    if solution.status is not Status.OPTIMAL:
-        raise ModelError(f"{label} ended {solution.status.value}")
-    return solution
-
-
 def derive_throughput(instance: NetworkInstance,
                       solver: Solver | None = None) -> tuple[str, float, dict[str, float]]:
     """Busiest primary under the cost-optimal whole-network plan.
@@ -96,10 +91,9 @@ def derive_throughput(instance: NetworkInstance,
     Returns (facility, inflow, all primary inflows); ties break toward the
     earlier facility in the instance's primary ordering.
     """
-    solver = solver or DEFAULT_SOLVER
-    artifacts = build_system_model(instance, "cost")
-    solution = _solved(artifacts, solver, "throughput solve")
-    inflows = facility_inflows(instance, artifacts.vars, solution.values)
+    side = solve_system(instance, "cost", solver).require_optimal("throughput solve")
+    artifacts, _ = side.phases[0]
+    inflows = facility_inflows(instance, artifacts.vars, side.values)
     per_primary = {p: inflows.get(p, 0.0) for p in instance.primaries}
     busiest = max(instance.primaries, key=lambda p: per_primary[p])
     return busiest, per_primary[busiest], per_primary
@@ -135,11 +129,26 @@ def materialize(spec: ScenarioSpec, base: NetworkInstance | None = None,
 
 @dataclass
 class SideResult:
-    """One decision mode's solved outcome on a scenario."""
+    """One decision mode's solve: the solver's verdict, each phase's model
+    and solution in solve order, and the report when there is one.
 
-    breakdown: StageBreakdown
-    opens: dict[str, bool]
-    values: dict[str, float]
+    A solve stops at the first phase that is not optimal; ``status`` is that
+    phase's status.  The breakdown, open set and merged values are filled when
+    every phase is optimal, or when the system solve ran out of budget with an
+    incumbent in hand.
+    """
+
+    status: Status
+    phases: list[tuple[ModelArtifacts, Solution]]
+    breakdown: StageBreakdown | None = None
+    opens: dict[str, bool] = field(default_factory=dict)
+    values: dict[str, float] = field(default_factory=dict)
+
+    def require_optimal(self, label: str) -> SideResult:
+        """This result, or ModelError naming `label` if it is not optimal."""
+        if self.status is not Status.OPTIMAL:
+            raise ModelError(f"{label} ended {self.status.value}")
+        return self
 
     @property
     def fixed_cost(self) -> float:
@@ -198,10 +207,12 @@ def solve_system(instance: NetworkInstance, objective: str = "cost",
     """One decision maker routes everything."""
     solver = solver or DEFAULT_SOLVER
     artifacts = build_system_model(instance, objective, include_policy)
-    solution = _solved(artifacts, solver, f"whole-network {objective} solve")
-    breakdown = breakdown_from_solution(instance, artifacts.vars, solution)
-    opens = effective_opens(instance, artifacts.vars, solution.values)
-    return SideResult(breakdown, opens, dict(solution.values))
+    solution = solver.solve(artifacts.model)
+    phases = [(artifacts, solution)]
+    if solution.status is not Status.OPTIMAL and not solution.values:
+        return SideResult(solution.status, phases)
+    breakdown, opens = breakdown_from_solution(instance, artifacts.vars, solution)
+    return SideResult(solution.status, phases, breakdown, opens, dict(solution.values))
 
 
 def solve_user(instance: NetworkInstance, objective: str = "cost",
@@ -210,18 +221,19 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
     """Residents choose dropoffs first; the operator routes what arrives."""
     solver = solver or DEFAULT_SOLVER
     phase1 = build_user_model_i(instance, objective, include_policy)
-    s1 = _solved(phase1, solver, f"collection phase {objective} solve")
+    s1 = solver.solve(phase1.model)
+    phases = [(phase1, s1)]
+    if s1.status is not Status.OPTIMAL:
+        return SideResult(s1.status, phases)
     rq = collected_quantities(instance, phase1.vars, s1.values)
     phase2 = build_user_model_ii(instance, rq, objective)
-    s2 = _solved(phase2, solver, f"routing phase {objective} solve")
-    breakdown = compose_user_totals(instance, phase1.vars, s1, phase2.vars, s2)
-    values = dict(s1.values)
-    values.update(s2.values)
-    merged = VariableMap(rtd=phase1.vars.rtd, x=phase1.vars.x,
-                         dtp=phase2.vars.dtp, pts=phase2.vars.pts,
-                         y=phase2.vars.y, r=phase2.vars.r)
-    opens = effective_opens(instance, merged, values)
-    return SideResult(breakdown, opens, values)
+    s2 = solver.solve(phase2.model)
+    phases.append((phase2, s2))
+    if s2.status is not Status.OPTIMAL:
+        return SideResult(s2.status, phases)
+    vars, merged = merge_phases(phase1.vars, s1, phase2.vars, s2)
+    breakdown, opens = breakdown_from_solution(instance, vars, merged)
+    return SideResult(Status.OPTIMAL, phases, breakdown, opens, merged.values)
 
 
 def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
@@ -236,7 +248,9 @@ def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
         spec = table[spec]
     instance = materialize(spec, base, solver)
     system = solve_system(instance, objective, solver)
+    system.require_optimal(f"whole-network {objective} solve")
     user = solve_user(instance, objective, solver)
+    user.require_optimal(f"two-phase {objective} solve")
     return ScenarioResult(spec.name, objective, instance, system, user)
 
 
@@ -309,7 +323,7 @@ def calibrate_trip_factor(target_total_cost: float,
     trail: list[tuple[float, float]] = []
     for iteration in range(1, max_iterations + 1):
         scaled = with_trip_factor(instance, factor)
-        side = solve_system(scaled, "cost", solver)
+        side = solve_system(scaled, "cost", solver).require_optimal("calibration solve")
         total = side.total_cost
         trail.append((factor, total))
         if abs(total - target_total_cost) <= rel_tol * max(1.0, abs(target_total_cost)):
@@ -324,4 +338,6 @@ def calibrate_trip_factor(target_total_cost: float,
             raise ModelError(f"calibration drove the factor to {factor:g}; "
                              f"the target {target_total_cost:g} is below the "
                              f"trip-free cost floor")
-    return CalibrationResult(factor, trail[-1][1], max_iterations, trail)
+    raise ModelError(f"calibration did not reach {target_total_cost:g} within "
+                     f"{max_iterations} iterations; the last factor tried, "
+                     f"{trail[-1][0]:g}, gave {trail[-1][1]:g}")

@@ -72,6 +72,13 @@ def test_solve_dump_lp(tmp_path):
     assert "flow-balance" in text and "capacity" in text
 
 
+def test_solve_user_dump_lp_holds_both_phases(tmp_path):
+    dump = tmp_path / "user.lp"
+    assert main(["solve", "--model", "user", "--dump-lp", str(dump)]) == 0
+    text = dump.read_text(encoding="utf-8")
+    assert "user-I:" in text and "user-II:" in text
+
+
 def test_infeasible_instance_exits_two(tmp_path, capsys):
     def throttle(data):
         data["processing"]["total_capacity"] = {

@@ -5,8 +5,8 @@ import pytest
 from rlnd.builders import build_system_model, build_user_model_i, build_user_model_ii
 from rlnd.milp import DEFAULT_SOLVER, Status
 from rlnd.objectives import (breakdown_from_solution, collected_quantities,
-                             compose_user_totals, effective_opens,
-                             facility_inflows, item_inflows)
+                             effective_opens, facility_inflows, item_inflows,
+                             merge_phases)
 
 # exact optima of the bundled instance (unit trip factor), frozen from an
 # independently verified hand computation of the closed-form plan
@@ -168,7 +168,7 @@ def test_model_objective_equals_breakdown(bundled):
     for objective, total in (("cost", "total_cost"), ("emission", "total_emission")):
         art = build_system_model(bundled, objective)
         sol = DEFAULT_SOLVER.solve(art.model)
-        breakdown = breakdown_from_solution(bundled, art.vars, sol)
+        breakdown, _ = breakdown_from_solution(bundled, art.vars, sol)
         assert sol.objective == pytest.approx(getattr(breakdown, total), rel=1e-9)
 
 
@@ -229,13 +229,14 @@ def test_collected_quantities_user_phase(bundled):
     assert rq["prod2"]["drop2"] == pytest.approx(600.0, abs=1e-6)
 
 
-def test_compose_user_totals_matches_reference(bundled):
+def test_merged_user_phases_match_reference(bundled):
     phase1 = build_user_model_i(bundled, "cost")
     s1 = DEFAULT_SOLVER.solve(phase1.model)
     rq = collected_quantities(bundled, phase1.vars, s1.values)
     phase2 = build_user_model_ii(bundled, rq, "cost")
     s2 = DEFAULT_SOLVER.solve(phase2.model)
-    breakdown = compose_user_totals(bundled, phase1.vars, s1, phase2.vars, s2)
+    vars, merged_solution = merge_phases(phase1.vars, s1, phase2.vars, s2)
+    breakdown, _ = breakdown_from_solution(bundled, vars, merged_solution)
 
     art = build_system_model(bundled, "cost")
     merged = {name: 0.0 for name in art.model.variables}
@@ -254,7 +255,7 @@ def test_revenue_invariant_under_dropoff_reordering(bundled):
     reordered = dataclasses.replace(bundled, dropoffs=("drop2", "drop1"))
     art = build_system_model(reordered, "cost")
     sol = DEFAULT_SOLVER.solve(art.model)
-    breakdown = breakdown_from_solution(reordered, art.vars, sol)
+    breakdown, _ = breakdown_from_solution(reordered, art.vars, sol)
     assert sum(breakdown.resale_revenue.values()) == pytest.approx(
         FROZEN_REVENUE, abs=1e-6)
     assert breakdown.total_cost == pytest.approx(FROZEN_TOTAL_COST, abs=1e-6)

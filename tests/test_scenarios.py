@@ -1,5 +1,7 @@
 import pytest
 
+from rlnd.domain import with_total_capacity
+from rlnd.milp import EmbeddedSolver, ModelError, Status
 from rlnd.scenarios import (SCENARIO_ORDER, builtin_scenarios,
                             calibrate_trip_factor, comparison_rows,
                             derive_throughput, load_scenario_spec, materialize,
@@ -82,6 +84,12 @@ def test_calibration_hits_measured_total(bundled):
     assert result.trail[0][0] == 1.0  # starts from the instance as given
 
 
+def test_calibration_raises_when_iterations_run_out(bundled):
+    # one solve at factor 1.0 misses the target; the refitted factor is untried
+    with pytest.raises(ModelError, match="within 1 iterations"):
+        calibrate_trip_factor(57978.0, bundled, max_iterations=1)
+
+
 def test_calibration_rejects_unreachable_target(bundled):
     # below the trip-free cost floor the factor would have to go negative
     with pytest.raises(Exception, match="floor"):
@@ -155,3 +163,28 @@ def test_capacity_scenarios_only_tighten(bundled):
     # collected mass and resale fractions are scenario-invariant here
     assert tighter.system.revenue == pytest.approx(baseline.system.revenue, abs=1e-6)
     assert tightest.system.revenue == pytest.approx(baseline.system.revenue, abs=1e-6)
+
+
+def test_solve_user_reports_exhausted_budget_without_raising(bundled):
+    side = solve_user(bundled, "cost", EmbeddedSolver(node_budget=1))
+    assert side.status is Status.BUDGET_EXCEEDED
+    assert side.breakdown is None
+    assert side.phases[-1][1].status is Status.BUDGET_EXCEEDED
+
+
+def test_solves_return_their_phases(bundled):
+    system = solve_system(bundled, "cost")
+    user = solve_user(bundled, "cost")
+    assert system.status is user.status is Status.OPTIMAL
+    assert [a.model.name.split(":")[1] for a, _ in system.phases] == ["system"]
+    assert [a.model.name.split(":")[1] for a, _ in user.phases] == ["user-I", "user-II"]
+    # the merged user values hold both phases' variables
+    for _, solution in user.phases:
+        assert all(user.values[name] == value for name, value in solution.values.items())
+
+
+def test_run_scenario_raises_on_infeasible_instance(bundled):
+    throttled = with_total_capacity(bundled, {p: 1.0 for p in bundled.primaries})
+    assert solve_system(throttled, "cost").status is Status.INFEASIBLE
+    with pytest.raises(ModelError, match="infeasible"):
+        run_scenario("baseline", "cost", throttled)
