@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .domain import InstanceError, NetworkInstance, validate
 from .milp import LinExpr, MilpModel, ModelError, RowTag
 from .objectives import (StageExpressions, VariableMap, _dropoff_inflow,
-                         build_stage_expressions)
+                         _primary_inflow, _secondary_inflow, build_stage_expressions)
 
 OBJECTIVES = ("cost", "emission")
 
@@ -120,11 +120,7 @@ def _add_downstream_rows(model: MilpModel, instance: NetworkInstance,
             model.add_row(expr, "==", 0.0, RowTag("flow-balance", ("primary", j, p)))
     for i in instance.products:
         for p in instance.primaries:
-            inflow = LinExpr()
-            for c in instance.dropoffs:
-                name = vars.dtp.get((i, c, p))
-                if name is not None:
-                    inflow.add(name, 1.0)
+            inflow = _primary_inflow(instance, vars, i, p)
             entry = proc.primary[p][i]
             model.add_row(inflow.copy().add(vars.y[p], -entry.capacity), "<=", 0.0,
                           RowTag("capacity", ("primary", i, p)))
@@ -132,11 +128,7 @@ def _add_downstream_rows(model: MilpModel, instance: NetworkInstance,
                           RowTag("min-shipment", ("primary", i, p)))
     for j in instance.materials:
         for s in instance.secondaries:
-            inflow = LinExpr()
-            for p in instance.primaries:
-                name = vars.pts.get((j, p, s))
-                if name is not None:
-                    inflow.add(name, 1.0)
+            inflow = _secondary_inflow(instance, vars, j, s)
             entry = proc.secondary[s][j]
             model.add_row(inflow.copy().add(vars.r[s], -entry.capacity), "<=", 0.0,
                           RowTag("capacity", ("secondary", j, s)))
@@ -157,14 +149,12 @@ def _maybe_total_capacity(model: MilpModel, instance: NetworkInstance,
                 expr.add_expr(_dropoff_inflow(instance, vars, i, f))
             indicator = vars.x[f]
         elif tier == "primary" and f in instance.primaries:
-            for (i, c, p), name in vars.dtp.items():
-                if p == f:
-                    expr.add(name, 1.0)
+            for i in instance.products:
+                expr.add_expr(_primary_inflow(instance, vars, i, f))
             indicator = vars.y[f]
         elif tier == "secondary" and f in instance.secondaries:
-            for (j, p, s), name in vars.pts.items():
-                if s == f:
-                    expr.add(name, 1.0)
+            for j in instance.materials:
+                expr.add_expr(_secondary_inflow(instance, vars, j, f))
             indicator = vars.r[f]
         else:
             continue

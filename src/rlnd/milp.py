@@ -1,9 +1,14 @@
 """Self-contained exact MILP engine.
 
-A dense two-phase tableau simplex handles the LP relaxations; a best-first
-branch-and-bound on the binary variables makes the engine exact for the
-mixed-binary models this package builds.  The models are desk-scale (tens of
-rows), so a dense tableau is the simplest thing that is provably correct and
+A bounded-variable dual simplex handles the LP relaxations; a best-first
+branch and bound on the binary variables makes the engine exact for the
+mixed-binary models this package builds.  The simplex works on ``[A | -I]``
+(one logical column per row), assembled and scaled by powers of two once per
+model, with every variable and row bound kept implicit.  Each
+branch-and-bound child restarts from its parent's optimal basis, which a
+bound change leaves dual feasible, so a child takes a handful of pivots.
+The models are desk-scale (at most a few hundred rows), so an explicit dense
+basis inverse is the simplest thing that is provably correct and
 deterministic: identical model input always yields an identical Solution.
 
 Anything that speaks ``solve(model) -> Solution`` can replace the embedded
@@ -16,14 +21,12 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Protocol
+from typing import Mapping, Protocol
 
 import numpy as np
 
 FEASIBILITY_TOL = 1e-7
 INTEGRALITY_TOL = 1e-6
-_PIVOT_TOL = 1e-10
-_RC_TOL = 1e-9
 
 
 class Status(Enum):
@@ -96,7 +99,12 @@ class Row:
 
 
 class MilpModel:
-    """Minimization model over named variables with tagged linear rows."""
+    """Minimization model over named variables with tagged linear rows.
+
+    Change a model only through its methods: the embedded engine keeps the
+    assembled matrix and the solved root relaxation with the model, and
+    every change drops them.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -104,6 +112,7 @@ class MilpModel:
         self.rows: list[Row] = []
         self.objective = LinExpr()
         self.warnings: list[str] = []
+        self._lp: _Lp | None = None
 
     # -- construction -------------------------------------------------
 
@@ -116,6 +125,7 @@ class MilpModel:
         if lb > ub:
             raise ModelError(f"variable {name!r} has lb {lb} > ub {ub}")
         self.variables[name] = Variable(name, lb, ub, binary)
+        self._lp = None
         return name
 
     def add_row(self, expr: LinExpr, relation: str, rhs: float, tag: RowTag) -> int:
@@ -127,6 +137,7 @@ class MilpModel:
         # fold the expression constant into the right-hand side
         row = Row(LinExpr(dict(expr.terms)), relation, rhs - expr.constant, tag)
         self.rows.append(row)
+        self._lp = None
         return len(self.rows) - 1
 
     def set_objective(self, expr: LinExpr) -> None:
@@ -134,6 +145,7 @@ class MilpModel:
             if var not in self.variables:
                 raise ModelError(f"objective references unknown variable {var!r}")
         self.objective = expr.copy()
+        self._lp = None
 
     @property
     def binary_names(self) -> list[str]:
@@ -236,245 +248,297 @@ class Solver(Protocol):
 
 
 # ----------------------------------------------------------------------
-# dense two-phase simplex
+# bounded dual simplex
 # ----------------------------------------------------------------------
 
-class _LpOutcome:
-    __slots__ = ("status", "objective", "x", "iterations")
-
-    def __init__(self, status, objective=None, x=None, iterations=0):
-        self.status = status
-        self.objective = objective
-        self.x = x
-        self.iterations = iterations
+_DUAL_TOL = 1e-7       # reduced-cost sign tolerance on the scaled model
+_PIVOT_TOL = 1e-9      # smallest pivot-row entry the ratio test accepts
+_REFACTOR_EVERY = 100  # basis updates between fresh factorizations
+_ROUNDS = 5            # phase-two runs, each checked after a refactorization
 
 
-def _solve_lp_core(model: MilpModel, lb: np.ndarray, ub: np.ndarray) -> _LpOutcome:
-    """Two-phase primal simplex on the model with the given variable bounds.
+def _power_of_two(magnitude: np.ndarray) -> np.ndarray:
+    """Factors 2**-k that bring each positive magnitude nearest to 1."""
+    safe = np.where(magnitude > 0.0, magnitude, 1.0)
+    return np.ldexp(1.0, -np.round(np.log2(safe)).astype(int))
 
-    Bound handling: finite lower bounds are shifted out, upper bounds become
-    explicit rows, variables fixed by lb == ub are substituted away, and free
-    variables are split.  Everything then lives in the standard x >= 0 cone.
+
+@dataclass(frozen=True)
+class _Basis:
+    """Everything a node needs to restart the simplex: the column basic in
+    each row, and which nonbasic columns rest at their upper bound."""
+
+    head: np.ndarray
+    upper: np.ndarray
+
+
+class _Lp:
+    """A model as ``[A | -I] (x, s) = 0`` with bounds on the structural
+    columns x and on the row activities s (one logical column per row).
+
+    Rows, then columns, are scaled by powers of two, so scaling is exact:
+    a binary's bounds and the values read back are exactly 0 and 1.
     """
-    names = list(model.variables)
-    n = len(names)
-    col_of = {name: j for j, name in enumerate(names)}
 
-    fixed = np.isclose(lb, ub, rtol=0.0, atol=0.0) & np.isfinite(lb)
-    # column construction plan: per free model var, one or two simplex columns
-    plan: list[tuple[int, float, float]] = []  # (model col, sign, shift)
-    span_rows: list[tuple[int, float]] = []    # (simplex col, span) for two-sided vars
-    for j in range(n):
-        if fixed[j]:
-            continue
-        if lb[j] == -math.inf and ub[j] == math.inf:
-            plan.append((j, 1.0, 0.0))
-            plan.append((j, -1.0, 0.0))
-        elif lb[j] == -math.inf:
-            plan.append((j, -1.0, ub[j]))      # x = ub - u
-        else:
-            k = len(plan)
-            plan.append((j, 1.0, lb[j]))       # x = lb + u
-            if ub[j] < math.inf:
-                span_rows.append((k, ub[j] - lb[j]))
-    ns = len(plan)
+    def __init__(self, model: MilpModel):
+        self.names = list(model.variables)
+        variables = list(model.variables.values())
+        n, m = len(variables), len(model.rows)
+        self.index = index = {name: j for j, name in enumerate(self.names)}
+        a = np.zeros((m, n))
+        row_lb = np.full(m, -math.inf)
+        row_ub = np.full(m, math.inf)
+        for i, row in enumerate(model.rows):
+            for var, coeff in row.expr.terms.items():
+                a[i, index[var]] += coeff
+            if row.relation != ">=":
+                row_ub[i] = row.rhs
+            if row.relation != "<=":
+                row_lb[i] = row.rhs
+        row_scale = _power_of_two(np.abs(a).max(axis=1, initial=0.0))
+        a *= row_scale[:, None]
+        col_scale = _power_of_two(np.abs(a).max(axis=0, initial=0.0))
+        a *= col_scale
+        self.mat = np.hstack([a, -np.eye(m)])
+        self.scale = np.concatenate([col_scale, 1.0 / row_scale])  # original / scaled
+        self.lb = np.concatenate([[v.lb for v in variables], row_lb]) / self.scale
+        self.ub = np.concatenate([[v.ub for v in variables], row_ub]) / self.scale
+        self.cost = np.zeros(n + m)
+        for var, coeff in model.objective.terms.items():
+            self.cost[index[var]] += coeff
+        self.cost[:n] *= col_scale
+        self.binaries = np.array([j for j, v in enumerate(variables) if v.binary], dtype=int)
+        self._root: _LpResult | None = None
 
-    cols_of_var: dict[int, list[int]] = {}
-    for k, (j, _sign, _shift) in enumerate(plan):
-        cols_of_var.setdefault(j, []).append(k)
-    # shift is nonzero only for single-column variables (free vars split at 0)
-    shift_of_var = {j: plan[cols[0]][2] if len(cols) == 1 else 0.0
-                    for j, cols in cols_of_var.items()}
+    @staticmethod
+    def of(model: MilpModel) -> _Lp:
+        """The model's assembled form, built on first use."""
+        if model._lp is None:
+            model._lp = _Lp(model)
+        return model._lp
 
-    obj_const = model.objective.constant
-    c = np.zeros(ns)
-    for var, coeff in model.objective.terms.items():
-        j = col_of[var]
-        if fixed[j]:
-            obj_const += coeff * lb[j]
-            continue
-        for k in cols_of_var[j]:
-            c[k] += coeff * plan[k][1]
-        obj_const += coeff * shift_of_var[j]
+    def root(self) -> _LpResult:
+        """The relaxation under the model's own bounds, solved once from the
+        slack basis."""
+        if self._root is None:
+            self._root = _solve(self, self.cost, self.lb, self.ub, self.slack_basis())
+        return self._root
 
-    m_rows = len(model.rows) + len(span_rows)
-    A = np.zeros((m_rows, ns))
-    b = np.zeros(m_rows)
-    rel: list[str] = []
-    for i, row in enumerate(model.rows):
-        rhs = row.rhs
-        for var, coeff in row.expr.terms.items():
-            j = col_of[var]
-            if fixed[j]:
-                rhs -= coeff * lb[j]
-                continue
-            for k in cols_of_var[j]:
-                A[i, k] += coeff * plan[k][1]
-            rhs -= coeff * shift_of_var[j]
-        b[i] = rhs
-        rel.append(row.relation)
-    for off, (k, span) in enumerate(span_rows):
-        i = len(model.rows) + off
-        A[i, k] = 1.0
-        b[i] = span
-        rel.append("<=")
+    def slack_basis(self) -> _Basis:
+        n, m = len(self.names), self.mat.shape[0]
+        return _Basis(np.arange(n, n + m), np.zeros(n + m, dtype=bool))
 
-    outcome = _simplex_two_phase(A, b, rel, c)
-    if outcome.status is not Status.OPTIMAL:
-        return outcome
+    def factor(self, head: np.ndarray) -> np.ndarray:
+        return np.linalg.inv(self.mat[:, head])
 
-    x = np.empty(n, dtype=float)
-    x[fixed] = lb[fixed]
-    u = outcome.x
-    for j, cols in cols_of_var.items():
-        if len(cols) == 2:
-            x[j] = u[cols[0]] - u[cols[1]]
-        else:
-            k = cols[0]
-            _, sign, shift = plan[k]
-            x[j] = shift + sign * u[k]
-    objective = float(np.dot(c, u)) + obj_const
-    return _LpOutcome(Status.OPTIMAL, objective, x, outcome.iterations)
+    def fixed_bounds(self, fix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds with each binary fixed where ``fix`` is 0 or 1 (-1: free)."""
+        lb, ub = self.lb.copy(), self.ub.copy()
+        cols = self.binaries[fix >= 0]
+        lb[cols] = ub[cols] = fix[fix >= 0] / self.scale[cols]
+        return lb, ub
+
+    def most_fractional(self, x: np.ndarray) -> int:
+        """Position in ``binaries`` of the most fractional binary (ties: the
+        lowest), or -1 when every binary is integral."""
+        values = x[self.binaries] * self.scale[self.binaries]
+        frac = np.abs(values - np.round(values))
+        if not frac.size:
+            return -1
+        k = int(np.argmax(frac))
+        return k if frac[k] > INTEGRALITY_TOL else -1
+
+    def values(self, x: np.ndarray, round_binaries: bool) -> dict[str, float]:
+        n = len(self.names)
+        out = x[:n] * self.scale[:n]
+        if round_binaries:
+            out[self.binaries] = np.round(out[self.binaries])
+        return dict(zip(self.names, out.tolist()))
 
 
-def _simplex_two_phase(A: np.ndarray, b: np.ndarray, rel: list[str],
-                       c: np.ndarray) -> _LpOutcome:
-    m, ns = A.shape
-    A = A.copy()
-    b = b.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b = np.abs(b)
-    rel = [{"<=": ">=", ">=": "<="}.get(r, r) if f else r for r, f in zip(rel, flip)]
+class _Simplex:
+    """Dual simplex state for one LP: an explicit basis inverse, the values
+    of every column, reduced costs and exact dual steepest-edge weights."""
 
-    n_slack = sum(1 for r in rel if r == "<=")
-    n_surp = sum(1 for r in rel if r == ">=")
-    n_art = sum(1 for r in rel if r in (">=", "=="))
-    total = ns + n_slack + n_surp + n_art
-    T = np.zeros((m, total))
-    T[:, :ns] = A
-    basis = np.empty(m, dtype=int)
-    s = ns
-    p = ns + n_slack
-    a = ns + n_slack + n_surp
-    art_cols = []
-    for i, r in enumerate(rel):
-        if r == "<=":
-            T[i, s] = 1.0
-            basis[i] = s
-            s += 1
-        elif r == ">=":
-            T[i, p] = -1.0
-            T[i, a] = 1.0
-            basis[i] = a
-            art_cols.append(a)
-            p += 1
-            a += 1
-        else:
-            T[i, a] = 1.0
-            basis[i] = a
-            art_cols.append(a)
-            a += 1
+    def __init__(self, lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                 basis: _Basis, binv: np.ndarray | None = None):
+        self.lp, self.cost = lp, cost
+        self.head = basis.head.copy()
+        self.upper = basis.upper.copy()
+        self.pivots = 0
+        self.set_bounds(lb, ub)
+        self._refactored(lp.factor(self.head) if binv is None else binv.copy())
 
-    is_art = np.zeros(total, dtype=bool)
-    is_art[ns + n_slack + n_surp:] = True
+    def basis(self) -> _Basis:
+        return _Basis(self.head.copy(), self.upper.copy())
 
-    cost2 = np.zeros(total + 1)
-    cost2[:ns] = c
-    cost1 = np.zeros(total + 1)
-    cost1[ns + n_slack + n_surp:total] = 1.0
-    rhs = b.copy()
-    # canonicalize both cost rows against the starting basis
-    for i in range(m):
-        for cost in (cost1, cost2):
-            cb = cost[basis[i]]
-            if cb != 0.0:
-                cost[:total] -= cb * T[i]
-                cost[total] -= cb * rhs[i]
+    def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
+        self.lb, self.ub = lb, ub
+        self.movable = lb < ub  # a fixed column never enters
+        self.free = np.isneginf(lb) & np.isposinf(ub)
 
-    allowed = ~is_art
-    iterations = 0
-    iter_cap = 2000 + 200 * (m + total)
-    bland_after = 10 * (m + total)
-    degenerate = 0
+    def refactor(self) -> None:
+        self._refactored(self.lp.factor(self.head))
 
-    def pivot(r: int, e: int, costs: tuple[np.ndarray, ...]) -> None:
-        nonlocal degenerate
-        piv = T[r, e]
-        T[r] /= piv
-        rhs[r] /= piv
-        factors = T[:, e].copy()
-        factors[r] = 0.0
-        T[:] -= np.outer(factors, T[r])
-        rhs[:] -= factors * rhs[r]
-        for cost in costs:
-            f = cost[e]
-            if f != 0.0:
-                cost[:total] -= f * T[r]
-                cost[total] -= f * rhs[r]
-        basis[r] = e
+    def _refactored(self, binv: np.ndarray) -> None:
+        self.binv = binv
+        self.updates = 0
+        self.nonbasic = np.ones(self.cost.size, dtype=bool)
+        self.nonbasic[self.head] = False
+        y = self.binv.T @ self.cost[self.head]
+        self.d = self.cost - self.lp.mat.T @ y
+        self.d[self.head] = 0.0
+        self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
+        self._reset_primal()
 
-    def run_phase(cost: np.ndarray, others: tuple[np.ndarray, ...],
-                  enterable: np.ndarray) -> Status:
-        nonlocal iterations, degenerate
+    def _reset_primal(self) -> None:
+        x = np.where(self.upper, self.ub, self.lb)
+        x[~np.isfinite(x)] = 0.0  # free nonbasic columns rest at zero
+        x[self.head] = 0.0
+        x[self.head] = -(self.binv @ (self.lp.mat @ x))
+        self.x = x
+
+    def place(self) -> float:
+        """Rest each nonbasic column at the bound its reduced cost asks for;
+        return the largest dual infeasibility that no bound can absorb."""
+        has_lb, has_ub = np.isfinite(self.lb), np.isfinite(self.ub)
+        d = self.d
+        self.upper = np.where(has_lb & has_ub,
+                              (d < -_DUAL_TOL) | (self.upper & (d <= _DUAL_TOL)),
+                              has_ub & ~has_lb)
+        self._reset_primal()
+        infeasible = (np.where(has_lb, 0.0, np.maximum(d, 0.0))
+                      + np.where(has_ub, 0.0, np.maximum(-d, 0.0)))
+        return float(infeasible.max(initial=0.0))
+
+    def run(self, limit: int) -> Status:
+        """Pivot until the basis is primal feasible (OPTIMAL), a row proves
+        the LP infeasible, or ``limit`` pivots are spent."""
         while True:
-            if iterations > iter_cap:
+            status = self._pivot_until_refactor(limit)
+            if status is not None:
+                return status
+
+    def _pivot_until_refactor(self, limit: int) -> Status | None:
+        mat = self.lp.mat
+        head = self.head
+        # nonbasic columns that may rise from their bound, or fall from it
+        rise = self.nonbasic & self.movable & (~self.upper | self.free)
+        fall = self.nonbasic & self.movable & (self.upper | self.free)
+        while True:
+            xb = self.x[head]
+            below = self.lb[head] - xb
+            above = xb - self.ub[head]
+            infeasibility = np.maximum(below, above)
+            # leaving row: dual steepest edge over the primal infeasibilities
+            score = np.where(infeasibility > FEASIBILITY_TOL,
+                             infeasibility ** 2 / self.weights, -1.0)
+            r = int(np.argmax(score)) if score.size else 0
+            if not score.size or score[r] < 0.0:
+                return Status.OPTIMAL
+            if self.pivots >= limit:
                 return Status.NUMERICALLY_UNSTABLE
-            rc = np.where(enterable, cost[:total], np.inf)
-            if degenerate > bland_after:
-                candidates = np.nonzero(rc < -_RC_TOL)[0]
-                if candidates.size == 0:
-                    return Status.OPTIMAL
-                e = int(candidates[0])  # Bland: lowest index
-            else:
-                e = int(np.argmin(rc))
-                if rc[e] >= -_RC_TOL:
-                    return Status.OPTIMAL
-            col = T[:, e]
-            rows = np.nonzero(col > _PIVOT_TOL)[0]
-            if rows.size == 0:
-                return Status.UNBOUNDED
-            ratios = rhs[rows] / col[rows]
-            best = ratios.min()
-            tied = rows[np.nonzero(ratios <= best + 1e-12)[0]]
-            r = int(tied[np.argmin(basis[tied])])  # deterministic, Bland-friendly
-            if best < 1e-12:
-                degenerate += 1
-            iterations += 1
-            pivot(r, e, (cost,) + others)
+            leaving = int(head[r])
+            to_lower = below[r] > 0.0
+            target = self.lb[leaving] if to_lower else self.ub[leaving]
+            sign = -1.0 if to_lower else 1.0
+            row = self.binv[r] @ mat
+            toward = sign * row
+            candidates = np.flatnonzero(((toward > _PIVOT_TOL) & rise)
+                                        | ((toward < -_PIVOT_TOL) & fall))
+            if not candidates.size:
+                if self.updates:
+                    self.refactor()
+                    return None
+                return Status.INFEASIBLE
+            # entering column: Harris two-pass ratio test, largest pivot wins
+            t = toward[candidates]
+            dj = self.d[candidates]
+            relaxed = np.where(t > 0.0, dj + _DUAL_TOL, dj - _DUAL_TOL) / t
+            near = dj / t <= relaxed.min()
+            q = int(candidates[near][np.argmax(np.abs(t[near]))])
+            alpha = self.binv @ mat[:, q]
+            pivot = alpha[r]
+            if self.updates and abs(pivot - row[q]) > 1e-8 * (1.0 + abs(pivot)):
+                self.refactor()
+                return None
+            theta_d = sign * max(self.d[q] / toward[q], 0.0)
+            theta_p = (xb[r] - target) / pivot
+            self.x[head] -= theta_p * alpha
+            self.x[q] += theta_p
+            self.x[leaving] = target
+            self.d -= theta_d * row
+            self.d[head] = 0.0
+            self.d[leaving] = -theta_d
+            self.d[q] = 0.0
+            head[r] = q
+            self.nonbasic[q] = rise[q] = fall[q] = False
+            self.nonbasic[leaving] = True
+            self.upper[leaving] = not to_lower
+            rise[leaving] = to_lower and self.movable[leaving]
+            fall[leaving] = not to_lower and self.movable[leaving]
+            self.binv[r] /= pivot
+            alpha[r] = 0.0
+            self.binv -= np.outer(alpha, self.binv[r])
+            self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
+            self.pivots += 1
+            self.updates += 1
+            if self.updates >= _REFACTOR_EVERY:
+                self.refactor()
+                return None
 
-    status = run_phase(cost1, (cost2,), np.ones(total, dtype=bool))
-    if status is not Status.OPTIMAL:
-        return _LpOutcome(status, iterations=iterations)
-    if -cost1[total] > FEASIBILITY_TOL:
-        return _LpOutcome(Status.INFEASIBLE, iterations=iterations)
 
-    # pivot basic artificials out (or drop redundant rows)
-    drop_rows: list[int] = []
-    for i in range(m):
-        if not is_art[basis[i]]:
-            continue
-        pivot_col = -1
-        for j in range(total):
-            if not is_art[j] and abs(T[i, j]) > _PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            pivot(i, pivot_col, (cost1, cost2))
-        else:
-            drop_rows.append(i)
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(T.shape[0]), drop_rows)
-        T = T[keep]
-        rhs = rhs[keep]
-        basis = basis[keep]
+@dataclass
+class _LpResult:
+    status: Status
+    basis: _Basis
+    pivots: int
+    x: np.ndarray | None = None  # scaled values of every column when optimal
+    objective: float = math.nan
 
-    status = run_phase(cost2, (), allowed)
-    if status is not Status.OPTIMAL:
-        return _LpOutcome(status, iterations=iterations)
-    x = np.zeros(total)
-    x[basis] = rhs
-    return _LpOutcome(Status.OPTIMAL, float(-cost2[total]), x[:ns], iterations)
+
+def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+           basis: _Basis, binv: np.ndarray | None = None) -> _LpResult:
+    """Bounded dual simplex from ``basis`` (``binv``: its inverse, if known).
+
+    When no bound placement makes the basis dual feasible, a dual phase one
+    solves the auxiliary problem that boxes every column in [0, 0], widened
+    to -1 or +1 on each side where the real bound is missing; its optimal
+    basis is dual feasible for the real bounds unless none is, and then a
+    zero-cost solve tells an unbounded LP from an infeasible one.  Phase two
+    ends only on a fresh factorization that is primal and dual feasible.
+    """
+    if np.any(lb > ub):
+        return _LpResult(Status.INFEASIBLE, basis, 0)
+    limit = 1000 + 20 * cost.size
+    s = None
+    try:
+        s = _Simplex(lp, cost, lb, ub, basis, binv)
+        for _ in range(_ROUNDS):
+            if s.place() > _DUAL_TOL:
+                s.set_bounds(np.where(np.isfinite(lb), 0.0, -1.0),
+                             np.where(np.isfinite(ub), 0.0, 1.0))
+                s.place()
+                status = s.run(limit)
+                s.set_bounds(lb, ub)
+                if status is not Status.OPTIMAL:
+                    return _LpResult(Status.NUMERICALLY_UNSTABLE, s.basis(), s.pivots)
+                if s.place() > _DUAL_TOL:
+                    probe = _solve(lp, np.zeros_like(cost), lb, ub, lp.slack_basis())
+                    status = (Status.UNBOUNDED if probe.status is Status.OPTIMAL
+                              else probe.status)
+                    return _LpResult(status, s.basis(), s.pivots + probe.pivots)
+            status = s.run(limit)
+            if status is not Status.OPTIMAL:
+                return _LpResult(status, s.basis(), s.pivots)
+            if not s.updates:
+                return _LpResult(Status.OPTIMAL, s.basis(), s.pivots, s.x.copy(),
+                                 float(cost @ s.x))
+            s.refactor()
+    except np.linalg.LinAlgError:
+        pass
+    return _LpResult(Status.NUMERICALLY_UNSTABLE, basis if s is None else s.basis(),
+                     0 if s is None else s.pivots)
 
 
 # ----------------------------------------------------------------------
@@ -482,28 +546,46 @@ def _simplex_two_phase(A: np.ndarray, b: np.ndarray, rel: list[str],
 # ----------------------------------------------------------------------
 
 def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None = None) -> Solution:
-    """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
-    names = list(model.variables)
-    lb = np.array([model.variables[v].lb for v in names], dtype=float)
-    ub = np.array([model.variables[v].ub for v in names], dtype=float)
+    """Solve the continuous relaxation (binaries relaxed to [0, 1]).
+
+    With ``bounds``, the relaxation is re-solved from the final basis of the
+    model's own relaxation under the given bounds, as a branch-and-bound
+    child is.  The statistics count the pivots of both solves.
+    """
+    lp = _Lp.of(model)
+    result = lp.root()
+    pivots = result.pivots
     if bounds:
+        lb, ub = lp.lb.copy(), lp.ub.copy()
         for var, (lo, hi) in bounds.items():
-            j = names.index(var)
-            lb[j], ub[j] = lo, hi
-    outcome = _solve_lp_core(model, lb, ub)
-    stats = SolveStats(simplex_iterations=outcome.iterations, nodes=1)
-    if outcome.status is not Status.OPTIMAL:
-        return Solution(outcome.status, None, {}, stats)
-    values = {name: float(outcome.x[j]) for j, name in enumerate(names)}
-    sol = Solution(Status.OPTIMAL, outcome.objective, values, stats, bound=outcome.objective)
-    _verify_rows(model, sol)
+            j = lp.index[var]
+            lb[j], ub[j] = lo / lp.scale[j], hi / lp.scale[j]
+        result = _solve(lp, lp.cost, lb, ub, result.basis)
+        pivots += result.pivots
+    stats = SolveStats(simplex_iterations=pivots, nodes=1)
+    if result.status is not Status.OPTIMAL:
+        return Solution(result.status, None, {}, stats)
+    values = lp.values(result.x, round_binaries=False)
+    objective = model.objective.evaluate(values)
+    sol = Solution(Status.OPTIMAL, objective, values, stats, bound=objective)
+    _verify(model, sol, integral=False)
     return sol
 
 
-def _verify_rows(model: MilpModel, sol: Solution) -> None:
-    """Defensive residual check; downgrade to NUMERICALLY_UNSTABLE on failure."""
+def _verify(model: MilpModel, sol: Solution, integral: bool) -> None:
+    """Defensive check in original units: rows, variable bounds and, with
+    ``integral``, binary integrality; downgrade to NUMERICALLY_UNSTABLE on
+    failure."""
+    values = sol.values
+    for var in model.variables.values():
+        value = values[var.name]
+        if (value < var.lb - FEASIBILITY_TOL * (1.0 + abs(var.lb))
+                or value > var.ub + FEASIBILITY_TOL * (1.0 + abs(var.ub))
+                or integral and var.binary and abs(value - round(value)) > FEASIBILITY_TOL):
+            sol.status = Status.NUMERICALLY_UNSTABLE
+            return
     for row in model.rows:
-        lhs = row.expr.evaluate(sol.values)
+        lhs = row.expr.evaluate(values)
         resid = lhs - row.rhs
         tol = FEASIBILITY_TOL * (1.0 + abs(row.rhs))
         ok = (resid <= tol if row.relation == "<=" else
@@ -518,78 +600,81 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
 
     Branching picks the most fractional binary (ties: lowest variable index);
     nodes are explored in proven-bound order, so the first incumbent that
-    matches the best outstanding bound is optimal.  Exceeding ``node_budget``
-    returns BUDGET_EXCEEDED carrying the incumbent and the remaining gap.
+    matches the best outstanding bound is optimal.  Each child re-solves from
+    its parent's optimal basis, which a bound change leaves dual feasible; a
+    node keeps only its basis and its binary fixings.  A child the simplex
+    cannot solve ends the search NUMERICALLY_UNSTABLE instead of being
+    dropped as if pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED
+    carrying the incumbent and the remaining gap.  The reported values come
+    from one fresh factorization of the incumbent's basis, binaries rounded
+    to exactly 0 or 1.
     """
-    names = list(model.variables)
-    lb0 = np.array([model.variables[v].lb for v in names], dtype=float)
-    ub0 = np.array([model.variables[v].ub for v in names], dtype=float)
-    bin_idx = [j for j, v in enumerate(names) if model.variables[v].binary]
-
+    lp = _Lp.of(model)
     stats = SolveStats()
 
-    root = _solve_lp_core(model, lb0, ub0)
-    stats.simplex_iterations += root.iterations
+    root = lp.root()
+    stats.simplex_iterations += root.pivots
     stats.nodes += 1
-    if root.status in (Status.INFEASIBLE, Status.UNBOUNDED, Status.NUMERICALLY_UNSTABLE):
+    if root.status is not Status.OPTIMAL:
         return Solution(root.status, None, {}, stats)
 
-    incumbent_x: np.ndarray | None = None
+    incumbent: tuple[np.ndarray, _Basis] | None = None
     incumbent_obj = math.inf
     counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (root.objective, counter, lb0, ub0, root.x))
+    free = np.full(lp.binaries.size, -1, dtype=np.int8)
+    heap = [(root.objective, counter, free, root.basis, lp.most_fractional(root.x))]
     best_bound = root.objective
 
     while heap:
-        bound, _, lb, ub, x = heapq.heappop(heap)
+        bound, _, fix, basis, branch = heapq.heappop(heap)
         best_bound = bound
         if bound >= incumbent_obj - 1e-9:
             best_bound = min(bound, incumbent_obj)
             break  # best-first: nothing left can improve
 
-        frac = [(abs(x[j] - round(x[j])), j) for j in bin_idx]
-        worst = max((f for f, _ in frac), default=0.0)
-        if worst <= INTEGRALITY_TOL:
+        if branch < 0:
             if bound < incumbent_obj - 1e-9:
                 incumbent_obj = bound
-                incumbent_x = x
+                incumbent = (fix, basis)
                 stats.incumbent_history.append(bound)
             continue
 
-        # most fractional: distance to nearest integer, ties -> lowest index
-        _, branch = max(frac, key=lambda t: (t[0], -t[1]))
-        for value in (0.0, 1.0):
+        binv = lp.factor(basis.head)  # shared by both children
+        for value in (0, 1):
             if stats.nodes >= node_budget:
-                return _budget_exceeded(model, names, stats, incumbent_x, incumbent_obj,
-                                        best_bound)
-            child_lb, child_ub = lb.copy(), ub.copy()
-            child_lb[branch] = child_ub[branch] = value
-            child = _solve_lp_core(model, child_lb, child_ub)
-            stats.simplex_iterations += child.iterations
+                return _incumbent_solution(model, lp, Status.BUDGET_EXCEEDED, incumbent,
+                                           stats, best_bound)
+            child_fix = fix.copy()
+            child_fix[branch] = value
+            child = _solve(lp, lp.cost, *lp.fixed_bounds(child_fix), basis, binv)
+            stats.simplex_iterations += child.pivots
             stats.nodes += 1
-            if child.status is Status.UNBOUNDED:
-                return Solution(Status.UNBOUNDED, None, {}, stats)
+            if child.status in (Status.UNBOUNDED, Status.NUMERICALLY_UNSTABLE):
+                return Solution(child.status, None, {}, stats)
             if child.status is Status.OPTIMAL and child.objective < incumbent_obj - 1e-9:
                 counter += 1
-                heapq.heappush(heap, (child.objective, counter, child_lb, child_ub, child.x))
+                heapq.heappush(heap, (child.objective, counter, child_fix, child.basis,
+                                      lp.most_fractional(child.x)))
 
-    if incumbent_x is None:
+    if incumbent is None:
         return Solution(Status.INFEASIBLE, None, {}, stats)
-    values = {name: float(incumbent_x[j]) for j, name in enumerate(names)}
     # normal termination proves optimality, so the bound closes to the incumbent
-    sol = Solution(Status.OPTIMAL, float(incumbent_obj), values, stats,
-                   bound=float(incumbent_obj))
-    _verify_rows(model, sol)
+    sol = _incumbent_solution(model, lp, Status.OPTIMAL, incumbent, stats, None)
+    _verify(model, sol, integral=True)
     return sol
 
 
-def _budget_exceeded(model, names, stats, incumbent_x, incumbent_obj, best_bound):
-    if incumbent_x is None:
-        return Solution(Status.BUDGET_EXCEEDED, None, {}, stats, bound=float(best_bound))
-    values = {name: float(incumbent_x[j]) for j, name in enumerate(names)}
-    return Solution(Status.BUDGET_EXCEEDED, float(incumbent_obj), values, stats,
-                    bound=float(best_bound))
+def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
+                        incumbent: tuple[np.ndarray, _Basis] | None, stats: SolveStats,
+                        bound: float | None) -> Solution:
+    if incumbent is None:
+        return Solution(status, None, {}, stats, bound=float(bound))
+    fix, basis = incumbent
+    lb, ub = lp.fixed_bounds(fix)
+    values = lp.values(_Simplex(lp, lp.cost, lb, ub, basis).x, round_binaries=True)
+    objective = model.objective.evaluate(values)
+    return Solution(status, objective, values, stats,
+                    bound=objective if bound is None else float(bound))
 
 
 class EmbeddedSolver:

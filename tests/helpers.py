@@ -12,7 +12,7 @@ import random
 
 from rlnd.domain import (Arc, ArcData, NetworkInstance, ProcessingData,
                          ProcessingEntry, SupplyData)
-from rlnd.milp import LinExpr, MilpModel, RowTag, Status, solve_lp
+from rlnd.milp import LinExpr, MilpModel, RowTag, Solution, SolveStats, Status, solve_lp
 
 
 def pattern_enumeration_optimum(model: MilpModel):
@@ -35,13 +35,59 @@ def pattern_enumeration_optimum(model: MilpModel):
     return Status.OPTIMAL, best
 
 
-def random_network_instance(rng: random.Random) -> NetworkInstance:
-    """A small random but well-formed instance (tiers of at most 3)."""
+class ExactHighs:
+    """HiGHS through ``scipy.optimize.milp`` at a zero relative MIP gap.
+
+    ``rlnd.external.ScipySolver`` runs HiGHS at its default gap, which may
+    stop short of the optimum the embedded engine proves; this one may not.
+    """
+
+    def solve(self, model: MilpModel) -> Solution:
+        import numpy as np
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        names = list(model.variables)
+        col = {name: j for j, name in enumerate(names)}
+        c = np.zeros(len(names))
+        for var, coeff in model.objective.terms.items():
+            c[col[var]] += coeff
+        a = np.zeros((len(model.rows), len(names)))
+        lo = np.full(len(model.rows), -np.inf)
+        hi = np.full(len(model.rows), np.inf)
+        for r, row in enumerate(model.rows):
+            for var, coeff in row.expr.terms.items():
+                a[r, col[var]] += coeff
+            if row.relation in ("<=", "=="):
+                hi[r] = row.rhs
+            if row.relation in (">=", "=="):
+                lo[r] = row.rhs
+        res = milp(c, constraints=[LinearConstraint(a, lo, hi)] if model.rows else [],
+                   integrality=[int(model.variables[v].binary) for v in names],
+                   bounds=Bounds([model.variables[v].lb for v in names],
+                                 [model.variables[v].ub for v in names]),
+                   options={"mip_rel_gap": 0.0})
+        status = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}.get(
+            res.status, Status.NUMERICALLY_UNSTABLE)
+        if status is not Status.OPTIMAL:
+            return Solution(status, None, {}, SolveStats())
+        objective = float(res.fun) + model.objective.constant
+        values = {name: float(res.x[j]) for j, name in enumerate(names)}
+        return Solution(status, objective, values, SolveStats(), objective)
+
+
+def random_network_instance(rng: random.Random, areas: int | None = None,
+                            dropoffs: int | None = None,
+                            primaries: int | None = None) -> NetworkInstance:
+    """A random but well-formed instance.
+
+    Tier sizes not given are drawn small (areas at most 2, dropoffs and
+    primaries at most 3); a size that is given draws nothing from ``rng``.
+    """
     products = [f"prod{k}" for k in range(1, rng.randint(1, 2) + 1)]
     materials = [f"mat{k}" for k in range(1, rng.randint(1, 2) + 1)]
-    areas = [f"area{k}" for k in range(1, rng.randint(1, 2) + 1)]
-    dropoffs = [f"drop{k}" for k in range(1, rng.randint(1, 3) + 1)]
-    primaries = [f"prim{k}" for k in range(1, rng.randint(1, 3) + 1)]
+    areas = [f"area{k}" for k in range(1, (areas or rng.randint(1, 2)) + 1)]
+    dropoffs = [f"drop{k}" for k in range(1, (dropoffs or rng.randint(1, 3)) + 1)]
+    primaries = [f"prim{k}" for k in range(1, (primaries or rng.randint(1, 3)) + 1)]
     secondaries = [f"sec{k}" for k in range(1, rng.randint(1, 2) + 1)]
 
     mass = {i: {h: rng.uniform(50.0, 400.0) for h in areas} for i in products}

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from helpers import pattern_enumeration_optimum
-from rlnd.milp import (EmbeddedSolver, LinExpr, MilpModel, ModelError, RowTag,
-                       Status, solve_lp, solve_milp)
+from helpers import pattern_enumeration_optimum, random_network_instance
+from rlnd import load_bundled_instance
+from rlnd.builders import build_system_model
+from rlnd.milp import (FEASIBILITY_TOL, EmbeddedSolver, LinExpr, MilpModel, ModelError,
+                       RowTag, Solution, Status, _verify, solve_lp, solve_milp)
 
 TAG = RowTag("row")
 
@@ -206,3 +208,124 @@ def test_lp_format_dump_mentions_tags():
     text = m.to_lp_format()
     assert "capacity[dropoff,a,b]" in text
     assert "Minimize" in text and "Subject To" in text and "Bounds" in text
+
+
+def test_negative_cost_without_upper_bound_is_still_bounded():
+    # the slack basis is dual infeasible (x wants to grow without bound),
+    # so the engine needs its dual phase one before the rows bound x
+    m = _model()
+    m.add_variable("x")
+    m.add_variable("y", lb=-math.inf)
+    m.add_row(LinExpr({"x": 1.0, "y": 1.0}), "<=", 4.0, TAG)
+    m.add_row(LinExpr({"y": 1.0}), ">=", -1.0, RowTag("row2"))
+    m.set_objective(LinExpr({"x": -1.0, "y": 0.5}))
+    sol = solve_lp(m)
+    assert sol.status is Status.OPTIMAL
+    assert sol.objective == pytest.approx(-5.5, abs=1e-9)
+    assert sol.value("x") == pytest.approx(5.0, abs=1e-9)
+
+
+def test_dual_infeasible_lp_tells_unbounded_from_infeasible():
+    m = _model()
+    m.add_variable("x")
+    m.add_variable("y")
+    m.add_row(LinExpr({"x": 1.0, "y": -1.0}), "==", 1.0, TAG)
+    m.set_objective(LinExpr({"x": -1.0}))
+    assert solve_lp(m).status is Status.UNBOUNDED
+    m.add_row(LinExpr({"y": 1.0}), "<=", -1.0, RowTag("row2"))  # y >= 0 and y <= -1
+    assert solve_lp(m).status is Status.INFEASIBLE
+
+
+def _doctored(model, values):
+    sol = Solution(Status.OPTIMAL, 0.0, dict(values), bound=0.0)
+    _verify(model, sol, integral=True)
+    return sol.status
+
+
+def test_verify_checks_bounds_and_integrality_in_original_units():
+    m = _model()
+    m.add_variable("x", lb=0.0, ub=1000.0)
+    m.add_variable("z", binary=True)
+    m.add_row(LinExpr({"x": 1.0, "z": -2000.0}), "<=", 0.0, RowTag("capacity"))
+    assert _doctored(m, {"x": 1000.0, "z": 1.0}) is Status.OPTIMAL
+    # within FEASIBILITY_TOL * (1 + |bound|) passes, beyond it does not
+    assert _doctored(m, {"x": 1000.0 + 0.5 * FEASIBILITY_TOL * 1001, "z": 1.0}) \
+        is Status.OPTIMAL
+    assert _doctored(m, {"x": 1000.0 + 2.0 * FEASIBILITY_TOL * 1001, "z": 1.0}) \
+        is Status.NUMERICALLY_UNSTABLE
+    assert _doctored(m, {"x": -1e-6, "z": 0.0}) is Status.NUMERICALLY_UNSTABLE
+    # a fractional binary that every row still accepts
+    assert _doctored(m, {"x": 0.0, "z": 0.5}) is Status.NUMERICALLY_UNSTABLE
+    relaxed = Solution(Status.OPTIMAL, 0.0, {"x": 0.0, "z": 0.5}, bound=0.0)
+    _verify(m, relaxed, integral=False)
+    assert relaxed.status is Status.OPTIMAL
+    # and rows are still checked
+    assert _doctored(m, {"x": 10.0, "z": 0.0}) is Status.NUMERICALLY_UNSTABLE
+
+
+def _network_model(seed=6, objective="cost"):
+    instance = random_network_instance(random.Random(seed), 5, 4, 3)
+    return build_system_model(instance, objective).model
+
+
+def test_solving_twice_gives_identical_values():
+    for objective in ("cost", "emission"):
+        model = _network_model(objective=objective)
+        first = solve_milp(model)
+        again = solve_milp(model)
+        rebuilt = solve_milp(_network_model(objective=objective))
+        assert first.status is Status.OPTIMAL
+        assert first.values == again.values == rebuilt.values
+        assert first.objective == again.objective == rebuilt.objective
+        assert first.stats == again.stats == rebuilt.stats
+
+
+def test_binaries_come_back_exactly_integral():
+    sol = solve_milp(_network_model())
+    binaries = _network_model().binary_names
+    assert binaries and all(sol.values[b] in (0.0, 1.0) for b in binaries)
+
+
+def _with_bounds(model, bounds):
+    out = MilpModel(model.name)
+    for var in model.variables.values():
+        lo, hi = bounds.get(var.name, (var.lb, var.ub))
+        out.add_variable(var.name, lo, hi, var.binary)
+    for row in model.rows:
+        out.add_row(row.expr, row.relation, row.rhs, row.tag)
+    out.set_objective(model.objective)
+    return out
+
+
+def test_warm_started_bounds_match_a_cold_solve():
+    """solve_lp(model, bounds) re-solves from the relaxation's basis; a model
+    with those bounds built in is solved from the slack basis."""
+    model = _network_model()
+    binaries = model.binary_names
+    rng = random.Random(5)
+    statuses = set()
+    patterns = [{name: (0.0, 0.0) for name in binaries}]
+    for _ in range(12):
+        picked = rng.sample(binaries, rng.randint(1, len(binaries)))
+        patterns.append({name: (float(b), float(b)) for name, b in
+                         zip(picked, (rng.randint(0, 1) for _ in picked))})
+    for trial, bounds in enumerate(patterns):
+        warm = solve_lp(model, bounds=bounds)
+        cold = solve_lp(_with_bounds(model, bounds))
+        statuses.add(warm.status)
+        assert warm.status is cold.status, trial
+        if warm.status is Status.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9), trial
+    assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
+
+
+def test_children_restart_from_their_parents_basis():
+    """A deterministic guard on pivot counts: a child re-solved from scratch
+    costs 15 to 35 pivots on these models, one restarted from its parent's
+    basis about 3 to 11."""
+    bundled = solve_milp(build_system_model(load_bundled_instance(), "cost").model)
+    assert bundled.status is Status.OPTIMAL
+    assert bundled.stats.simplex_iterations <= 40
+    sol = solve_milp(_network_model(seed=6))
+    assert sol.stats.nodes >= 20
+    assert sol.stats.simplex_iterations / sol.stats.nodes <= 8.0
