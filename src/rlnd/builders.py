@@ -7,12 +7,12 @@ transformer can address them; see :class:`rlnd.milp.RowTag`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .domain import InstanceError, NetworkInstance, validate
+from .domain import NetworkInstance, validate
 from .milp import LinExpr, MilpModel, ModelError, RowTag
-from .objectives import (StageExpressions, VariableMap, _dropoff_inflow,
-                         _primary_inflow, _secondary_inflow, build_stage_expressions)
+from .objectives import (StageExpressions, Tier, VariableMap, _dropoff_inflow,
+                         build_stage_expressions, tiers)
 
 OBJECTIVES = ("cost", "emission")
 
@@ -24,8 +24,6 @@ class ModelArtifacts:
     model: MilpModel
     vars: VariableMap
     stages: StageExpressions
-    objective_name: str
-    warnings: list[str] = field(default_factory=list)
 
     def dump(self) -> str:
         """Tagged LP-format text for auditing / external cross-checks."""
@@ -71,8 +69,7 @@ def _register_downstream(model: MilpModel, instance: NetworkInstance) -> tuple[d
     return dtp, pts
 
 
-def _add_trip_balance(model: MilpModel, instance: NetworkInstance, vars: VariableMap,
-                      warnings: list[str]) -> None:
+def _add_trip_balance(model: MilpModel, instance: NetworkInstance, vars: VariableMap) -> None:
     for i in instance.products:
         for h in instance.areas:
             expr = LinExpr()
@@ -81,26 +78,33 @@ def _add_trip_balance(model: MilpModel, instance: NetworkInstance, vars: Variabl
                 if name is not None:
                     expr.add(name, 1.0)
             if not expr.terms:
-                warnings.append(f"area {h} has no reachable dropoff for {i}; "
-                                "trip balance row is infeasible")
+                model.warnings.append(f"area {h} has no reachable dropoff for {i}; "
+                                      "trip balance row is infeasible")
             model.add_row(expr, "==", 1.0, RowTag("flow-balance", ("trip", i, h)))
 
 
-def _add_dropoff_gates(model: MilpModel, instance: NetworkInstance,
-                       vars: VariableMap) -> None:
-    proc = instance.processing
-    for i in instance.products:
-        for c in instance.dropoffs:
-            inflow = _dropoff_inflow(instance, vars, i, c)
-            entry = proc.dropoff[c][i]
-            cap_row = inflow.copy().add(vars.x[c], -entry.capacity)
-            model.add_row(cap_row, "<=", 0.0, RowTag("capacity", ("dropoff", i, c)))
-            lim_row = inflow.copy().add(vars.x[c], -entry.min_shipment)
-            model.add_row(lim_row, ">=", 0.0, RowTag("min-shipment", ("dropoff", i, c)))
-    _maybe_total_capacity(model, instance, vars, tier="dropoff")
+def _add_gates(model: MilpModel, instance: NetworkInstance, gated: tuple[Tier, ...]) -> None:
+    """Per-item capacity and minimum-shipment rows of each tier, then the
+    aggregate (all items) capacity rows of facilities that declare one."""
+    for tier in gated:
+        for it in tier.items:
+            for f in tier.facilities:
+                inflow, entry = tier.inflow(it, f), tier.entries[f][it]
+                model.add_row(inflow.copy().add(tier.opens[f], -entry.capacity), "<=", 0.0,
+                              RowTag("capacity", (tier.name, it, f)))
+                model.add_row(inflow.copy().add(tier.opens[f], -entry.min_shipment), ">=", 0.0,
+                              RowTag("min-shipment", (tier.name, it, f)))
+    for tier in gated:
+        for f, cap in instance.processing.total_capacity.items():
+            if f in tier.facilities:
+                expr = LinExpr()
+                for it in tier.items:
+                    expr.add_expr(tier.inflow(it, f))
+                model.add_row(expr.add(tier.opens[f], -cap), "<=", 0.0,
+                              RowTag("capacity", ("total", f)))
 
 
-def _add_downstream_rows(model: MilpModel, instance: NetworkInstance,
+def _add_primary_balance(model: MilpModel, instance: NetworkInstance,
                          vars: VariableMap) -> None:
     proc = instance.processing
     for j in instance.materials:
@@ -118,58 +122,16 @@ def _add_downstream_rows(model: MilpModel, instance: NetworkInstance,
                     if name is not None:
                         expr.add(name, -factor)
             model.add_row(expr, "==", 0.0, RowTag("flow-balance", ("primary", j, p)))
-    for i in instance.products:
-        for p in instance.primaries:
-            inflow = _primary_inflow(instance, vars, i, p)
-            entry = proc.primary[p][i]
-            model.add_row(inflow.copy().add(vars.y[p], -entry.capacity), "<=", 0.0,
-                          RowTag("capacity", ("primary", i, p)))
-            model.add_row(inflow.copy().add(vars.y[p], -entry.min_shipment), ">=", 0.0,
-                          RowTag("min-shipment", ("primary", i, p)))
-    for j in instance.materials:
-        for s in instance.secondaries:
-            inflow = _secondary_inflow(instance, vars, j, s)
-            entry = proc.secondary[s][j]
-            model.add_row(inflow.copy().add(vars.r[s], -entry.capacity), "<=", 0.0,
-                          RowTag("capacity", ("secondary", j, s)))
-            model.add_row(inflow.copy().add(vars.r[s], -entry.min_shipment), ">=", 0.0,
-                          RowTag("min-shipment", ("secondary", j, s)))
-    _maybe_total_capacity(model, instance, vars, tier="primary")
-    _maybe_total_capacity(model, instance, vars, tier="secondary")
 
 
-def _maybe_total_capacity(model: MilpModel, instance: NetworkInstance,
-                          vars: VariableMap, tier: str) -> None:
-    """Aggregate (all items) capacity rows for facilities that declare one."""
-    proc = instance.processing
-    for f, cap in proc.total_capacity.items():
+def _add_open_counts(model: MilpModel, instance: NetworkInstance,
+                     counted: tuple[Tier, ...]) -> None:
+    for tier in counted:
         expr = LinExpr()
-        if tier == "dropoff" and f in instance.dropoffs:
-            for i in instance.products:
-                expr.add_expr(_dropoff_inflow(instance, vars, i, f))
-            indicator = vars.x[f]
-        elif tier == "primary" and f in instance.primaries:
-            for i in instance.products:
-                expr.add_expr(_primary_inflow(instance, vars, i, f))
-            indicator = vars.y[f]
-        elif tier == "secondary" and f in instance.secondaries:
-            for j in instance.materials:
-                expr.add_expr(_secondary_inflow(instance, vars, j, f))
-            indicator = vars.r[f]
-        else:
-            continue
-        expr.add(indicator, -cap)
-        model.add_row(expr, "<=", 0.0, RowTag("capacity", ("total", f)))
-
-
-def _add_open_count(model: MilpModel, instance: NetworkInstance, vars: VariableMap,
-                    tier: str) -> None:
-    indicator_map = {"dropoff": vars.x, "primary": vars.y, "secondary": vars.r}[tier]
-    expr = LinExpr()
-    for name in indicator_map.values():
-        expr.add(name, 1.0)
-    nof = instance.processing.min_open.get(tier, 0)
-    model.add_row(expr, ">=", float(nof), RowTag("open-count", (tier,)))
+        for name in tier.opens.values():
+            expr.add(name, 1.0)
+        nof = instance.processing.min_open.get(tier.name, 0)
+        model.add_row(expr, ">=", float(nof), RowTag("open-count", (tier.name,)))
 
 
 def _structural_warnings(instance: NetworkInstance) -> list[str]:
@@ -210,8 +172,8 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
     r = {s: model.add_variable(f"R[{s}]", binary=True) for s in instance.secondaries}
     vars = VariableMap(rtd=rtd, dtp=dtp, pts=pts, x=x, y=y, r=r)
 
-    warnings = _structural_warnings(instance)
-    _add_trip_balance(model, instance, vars, warnings)
+    model.warnings.extend(_structural_warnings(instance))
+    _add_trip_balance(model, instance, vars)
     proc = instance.processing
     for i in instance.products:
         for c in instance.dropoffs:
@@ -223,19 +185,19 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
             balance.add_expr(_dropoff_inflow(instance, vars, i, c),
                              -(1.0 - proc.resale_dropoff[i]))
             model.add_row(balance, "==", 0.0, RowTag("flow-balance", ("dropoff", i, c)))
-    _add_dropoff_gates(model, instance, vars)
-    _add_downstream_rows(model, instance, vars)
-    for tier in ("dropoff", "primary", "secondary"):
-        _add_open_count(model, instance, vars, tier)
+    table = tiers(instance, vars)
+    _add_gates(model, instance, table[:1])
+    _add_primary_balance(model, instance, vars)
+    _add_gates(model, instance, table[1:])
+    _add_open_counts(model, instance, table)
 
     stages = build_stage_expressions(instance, vars)
     objective_expr = stages.total_cost() if objective == "cost" else stages.total_emission()
     model.set_objective(objective_expr)
 
-    artifacts = ModelArtifacts(model, vars, stages, objective, warnings)
+    artifacts = ModelArtifacts(model, vars, stages)
     if include_policy and instance.policy is not None:
         add_policy_constraints(artifacts, instance)
-    model.warnings.extend(artifacts.warnings)
     return artifacts
 
 
@@ -253,20 +215,19 @@ def build_user_model_i(instance: NetworkInstance, objective: str = "cost",
     x = {c: model.add_variable(f"X[{c}]", binary=True) for c in instance.dropoffs}
     vars = VariableMap(rtd=rtd, x=x)
 
-    warnings: list[str] = []
-    _add_trip_balance(model, instance, vars, warnings)
-    _add_dropoff_gates(model, instance, vars)
-    _add_open_count(model, instance, vars, "dropoff")
+    _add_trip_balance(model, instance, vars)
+    dropoff = tiers(instance, vars)[:1]
+    _add_gates(model, instance, dropoff)
+    _add_open_counts(model, instance, dropoff)
 
     stages = build_stage_expressions(instance, vars)
     key = "residence-dropoff"
     expr = stages.transport_cost[key] if objective == "cost" else stages.transport_emission[key]
     model.set_objective(expr.copy())
 
-    artifacts = ModelArtifacts(model, vars, stages, objective, warnings)
+    artifacts = ModelArtifacts(model, vars, stages)
     if include_policy and instance.policy is not None:
         add_policy_constraints(artifacts, instance)
-    model.warnings.extend(artifacts.warnings)
     return artifacts
 
 
@@ -298,16 +259,15 @@ def build_user_model_ii(instance: NetworkInstance, rq: dict[str, dict[str, float
                     balance.add(name, 1.0)
             rhs = (1.0 - proc.resale_dropoff[i]) * rq.get(i, {}).get(c, 0.0)
             model.add_row(balance, "==", rhs, RowTag("flow-balance", ("dropoff", i, c)))
-    _add_downstream_rows(model, instance, vars)
-    _add_open_count(model, instance, vars, "primary")
-    _add_open_count(model, instance, vars, "secondary")
+    _add_primary_balance(model, instance, vars)
+    downstream = tiers(instance, vars)[1:]
+    _add_gates(model, instance, downstream)
+    _add_open_counts(model, instance, downstream)
 
     stages = build_stage_expressions(instance, vars)
     objective_expr = stages.total_cost() if objective == "cost" else stages.total_emission()
     model.set_objective(objective_expr)
-    artifacts = ModelArtifacts(model, vars, stages, objective, [])
-    model.warnings.extend(artifacts.warnings)
-    return artifacts
+    return ModelArtifacts(model, vars, stages)
 
 
 def add_policy_constraints(artifacts: ModelArtifacts,
@@ -343,7 +303,7 @@ def add_policy_constraints(artifacts: ModelArtifacts,
         k_u = [t for t in qualifying if pol.city_county.get(t) == u]
         rhs = max(1, len(k_u))
         if len(members) < rhs:
-            artifacts.warnings.append(
+            model.warnings.append(
                 f"county {u} needs {rhs} open dropoffs but has {len(members)} candidates")
         expr = LinExpr()
         for c in members:
@@ -352,7 +312,7 @@ def add_policy_constraints(artifacts: ModelArtifacts,
     for t in qualifying:
         members = [c for c in instance.dropoffs if pol.city_of.get(c) == t]
         if not members:
-            artifacts.warnings.append(f"qualifying city {t} has no candidate dropoff")
+            model.warnings.append(f"qualifying city {t} has no candidate dropoff")
         expr = LinExpr()
         for c in members:
             expr.add(x[c], 1.0)

@@ -15,9 +15,6 @@ from .milp import MilpModel, Solution, SolveStats, Status
 class ScipySolver:
     """Solver protocol adapter around scipy.optimize.milp."""
 
-    def __init__(self, time_limit: float | None = None):
-        self.time_limit = time_limit
-
     def solve(self, model: MilpModel) -> Solution:
         from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -50,11 +47,8 @@ class ScipySolver:
                     lo[r] = row.rhs
             constraints.append(LinearConstraint(a, lo, hi))
 
-        options = {}
-        if self.time_limit is not None:
-            options["time_limit"] = self.time_limit
         res = milp(c, constraints=constraints, integrality=integrality,
-                   bounds=Bounds(lb, ub), options=options)
+                   bounds=Bounds(lb, ub))
 
         status = {0: Status.OPTIMAL, 1: Status.BUDGET_EXCEEDED,
                   2: Status.INFEASIBLE, 3: Status.UNBOUNDED}.get(

@@ -607,7 +607,9 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     dropped as if pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED
     carrying the incumbent and the remaining gap.  The reported values come
     from one fresh factorization of the incumbent's basis, binaries rounded
-    to exactly 0 or 1.
+    to exactly 0 or 1.  An unbounded relaxation makes the model UNBOUNDED
+    only when some binary assignment is feasible, which the same search
+    under a zero objective decides; otherwise the model is INFEASIBLE.
     """
     lp = _Lp.of(model)
     stats = SolveStats()
@@ -615,6 +617,11 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     root = lp.root()
     stats.simplex_iterations += root.pivots
     stats.nodes += 1
+    feasibility = root.status is Status.UNBOUNDED
+    cost = np.zeros_like(lp.cost) if feasibility else lp.cost
+    if feasibility:
+        root = _solve(lp, cost, lp.lb, lp.ub, lp.slack_basis())
+        stats.simplex_iterations += root.pivots
     if root.status is not Status.OPTIMAL:
         return Solution(root.status, None, {}, stats)
 
@@ -643,10 +650,10 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
         for value in (0, 1):
             if stats.nodes >= node_budget:
                 return _incumbent_solution(model, lp, Status.BUDGET_EXCEEDED, incumbent,
-                                           stats, best_bound)
+                                           stats, -math.inf if feasibility else best_bound)
             child_fix = fix.copy()
             child_fix[branch] = value
-            child = _solve(lp, lp.cost, *lp.fixed_bounds(child_fix), basis, binv)
+            child = _solve(lp, cost, *lp.fixed_bounds(child_fix), basis, binv)
             stats.simplex_iterations += child.pivots
             stats.nodes += 1
             if child.status in (Status.UNBOUNDED, Status.NUMERICALLY_UNSTABLE):
@@ -658,6 +665,8 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
 
     if incumbent is None:
         return Solution(Status.INFEASIBLE, None, {}, stats)
+    if feasibility:
+        return Solution(Status.UNBOUNDED, None, {}, stats)
     # normal termination proves optimality, so the bound closes to the incumbent
     sol = _incumbent_solution(model, lp, Status.OPTIMAL, incumbent, stats, None)
     _verify(model, sol, integral=True)

@@ -11,18 +11,22 @@ Processing applies to the non-resold share of a facility's inflow, i.e. a
 ``(1 - resale)`` factor on the inflow mass; revenue and offsets apply to the
 resold share.  Dropoff inflow is ``supply x RTD``, primary inflow is DTP, and
 secondary inflow is PTS.
+
+The three processing tiers share one layout, described once by the tier
+table :func:`tiers`; the stage expressions, the inflow reports, the effective
+open set and the builders' capacity and minimum-shipment rows loop over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
-from .domain import NetworkInstance, trip_multiplier
+from .domain import NetworkInstance, ProcessingEntry, trip_multiplier
 from .milp import LinExpr, ModelError, Solution, Status
 
-ARC_CLASSES = ("residence-dropoff", "dropoff-primary", "primary-secondary")
-TIERS = ("dropoff", "primary", "secondary")
+ARC_CLASSES = ("residence-dropoff", "dropoff-primary", "primary-secondary")  # into each tier
 
 _FLOW_TOL = 1e-6
 
@@ -196,74 +200,72 @@ def _secondary_inflow(instance: NetworkInstance, vars: VariableMap,
     return expr
 
 
-def _tier_expression(instance: NetworkInstance, vars: VariableMap, tier: str,
-                     kind: str) -> LinExpr:
+@dataclass(frozen=True)
+class Tier:
+    """One processing tier as a model sees it.
+
+    ``opens`` and ``flows`` are the model's open indicators and inflow
+    variables for the tier; both are empty when the model has none.
+    """
+
+    name: str
+    facilities: tuple[str, ...]
+    items: tuple[str, ...]                           # products, or materials
+    entries: Mapping[str, Mapping[str, ProcessingEntry]]  # [facility][item]
+    resale: Mapping[str, float]                      # [item]
+    inflow: Callable[[str, str], LinExpr]            # (item, facility) -> inflow mass
+    opens: Mapping[str, str]                         # [facility]
+    flows: Mapping[tuple[str, str, str], str]
+
+
+def tiers(instance: NetworkInstance, vars: VariableMap) -> tuple[Tier, Tier, Tier]:
+    """The dropoff, primary and secondary tiers, in that order."""
+    proc = instance.processing
+    return (Tier("dropoff", instance.dropoffs, instance.products, proc.dropoff,
+                 proc.resale_dropoff, partial(_dropoff_inflow, instance, vars), vars.x, vars.rtd),
+            Tier("primary", instance.primaries, instance.products, proc.primary,
+                 proc.resale_primary, partial(_primary_inflow, instance, vars), vars.y, vars.dtp),
+            Tier("secondary", instance.secondaries, instance.materials, proc.secondary,
+                 proc.resale_secondary, partial(_secondary_inflow, instance, vars), vars.r,
+                 vars.pts))
+
+
+def _tier_expression(tier: Tier, kind: str) -> LinExpr:
     """Processing cost/emission (non-resold share) or revenue/offset (resold
     share) for one tier. kind in {cost, emission, credit, offset}."""
-    proc = instance.processing
     expr = LinExpr()
-    if tier == "dropoff":
-        entries, items, facilities = proc.dropoff, instance.products, instance.dropoffs
-        resale, inflow = proc.resale_dropoff, _dropoff_inflow
-    elif tier == "primary":
-        entries, items, facilities = proc.primary, instance.products, instance.primaries
-        resale, inflow = proc.resale_primary, _primary_inflow
-    else:
-        entries, items, facilities = proc.secondary, instance.materials, instance.secondaries
-        resale, inflow = proc.resale_secondary, _secondary_inflow
-    for f in facilities:
-        for it in items:
-            entry = entries[f][it]
-            share = resale[it] if kind in ("credit", "offset") else 1.0 - resale[it]
-            coeff = getattr(entry, kind) * share
+    for f in tier.facilities:
+        for it in tier.items:
+            share = tier.resale[it] if kind in ("credit", "offset") else 1.0 - tier.resale[it]
+            coeff = getattr(tier.entries[f][it], kind) * share
             if coeff != 0.0:
-                expr.add_expr(inflow(instance, vars, it, f), coeff)
+                expr.add_expr(tier.inflow(it, f), coeff)
     return expr
 
 
 def build_stage_expressions(instance: NetworkInstance, vars: VariableMap) -> StageExpressions:
     """All stage expressions the given variable map can support."""
-    proc = instance.processing
+    arcs = instance.arcs
+    legs = ((transport_cost_trip(instance, vars), transport_emission_trip(instance, vars)),
+            (_mass_leg(vars.dtp, arcs.drop_pri, "cost"),
+             _mass_leg(vars.dtp, arcs.drop_pri, "emission")),
+            (_mass_leg(vars.pts, arcs.pri_sec, "cost"),
+             _mass_leg(vars.pts, arcs.pri_sec, "emission")))
     stages = StageExpressions()
-    if vars.rtd:
-        stages.transport_cost["residence-dropoff"] = transport_cost_trip(instance, vars)
-        stages.transport_emission["residence-dropoff"] = transport_emission_trip(instance, vars)
-        for metric, table in (("cost", stages.processing_cost),
-                              ("emission", stages.processing_emission),
-                              ("credit", stages.resale_revenue),
-                              ("offset", stages.emission_offset)):
-            table["dropoff"] = _tier_expression(instance, vars, "dropoff", metric)
-    if vars.x:
-        fx = LinExpr()
-        for c, name in vars.x.items():
-            fx.add(name, proc.fixed_cost[c])
-        stages.fixed_cost["dropoff"] = fx
-    if vars.dtp:
-        stages.transport_cost["dropoff-primary"] = _mass_leg(vars.dtp, instance.arcs.drop_pri, "cost")
-        stages.transport_emission["dropoff-primary"] = _mass_leg(vars.dtp, instance.arcs.drop_pri, "emission")
-        for metric, table in (("cost", stages.processing_cost),
-                              ("emission", stages.processing_emission),
-                              ("credit", stages.resale_revenue),
-                              ("offset", stages.emission_offset)):
-            table["primary"] = _tier_expression(instance, vars, "primary", metric)
-    if vars.pts:
-        stages.transport_cost["primary-secondary"] = _mass_leg(vars.pts, instance.arcs.pri_sec, "cost")
-        stages.transport_emission["primary-secondary"] = _mass_leg(vars.pts, instance.arcs.pri_sec, "emission")
-        for metric, table in (("cost", stages.processing_cost),
-                              ("emission", stages.processing_emission),
-                              ("credit", stages.resale_revenue),
-                              ("offset", stages.emission_offset)):
-            table["secondary"] = _tier_expression(instance, vars, "secondary", metric)
-    if vars.y:
-        fy = LinExpr()
-        for p, name in vars.y.items():
-            fy.add(name, proc.fixed_cost[p])
-        stages.fixed_cost["primary"] = fy
-    if vars.r:
-        fr = LinExpr()
-        for s, name in vars.r.items():
-            fr.add(name, proc.fixed_cost[s])
-        stages.fixed_cost["secondary"] = fr
+    for tier, arc_class, (cost, emission) in zip(tiers(instance, vars), ARC_CLASSES, legs):
+        if tier.flows:
+            stages.transport_cost[arc_class] = cost
+            stages.transport_emission[arc_class] = emission
+            for metric, table in (("cost", stages.processing_cost),
+                                  ("emission", stages.processing_emission),
+                                  ("credit", stages.resale_revenue),
+                                  ("offset", stages.emission_offset)):
+                table[tier.name] = _tier_expression(tier, metric)
+        if tier.opens:
+            fixed = LinExpr()
+            for f, name in tier.opens.items():
+                fixed.add(name, instance.processing.fixed_cost[f])
+            stages.fixed_cost[tier.name] = fixed
     return stages
 
 
@@ -275,18 +277,8 @@ def facility_inflows(instance: NetworkInstance, vars: VariableMap,
                      values: Mapping[str, float]) -> dict[str, float]:
     """Total inflow mass (kg) per facility under the given assignment."""
     out: dict[str, float] = {}
-    for c in instance.dropoffs:
-        if any((i, h, c) in vars.rtd for i in instance.products for h in instance.areas):
-            out[c] = sum(_dropoff_inflow(instance, vars, i, c).evaluate(values)
-                         for i in instance.products)
-    for p in instance.primaries:
-        if any(key[2] == p for key in vars.dtp):
-            out[p] = sum(_primary_inflow(instance, vars, i, p).evaluate(values)
-                         for i in instance.products)
-    for s in instance.secondaries:
-        if any(key[2] == s for key in vars.pts):
-            out[s] = sum(_secondary_inflow(instance, vars, j, s).evaluate(values)
-                         for j in instance.materials)
+    for (_, f), mass in item_inflows(instance, vars, values).items():
+        out[f] = out.get(f, 0.0) + mass
     return out
 
 
@@ -295,21 +287,12 @@ def item_inflows(instance: NetworkInstance, vars: VariableMap,
     """Inflow mass per (item, facility): products at dropoffs/primaries,
     materials at secondaries."""
     out: dict[tuple[str, str], float] = {}
-    for c in instance.dropoffs:
-        for i in instance.products:
-            expr = _dropoff_inflow(instance, vars, i, c)
-            if expr.terms:
-                out[(i, c)] = expr.evaluate(values)
-    for p in instance.primaries:
-        for i in instance.products:
-            expr = _primary_inflow(instance, vars, i, p)
-            if expr.terms:
-                out[(i, p)] = expr.evaluate(values)
-    for s in instance.secondaries:
-        for j in instance.materials:
-            expr = _secondary_inflow(instance, vars, j, s)
-            if expr.terms:
-                out[(j, s)] = expr.evaluate(values)
+    for tier in tiers(instance, vars):
+        for f in tier.facilities:
+            for it in tier.items:
+                expr = tier.inflow(it, f)
+                if expr.terms:
+                    out[(it, f)] = expr.evaluate(values)
     return out
 
 
@@ -325,20 +308,17 @@ def effective_opens(instance: NetworkInstance, vars: VariableMap,
     """
     inflow = facility_inflows(instance, vars, values)
     opens: dict[str, bool] = {}
-    tiers = [("dropoff", instance.dropoffs, vars.x),
-             ("primary", instance.primaries, vars.y),
-             ("secondary", instance.secondaries, vars.r)]
-    for tier, facilities, indicator_map in tiers:
-        if not indicator_map:
+    for tier in tiers(instance, vars):
+        if not tier.opens:
             continue
-        active = {f: inflow.get(f, 0.0) > tol for f in facilities}
-        floor = instance.processing.min_open.get(tier, 0)
+        active = {f: inflow.get(f, 0.0) > tol for f in tier.facilities}
+        floor = instance.processing.min_open.get(tier.name, 0)
         short = floor - sum(active.values())
         if short > 0:
-            for f in facilities:
+            for f in tier.facilities:
                 if short <= 0:
                     break
-                indicated = values.get(indicator_map[f], 0.0) > 0.5
+                indicated = values.get(tier.opens[f], 0.0) > 0.5
                 if indicated and not active[f]:
                     active[f] = True
                     short -= 1
@@ -357,11 +337,10 @@ def breakdown_from_solution(instance: NetworkInstance, vars: VariableMap,
     breakdown = stages.evaluate(solution.values)
     opens = effective_opens(instance, vars, solution.values)
     fixed = instance.processing.fixed_cost
-    for tier, facilities in (("dropoff", instance.dropoffs),
-                             ("primary", instance.primaries),
-                             ("secondary", instance.secondaries)):
-        if tier in breakdown.fixed_cost:
-            breakdown.fixed_cost[tier] = sum(fixed[f] for f in facilities if opens.get(f))
+    for tier in tiers(instance, vars):
+        if tier.name in breakdown.fixed_cost:
+            breakdown.fixed_cost[tier.name] = sum(fixed[f] for f in tier.facilities
+                                                  if opens.get(f))
     return breakdown, opens
 
 

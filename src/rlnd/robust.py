@@ -175,8 +175,7 @@ def robustify(model: MilpModel, spec: UncertaintySpec,
 def robustify_artifacts(artifacts: ModelArtifacts, spec: UncertaintySpec) -> ModelArtifacts:
     """Counterpart of a built model, keeping its interpretation maps."""
     model = robustify(artifacts.model, spec)
-    return ModelArtifacts(model, artifacts.vars, artifacts.stages,
-                          artifacts.objective_name, list(artifacts.warnings))
+    return ModelArtifacts(model, artifacts.vars, artifacts.stages)
 
 
 def split_equality_rows(model: MilpModel, keys: set[str] | None = None,

@@ -5,7 +5,7 @@ import pytest
 
 from rlnd.builders import (build_system_model, build_user_model_i,
                            build_user_model_ii)
-from rlnd.domain import Arc, PolicyData
+from rlnd.domain import Arc, PolicyData, with_total_capacity
 from rlnd.milp import DEFAULT_SOLVER, ModelError, Status
 from rlnd.objectives import collected_quantities
 
@@ -39,7 +39,7 @@ def test_system_model_shape(bundled):
     assert fams["capacity"] == 4 + 6 + 3
     assert fams["min-shipment"] == 4 + 6 + 3
     assert fams["open-count"] == 3
-    assert art.warnings == []
+    assert art.model.warnings == []
     binaries = set(art.model.binary_names)
     assert binaries == set(art.vars.x.values()) | set(art.vars.y.values()) \
         | set(art.vars.r.values())
@@ -103,7 +103,7 @@ def test_unreachable_area_warns_and_is_infeasible(bundled):
     inst = dataclasses.replace(
         bundled, arcs=dataclasses.replace(bundled.arcs, res_drop=res_drop))
     art = build_system_model(inst, "cost")
-    assert any("area1" in w for w in art.warnings)
+    assert any("area1" in w for w in art.model.warnings)
     assert DEFAULT_SOLVER.solve(art.model).status is Status.INFEASIBLE
 
 
@@ -117,6 +117,54 @@ def test_user_model_i_shape(bundled):
     assert fams["open-count"] == 1
     # the residents' objective only sees their own trips
     assert set(art.model.objective.terms) <= set(art.vars.rtd.values())
+
+
+TRIP_ROWS = """
+flow-balance[trip,prod1,area1] flow-balance[trip,prod1,area2]
+flow-balance[trip,prod2,area1] flow-balance[trip,prod2,area2]""".split()
+DROPOFF_BALANCE_ROWS = """
+flow-balance[dropoff,prod1,drop1] flow-balance[dropoff,prod1,drop2]
+flow-balance[dropoff,prod2,drop1] flow-balance[dropoff,prod2,drop2]""".split()
+DROPOFF_GATE_ROWS = """
+capacity[dropoff,prod1,drop1] min-shipment[dropoff,prod1,drop1]
+capacity[dropoff,prod1,drop2] min-shipment[dropoff,prod1,drop2]
+capacity[dropoff,prod2,drop1] min-shipment[dropoff,prod2,drop1]
+capacity[dropoff,prod2,drop2] min-shipment[dropoff,prod2,drop2]
+capacity[total,drop2]""".split()
+DOWNSTREAM_ROWS = """
+flow-balance[primary,mat1,prim1] flow-balance[primary,mat1,prim2]
+flow-balance[primary,mat1,prim3] flow-balance[primary,mat2,prim1]
+flow-balance[primary,mat2,prim2] flow-balance[primary,mat2,prim3]
+flow-balance[primary,mat3,prim1] flow-balance[primary,mat3,prim2]
+flow-balance[primary,mat3,prim3]
+capacity[primary,prod1,prim1] min-shipment[primary,prod1,prim1]
+capacity[primary,prod1,prim2] min-shipment[primary,prod1,prim2]
+capacity[primary,prod1,prim3] min-shipment[primary,prod1,prim3]
+capacity[primary,prod2,prim1] min-shipment[primary,prod2,prim1]
+capacity[primary,prod2,prim2] min-shipment[primary,prod2,prim2]
+capacity[primary,prod2,prim3] min-shipment[primary,prod2,prim3]
+capacity[secondary,mat1,sec1] min-shipment[secondary,mat1,sec1]
+capacity[secondary,mat2,sec1] min-shipment[secondary,mat2,sec1]
+capacity[secondary,mat3,sec1] min-shipment[secondary,mat3,sec1]
+capacity[total,prim2] capacity[total,sec1]""".split()
+
+
+def test_row_order_of_every_model(bundled):
+    # total capacities listed against tier order: each tier's total rows
+    # still follow its per-item rows, the primary and secondary ones after
+    # both tiers' per-item rows
+    inst = with_total_capacity(bundled, {"sec1": 1e4, "prim2": 1e4, "drop2": 1e4})
+    tags = lambda art: [str(row.tag) for row in art.model.rows]
+    system = build_system_model(inst, "cost")
+    assert tags(system) == (TRIP_ROWS + DROPOFF_BALANCE_ROWS + DROPOFF_GATE_ROWS
+                            + DOWNSTREAM_ROWS + ["open-count[dropoff]", "open-count[primary]",
+                                                 "open-count[secondary]"])
+    phase1 = build_user_model_i(inst, "cost")
+    assert tags(phase1) == TRIP_ROWS + DROPOFF_GATE_ROWS + ["open-count[dropoff]"]
+    s1 = DEFAULT_SOLVER.solve(phase1.model)
+    phase2 = build_user_model_ii(inst, collected_quantities(inst, phase1.vars, s1.values))
+    assert tags(phase2) == (DROPOFF_BALANCE_ROWS + DOWNSTREAM_ROWS
+                            + ["open-count[primary]", "open-count[secondary]"])
 
 
 def test_user_model_ii_balance_rhs(bundled):
@@ -202,7 +250,7 @@ def test_policy_without_candidates_is_infeasible(bundled):
         city_county={"t9": "u1"})
     inst = dataclasses.replace(bundled, policy=policy)
     art = build_system_model(inst, "cost")
-    assert any("t9" in w for w in art.warnings)
+    assert any("t9" in w for w in art.model.warnings)
     assert DEFAULT_SOLVER.solve(art.model).status is Status.INFEASIBLE
 
 

@@ -124,6 +124,20 @@ def test_infeasible_milp():
     assert solve_milp(m).status is Status.INFEASIBLE
 
 
+@pytest.mark.parametrize("coeff, status", [(2.0, Status.INFEASIBLE),
+                                           (1.0, Status.UNBOUNDED)])
+def test_unbounded_relaxation_needs_a_feasible_assignment(coeff, status):
+    # min -x, x >= 0 free above: the relaxation is unbounded, so the model is
+    # unbounded exactly when coeff * z == 1 has a binary solution
+    m = _model()
+    m.add_variable("x")
+    z = m.add_variable("z", binary=True)
+    m.add_row(LinExpr({z: coeff}), "==", 1.0, TAG)
+    m.set_objective(LinExpr({"x": -1.0}))
+    assert solve_lp(m).status is Status.UNBOUNDED
+    assert solve_milp(m).status is status
+
+
 def test_budget_exhaustion_reports_bound():
     m = _model()
     load = LinExpr()

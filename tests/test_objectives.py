@@ -259,3 +259,24 @@ def test_revenue_invariant_under_dropoff_reordering(bundled):
     assert sum(breakdown.resale_revenue.values()) == pytest.approx(
         FROZEN_REVENUE, abs=1e-6)
     assert breakdown.total_cost == pytest.approx(FROZEN_TOTAL_COST, abs=1e-6)
+
+
+def test_user_phases_report_only_their_own_tiers(bundled):
+    phase1 = build_user_model_i(bundled, "cost")
+    s1 = DEFAULT_SOLVER.solve(phase1.model)
+    rq = collected_quantities(bundled, phase1.vars, s1.values)
+    phase2 = build_user_model_ii(bundled, rq, "cost")
+    s2 = DEFAULT_SOLVER.solve(phase2.model)
+    for art, sol, arcs, tiers, facilities in (
+            (phase1, s1, ["residence-dropoff"], ["dropoff"], bundled.dropoffs),
+            (phase2, s2, ["dropoff-primary", "primary-secondary"], ["primary", "secondary"],
+             bundled.primaries + bundled.secondaries)):
+        stages = art.stages
+        assert list(stages.transport_cost) == list(stages.transport_emission) == arcs
+        for table in (stages.processing_cost, stages.processing_emission,
+                      stages.fixed_cost, stages.resale_revenue, stages.emission_offset):
+            assert list(table) == tiers
+        assert list(facility_inflows(bundled, art.vars, sol.values)) == list(facilities)
+        assert {f for _, f in item_inflows(bundled, art.vars, sol.values)} == set(facilities)
+    assert facility_inflows(bundled, phase1.vars, s1.values)["drop1"] == pytest.approx(
+        sum(rq[i]["drop1"] for i in bundled.products), abs=1e-9)
