@@ -27,7 +27,7 @@ from .multiobjective import (POINTS_DEFAULT, SystemEpsilonFamily, THETA_DEFAULT,
                              UserEpsilonFamily, epsilon_sweep)
 from .objectives import breakdown_from_solution
 from .robust import capacity_preset, load_uncertainty_spec, robustify_artifacts
-from .scenarios import (SCENARIO_ORDER, builtin_scenarios, load_scenario_spec,
+from .scenarios import (SCENARIO_ORDER, builtin_scenarios, load_scenario_spec, run_all,
                         run_scenario, solve_system, solve_user, write_comparison_csv)
 
 EXIT_OK = 0
@@ -156,18 +156,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     base = _load(args)
     solver = _solver_from_args(args)
     if args.spec:
-        specs = [load_scenario_spec(args.spec)]
+        results = [run_scenario(load_scenario_spec(args.spec), args.objective, base, solver)]
     elif args.name == "all":
-        table = builtin_scenarios()
-        specs = [table[name] for name in SCENARIO_ORDER]
+        results = run_all(args.objective, base, solver)
     else:
         table = builtin_scenarios()
         if args.name not in table:
             print(f"unknown scenario {args.name!r}; built-ins: "
                   f"{', '.join(SCENARIO_ORDER)} or 'all'", file=sys.stderr)
             return EXIT_ERROR
-        specs = [table[args.name]]
-    results = [run_scenario(spec, args.objective, base, solver) for spec in specs]
+        results = [run_scenario(table[args.name], args.objective, base, solver)]
     for result in results:
         print(result.format_text())
         print()

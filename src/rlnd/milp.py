@@ -4,9 +4,12 @@ A bounded-variable dual simplex handles the LP relaxations; a best-first
 branch and bound on the binary variables makes the engine exact for the
 mixed-binary models this package builds.  The simplex works on ``[A | -I]``
 (one logical column per row), assembled and scaled by powers of two once per
-model, with every variable and row bound kept implicit.  Each
-branch-and-bound child restarts from its parent's optimal basis, which a
-bound change leaves dual feasible, so a child takes a handful of pivots.
+model, with every variable and row bound kept implicit.  Every LP ends on a
+fresh factorization (basis inverse, reduced costs, dual steepest-edge
+weights) and hands it on with its values: each branch-and-bound child
+restarts from its parent's optimal basis and factorization, which a bound
+change leaves dual feasible, so a child takes a handful of pivots and
+inverts only the basis it ends on.
 The models are desk-scale (at most a few hundred rows), so an explicit dense
 basis inverse is the simplest thing that is provably correct and
 deterministic: identical model input always yields an identical Solution.
@@ -265,11 +268,21 @@ def _power_of_two(magnitude: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Basis:
-    """Everything a node needs to restart the simplex: the column basic in
-    each row, and which nonbasic columns rest at their upper bound."""
+    """A simplex basis: the column basic in each row, and which nonbasic
+    columns rest at their upper bound."""
 
     head: np.ndarray
     upper: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """A fresh factorization of a basis under one cost vector: the basis
+    inverse, the reduced costs and the exact dual steepest-edge weights."""
+
+    binv: np.ndarray
+    d: np.ndarray
+    weights: np.ndarray
 
 
 class _Lp:
@@ -361,13 +374,16 @@ class _Simplex:
     of every column, reduced costs and exact dual steepest-edge weights."""
 
     def __init__(self, lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                 basis: _Basis, binv: np.ndarray | None = None):
+                 basis: _Basis, factor: _Factor | None = None):
         self.lp, self.cost = lp, cost
         self.head = basis.head.copy()
         self.upper = basis.upper.copy()
         self.pivots = 0
         self.set_bounds(lb, ub)
-        self._refactored(lp.factor(self.head) if binv is None else binv.copy())
+        if factor is None:
+            self.factor()
+        else:  # pivots update the inverse and the duals in place
+            self._adopt(factor.binv.copy(), factor.d.copy(), factor.weights)
 
     def basis(self) -> _Basis:
         return _Basis(self.head.copy(), self.upper.copy())
@@ -375,25 +391,31 @@ class _Simplex:
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         self.lb, self.ub = lb, ub
         self.movable = lb < ub  # a fixed column never enters
-        self.free = np.isneginf(lb) & np.isposinf(ub)
+        self.has_lb, self.has_ub = np.isfinite(lb), np.isfinite(ub)
+        self.free = ~self.has_lb & ~self.has_ub
+        # where a nonbasic column rests: its bound, or zero when it has none
+        self.rest_lb = np.where(self.has_lb, lb, 0.0)
+        self.rest_ub = np.where(self.has_ub, ub, 0.0)
 
-    def refactor(self) -> None:
-        self._refactored(self.lp.factor(self.head))
+    def factor(self) -> None:
+        """Invert the basis afresh and recompute the duals and weights."""
+        binv = self.lp.factor(self.head)
+        d = self.cost - self.lp.mat.T @ (binv.T @ self.cost[self.head])
+        d[self.head] = 0.0
+        self._adopt(binv, d, np.einsum("ij,ij->i", binv, binv))
 
-    def _refactored(self, binv: np.ndarray) -> None:
-        self.binv = binv
+    def _adopt(self, binv: np.ndarray, d: np.ndarray, weights: np.ndarray) -> None:
+        self.binv, self.d, self.weights = binv, d, weights
         self.updates = 0
         self.nonbasic = np.ones(self.cost.size, dtype=bool)
         self.nonbasic[self.head] = False
-        y = self.binv.T @ self.cost[self.head]
-        self.d = self.cost - self.lp.mat.T @ y
-        self.d[self.head] = 0.0
-        self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
+
+    def refactor(self) -> None:
+        self.factor()
         self._reset_primal()
 
     def _reset_primal(self) -> None:
-        x = np.where(self.upper, self.ub, self.lb)
-        x[~np.isfinite(x)] = 0.0  # free nonbasic columns rest at zero
+        x = np.where(self.upper, self.rest_ub, self.rest_lb)
         x[self.head] = 0.0
         x[self.head] = -(self.binv @ (self.lp.mat @ x))
         self.x = x
@@ -401,7 +423,7 @@ class _Simplex:
     def place(self) -> float:
         """Rest each nonbasic column at the bound its reduced cost asks for;
         return the largest dual infeasibility that no bound can absorb."""
-        has_lb, has_ub = np.isfinite(self.lb), np.isfinite(self.ub)
+        has_lb, has_ub = self.has_lb, self.has_ub
         d = self.d
         self.upper = np.where(has_lb & has_ub,
                               (d < -_DUAL_TOL) | (self.upper & (d <= _DUAL_TOL)),
@@ -421,26 +443,29 @@ class _Simplex:
 
     def _pivot_until_refactor(self, limit: int) -> Status | None:
         mat = self.lp.mat
-        head = self.head
+        head, x = self.head, self.x
         # nonbasic columns that may rise from their bound, or fall from it
         rise = self.nonbasic & self.movable & (~self.upper | self.free)
         fall = self.nonbasic & self.movable & (self.upper | self.free)
+        # value and bounds of the column basic in each row; x holds the
+        # nonbasic values and gets the basic ones back on an optimal exit
+        xb, lbb, ubb = x[head], self.lb[head], self.ub[head]
         while True:
-            xb = self.x[head]
-            below = self.lb[head] - xb
-            above = xb - self.ub[head]
+            below = lbb - xb
+            above = xb - ubb
             infeasibility = np.maximum(below, above)
             # leaving row: dual steepest edge over the primal infeasibilities
             score = np.where(infeasibility > FEASIBILITY_TOL,
                              infeasibility ** 2 / self.weights, -1.0)
             r = int(np.argmax(score)) if score.size else 0
             if not score.size or score[r] < 0.0:
+                x[head] = xb
                 return Status.OPTIMAL
             if self.pivots >= limit:
                 return Status.NUMERICALLY_UNSTABLE
             leaving = int(head[r])
             to_lower = below[r] > 0.0
-            target = self.lb[leaving] if to_lower else self.ub[leaving]
+            target = lbb[r] if to_lower else ubb[r]
             sign = -1.0 if to_lower else 1.0
             row = self.binv[r] @ mat
             toward = sign * row
@@ -464,9 +489,10 @@ class _Simplex:
                 return None
             theta_d = sign * max(self.d[q] / toward[q], 0.0)
             theta_p = (xb[r] - target) / pivot
-            self.x[head] -= theta_p * alpha
-            self.x[q] += theta_p
-            self.x[leaving] = target
+            xb -= theta_p * alpha
+            xb[r] = x[q] + theta_p
+            lbb[r], ubb[r] = self.lb[q], self.ub[q]
+            x[leaving] = target
             self.d -= theta_d * row
             self.d[head] = 0.0
             self.d[leaving] = -theta_d
@@ -495,25 +521,28 @@ class _LpResult:
     pivots: int
     x: np.ndarray | None = None  # scaled values of every column when optimal
     objective: float = math.nan
+    factor: _Factor | None = None  # the optimal basis's, when optimal
 
 
 def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-           basis: _Basis, binv: np.ndarray | None = None) -> _LpResult:
-    """Bounded dual simplex from ``basis`` (``binv``: its inverse, if known).
+           basis: _Basis, factor: _Factor | None = None) -> _LpResult:
+    """Bounded dual simplex from ``basis`` (``factor``: its factorization
+    under ``cost``, if known).
 
     When no bound placement makes the basis dual feasible, a dual phase one
     solves the auxiliary problem that boxes every column in [0, 0], widened
     to -1 or +1 on each side where the real bound is missing; its optimal
     basis is dual feasible for the real bounds unless none is, and then a
     zero-cost solve tells an unbounded LP from an infeasible one.  Phase two
-    ends only on a fresh factorization that is primal and dual feasible.
+    ends only on a fresh factorization that is primal and dual feasible,
+    which the result carries along with the values of every column.
     """
     if np.any(lb > ub):
         return _LpResult(Status.INFEASIBLE, basis, 0)
     limit = 1000 + 20 * cost.size
     s = None
     try:
-        s = _Simplex(lp, cost, lb, ub, basis, binv)
+        s = _Simplex(lp, cost, lb, ub, basis, factor)
         for _ in range(_ROUNDS):
             if s.place() > _DUAL_TOL:
                 s.set_bounds(np.where(np.isfinite(lb), 0.0, -1.0),
@@ -532,9 +561,9 @@ def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
             if status is not Status.OPTIMAL:
                 return _LpResult(status, s.basis(), s.pivots)
             if not s.updates:
-                return _LpResult(Status.OPTIMAL, s.basis(), s.pivots, s.x.copy(),
-                                 float(cost @ s.x))
-            s.refactor()
+                return _LpResult(Status.OPTIMAL, s.basis(), s.pivots, s.x,
+                                 float(cost @ s.x), _Factor(s.binv, s.d, s.weights))
+            s.factor()  # the next round's placement resets the primal values
     except np.linalg.LinAlgError:
         pass
     return _LpResult(Status.NUMERICALLY_UNSTABLE, basis if s is None else s.basis(),
@@ -548,9 +577,10 @@ def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
 def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None = None) -> Solution:
     """Solve the continuous relaxation (binaries relaxed to [0, 1]).
 
-    With ``bounds``, the relaxation is re-solved from the final basis of the
-    model's own relaxation under the given bounds, as a branch-and-bound
-    child is.  The statistics count the pivots of both solves.
+    With ``bounds``, the relaxation is re-solved from the final basis and
+    factorization of the model's own relaxation under the given bounds, as
+    a branch-and-bound child is.  The statistics count the pivots of both
+    solves.
     """
     lp = _Lp.of(model)
     result = lp.root()
@@ -560,7 +590,7 @@ def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None 
         for var, (lo, hi) in bounds.items():
             j = lp.index[var]
             lb[j], ub[j] = lo / lp.scale[j], hi / lp.scale[j]
-        result = _solve(lp, lp.cost, lb, ub, result.basis)
+        result = _solve(lp, lp.cost, lb, ub, result.basis, result.factor)
         pivots += result.pivots
     stats = SolveStats(simplex_iterations=pivots, nodes=1)
     if result.status is not Status.OPTIMAL:
@@ -601,15 +631,17 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     Branching picks the most fractional binary (ties: lowest variable index);
     nodes are explored in proven-bound order, so the first incumbent that
     matches the best outstanding bound is optimal.  Each child re-solves from
-    its parent's optimal basis, which a bound change leaves dual feasible; a
-    node keeps only its basis and its binary fixings.  A child the simplex
-    cannot solve ends the search NUMERICALLY_UNSTABLE instead of being
-    dropped as if pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED
-    carrying the incumbent and the remaining gap.  The reported values come
-    from one fresh factorization of the incumbent's basis, binaries rounded
-    to exactly 0 or 1.  An unbounded relaxation makes the model UNBOUNDED
-    only when some binary assignment is feasible, which the same search
-    under a zero objective decides; otherwise the model is INFEASIBLE.
+    its parent's optimal basis, which a bound change leaves dual feasible,
+    and from the fresh factorization that parent's LP ended on, so no node
+    inverts a basis it did not pivot to.  A heap node keeps its LP result
+    (basis, factorization and values) and its binary fixings.  A child the
+    simplex cannot solve ends the search NUMERICALLY_UNSTABLE instead of
+    being dropped as if pruned.  Exceeding ``node_budget`` returns
+    BUDGET_EXCEEDED carrying the incumbent and the remaining gap.  The
+    reported values are the incumbent LP's own, binaries rounded to exactly
+    0 or 1.  An unbounded relaxation makes the model UNBOUNDED only when
+    some binary assignment is feasible, which the same search under a zero
+    objective decides; otherwise the model is INFEASIBLE.
     """
     lp = _Lp.of(model)
     stats = SolveStats()
@@ -625,43 +657,43 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     if root.status is not Status.OPTIMAL:
         return Solution(root.status, None, {}, stats)
 
-    incumbent: tuple[np.ndarray, _Basis] | None = None
+    incumbent: _LpResult | None = None
     incumbent_obj = math.inf
     counter = 0
     free = np.full(lp.binaries.size, -1, dtype=np.int8)
-    heap = [(root.objective, counter, free, root.basis, lp.most_fractional(root.x))]
+    heap = [(root.objective, counter, free, root)]
     best_bound = root.objective
 
     while heap:
-        bound, _, fix, basis, branch = heapq.heappop(heap)
+        bound, _, fix, node = heapq.heappop(heap)
         best_bound = bound
         if bound >= incumbent_obj - 1e-9:
             best_bound = min(bound, incumbent_obj)
             break  # best-first: nothing left can improve
 
+        branch = lp.most_fractional(node.x)
         if branch < 0:
             if bound < incumbent_obj - 1e-9:
                 incumbent_obj = bound
-                incumbent = (fix, basis)
+                incumbent = node
                 stats.incumbent_history.append(bound)
             continue
 
-        binv = lp.factor(basis.head)  # shared by both children
         for value in (0, 1):
             if stats.nodes >= node_budget:
                 return _incumbent_solution(model, lp, Status.BUDGET_EXCEEDED, incumbent,
                                            stats, -math.inf if feasibility else best_bound)
             child_fix = fix.copy()
             child_fix[branch] = value
-            child = _solve(lp, cost, *lp.fixed_bounds(child_fix), basis, binv)
+            child = _solve(lp, cost, *lp.fixed_bounds(child_fix), node.basis,
+                           node.factor)
             stats.simplex_iterations += child.pivots
             stats.nodes += 1
             if child.status in (Status.UNBOUNDED, Status.NUMERICALLY_UNSTABLE):
                 return Solution(child.status, None, {}, stats)
             if child.status is Status.OPTIMAL and child.objective < incumbent_obj - 1e-9:
                 counter += 1
-                heapq.heappush(heap, (child.objective, counter, child_fix, child.basis,
-                                      lp.most_fractional(child.x)))
+                heapq.heappush(heap, (child.objective, counter, child_fix, child))
 
     if incumbent is None:
         return Solution(Status.INFEASIBLE, None, {}, stats)
@@ -674,13 +706,11 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
 
 
 def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
-                        incumbent: tuple[np.ndarray, _Basis] | None, stats: SolveStats,
+                        incumbent: _LpResult | None, stats: SolveStats,
                         bound: float | None) -> Solution:
     if incumbent is None:
         return Solution(status, None, {}, stats, bound=float(bound))
-    fix, basis = incumbent
-    lb, ub = lp.fixed_bounds(fix)
-    values = lp.values(_Simplex(lp, lp.cost, lb, ub, basis).x, round_binaries=True)
+    values = lp.values(incumbent.x, round_binaries=True)
     objective = model.objective.evaluate(values)
     return Solution(status, objective, values, stats,
                     bound=objective if bound is None else float(bound))

@@ -2,10 +2,22 @@
 
 The sweep is the augmented epsilon-constraint method: solve both single
 objectives to anchor the emission range, then walk a uniform grid of
-emission caps, each time minimizing cost plus a small slack reward so every
-grid solve lands on an efficient vertex instead of a weakly-dominated one.
-Duplicate and dominated grid results are filtered, so the returned front
-contains exactly the distinct efficient points the grid can see.
+emission caps, each time minimizing cost plus theta times the cap's slack.
+AUGMECON rewards the slack (a negative coefficient), so that among
+equal-cost plans a grid solve picks the lower-emission one; the positive
+coefficient used here picks the higher-emission one, and a weakly
+dominated plan can reach the front.
+
+The walk goes from the loosest cap to the tightest and skips the caps an
+answer has already settled, as AUGMECON2's bypass does (Mavrotas & Florios,
+*Appl. Math. Comput.* 2013).  The slack is the cap minus the emission, so
+the augmented objective is cost minus theta times emission, plus a
+constant, at every cap, and a tighter cap only shrinks the feasible set: an
+optimum that still fits a tighter cap is that cap's optimum too, whatever
+the sign of theta.  Each grid solve reports the tightest cap its answer
+fits, and the grid caps between that and its own are not solved; the point
+is labelled with the lowest grid index it covers.  Duplicate and dominated
+grid results are filtered from the front.
 
 Families adapt concrete model shapes to the sweep:
 
@@ -92,9 +104,13 @@ class TradeoffFamily(Protocol):
         """(cost, emission, values) after minimizing the named objective."""
         ...
 
-    def solve_point(self, v: int, epsilon: float,
-                    theta: float) -> tuple[float, float, dict[str, float]] | None:
-        """Minimize cost subject to emission <= epsilon; None if infeasible."""
+    def solve_point(self, v: int, epsilon: float, theta: float
+                    ) -> tuple[float, float, dict[str, float], float] | None:
+        """Minimize cost subject to emission <= epsilon; None if infeasible.
+
+        Returns (cost, emission, values, reach): ``reach`` is the tightest
+        cap under which this answer is still feasible.
+        """
         ...
 
 
@@ -127,7 +143,8 @@ def _nondominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
 def epsilon_sweep(family: TradeoffFamily, points: int = POINTS_DEFAULT,
                   theta: float = THETA_DEFAULT) -> ParetoFront:
-    """Walk the emission range in `points` uniform steps (points+1 solves)."""
+    """Walk the emission range in `points` uniform steps, loosest cap first
+    (at most points+1 solves)."""
     if not THETA_RANGE[0] <= theta <= THETA_RANGE[1]:
         raise ValueError(f"theta must lie in [{THETA_RANGE[0]:g}, {THETA_RANGE[1]:g}], "
                          f"got {theta:g}")
@@ -145,13 +162,21 @@ def epsilon_sweep(family: TradeoffFamily, points: int = POINTS_DEFAULT,
     else:
         delta = (em_max - em_min) / points
         grid = [(v, em_min + v * delta) for v in range(points + 1)]
-    for v, eps in grid:
+    k = len(grid) - 1
+    while k >= 0:
+        v, eps = grid[k]
+        k -= 1
         result = family.solve_point(v, eps, theta)
         if result is None:
             skipped.append(SkippedPoint(v, eps, "no solution fits this emission cap"))
             continue
-        cost, emission, values = result
+        cost, emission, values, reach = result
+        while k >= 0 and grid[k][1] >= reach:
+            v, eps = grid[k]
+            k -= 1
         found.append(ParetoPoint(v, eps, cost, emission, values))
+    found.reverse()
+    skipped.reverse()
 
     front = _nondominated(_deduplicate(found))
     return ParetoFront(front, skipped, (cost_c, em_c), (cost_e, em_e), theta)
@@ -200,15 +225,15 @@ class ExpressionFamily:
         return (cost.evaluate(solution.values), emission.evaluate(solution.values),
                 dict(solution.values))
 
-    def solve_point(self, v: int, epsilon: float,
-                    theta: float) -> tuple[float, float, dict[str, float]] | None:
+    def solve_point(self, v: int, epsilon: float, theta: float
+                    ) -> tuple[float, float, dict[str, float], float] | None:
         model, cost, emission = self.factory()
         _add_epsilon_row(model, emission, v, epsilon, theta, cost)
         solution = self._solved(model)
         if solution is None:
             return None
-        return (cost.evaluate(solution.values), emission.evaluate(solution.values),
-                dict(solution.values))
+        reach = emission.evaluate(solution.values)
+        return cost.evaluate(solution.values), reach, dict(solution.values), reach
 
 
 class SystemEpsilonFamily:
@@ -225,18 +250,20 @@ class SystemEpsilonFamily:
                             self.include_policy).require_optimal("anchor solve")
         return side.total_cost, side.total_emission, side.values
 
-    def solve_point(self, v: int, epsilon: float,
-                    theta: float) -> tuple[float, float, dict[str, float]] | None:
+    def solve_point(self, v: int, epsilon: float, theta: float
+                    ) -> tuple[float, float, dict[str, float], float] | None:
         artifacts = build_system_model(self.instance, "cost", self.include_policy)
-        _add_epsilon_row(artifacts.model, artifacts.stages.total_emission(), v,
-                         epsilon, theta, artifacts.stages.total_cost())
+        emission = artifacts.stages.total_emission()
+        _add_epsilon_row(artifacts.model, emission, v, epsilon, theta,
+                         artifacts.stages.total_cost())
         solution = self.solver.solve(artifacts.model)
         if solution.status is Status.INFEASIBLE:
             return None
         if solution.status is not Status.OPTIMAL:
             raise ModelError(f"grid solve {v} ended {solution.status.value}")
         breakdown, _ = breakdown_from_solution(self.instance, artifacts.vars, solution)
-        return breakdown.total_cost, breakdown.total_emission, dict(solution.values)
+        return (breakdown.total_cost, breakdown.total_emission, dict(solution.values),
+                emission.evaluate(solution.values))
 
 
 class UserEpsilonFamily:
@@ -245,7 +272,9 @@ class UserEpsilonFamily:
     The emission cap applies to the composed network total.  Phase one is
     capped at ``epsilon`` minus the best achievable downstream emission, so
     whatever it leaves on the table, phase two can still fit under the
-    overall cap; phase two is then capped at the actual residue.
+    overall cap; phase two is then capped at the actual residue.  An answer
+    therefore reaches down to its collection emission plus the larger of
+    that floor and its phase-two emission, where both caps still hold.
     """
 
     def __init__(self, instance: NetworkInstance, include_policy: bool = True,
@@ -302,11 +331,12 @@ class UserEpsilonFamily:
         assert self._downstream_floor is not None
         return self._downstream_floor
 
-    def solve_point(self, v: int, epsilon: float,
-                    theta: float) -> tuple[float, float, dict[str, float]] | None:
+    def solve_point(self, v: int, epsilon: float, theta: float
+                    ) -> tuple[float, float, dict[str, float], float] | None:
+        floor = self._floor()
         a1 = build_user_model_i(self.instance, "cost", self.include_policy)
         collection = self._collection_emission(a1)
-        _add_epsilon_row(a1.model, collection, v, epsilon - self._floor(), theta,
+        _add_epsilon_row(a1.model, collection, v, epsilon - floor, theta,
                          a1.model.objective)
         s1 = self._solved(a1.model, f"grid solve {v} phase one")
         if s1 is None:
@@ -314,10 +344,12 @@ class UserEpsilonFamily:
 
         rq = collected_quantities(self.instance, a1.vars, s1.values)
         a2 = build_user_model_ii(self.instance, rq, "cost")
-        residue = epsilon - collection.evaluate(s1.values)
-        _add_epsilon_row(a2.model, a2.stages.total_emission(), v, residue, theta,
+        collected = collection.evaluate(s1.values)
+        downstream = a2.stages.total_emission()
+        _add_epsilon_row(a2.model, downstream, v, epsilon - collected, theta,
                          a2.model.objective)
         s2 = self._solved(a2.model, f"grid solve {v} phase two")
         if s2 is None:
             return None
-        return self._compose(a1, s1, a2, s2)
+        reach = collected + max(floor, downstream.evaluate(s2.values))
+        return *self._compose(a1, s1, a2, s2), reach

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 from .domain import NetworkInstance, ProcessingEntry, trip_multiplier
 from .milp import LinExpr, ModelError, Solution, Status
 
-ARC_CLASSES = ("residence-dropoff", "dropoff-primary", "primary-secondary")  # into each tier
+_ARC_CLASSES = ("residence-dropoff", "dropoff-primary", "primary-secondary")  # into each tier
 
 _FLOW_TOL = 1e-6
 
@@ -144,21 +144,13 @@ def _require(condition: bool, message: str) -> None:
 # stage expression builders
 # ----------------------------------------------------------------------
 
-def transport_cost_trip(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    """Residence->dropoff transport cost: per-trip rate x distance x annual
+def _trip_leg(instance: NetworkInstance, vars: VariableMap, rate: str) -> LinExpr:
+    """Residence->dropoff transport: per-trip rate x distance x annual
     dedicated trips, scaled by the fraction RTD of trips to each dropoff."""
     expr = LinExpr()
     for (i, h, c), name in vars.rtd.items():
         arc = instance.arcs.res_drop[h][c]
-        expr.add(name, trip_multiplier(instance, h, c) * arc.cost * arc.distance)
-    return expr
-
-
-def transport_emission_trip(instance: NetworkInstance, vars: VariableMap) -> LinExpr:
-    expr = LinExpr()
-    for (i, h, c), name in vars.rtd.items():
-        arc = instance.arcs.res_drop[h][c]
-        expr.add(name, trip_multiplier(instance, h, c) * arc.emission * arc.distance)
+        expr.add(name, trip_multiplier(instance, h, c) * getattr(arc, rate) * arc.distance)
     return expr
 
 
@@ -246,13 +238,13 @@ def _tier_expression(tier: Tier, kind: str) -> LinExpr:
 def build_stage_expressions(instance: NetworkInstance, vars: VariableMap) -> StageExpressions:
     """All stage expressions the given variable map can support."""
     arcs = instance.arcs
-    legs = ((transport_cost_trip(instance, vars), transport_emission_trip(instance, vars)),
+    legs = ((_trip_leg(instance, vars, "cost"), _trip_leg(instance, vars, "emission")),
             (_mass_leg(vars.dtp, arcs.drop_pri, "cost"),
              _mass_leg(vars.dtp, arcs.drop_pri, "emission")),
             (_mass_leg(vars.pts, arcs.pri_sec, "cost"),
              _mass_leg(vars.pts, arcs.pri_sec, "emission")))
     stages = StageExpressions()
-    for tier, arc_class, (cost, emission) in zip(tiers(instance, vars), ARC_CLASSES, legs):
+    for tier, arc_class, (cost, emission) in zip(tiers(instance, vars), _ARC_CLASSES, legs):
         if tier.flows:
             stages.transport_cost[arc_class] = cost
             stages.transport_emission[arc_class] = emission

@@ -99,6 +99,15 @@ def derive_throughput(instance: NetworkInstance,
     return busiest, per_primary[busiest], per_primary
 
 
+def _with_absolute_caps(spec: ScenarioSpec, instance: NetworkInstance,
+                        throughput: float) -> ScenarioSpec:
+    """``spec`` with its fraction caps turned into caps on every primary of
+    ``instance``; caps the spec names itself still override them."""
+    caps = {p: spec.total_capacity_fraction * throughput for p in instance.primaries}
+    return replace(spec, total_capacity_fraction=None,
+                   total_capacity={**caps, **(spec.total_capacity or {})})
+
+
 def materialize(spec: ScenarioSpec, base: NetworkInstance | None = None,
                 solver: Solver | None = None) -> NetworkInstance:
     """Apply a scenario's overrides to the base instance.
@@ -107,15 +116,14 @@ def materialize(spec: ScenarioSpec, base: NetworkInstance | None = None,
     "80% capacity" always means 80% of what the unconstrained network used.
     """
     instance = base if base is not None else load_bundled_instance()
+    if spec.total_capacity_fraction is not None:
+        _, throughput, _ = derive_throughput(instance, solver)
+        spec = _with_absolute_caps(spec, instance, throughput)
     out = instance
     if spec.trip_factor is not None:
         out = with_trip_factor(out, spec.trip_factor)
     if spec.supply_mass is not None:
         out = with_supply_mass(out, spec.supply_mass)
-    if spec.total_capacity_fraction is not None:
-        _, throughput, _ = derive_throughput(instance, solver)
-        caps = {p: spec.total_capacity_fraction * throughput for p in instance.primaries}
-        out = with_total_capacity(out, caps)
     if spec.total_capacity is not None:
         out = with_total_capacity(out, spec.total_capacity)
     if spec.name and spec.name != instance.name:
@@ -236,16 +244,19 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
     return SideResult(Status.OPTIMAL, phases, breakdown, opens, merged.values)
 
 
+def _builtin(name: str) -> ScenarioSpec:
+    table = builtin_scenarios()
+    if name not in table:
+        raise KeyError(f"unknown scenario {name!r}; built-ins are {sorted(table)}")
+    return table[name]
+
+
 def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
                  base: NetworkInstance | None = None,
                  solver: Solver | None = None) -> ScenarioResult:
     """Materialize a scenario and solve it both ways."""
     if isinstance(spec, str):
-        table = builtin_scenarios()
-        if spec not in table:
-            raise KeyError(f"unknown scenario {spec!r}; "
-                           f"built-ins are {sorted(table)}")
-        spec = table[spec]
+        spec = _builtin(spec)
     instance = materialize(spec, base, solver)
     system = solve_system(instance, objective, solver)
     system.require_optimal(f"whole-network {objective} solve")
@@ -257,7 +268,22 @@ def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
 def run_all(objective: str = "cost", base: NetworkInstance | None = None,
             solver: Solver | None = None,
             names: Iterable[str] = SCENARIO_ORDER) -> list[ScenarioResult]:
-    return [run_scenario(name, objective, base, solver) for name in names]
+    """Run the named built-in scenarios in order on one base instance.
+
+    The base throughput that fraction caps refer to is solved at most once,
+    and each such scenario gets the caps it would derive from it.
+    """
+    instance = base if base is not None else load_bundled_instance()
+    throughput = None
+    results = []
+    for name in names:
+        spec = _builtin(name)
+        if spec.total_capacity_fraction is not None:
+            if throughput is None:
+                _, throughput, _ = derive_throughput(instance, solver)
+            spec = _with_absolute_caps(spec, instance, throughput)
+        results.append(run_scenario(spec, objective, instance, solver))
+    return results
 
 
 def comparison_rows(results: Iterable[ScenarioResult]) -> list[dict[str, Any]]:

@@ -7,11 +7,15 @@ is wrong.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 from rlnd.domain import (Arc, ArcData, NetworkInstance, ProcessingData,
                          ProcessingEntry, SupplyData)
+from rlnd.io import instance_from_dict
 from rlnd.milp import LinExpr, MilpModel, RowTag, Solution, SolveStats, Status, solve_lp
 
 
@@ -139,6 +143,21 @@ def random_network_instance(rng: random.Random, areas: int | None = None,
         dropoffs=tuple(dropoffs), primaries=tuple(primaries),
         secondaries=tuple(secondaries),
         supply=supply, processing=processing, arcs=arcs)
+
+
+@functools.cache
+def _netgen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("netgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def netgen_instance(areas: int, dropoffs: int, primaries: int,
+                    seed: int) -> NetworkInstance:
+    """A network from the benchmark's generator, ``perfbench/netgen.py``."""
+    return instance_from_dict(_netgen().generate(areas, dropoffs, primaries, seed=seed))
 
 
 KNAP_WEIGHTS = [4.0, 5.0, 6.0, 3.0]

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ExactHighs, random_network_instance
 from rlnd.builders import build_system_model, build_user_model_i
@@ -23,9 +24,7 @@ def _network(seed):
     return random_network_instance(random.Random(seed), areas=5, dropoffs=4, primaries=3)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_embedded_matches_highs_on_generated_networks(seed):
-    instance = _network(seed)
+def _assert_engines_agree(instance):
     for build in (build_system_model, build_user_model_i):
         for objective in ("cost", "emission"):
             model = build(instance, objective).model
@@ -34,6 +33,18 @@ def test_embedded_matches_highs_on_generated_networks(seed):
             assert ours.status is ref.status, label
             if ref.status is Status.OPTIMAL:
                 assert ours.objective == pytest.approx(ref.objective, rel=1e-6), label
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_embedded_matches_highs_on_generated_networks(seed):
+    _assert_engines_agree(_network(seed))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_embedded_matches_highs_on_drawn_networks(seed):
+    """Small networks of every shape the generator draws, feasible or not."""
+    _assert_engines_agree(random_network_instance(random.Random(seed)))
 
 
 def test_cap_at_the_emission_anchor_is_feasible(bundled):

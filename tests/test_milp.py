@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from helpers import pattern_enumeration_optimum, random_network_instance
+from helpers import netgen_instance, pattern_enumeration_optimum, random_network_instance
 from rlnd import load_bundled_instance
-from rlnd.builders import build_system_model
+from rlnd.builders import build_system_model, build_user_model_i
 from rlnd.milp import (FEASIBILITY_TOL, EmbeddedSolver, LinExpr, MilpModel, ModelError,
-                       RowTag, Solution, Status, _verify, solve_lp, solve_milp)
+                       RowTag, Solution, Status, _Lp, _verify, solve_lp, solve_milp)
 
 TAG = RowTag("row")
 
@@ -343,3 +343,20 @@ def test_children_restart_from_their_parents_basis():
     sol = solve_milp(_network_model(seed=6))
     assert sol.stats.nodes >= 20
     assert sol.stats.simplex_iterations / sol.stats.nodes <= 8.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nodes_invert_only_the_bases_they_pivot_to(seed, monkeypatch):
+    """The root inverts the slack basis and its optimal basis; every child
+    starts from its parent's factorization and inverts at most its own
+    optimal basis, so one solve makes at most nodes + 1 inversions."""
+    calls = []
+    factor = _Lp.factor
+    monkeypatch.setattr(_Lp, "factor", lambda lp, head: calls.append(1) or factor(lp, head))
+    instance = netgen_instance(5, 4, 3, seed)
+    for build in (build_system_model, build_user_model_i):
+        for objective in ("cost", "emission"):
+            calls.clear()
+            sol = solve_milp(build(instance, objective).model)
+            assert sol.status is Status.OPTIMAL
+            assert len(calls) <= sol.stats.nodes + 1, (build.__name__, objective)

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import three_plan_tradeoff
+from helpers import netgen_instance, three_plan_tradeoff
 from rlnd.milp import DEFAULT_SOLVER, LinExpr, MilpModel, RowTag, Status, solve_milp
 from rlnd.multiobjective import (ExpressionFamily, SystemEpsilonFamily,
                                  UserEpsilonFamily, epsilon_sweep)
@@ -20,6 +20,65 @@ def test_three_plan_front_is_exact():
     by_v = {p.v: p for p in front.points}
     assert by_v[0].total_emission == pytest.approx(front.emission_anchor[1])
     assert by_v[10].total_cost == pytest.approx(front.cost_anchor[0])
+
+
+def test_sweep_skips_the_caps_an_answer_still_fits(monkeypatch):
+    """Walking loosest first, the answer at cap 30 reaches only 30, the one
+    at 28 reaches down to 18 and the one at 16 to 10: three solves, each
+    point labelled with the lowest grid index it covers."""
+    factory, _ = three_plan_tradeoff()
+    caps = []
+    solve_point = ExpressionFamily.solve_point
+    monkeypatch.setattr(ExpressionFamily, "solve_point",
+                        lambda self, v, eps, theta: caps.append(v)
+                        or solve_point(self, v, eps, theta))
+    front = epsilon_sweep(ExpressionFamily(factory), points=10, theta=1e-4)
+    assert caps == [10, 9, 3]
+    assert [(p.v, p.epsilon, p.total_cost, p.total_emission) for p in front] == [
+        (0, 10.0, 30.0, 10.0), (4, 18.0, 16.0, 18.0), (10, 30.0, 10.0, 30.0)]
+
+
+@pytest.mark.xfail(strict=True, reason="the epsilon row adds +theta * slack, a penalty; "
+                   "perfbench's certificate recomputes grid objectives with that sign")
+def test_slack_reward_picks_the_lower_emission_among_equal_costs():
+    """(10, 7.2) is weakly dominated by (10, 7): a slack reward makes every
+    cap that admits both choose (10, 7)."""
+    plans = {"z1": (12.0, 5.0), "z2": (10.0, 7.0), "z3": (10.0, 7.2), "z4": (9.0, 20.0)}
+
+    def factory():
+        model = MilpModel("four-plans")
+        cost, emission, pick = LinExpr(), LinExpr(), LinExpr()
+        for name, (c, e) in plans.items():
+            model.add_variable(name, binary=True)
+            cost.add(name, c)
+            emission.add(name, e)
+            pick.add(name, 1.0)
+        model.add_row(pick, "==", 1.0, RowTag("pick-one"))
+        model.set_objective(cost)
+        return model, cost, emission
+
+    front = epsilon_sweep(ExpressionFamily(factory), points=10)
+    got = {(round(p.total_cost, 9), round(p.total_emission, 9)) for p in front}
+    assert got == {(9.0, 20.0), (10.0, 7.0), (12.0, 5.0)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_skipping_covered_caps_leaves_fronts_unchanged(seed, monkeypatch):
+    instance = netgen_instance(5, 4, 3, seed)
+    for family in (SystemEpsilonFamily, UserEpsilonFamily):
+        with_bypass = epsilon_sweep(family(instance), points=10)
+        with monkeypatch.context() as m:
+            solve_point = family.solve_point
+
+            def unreached(self, v, eps, theta, _solve_point=solve_point):
+                result = _solve_point(self, v, eps, theta)
+                return None if result is None else (*result[:3], float("inf"))
+
+            m.setattr(family, "solve_point", unreached)
+            without = epsilon_sweep(family(instance), points=10)
+        assert with_bypass.format_text() == without.format_text(), family.__name__
+        assert with_bypass.points == without.points
+        assert with_bypass.skipped == without.skipped
 
 
 def test_three_plan_front_none_dominated():

@@ -154,6 +154,27 @@ def test_run_all_order_and_rows(bundled, tmp_path):
     assert any(metric == "revenue_total" for _, metric, _, _ in results[0].rows())
 
 
+def test_run_all_solves_the_base_throughput_once(bundled):
+    """Five scenarios solved both ways (one system and two user phases
+    each) plus one throughput solve shared by both capacity scenarios."""
+
+    class Counting(EmbeddedSolver):
+        def __init__(self):
+            super().__init__()
+            self.solves = 0
+
+        def solve(self, model):
+            self.solves += 1
+            return super().solve(model)
+
+    solver = Counting()
+    results = run_all("cost", bundled, solver)
+    assert solver.solves == 16
+    one_by_one = [run_scenario(name, "cost", bundled) for name in SCENARIO_ORDER]
+    assert comparison_rows(results) == comparison_rows(one_by_one)
+    assert [r.instance for r in results] == [r.instance for r in one_by_one]
+
+
 def test_capacity_scenarios_only_tighten(bundled):
     baseline = run_scenario("baseline", "cost", bundled)
     tighter = run_scenario("capacity-80", "cost", bundled)
