@@ -104,6 +104,27 @@ def _add_gates(model: MilpModel, instance: NetworkInstance, gated: tuple[Tier, .
                               RowTag("capacity", ("total", f)))
 
 
+def _add_dropoff_balance(model: MilpModel, instance: NetworkInstance, vars: VariableMap,
+                         rq: dict[str, dict[str, float]] | None = None) -> None:
+    """What each dropoff ships to the primaries is the non-resold share of
+    what arrives: the RTD inflow, or the collected mass ``rq[i][c]`` when
+    the assignment is already fixed."""
+    for i in instance.products:
+        share = 1.0 - instance.processing.resale_dropoff[i]
+        for c in instance.dropoffs:
+            balance = LinExpr()
+            for p in instance.primaries:
+                name = vars.dtp.get((i, c, p))
+                if name is not None:
+                    balance.add(name, 1.0)
+            if rq is None:
+                balance.add_expr(_dropoff_inflow(instance, vars, i, c), -share)
+                rhs = 0.0
+            else:
+                rhs = share * rq.get(i, {}).get(c, 0.0)
+            model.add_row(balance, "==", rhs, RowTag("flow-balance", ("dropoff", i, c)))
+
+
 def _add_primary_balance(model: MilpModel, instance: NetworkInstance,
                          vars: VariableMap) -> None:
     proc = instance.processing
@@ -174,17 +195,7 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
 
     model.warnings.extend(_structural_warnings(instance))
     _add_trip_balance(model, instance, vars)
-    proc = instance.processing
-    for i in instance.products:
-        for c in instance.dropoffs:
-            balance = LinExpr()
-            for p in instance.primaries:
-                name = vars.dtp.get((i, c, p))
-                if name is not None:
-                    balance.add(name, 1.0)
-            balance.add_expr(_dropoff_inflow(instance, vars, i, c),
-                             -(1.0 - proc.resale_dropoff[i]))
-            model.add_row(balance, "==", 0.0, RowTag("flow-balance", ("dropoff", i, c)))
+    _add_dropoff_balance(model, instance, vars)
     table = tiers(instance, vars)
     _add_gates(model, instance, table[:1])
     _add_primary_balance(model, instance, vars)
@@ -249,16 +260,7 @@ def build_user_model_ii(instance: NetworkInstance, rq: dict[str, dict[str, float
     r = {s: model.add_variable(f"R[{s}]", binary=True) for s in instance.secondaries}
     vars = VariableMap(dtp=dtp, pts=pts, y=y, r=r)
 
-    proc = instance.processing
-    for i in instance.products:
-        for c in instance.dropoffs:
-            balance = LinExpr()
-            for p in instance.primaries:
-                name = vars.dtp.get((i, c, p))
-                if name is not None:
-                    balance.add(name, 1.0)
-            rhs = (1.0 - proc.resale_dropoff[i]) * rq.get(i, {}).get(c, 0.0)
-            model.add_row(balance, "==", rhs, RowTag("flow-balance", ("dropoff", i, c)))
+    _add_dropoff_balance(model, instance, vars, rq)
     _add_primary_balance(model, instance, vars)
     downstream = tiers(instance, vars)[1:]
     _add_gates(model, instance, downstream)

@@ -25,10 +25,10 @@ from .io import (load_bundled_instance, load_instance, read_points_csv,
 from .milp import EmbeddedSolver, ModelError, Solver, Status
 from .multiobjective import (POINTS_DEFAULT, SystemEpsilonFamily, THETA_DEFAULT,
                              UserEpsilonFamily, epsilon_sweep)
-from .objectives import breakdown_from_solution
 from .robust import capacity_preset, load_uncertainty_spec, robustify_artifacts
-from .scenarios import (SCENARIO_ORDER, builtin_scenarios, load_scenario_spec, run_all,
-                        run_scenario, solve_system, solve_user, write_comparison_csv)
+from .scenarios import (SCENARIO_ORDER, SideResult, builtin_scenarios, load_scenario_spec,
+                        run_all, run_scenario, solve_built, solve_system, solve_user,
+                        write_comparison_csv)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,11 +87,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_ERROR
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load(args)
-    solve = solve_system if args.model == "system" else solve_user
-    side = solve(instance, args.objective, _solver_from_args(args),
-                 include_policy=not args.no_policy)
+def _report(args: argparse.Namespace, side: SideResult) -> int:
+    """Print a solved side, write its LP dump and breakdown CSV if asked;
+    the exit code its status maps to."""
     if args.dump_lp:
         text = "\n".join(artifacts.dump() for artifacts, _ in side.phases)
         Path(args.dump_lp).write_text(text, encoding="utf-8")
@@ -111,6 +109,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         write_breakdown_csv(side.breakdown.rows(), args.output)
         print(f"breakdown written to {args.output}")
     return _STATUS_EXIT.get(side.status, EXIT_ERROR)
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    instance = _load(args)
+    solve = solve_system if args.model == "system" else solve_user
+    return _report(args, solve(instance, args.objective, _solver_from_args(args),
+                               include_policy=not args.no_policy))
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
@@ -138,18 +143,7 @@ def _cmd_robust(args: argparse.Namespace) -> int:
         print(f"preset: {len(spec.rows)} capacity rows protected at "
               f"+-{args.fraction:.0%}, budget {args.gamma:g}")
     robust = robustify_artifacts(artifacts, spec)
-    if args.dump_lp:
-        Path(args.dump_lp).write_text(robust.dump(), encoding="utf-8")
-    solution = solver.solve(robust.model)
-    _print_solution_header(solution.status, solution.objective)
-    if solution.status is not Status.OPTIMAL and not solution.values:
-        return _STATUS_EXIT.get(solution.status, EXIT_ERROR)
-    breakdown, _ = breakdown_from_solution(instance, robust.vars, solution)
-    print(breakdown.format_text())
-    if args.output:
-        write_breakdown_csv(breakdown.rows(), args.output)
-        print(f"breakdown written to {args.output}")
-    return _STATUS_EXIT.get(solution.status, EXIT_ERROR)
+    return _report(args, solve_built(instance, robust, solver))
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:

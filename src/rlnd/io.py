@@ -3,14 +3,9 @@
 An instance is one JSON document with sections ``sets``, ``supply``,
 ``processing``, ``arcs`` and ``policy`` (a ``scenario`` section is allowed
 and ignored here; the scenario engine reads it separately).  The CSV
-importers accept the tables in the same cell order the instance tables use:
-
-* arcs:        ``tail, head, distance, cost, emission[, forbidden]``
-* processing:  ``facility, item, cost, credit, emission, offset, capacity[, min_shipment]``
-* geo points:  ``id, lat, lon[, population]``
-
-A header row is detected (first data cell of the third column not numeric)
-and skipped, so both bare and titled exports load.
+importer reads coordinate points, ``id, lat, lon[, population]``; a header
+row is detected (its ``lat`` cell not numeric) and skipped, so both bare and
+titled exports load.
 """
 
 from __future__ import annotations
@@ -241,31 +236,6 @@ def _data_rows(path: str | Path, numeric_col: int) -> Iterable[list[str]]:
                 except (ValueError, IndexError):
                     continue  # header row
             yield [cell.strip() for cell in row]
-
-
-def read_arcs_csv(path: str | Path) -> dict[str, dict[str, Arc]]:
-    """Arc table: tail, head, distance, cost, emission[, forbidden]."""
-    table: dict[str, dict[str, Arc]] = {}
-    for row in _data_rows(path, 2):
-        tail, head = row[0], row[1]
-        forbidden = len(row) > 5 and row[5] not in ("", "0", "false", "False")
-        arc = Arc(float(row[2]), float(row[3]), float(row[4]), forbidden)
-        table.setdefault(tail, {})[head] = arc
-    return table
-
-
-def read_processing_csv(path: str | Path) -> dict[str, dict[str, ProcessingEntry]]:
-    """Processing table: facility, item, cost, credit, emission, offset,
-    capacity[, min_shipment]."""
-    table: dict[str, dict[str, ProcessingEntry]] = {}
-    for row in _data_rows(path, 2):
-        facility, item = row[0], row[1]
-        entry = ProcessingEntry(cost=float(row[2]), credit=float(row[3]),
-                                emission=float(row[4]), offset=float(row[5]),
-                                capacity=float(row[6]),
-                                min_shipment=float(row[7]) if len(row) > 7 else 0.0)
-        table.setdefault(facility, {})[item] = entry
-    return table
 
 
 def read_points_csv(path: str | Path) -> dict[str, GeoPoint]:

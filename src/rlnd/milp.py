@@ -11,8 +11,11 @@ restarts from its parent's optimal basis and factorization, which a bound
 change leaves dual feasible, so a child takes a handful of pivots and
 inverts only the basis it ends on.
 The models are desk-scale (at most a few hundred rows), so an explicit dense
-basis inverse is the simplest thing that is provably correct and
-deterministic: identical model input always yields an identical Solution.
+basis inverse is the simplest thing that is provably correct.  It is
+deterministic per BLAS thread count: identical model input on the same
+thread count always yields an identical Solution, but the last digits can
+move with the thread count (netgen 5x4x3 seed 0, robust at gamma 1, differs
+under ``OMP_NUM_THREADS=1``), because the BLAS splits its sums by thread.
 
 Anything that speaks ``solve(model) -> Solution`` can replace the embedded
 engine (see :class:`Solver` and :mod:`rlnd.external`).

@@ -23,9 +23,16 @@ Families adapt concrete model shapes to the sweep:
 
 * :class:`ExpressionFamily` — any single MilpModel with a cost and an
   emission expression.
-* :class:`SystemEpsilonFamily` — the whole-network program.
-* :class:`UserEpsilonFamily` — the two-phase program; the cap is split into
-  a residue for the second phase so the composed emission still respects it.
+* :class:`SystemEpsilonFamily` and :class:`UserEpsilonFamily` — the
+  whole-network and the two-phase program.  Both ride on
+  :func:`~rlnd.scenarios.solve_system` and :func:`~rlnd.scenarios.solve_user`:
+  an anchor is the plain solve of one objective, the same optimum
+  ``rlnd solve`` prints, and a grid solve is the cost solve under an
+  :class:`~rlnd.scenarios.EmissionCap`.  The user emission anchor is thus
+  the residents' own trip-emission optimum followed by the operator's
+  emission-optimal routing.  The two-phase cap holds back that anchor's
+  phase-two emission from phase one, so that phase two can still fit under
+  the overall cap, and caps phase two at what phase one left.
 """
 
 from __future__ import annotations
@@ -35,12 +42,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
+# the builders stay bound for perfbench, which wraps all three here by name
 from .builders import build_system_model, build_user_model_i, build_user_model_ii
 from .domain import NetworkInstance
-from .milp import (DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, RowTag,
-                   Solution, Solver, Status)
-from .objectives import breakdown_from_solution, collected_quantities, merge_phases
-from .scenarios import solve_system
+from .milp import DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, Solution, Solver, Status
+from .scenarios import (EmissionCap, SideResult, add_epsilon_row, solve_system,
+                        solve_user)
 
 THETA_DEFAULT = 1e-4
 THETA_RANGE = (1e-6, 1e-3)
@@ -186,17 +193,6 @@ def epsilon_sweep(family: TradeoffFamily, points: int = POINTS_DEFAULT,
 # families
 # ----------------------------------------------------------------------
 
-def _add_epsilon_row(model: MilpModel, emission: LinExpr, v: int, epsilon: float,
-                     theta: float, cost: LinExpr) -> None:
-    slack = model.add_variable(f"EPS_SLACK[{v}]", 0.0)
-    row = emission.copy()
-    row.add(slack, 1.0)
-    model.add_row(row, "==", epsilon, RowTag("epsilon", (str(v),)))
-    objective = cost.copy()
-    objective.add(slack, theta)
-    model.set_objective(objective)
-
-
 class ExpressionFamily:
     """Family over a model factory returning (model, cost_expr, emission_expr).
 
@@ -228,12 +224,20 @@ class ExpressionFamily:
     def solve_point(self, v: int, epsilon: float, theta: float
                     ) -> tuple[float, float, dict[str, float], float] | None:
         model, cost, emission = self.factory()
-        _add_epsilon_row(model, emission, v, epsilon, theta, cost)
+        add_epsilon_row(model, emission, v, epsilon, theta, cost)
         solution = self._solved(model)
         if solution is None:
             return None
         reach = emission.evaluate(solution.values)
         return cost.evaluate(solution.values), reach, dict(solution.values), reach
+
+
+def _grid_answer(side: SideResult, v: int
+                 ) -> tuple[float, float, dict[str, float], float] | None:
+    if side.status is Status.INFEASIBLE:
+        return None
+    side.require_optimal(f"grid solve {v}")
+    return side.total_cost, side.total_emission, side.values, side.reach
 
 
 class SystemEpsilonFamily:
@@ -252,29 +256,18 @@ class SystemEpsilonFamily:
 
     def solve_point(self, v: int, epsilon: float, theta: float
                     ) -> tuple[float, float, dict[str, float], float] | None:
-        artifacts = build_system_model(self.instance, "cost", self.include_policy)
-        emission = artifacts.stages.total_emission()
-        _add_epsilon_row(artifacts.model, emission, v, epsilon, theta,
-                         artifacts.stages.total_cost())
-        solution = self.solver.solve(artifacts.model)
-        if solution.status is Status.INFEASIBLE:
-            return None
-        if solution.status is not Status.OPTIMAL:
-            raise ModelError(f"grid solve {v} ended {solution.status.value}")
-        breakdown, _ = breakdown_from_solution(self.instance, artifacts.vars, solution)
-        return (breakdown.total_cost, breakdown.total_emission, dict(solution.values),
-                emission.evaluate(solution.values))
+        return _grid_answer(solve_system(self.instance, "cost", self.solver,
+                                         self.include_policy,
+                                         EmissionCap(v, epsilon, theta)), v)
 
 
 class UserEpsilonFamily:
     """Trade-off family for the two-phase (decentralized) program.
 
     The emission cap applies to the composed network total.  Phase one is
-    capped at ``epsilon`` minus the best achievable downstream emission, so
-    whatever it leaves on the table, phase two can still fit under the
-    overall cap; phase two is then capped at the actual residue.  An answer
-    therefore reaches down to its collection emission plus the larger of
-    that floor and its phase-two emission, where both caps still hold.
+    capped at ``epsilon`` minus the phase-two emission of the emission
+    anchor, and phase two at what phase one left (see
+    :class:`~rlnd.scenarios.EmissionCap`).
     """
 
     def __init__(self, instance: NetworkInstance, include_policy: bool = True,
@@ -284,72 +277,18 @@ class UserEpsilonFamily:
         self.solver = solver or DEFAULT_SOLVER
         self._downstream_floor: float | None = None
 
-    # phase-one emission: everything the assignment alone determines
-    def _collection_emission(self, artifacts) -> LinExpr:
-        stages = artifacts.stages
-        expr = stages.transport_emission["residence-dropoff"].copy()
-        expr.add_expr(stages.processing_emission["dropoff"])
-        expr.add_expr(stages.emission_offset["dropoff"], -1.0)
-        return expr
-
-    def _solved(self, model: MilpModel, label: str) -> Solution | None:
-        solution = self.solver.solve(model)
-        if solution.status is Status.INFEASIBLE:
-            return None
-        if solution.status is not Status.OPTIMAL:
-            raise ModelError(f"{label} ended {solution.status.value}")
-        return solution
-
-    def _compose(self, a1, s1: Solution, a2, s2: Solution):
-        vars, merged = merge_phases(a1.vars, s1, a2.vars, s2)
-        breakdown, _ = breakdown_from_solution(self.instance, vars, merged)
-        return breakdown.total_cost, breakdown.total_emission, merged.values
-
-    def _anchor_solutions(self, objective: str):
-        a1 = build_user_model_i(self.instance, objective, self.include_policy)
-        if objective == "emission":
-            a1.model.set_objective(self._collection_emission(a1))
-        s1 = self._solved(a1.model, "phase one anchor")
-        if s1 is None:
-            raise ModelError("the collection phase is infeasible; no anchor exists")
-        rq = collected_quantities(self.instance, a1.vars, s1.values)
-        a2 = build_user_model_ii(self.instance, rq, objective)
-        s2 = self._solved(a2.model, "phase two anchor")
-        if s2 is None:
-            raise ModelError("the routing phase is infeasible; no anchor exists")
-        return a1, s1, a2, s2
-
     def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
-        a1, s1, a2, s2 = self._anchor_solutions(objective)
+        side = solve_user(self.instance, objective, self.solver,
+                          self.include_policy).require_optimal("anchor solve")
         if objective == "emission":
-            self._downstream_floor = a2.stages.total_emission().evaluate(s2.values)
-        return self._compose(a1, s1, a2, s2)
-
-    def _floor(self) -> float:
-        if self._downstream_floor is None:
-            self.anchor("emission")
-        assert self._downstream_floor is not None
-        return self._downstream_floor
+            phase2, s2 = side.phases[1]
+            self._downstream_floor = phase2.stages.total_emission().evaluate(s2.values)
+        return side.total_cost, side.total_emission, side.values
 
     def solve_point(self, v: int, epsilon: float, theta: float
                     ) -> tuple[float, float, dict[str, float], float] | None:
-        floor = self._floor()
-        a1 = build_user_model_i(self.instance, "cost", self.include_policy)
-        collection = self._collection_emission(a1)
-        _add_epsilon_row(a1.model, collection, v, epsilon - floor, theta,
-                         a1.model.objective)
-        s1 = self._solved(a1.model, f"grid solve {v} phase one")
-        if s1 is None:
-            return None
-
-        rq = collected_quantities(self.instance, a1.vars, s1.values)
-        a2 = build_user_model_ii(self.instance, rq, "cost")
-        collected = collection.evaluate(s1.values)
-        downstream = a2.stages.total_emission()
-        _add_epsilon_row(a2.model, downstream, v, epsilon - collected, theta,
-                         a2.model.objective)
-        s2 = self._solved(a2.model, f"grid solve {v} phase two")
-        if s2 is None:
-            return None
-        reach = collected + max(floor, downstream.evaluate(s2.values))
-        return *self._compose(a1, s1, a2, s2), reach
+        if self._downstream_floor is None:
+            self.anchor("emission")
+        cap = EmissionCap(v, epsilon, theta, held_back=self._downstream_floor)
+        return _grid_answer(solve_user(self.instance, "cost", self.solver,
+                                       self.include_policy, cap), v)

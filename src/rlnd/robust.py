@@ -66,13 +66,6 @@ class UncertaintySpec:
         spec.validate()
         return spec
 
-    def scaled_gamma(self, factor: float) -> "UncertaintySpec":
-        """Same deviations with every budget multiplied (and clamped)."""
-        return UncertaintySpec({
-            key: RowUncertainty(min(row.gamma * factor, len(row.deviations)),
-                                dict(row.deviations))
-            for key, row in self.rows.items()})
-
     def with_gamma(self, gamma: float) -> "UncertaintySpec":
         """Same deviations with every budget set to min(gamma, row size)."""
         return UncertaintySpec({

@@ -8,7 +8,10 @@ the two-phase program on the materialized instance and reports both as
 per-stage breakdowns.
 
 `solve_system` and `solve_user` are the one build, solve and report path for
-the two programs; every other caller, the CLI included, goes through them.
+the two programs; every other caller, the CLI and the trade-off families
+included, goes through them.  An optional `EmissionCap` turns either into a
+grid solve of the epsilon-constraint sweep, and `solve_built` reports a
+whole-network model built elsewhere, such as a robust counterpart.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .builders import (ModelArtifacts, build_system_model, build_user_model_i,
 from .domain import (NetworkInstance, with_supply_mass, with_total_capacity,
                      with_trip_factor)
 from .io import load_bundled_instance
-from .milp import DEFAULT_SOLVER, ModelError, Solution, Solver, Status
-from .objectives import (StageBreakdown, breakdown_from_solution,
+from .milp import (DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, RowTag, Solution,
+                   Solver, Status)
+from .objectives import (StageBreakdown, StageExpressions, breakdown_from_solution,
                          collected_quantities, facility_inflows, merge_phases)
 
 SCENARIO_ORDER = ("baseline", "capacity-80", "capacity-40", "supply-mix-1",
@@ -151,6 +155,7 @@ class SideResult:
     breakdown: StageBreakdown | None = None
     opens: dict[str, bool] = field(default_factory=dict)
     values: dict[str, float] = field(default_factory=dict)
+    reach: float | None = None  # under a cap: the tightest cap the answer fits
 
     def require_optimal(self, label: str) -> SideResult:
         """This result, or ModelError naming `label` if it is not optimal."""
@@ -209,13 +214,49 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-def solve_system(instance: NetworkInstance, objective: str = "cost",
-                 solver: Solver | None = None,
-                 include_policy: bool = True) -> SideResult:
-    """One decision maker routes everything."""
-    solver = solver or DEFAULT_SOLVER
-    artifacts = build_system_model(instance, objective, include_policy)
-    solution = solver.solve(artifacts.model)
+@dataclass(frozen=True)
+class EmissionCap:
+    """Grid point ``v`` of a trade-off sweep: emission at most ``epsilon``,
+    with ``theta`` times the cap's slack added to the objective.
+
+    The two-phase program caps phase one at ``epsilon - held_back``, so
+    that phase two keeps that much emission for itself, and then caps phase
+    two at what phase one left.
+    """
+
+    v: int
+    epsilon: float
+    theta: float
+    held_back: float = 0.0
+
+
+def add_epsilon_row(model: MilpModel, emission: LinExpr, v: int, epsilon: float,
+                    theta: float, cost: LinExpr) -> None:
+    """``emission + EPS_SLACK[v] == epsilon``; the objective becomes ``cost``
+    plus theta times the slack."""
+    slack = model.add_variable(f"EPS_SLACK[{v}]", 0.0)
+    row = emission.copy()
+    row.add(slack, 1.0)
+    model.add_row(row, "==", epsilon, RowTag("epsilon", (str(v),)))
+    objective = cost.copy()
+    objective.add(slack, theta)
+    model.set_objective(objective)
+
+
+def _collection_emission(stages: StageExpressions) -> LinExpr:
+    """Emission the users' phase settles alone: trips, dropoff processing,
+    less the dropoff offsets."""
+    expr = stages.transport_emission["residence-dropoff"].copy()
+    expr.add_expr(stages.processing_emission["dropoff"])
+    expr.add_expr(stages.emission_offset["dropoff"], -1.0)
+    return expr
+
+
+def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
+                solver: Solver | None = None) -> SideResult:
+    """Solve a built whole-network model, robust counterparts included, and
+    report it."""
+    solution = (solver or DEFAULT_SOLVER).solve(artifacts.model)
     phases = [(artifacts, solution)]
     if solution.status is not Status.OPTIMAL and not solution.values:
         return SideResult(solution.status, phases)
@@ -223,25 +264,53 @@ def solve_system(instance: NetworkInstance, objective: str = "cost",
     return SideResult(solution.status, phases, breakdown, opens, dict(solution.values))
 
 
+def solve_system(instance: NetworkInstance, objective: str = "cost",
+                 solver: Solver | None = None, include_policy: bool = True,
+                 cap: EmissionCap | None = None) -> SideResult:
+    """One decision maker routes everything."""
+    artifacts = build_system_model(instance, objective, include_policy)
+    if cap is None:
+        return solve_built(instance, artifacts, solver)
+    emission = artifacts.stages.total_emission()
+    add_epsilon_row(artifacts.model, emission, cap.v, cap.epsilon, cap.theta,
+                    artifacts.model.objective)
+    side = solve_built(instance, artifacts, solver)
+    if side.values:
+        side.reach = emission.evaluate(side.values)
+    return side
+
+
 def solve_user(instance: NetworkInstance, objective: str = "cost",
-               solver: Solver | None = None,
-               include_policy: bool = True) -> SideResult:
+               solver: Solver | None = None, include_policy: bool = True,
+               cap: EmissionCap | None = None) -> SideResult:
     """Residents choose dropoffs first; the operator routes what arrives."""
     solver = solver or DEFAULT_SOLVER
     phase1 = build_user_model_i(instance, objective, include_policy)
+    if cap is not None:
+        collection = _collection_emission(phase1.stages)
+        add_epsilon_row(phase1.model, collection, cap.v, cap.epsilon - cap.held_back,
+                        cap.theta, phase1.model.objective)
     s1 = solver.solve(phase1.model)
     phases = [(phase1, s1)]
     if s1.status is not Status.OPTIMAL:
         return SideResult(s1.status, phases)
     rq = collected_quantities(instance, phase1.vars, s1.values)
     phase2 = build_user_model_ii(instance, rq, objective)
+    if cap is not None:
+        collected = collection.evaluate(s1.values)
+        downstream = phase2.stages.total_emission()
+        add_epsilon_row(phase2.model, downstream, cap.v, cap.epsilon - collected,
+                        cap.theta, phase2.model.objective)
     s2 = solver.solve(phase2.model)
     phases.append((phase2, s2))
     if s2.status is not Status.OPTIMAL:
         return SideResult(s2.status, phases)
     vars, merged = merge_phases(phase1.vars, s1, phase2.vars, s2)
     breakdown, opens = breakdown_from_solution(instance, vars, merged)
-    return SideResult(Status.OPTIMAL, phases, breakdown, opens, merged.values)
+    side = SideResult(Status.OPTIMAL, phases, breakdown, opens, merged.values)
+    if cap is not None:
+        side.reach = collected + max(cap.held_back, downstream.evaluate(s2.values))
+    return side
 
 
 def _builtin(name: str) -> ScenarioSpec:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from helpers import netgen_instance
 from rlnd.cli import main
-from rlnd.io import instance_to_dict, load_bundled_instance
+from rlnd.io import instance_to_dict, load_bundled_instance, save_instance
 from rlnd.robust import RowUncertainty, UncertaintySpec, save_uncertainty_spec
+from rlnd.scenarios import solve_user
 
 
 def write_instance(tmp_path, mutate=None, name="case.json"):
@@ -101,6 +103,28 @@ def test_pareto_front_csv(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "v,epsilon,total_cost,total_emission"
     assert len(lines) >= 2
+
+
+@pytest.mark.parametrize("seed", [None, 2], ids=["bundled", "netgen-5x4x3-2"])
+def test_user_front_anchors_on_the_solve_optimum(seed, bundled, tmp_path, capsys):
+    instance = bundled if seed is None else netgen_instance(5, 4, 3, seed=seed)
+    path = tmp_path / "network.json"
+    save_instance(instance, path)
+    side = solve_user(instance, "emission").require_optimal("emission solve")
+    assert main(["pareto", "--model", "user", "--instance", str(path)]) == 0
+    anchors = capsys.readouterr().out.splitlines()[0]
+    assert anchors.endswith(f"emission ({side.total_cost:.3f}, {side.total_emission:.3f})")
+
+
+def test_robust_at_gamma_zero_reports_as_solve(tight40, tmp_path, capsys):
+    path = tmp_path / "capacity-40.json"
+    save_instance(tight40, path)
+    assert main(["solve", "--instance", str(path)]) == 0
+    solved = capsys.readouterr().out
+    assert main(["robust", "--gamma", "0", "--instance", str(path)]) == 0
+    preset, *report = capsys.readouterr().out.splitlines(keepends=True)
+    assert preset.startswith("preset: ")
+    assert "".join(report) == solved
 
 
 def test_robust_preset(capsys):

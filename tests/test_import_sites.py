@@ -1,7 +1,8 @@
 """Names that perfbench looks up by attribute at rlnd's import sites.
 
 perfbench/workloads.py wraps the builders where cli, scenarios and
-multiobjective bind them, and the grid solves of both trade-off families.
+multiobjective bind them, the grid solves of both trade-off families, and
+cli's robustify_artifacts, epsilon_sweep and EmbeddedSolver.
 Its lookups have no default, so a missing name breaks every benchmark
 workload; a builder called through another name escapes its recording.
 """
@@ -24,6 +25,11 @@ def test_solve_paths_and_grid_solves_exist():
     assert callable(scenarios.solve_system)
     assert callable(multiobjective.SystemEpsilonFamily.solve_point)
     assert callable(multiobjective.UserEpsilonFamily.solve_point)
+
+
+@pytest.mark.parametrize("name", ["robustify_artifacts", "epsilon_sweep", "EmbeddedSolver"])
+def test_cli_binds_what_the_benchmark_records(name):
+    assert callable(getattr(cli, name))
 
 
 def test_cli_imports_the_highs_adapter_lazily():

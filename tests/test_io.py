@@ -4,8 +4,7 @@ import pytest
 
 from rlnd.domain import PolicyData
 from rlnd.io import (instance_from_dict, instance_to_dict, load_bundled_instance,
-                     load_instance, read_arcs_csv, read_points_csv,
-                     read_processing_csv, save_instance, write_breakdown_csv)
+                     load_instance, read_points_csv, save_instance, write_breakdown_csv)
 
 
 def test_bundled_loads(bundled):
@@ -57,32 +56,6 @@ def test_defaults_backfilled(bundled):
     assert inst.processing.eff("mat1", "prim1") == 1.0
 
 
-def test_read_arcs_csv(tmp_path):
-    path = tmp_path / "arcs.csv"
-    path.write_text("tail,head,distance,cost,emission,forbidden\n"
-                    "a,b,100,0.348,0.23,\n"
-                    "a,c,150.5,0.348,0.23,1\n", encoding="utf-8")
-    table = read_arcs_csv(path)
-    assert table["a"]["b"].distance == 100.0
-    assert not table["a"]["b"].forbidden
-    assert table["a"]["c"].forbidden
-    # headerless variant parses identically
-    bare = tmp_path / "bare.csv"
-    bare.write_text("a,b,100,0.348,0.23\n", encoding="utf-8")
-    assert read_arcs_csv(bare)["a"]["b"] == table["a"]["b"]
-
-
-def test_read_processing_csv(tmp_path):
-    path = tmp_path / "proc.csv"
-    path.write_text("facility,item,cost,credit,emission,offset,capacity,min_shipment\n"
-                    "p1,prod1,0.27,0.04,0.0044,0.3465,3300,\n".replace(",\n", "\n")
-                    + "p1,prod2,0.62,1.52,0.0029,6.3723,3300,25\n", encoding="utf-8")
-    table = read_processing_csv(path)
-    assert table["p1"]["prod1"].capacity == 3300.0
-    assert table["p1"]["prod1"].min_shipment == 0.0
-    assert table["p1"]["prod2"].min_shipment == 25.0
-
-
 def test_read_points_csv(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("id,lat,lon,population\n"
@@ -92,6 +65,10 @@ def test_read_points_csv(tmp_path):
     assert points["blk1"].population == 1200.0
     assert points["site1"].population is None
     assert points["site1"].lat == 47.5
+    # headerless variant parses identically
+    bare = tmp_path / "bare.csv"
+    bare.write_text("blk1,47.6,-122.33,1200\n", encoding="utf-8")
+    assert read_points_csv(bare) == {"blk1": points["blk1"]}
 
 
 def test_write_breakdown_csv(tmp_path):

@@ -155,8 +155,6 @@ def test_entry_validation():
         RowUncertainty(1.0, {"a": -0.5}).validate("row")
     clamped = knapsack_spec(2.0).with_gamma(99.0)
     assert clamped.rows["capacity[knap]"].gamma == len(WEIGHTS)
-    halved = knapsack_spec(2.0).scaled_gamma(0.5)
-    assert halved.rows["capacity[knap]"].gamma == pytest.approx(1.0)
 
 
 def test_spec_json_round_trip(tmp_path):

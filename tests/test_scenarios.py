@@ -1,8 +1,8 @@
 import pytest
 
 from rlnd.domain import with_total_capacity
-from rlnd.milp import EmbeddedSolver, ModelError, Status
-from rlnd.scenarios import (SCENARIO_ORDER, builtin_scenarios,
+from rlnd.milp import EmbeddedSolver, ModelError, RowTag, Status
+from rlnd.scenarios import (SCENARIO_ORDER, EmissionCap, builtin_scenarios,
                             calibrate_trip_factor, comparison_rows,
                             derive_throughput, load_scenario_spec, materialize,
                             run_all, run_scenario, solve_system, solve_user,
@@ -202,6 +202,28 @@ def test_solves_return_their_phases(bundled):
     # the merged user values hold both phases' variables
     for _, solution in user.phases:
         assert all(user.values[name] == value for name, value in solution.values.items())
+
+
+def test_emission_cap_ends_each_phase_model(bundled):
+    free = solve_user(bundled, "cost")
+    phase2, _ = free.phases[1]
+    held_back = phase2.stages.total_emission().evaluate(free.values)
+    cap = EmissionCap(3, free.total_emission + 1.0, 1e-4, held_back)
+    user = solve_user(bundled, "cost", cap=cap).require_optimal("capped user solve")
+    system = solve_system(bundled, "cost", cap=cap).require_optimal("capped system solve")
+
+    tag = RowTag("epsilon", ("3",))
+    (a1, s1), (a2, s2) = user.phases
+    row1, row2 = a1.model.rows[-1], a2.model.rows[-1]
+    assert row1.tag == row2.tag == system.phases[0][0].model.rows[-1].tag == tag
+    assert row1.rhs == cap.epsilon - held_back
+    collected = row1.rhs - s1.values["EPS_SLACK[3]"]
+    assert row2.rhs == pytest.approx(cap.epsilon - collected, abs=1e-6)
+    downstream = row2.rhs - s2.values["EPS_SLACK[3]"]
+    assert user.reach == pytest.approx(collected + max(held_back, downstream), abs=1e-6)
+    assert a1.model.objective.terms["EPS_SLACK[3]"] == cap.theta
+    assert system.reach == pytest.approx(system.total_emission, abs=1e-6)
+    assert free.reach is None
 
 
 def test_run_scenario_raises_on_infeasible_instance(bundled):
