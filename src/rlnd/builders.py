@@ -155,21 +155,19 @@ def _add_open_counts(model: MilpModel, instance: NetworkInstance,
         model.add_row(expr, ">=", float(nof), RowTag("open-count", (tier.name,)))
 
 
-def _structural_warnings(instance: NetworkInstance) -> list[str]:
-    """Capacity shortfalls that make the model infeasible by construction;
-    reported at build time, the solver still renders the verdict."""
+def _structural_warnings(instance: NetworkInstance, table: tuple[Tier, ...]) -> list[str]:
+    """Capacity shortfalls of the product tiers that make the model
+    infeasible by construction; reported at build time, the solver still
+    renders the verdict."""
     out: list[str] = []
     proc = instance.processing
     for i in instance.products:
-        supply = instance.total_supply(i)
-        drp_cap = sum(proc.dropoff[c][i].capacity for c in instance.dropoffs)
-        if drp_cap < supply:
-            out.append(f"dropoff capacity {drp_cap:g} below supply {supply:g} for {i}")
-        downstream = (1.0 - proc.resale_dropoff[i]) * supply
-        pri_cap = sum(proc.primary[p][i].capacity for p in instance.primaries)
-        if pri_cap < downstream:
-            out.append(f"primary capacity {pri_cap:g} below expected inflow "
-                       f"{downstream:g} for {i}")
+        inflow, what = instance.total_supply(i), "supply"
+        for tier in table[:2]:
+            capacity = sum(tier.entries[f][i].capacity for f in tier.facilities)
+            if capacity < inflow:
+                out.append(f"{tier.name} capacity {capacity:g} below {what} {inflow:g} for {i}")
+            inflow, what = (1.0 - tier.resale[i]) * inflow, "expected inflow"
     totals = [proc.total_capacity.get(p) for p in instance.primaries]
     if all(t is not None for t in totals) and totals:
         mass = sum((1.0 - proc.resale_dropoff[i]) * instance.total_supply(i)
@@ -193,10 +191,10 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
     r = {s: model.add_variable(f"R[{s}]", binary=True) for s in instance.secondaries}
     vars = VariableMap(rtd=rtd, dtp=dtp, pts=pts, x=x, y=y, r=r)
 
-    model.warnings.extend(_structural_warnings(instance))
+    table = tiers(instance, vars)
+    model.warnings.extend(_structural_warnings(instance, table))
     _add_trip_balance(model, instance, vars)
     _add_dropoff_balance(model, instance, vars)
-    table = tiers(instance, vars)
     _add_gates(model, instance, table[:1])
     _add_primary_balance(model, instance, vars)
     _add_gates(model, instance, table[1:])

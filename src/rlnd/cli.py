@@ -35,6 +35,8 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 
+_GAP_REL = 1e-9  # a proven gap above this share of the objective is printed
+
 _STATUS_EXIT = {Status.OPTIMAL: EXIT_OK,
                 Status.INFEASIBLE: EXIT_INFEASIBLE,
                 Status.BUDGET_EXCEEDED: EXIT_BUDGET}
@@ -88,8 +90,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _report(args: argparse.Namespace, side: SideResult) -> int:
-    """Print a solved side, write its LP dump and breakdown CSV if asked;
-    the exit code its status maps to."""
+    """Print a solved side (with each phase's proven gap when it is open),
+    write its LP dump and breakdown CSV if asked; the exit code its status
+    maps to."""
     if args.dump_lp:
         text = "\n".join(artifacts.dump() for artifacts, _ in side.phases)
         Path(args.dump_lp).write_text(text, encoding="utf-8")
@@ -99,6 +102,11 @@ def _report(args: argparse.Namespace, side: SideResult) -> int:
         print(f"status: optimal  phase totals: {totals}")
     else:
         _print_solution_header(solutions[-1].status, solutions[-1].objective)
+    for k, solution in enumerate(solutions, 1):
+        gap = solution.gap
+        if gap is not None and gap > _GAP_REL * max(1.0, abs(solution.objective)):
+            phase = f"phase {k} " if len(solutions) == 2 else ""
+            print(f"gap: {phase}{gap:.6f}  bound: {solution.bound:.6f}")
     if side.breakdown is None:
         return _STATUS_EXIT.get(side.status, EXIT_ERROR)
 

@@ -4,12 +4,16 @@ A bounded-variable dual simplex handles the LP relaxations; a best-first
 branch and bound on the binary variables makes the engine exact for the
 mixed-binary models this package builds.  The simplex works on ``[A | -I]``
 (one logical column per row), assembled and scaled by powers of two once per
-model, with every variable and row bound kept implicit.  Every LP ends on a
-fresh factorization (basis inverse, reduced costs, dual steepest-edge
-weights) and hands it on with its values: each branch-and-bound child
+model, with every variable and row bound kept implicit.  An LP hands on the
+factorization its pivots updated (basis inverse, reduced costs, dual
+steepest-edge weights) with its values: each branch-and-bound child
 restarts from its parent's optimal basis and factorization, which a bound
-change leaves dual feasible, so a child takes a handful of pivots and
-inverts only the basis it ends on.
+change leaves dual feasible, so a child takes a handful of pivots.  The
+inverse is computed afresh only after 100 updates along a path, or when a
+residual check finds it has drifted: at an LP's end, and before a row proves
+an LP infeasible.  The slack basis's inverse is written down, not computed.
+The reported values always come from one fresh inversion of the final
+basis, which on a small model is the solve's only one.
 The models are desk-scale (at most a few hundred rows), so an explicit dense
 basis inverse is the simplest thing that is provably correct.  It is
 deterministic per BLAS thread count: identical model input on the same
@@ -261,6 +265,7 @@ _DUAL_TOL = 1e-7       # reduced-cost sign tolerance on the scaled model
 _PIVOT_TOL = 1e-9      # smallest pivot-row entry the ratio test accepts
 _REFACTOR_EVERY = 100  # basis updates between fresh factorizations
 _ROUNDS = 5            # phase-two runs, each checked after a refactorization
+_RESIDUAL_TOL = 1e-9   # relative drift a carried inverse may show and be kept
 
 
 def _power_of_two(magnitude: np.ndarray) -> np.ndarray:
@@ -280,12 +285,14 @@ class _Basis:
 
 @dataclass(frozen=True)
 class _Factor:
-    """A fresh factorization of a basis under one cost vector: the basis
-    inverse, the reduced costs and the exact dual steepest-edge weights."""
+    """A factorization of a basis under one cost vector: the basis inverse,
+    the reduced costs, the exact dual steepest-edge weights of that inverse,
+    and the rank-one updates it has taken since it was last inverted."""
 
     binv: np.ndarray
     d: np.ndarray
     weights: np.ndarray
+    updates: int
 
 
 class _Lp:
@@ -345,13 +352,19 @@ class _Lp:
         return _Basis(np.arange(n, n + m), np.zeros(n + m, dtype=bool))
 
     def factor(self, head: np.ndarray) -> np.ndarray:
+        n = len(self.names)
+        if head.min(initial=n) >= n:  # logical columns only: B = -P, so B^-1 = -P^T
+            binv = np.zeros((head.size, head.size))
+            binv[np.arange(head.size), head - n] = -1.0
+            return binv
         return np.linalg.inv(self.mat[:, head])
 
-    def fixed_bounds(self, fix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds with each binary fixed where ``fix`` is 0 or 1 (-1: free)."""
-        lb, ub = self.lb.copy(), self.ub.copy()
-        cols = self.binaries[fix >= 0]
-        lb[cols] = ub[cols] = fix[fix >= 0] / self.scale[cols]
+    def branch(self, node: _LpResult, k: int, value: int) -> tuple[np.ndarray, np.ndarray]:
+        """A node's bounds with binary ``k`` (a position in ``binaries``) fixed
+        at ``value``."""
+        lb, ub = node.lb.copy(), node.ub.copy()
+        j = self.binaries[k]
+        lb[j] = ub[j] = value / self.scale[j]
         return lb, ub
 
     def most_fractional(self, x: np.ndarray) -> int:
@@ -364,7 +377,10 @@ class _Lp:
         k = int(np.argmax(frac))
         return k if frac[k] > INTEGRALITY_TOL else -1
 
-    def values(self, x: np.ndarray, round_binaries: bool) -> dict[str, float]:
+    def values(self, result: _LpResult, round_binaries: bool) -> dict[str, float]:
+        """An optimal result's values in original units, from one fresh
+        inversion of its basis with the nonbasic columns at its bounds."""
+        x = _Simplex(self, self.cost, result.lb, result.ub, result.basis).x
         n = len(self.names)
         out = x[:n] * self.scale[:n]
         if round_binaries:
@@ -384,9 +400,9 @@ class _Simplex:
         self.pivots = 0
         self.set_bounds(lb, ub)
         if factor is None:
-            self.factor()
+            self.refactor()
         else:  # pivots update the inverse and the duals in place
-            self._adopt(factor.binv.copy(), factor.d.copy(), factor.weights)
+            self._adopt(factor.binv.copy(), factor.d.copy(), factor.weights, factor.updates)
 
     def basis(self) -> _Basis:
         return _Basis(self.head.copy(), self.upper.copy())
@@ -403,15 +419,33 @@ class _Simplex:
     def factor(self) -> None:
         """Invert the basis afresh and recompute the duals and weights."""
         binv = self.lp.factor(self.head)
+        self._adopt(binv, self._reduced_costs(binv), np.einsum("ij,ij->i", binv, binv), 0)
+
+    def _reduced_costs(self, binv: np.ndarray) -> np.ndarray:
         d = self.cost - self.lp.mat.T @ (binv.T @ self.cost[self.head])
         d[self.head] = 0.0
-        self._adopt(binv, d, np.einsum("ij,ij->i", binv, binv))
+        return d
 
-    def _adopt(self, binv: np.ndarray, d: np.ndarray, weights: np.ndarray) -> None:
+    def _adopt(self, binv: np.ndarray, d: np.ndarray, weights: np.ndarray,
+               updates: int) -> None:
         self.binv, self.d, self.weights = binv, d, weights
-        self.updates = 0
+        self.updates = updates
         self.nonbasic = np.ones(self.cost.size, dtype=bool)
         self.nonbasic[self.head] = False
+
+    def consistent(self) -> bool:
+        """Whether an updated inverse still agrees with the values and the
+        duals its pivots produced: ``[A | -I] x`` vanishes and the reduced
+        costs it gives are the carried ones, both to ``_RESIDUAL_TOL``
+        relative.  A fresh inverse passes as it is."""
+        if not self.updates:
+            return True
+        x = self.x
+        primal = np.abs(self.lp.mat @ x).max(initial=0.0)
+        if primal > _RESIDUAL_TOL * (1.0 + np.abs(x).max(initial=0.0)):
+            return False
+        dual = np.abs(self._reduced_costs(self.binv) - self.d).max(initial=0.0)
+        return dual <= _RESIDUAL_TOL * (1.0 + np.abs(self.cost).max(initial=0.0))
 
     def refactor(self) -> None:
         self.factor()
@@ -475,7 +509,10 @@ class _Simplex:
             candidates = np.flatnonzero(((toward > _PIVOT_TOL) & rise)
                                         | ((toward < -_PIVOT_TOL) & fall))
             if not candidates.size:
-                if self.updates:
+                # the row proves infeasibility only if it is B^-1's row r
+                unit = row[head]
+                unit[r] -= 1.0
+                if self.updates and np.abs(unit).max() > _RESIDUAL_TOL:
                     self.refactor()
                     return None
                 return Status.INFEASIBLE
@@ -522,9 +559,13 @@ class _LpResult:
     status: Status
     basis: _Basis
     pivots: int
-    x: np.ndarray | None = None  # scaled values of every column when optimal
+    # when optimal: the scaled values of every column and the factorization
+    # the pivots left, both carried, and the bounds the LP was solved under
+    x: np.ndarray | None = None
     objective: float = math.nan
-    factor: _Factor | None = None  # the optimal basis's, when optimal
+    factor: _Factor | None = None
+    lb: np.ndarray | None = None
+    ub: np.ndarray | None = None
 
 
 def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
@@ -537,8 +578,10 @@ def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
     to -1 or +1 on each side where the real bound is missing; its optimal
     basis is dual feasible for the real bounds unless none is, and then a
     zero-cost solve tells an unbounded LP from an infeasible one.  Phase two
-    ends only on a fresh factorization that is primal and dual feasible,
-    which the result carries along with the values of every column.
+    ends on the inverse its pivots updated when that inverse is still
+    consistent (:meth:`_Simplex.consistent`), and otherwise inverts the basis
+    afresh and runs again.  The result carries that factorization, with its
+    update count, and the values of every column.
     """
     if np.any(lb > ub):
         return _LpResult(Status.INFEASIBLE, basis, 0)
@@ -563,9 +606,9 @@ def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
             status = s.run(limit)
             if status is not Status.OPTIMAL:
                 return _LpResult(status, s.basis(), s.pivots)
-            if not s.updates:
-                return _LpResult(Status.OPTIMAL, s.basis(), s.pivots, s.x,
-                                 float(cost @ s.x), _Factor(s.binv, s.d, s.weights))
+            if s.consistent():
+                return _LpResult(Status.OPTIMAL, s.basis(), s.pivots, s.x, float(cost @ s.x),
+                                 _Factor(s.binv, s.d, s.weights, s.updates), lb, ub)
             s.factor()  # the next round's placement resets the primal values
     except np.linalg.LinAlgError:
         pass
@@ -583,7 +626,7 @@ def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None 
     With ``bounds``, the relaxation is re-solved from the final basis and
     factorization of the model's own relaxation under the given bounds, as
     a branch-and-bound child is.  The statistics count the pivots of both
-    solves.
+    solves.  The values come from one fresh inversion of the final basis.
     """
     lp = _Lp.of(model)
     result = lp.root()
@@ -598,7 +641,7 @@ def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None 
     stats = SolveStats(simplex_iterations=pivots, nodes=1)
     if result.status is not Status.OPTIMAL:
         return Solution(result.status, None, {}, stats)
-    values = lp.values(result.x, round_binaries=False)
+    values = lp.values(result, round_binaries=False)
     objective = model.objective.evaluate(values)
     sol = Solution(Status.OPTIMAL, objective, values, stats, bound=objective)
     _verify(model, sol, integral=False)
@@ -635,15 +678,16 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     nodes are explored in proven-bound order, so the first incumbent that
     matches the best outstanding bound is optimal.  Each child re-solves from
     its parent's optimal basis, which a bound change leaves dual feasible,
-    and from the fresh factorization that parent's LP ended on, so no node
-    inverts a basis it did not pivot to.  A heap node keeps its LP result
-    (basis, factorization and values) and its binary fixings.  A child the
-    simplex cannot solve ends the search NUMERICALLY_UNSTABLE instead of
-    being dropped as if pruned.  Exceeding ``node_budget`` returns
-    BUDGET_EXCEEDED carrying the incumbent and the remaining gap.  The
-    reported values are the incumbent LP's own, binaries rounded to exactly
-    0 or 1.  An unbounded relaxation makes the model UNBOUNDED only when
-    some binary assignment is feasible, which the same search under a zero
+    and from the updated inverse that parent's LP ended on, so the update
+    count runs on down the path and a node inverts only when that count or
+    a residual check asks for it.  A heap node keeps its LP result (basis,
+    factorization, values and bounds).  A child the simplex cannot solve
+    ends the search NUMERICALLY_UNSTABLE instead of being dropped as if
+    pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED carrying the
+    incumbent and the remaining gap.  The reported values come from one
+    fresh inversion of the incumbent's basis, binaries rounded to exactly 0
+    or 1.  An unbounded relaxation makes the model UNBOUNDED only when some
+    binary assignment is feasible, which the same search under a zero
     objective decides; otherwise the model is INFEASIBLE.
     """
     lp = _Lp.of(model)
@@ -663,12 +707,11 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     incumbent: _LpResult | None = None
     incumbent_obj = math.inf
     counter = 0
-    free = np.full(lp.binaries.size, -1, dtype=np.int8)
-    heap = [(root.objective, counter, free, root)]
+    heap = [(root.objective, counter, root)]
     best_bound = root.objective
 
     while heap:
-        bound, _, fix, node = heapq.heappop(heap)
+        bound, _, node = heapq.heappop(heap)
         best_bound = bound
         if bound >= incumbent_obj - 1e-9:
             best_bound = min(bound, incumbent_obj)
@@ -686,9 +729,7 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
             if stats.nodes >= node_budget:
                 return _incumbent_solution(model, lp, Status.BUDGET_EXCEEDED, incumbent,
                                            stats, -math.inf if feasibility else best_bound)
-            child_fix = fix.copy()
-            child_fix[branch] = value
-            child = _solve(lp, cost, *lp.fixed_bounds(child_fix), node.basis,
+            child = _solve(lp, cost, *lp.branch(node, branch, value), node.basis,
                            node.factor)
             stats.simplex_iterations += child.pivots
             stats.nodes += 1
@@ -696,7 +737,7 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
                 return Solution(child.status, None, {}, stats)
             if child.status is Status.OPTIMAL and child.objective < incumbent_obj - 1e-9:
                 counter += 1
-                heapq.heappush(heap, (child.objective, counter, child_fix, child))
+                heapq.heappush(heap, (child.objective, counter, child))
 
     if incumbent is None:
         return Solution(Status.INFEASIBLE, None, {}, stats)
@@ -713,7 +754,7 @@ def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
                         bound: float | None) -> Solution:
     if incumbent is None:
         return Solution(status, None, {}, stats, bound=float(bound))
-    values = lp.values(incumbent.x, round_binaries=True)
+    values = lp.values(incumbent, round_binaries=True)
     objective = model.objective.evaluate(values)
     return Solution(status, objective, values, stats,
                     bound=objective if bound is None else float(bound))

@@ -107,6 +107,23 @@ def test_unreachable_area_warns_and_is_infeasible(bundled):
     assert DEFAULT_SOLVER.solve(art.model).status is Status.INFEASIBLE
 
 
+def test_capacity_shortfalls_warn_per_tier(bundled):
+    def shrunk(table):
+        return {f: {i: dataclasses.replace(e, capacity=0.01 * e.capacity)
+                    for i, e in row.items()} for f, row in table.items()}
+
+    proc = bundled.processing
+    inst = dataclasses.replace(bundled, processing=dataclasses.replace(
+        proc, dropoff=shrunk(proc.dropoff), primary=shrunk(proc.primary),
+        total_capacity={p: 1.0 for p in bundled.primaries}))
+    assert build_system_model(inst, "cost").model.warnings == [
+        "dropoff capacity 66 below supply 2100 for prod1",
+        "primary capacity 99 below expected inflow 1772.19 for prod1",
+        "dropoff capacity 66 below supply 1200 for prod2",
+        "primary capacity 99 below expected inflow 1012.68 for prod2",
+        "aggregate primary capacity 3 below expected inflow 2784.87"]
+
+
 def test_user_model_i_shape(bundled):
     art = build_user_model_i(bundled, "cost")
     assert len(art.vars.rtd) == 8 and len(art.vars.x) == 2

@@ -97,6 +97,26 @@ def test_exhausted_node_budget_exits_three(capsys):
     assert main(["solve", "--model", "user", "--node-budget", "1"]) == 3
 
 
+def test_solve_prints_the_gap_highs_stops_at(tmp_path, capsys):
+    """HiGHS stops at its default relative gap; on this network the bound it
+    proves is 58.09 below the answer it calls optimal."""
+    path = tmp_path / "network.json"
+    save_instance(netgen_instance(40, 12, 6, seed=1), path)
+    assert main(["solve", "--solver", "scipy", "--instance", str(path)]) == 0
+    status, gap = capsys.readouterr().out.splitlines()[:2]
+    assert status.startswith("status: optimal  objective: ")
+    objective = float(status.split()[-1])
+    assert gap.startswith("gap: ")
+    width, bound = float(gap.split()[1]), float(gap.split()[-1])
+    assert width == pytest.approx(objective - bound, abs=1e-5)
+    assert width > 1.0
+
+
+def test_an_exact_solve_prints_no_gap(capsys):
+    assert main(["solve"]) == 0
+    assert "gap:" not in capsys.readouterr().out
+
+
 def test_pareto_front_csv(tmp_path, capsys):
     out = tmp_path / "front.csv"
     assert main(["pareto", "--points", "4", "--output", str(out)]) == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ExactHighs, random_network_instance
+from helpers import ExactHighs, netgen_instance, random_network_instance
 from rlnd.builders import build_system_model, build_user_model_i
 from rlnd.milp import Status, solve_milp
 from rlnd.multiobjective import (THETA_DEFAULT, SystemEpsilonFamily, UserEpsilonFamily,
@@ -38,6 +38,14 @@ def _assert_engines_agree(instance):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_embedded_matches_highs_on_generated_networks(seed):
     _assert_engines_agree(_network(seed))
+
+
+@pytest.mark.parametrize("areas, dropoffs, primaries, seed",
+                         [(10, 6, 4, seed) for seed in range(4)]
+                         + [(20, 8, 5, seed) for seed in range(2)])
+def test_embedded_matches_highs_on_moderate_networks(areas, dropoffs, primaries, seed):
+    """Trees of tens of nodes, where children carry updated inverses."""
+    _assert_engines_agree(netgen_instance(areas, dropoffs, primaries, seed))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

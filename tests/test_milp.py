@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import netgen_instance, pattern_enumeration_optimum, random_network_instance
 from rlnd import load_bundled_instance
 from rlnd.builders import build_system_model, build_user_model_i
 from rlnd.milp import (FEASIBILITY_TOL, EmbeddedSolver, LinExpr, MilpModel, ModelError,
-                       RowTag, Solution, Status, _Lp, _verify, solve_lp, solve_milp)
+                       RowTag, Solution, Status, _Lp, _Simplex, _solve, _verify, solve_lp,
+                       solve_milp)
 
 TAG = RowTag("row")
 
@@ -360,3 +363,71 @@ def test_nodes_invert_only_the_bases_they_pivot_to(seed, monkeypatch):
             sol = solve_milp(build(instance, objective).model)
             assert sol.status is Status.OPTIMAL
             assert len(calls) <= sol.stats.nodes + 1, (build.__name__, objective)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_optimal_solve_inverts_once(seed, monkeypatch):
+    """The slack basis's inverse is built directly and every LP keeps the
+    inverse its pivots updated, so the one LAPACK inversion of a solve is
+    the fresh one behind the reported values."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    instance = netgen_instance(5, 4, 3, seed)
+    for build in (build_system_model, build_user_model_i):
+        for objective in ("cost", "emission"):
+            calls.clear()
+            sol = solve_milp(build(instance, objective).model)
+            assert sol.status is Status.OPTIMAL
+            assert len(calls) == 1, (build.__name__, objective, sol.stats.nodes)
+
+
+def _root_and_drifted():
+    """The root relaxation of a generated network, and its carried
+    factorization with each row of the inverse scaled by up to 1e-6: off
+    enough to fail every residual check, while every entry the ratio test
+    reads as zero stays zero."""
+    lp = _Lp.of(_network_model())
+    root = lp.root()
+    assert root.status is Status.OPTIMAL and root.factor.updates > 0
+    binv = root.factor.binv
+    noise = np.random.default_rng(0).uniform(-1e-6, 1e-6, (binv.shape[0], 1))
+    return lp, root, dataclasses.replace(root.factor, binv=binv * (1.0 + noise))
+
+
+def test_a_drifted_inverse_is_refactored_before_an_lp_ends(monkeypatch):
+    """A carried inverse ends the LP as it stands; a drifted one fails the
+    end check, is inverted afresh, and gives the cold solve's answer."""
+    lp, root, drifted = _root_and_drifted()
+    lb, ub = lp.branch(root, lp.most_fractional(root.x), 1)
+    cold = _solve(lp, lp.cost, lb, ub, lp.slack_basis())
+    checks = []
+    consistent = _Simplex.consistent
+    monkeypatch.setattr(_Simplex, "consistent",
+                        lambda s: checks.append(consistent(s)) or checks[-1])
+    carried = _solve(lp, lp.cost, lb, ub, root.basis, root.factor)
+    assert checks == [True]
+    checks.clear()
+    warm = _solve(lp, lp.cost, lb, ub, root.basis, drifted)
+    assert checks == [False, True]
+    for result in (carried, warm):
+        assert result.status is cold.status is Status.OPTIMAL
+        assert result.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert np.abs(lp.mat @ result.x).max() <= 1e-9 * np.abs(result.x).max()
+        assert lp.values(result, round_binaries=False) == \
+            pytest.approx(lp.values(cold, round_binaries=False), rel=1e-9)
+
+
+def test_a_drifted_inverse_proves_no_infeasibility(monkeypatch):
+    """With every binary closed the child is infeasible; a carried inverse
+    proves it as it stands, a drifted one only after a refactorization."""
+    lp, root, drifted = _root_and_drifted()
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    ub[lp.binaries] = 0.0
+    refactors = []
+    refactor = _Simplex.refactor
+    monkeypatch.setattr(_Simplex, "refactor", lambda s: refactors.append(1) or refactor(s))
+    assert _solve(lp, lp.cost, lb, ub, root.basis, root.factor).status is Status.INFEASIBLE
+    assert not refactors
+    assert _solve(lp, lp.cost, lb, ub, root.basis, drifted).status is Status.INFEASIBLE
+    assert refactors
