@@ -14,12 +14,20 @@ residual check finds it has drifted: at an LP's end, and before a row proves
 an LP infeasible.  The slack basis's inverse is written down, not computed.
 The reported values always come from one fresh inversion of the final
 basis, which on a small model is the solve's only one.
+A model may name a related solved model as its start
+(:meth:`MilpModel.start_from`), such as the previous grid point of a sweep:
+when the two assemble to exactly the same scaled matrix, the root restarts
+from the start's optimal root basis, and from its factorization too when
+the costs are the same, as a child restarts from its parent.
 The models are desk-scale (at most a few hundred rows), so an explicit dense
 basis inverse is the simplest thing that is provably correct.  It is
-deterministic per BLAS thread count: identical model input on the same
-thread count always yields an identical Solution, but the last digits can
-move with the thread count (netgen 5x4x3 seed 0, robust at gamma 1, differs
-under ``OMP_NUM_THREADS=1``), because the BLAS splits its sums by thread.
+deterministic per model and start and per BLAS thread count: identical
+model input, with the same start, on the same thread count always yields an
+identical Solution.  The last digits can move with the start, because a
+warm root can end on the cold solve's basis with its rows in another order
+and the fresh inversion then rounds differently; and with the thread count
+(netgen 5x4x3 seed 0, robust at gamma 1, differs under
+``OMP_NUM_THREADS=1``), because the BLAS splits its sums by thread.
 
 Anything that speaks ``solve(model) -> Solution`` can replace the embedded
 engine (see :class:`Solver` and :mod:`rlnd.external`).
@@ -123,6 +131,19 @@ class MilpModel:
         self.objective = LinExpr()
         self.warnings: list[str] = []
         self._lp: _Lp | None = None
+        self._start: _Lp | None = None
+
+    def start_from(self, other: MilpModel) -> None:
+        """Let the embedded engine start this model's root relaxation from
+        ``other``'s optimal root, when both assemble to the same matrix.
+
+        Only ``other``'s assembled form is kept, and only until this model's
+        root is solved.  A start the engine never assembled (say, one HiGHS
+        solved), a start whose root was not optimal, or a matrix that differs
+        leaves the root to start from the slack basis.  Other engines ignore
+        the start.
+        """
+        self._start = other._lp
 
     # -- construction -------------------------------------------------
 
@@ -340,11 +361,26 @@ class _Lp:
             model._lp = _Lp(model)
         return model._lp
 
-    def root(self) -> _LpResult:
-        """The relaxation under the model's own bounds, solved once from the
-        slack basis."""
+    def root(self, start: _Lp | None = None) -> _LpResult:
+        """The relaxation under the model's own bounds, solved once.
+
+        It starts from ``start``'s optimal root basis when ``start``
+        assembled exactly the same scaled matrix, and from that root's
+        factorization too when the costs are also the same; otherwise it
+        starts from the slack basis.  Only bounds (a row's right-hand side)
+        or costs can differ then: a bound change leaves the basis dual
+        feasible, and a cost change goes through the bound placement and, if
+        needed, the dual phase one of :func:`_solve`.
+        """
         if self._root is None:
-            self._root = _solve(self, self.cost, self.lb, self.ub, self.slack_basis())
+            basis, factor = self.slack_basis(), None
+            warm = None if start is None else start._root
+            if (warm is not None and warm.status is Status.OPTIMAL
+                    and np.array_equal(self.mat, start.mat)):
+                basis = warm.basis
+                if np.array_equal(self.cost, start.cost):
+                    factor = warm.factor
+            self._root = _solve(self, self.cost, self.lb, self.ub, basis, factor)
         return self._root
 
     def slack_basis(self) -> _Basis:
@@ -620,6 +656,14 @@ def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
 # public solve entry points
 # ----------------------------------------------------------------------
 
+def _root(model: MilpModel) -> tuple[_Lp, _LpResult]:
+    """The model's assembled form and its solved root relaxation; the start
+    :meth:`MilpModel.start_from` named is used, and then let go."""
+    lp = _Lp.of(model)
+    start, model._start = model._start, None
+    return lp, lp.root(start)
+
+
 def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None = None) -> Solution:
     """Solve the continuous relaxation (binaries relaxed to [0, 1]).
 
@@ -628,8 +672,7 @@ def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None 
     a branch-and-bound child is.  The statistics count the pivots of both
     solves.  The values come from one fresh inversion of the final basis.
     """
-    lp = _Lp.of(model)
-    result = lp.root()
+    lp, result = _root(model)
     pivots = result.pivots
     if bounds:
         lb, ub = lp.lb.copy(), lp.ub.copy()
@@ -690,10 +733,8 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     binary assignment is feasible, which the same search under a zero
     objective decides; otherwise the model is INFEASIBLE.
     """
-    lp = _Lp.of(model)
+    lp, root = _root(model)
     stats = SolveStats()
-
-    root = lp.root()
     stats.simplex_iterations += root.pivots
     stats.nodes += 1
     feasibility = root.status is Status.UNBOUNDED

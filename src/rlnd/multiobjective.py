@@ -19,6 +19,13 @@ fits, and the grid caps between that and its own are not solved; the point
 is labelled with the lowest grid index it covers.  Duplicate and dominated
 grid results are filtered from the front.
 
+Consecutive grid solves differ only in right-hand sides: the cap and, in
+the two-phase program, the mass phase one collected.  Every family starts
+each grid solve from the previous optimal one
+(:meth:`~rlnd.milp.MilpModel.start_from`), whose optimal root basis stays
+dual feasible, so the embedded engine restarts the root from it; each grid
+solve still builds its own model.
+
 Families adapt concrete model shapes to the sweep:
 
 * :class:`ExpressionFamily` — any single MilpModel with a cost and an
@@ -197,12 +204,14 @@ class ExpressionFamily:
     """Family over a model factory returning (model, cost_expr, emission_expr).
 
     A fresh model is built per solve, so the factory must be deterministic.
+    Each grid solve starts from the previous optimal one.
     """
 
     def __init__(self, factory: Callable[[], tuple[MilpModel, LinExpr, LinExpr]],
                  solver: Solver | None = None):
         self.factory = factory
         self.solver = solver or DEFAULT_SOLVER
+        self._previous: MilpModel | None = None
 
     def _solved(self, model: MilpModel) -> Solution | None:
         solution = self.solver.solve(model)
@@ -225,9 +234,12 @@ class ExpressionFamily:
                     ) -> tuple[float, float, dict[str, float], float] | None:
         model, cost, emission = self.factory()
         add_epsilon_row(model, emission, v, epsilon, theta, cost)
+        if self._previous is not None:
+            model.start_from(self._previous)
         solution = self._solved(model)
         if solution is None:
             return None
+        self._previous = model
         reach = emission.evaluate(solution.values)
         return cost.evaluate(solution.values), reach, dict(solution.values), reach
 
@@ -248,6 +260,7 @@ class SystemEpsilonFamily:
         self.instance = instance
         self.include_policy = include_policy
         self.solver = solver or DEFAULT_SOLVER
+        self._previous: SideResult | None = None
 
     def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
         side = solve_system(self.instance, objective, self.solver,
@@ -256,9 +269,12 @@ class SystemEpsilonFamily:
 
     def solve_point(self, v: int, epsilon: float, theta: float
                     ) -> tuple[float, float, dict[str, float], float] | None:
-        return _grid_answer(solve_system(self.instance, "cost", self.solver,
-                                         self.include_policy,
-                                         EmissionCap(v, epsilon, theta)), v)
+        side = solve_system(self.instance, "cost", self.solver, self.include_policy,
+                            EmissionCap(v, epsilon, theta), self._previous)
+        answer = _grid_answer(side, v)
+        if answer is not None:
+            self._previous = side
+        return answer
 
 
 class UserEpsilonFamily:
@@ -276,6 +292,7 @@ class UserEpsilonFamily:
         self.include_policy = include_policy
         self.solver = solver or DEFAULT_SOLVER
         self._downstream_floor: float | None = None
+        self._previous: SideResult | None = None
 
     def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
         side = solve_user(self.instance, objective, self.solver,
@@ -290,5 +307,9 @@ class UserEpsilonFamily:
         if self._downstream_floor is None:
             self.anchor("emission")
         cap = EmissionCap(v, epsilon, theta, held_back=self._downstream_floor)
-        return _grid_answer(solve_user(self.instance, "cost", self.solver,
-                                       self.include_policy, cap), v)
+        side = solve_user(self.instance, "cost", self.solver, self.include_policy, cap,
+                          self._previous)
+        answer = _grid_answer(side, v)
+        if answer is not None:
+            self._previous = side
+        return answer

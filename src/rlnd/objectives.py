@@ -19,7 +19,7 @@ open set and the builders' capacity and minimum-shipment rows loop over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Mapping
 
@@ -126,6 +126,12 @@ class StageExpressions:
         for expr in self.emission_offset.values():
             total.add_expr(expr, -1.0)
         return total
+
+    def followed_by(self, other: StageExpressions) -> StageExpressions:
+        """This table's stages, then ``other``'s, as one table: the two user
+        phases' tables, in tier order, make the whole network's."""
+        return StageExpressions(*({**getattr(self, f.name), **getattr(other, f.name)}
+                                  for f in fields(self)))
 
     def evaluate(self, values: Mapping[str, float]) -> StageBreakdown:
         ev = lambda table: {k: expr.evaluate(values) for k, expr in table.items()}
@@ -319,13 +325,13 @@ def effective_opens(instance: NetworkInstance, vars: VariableMap,
 
 
 def breakdown_from_solution(instance: NetworkInstance, vars: VariableMap,
-                            solution: Solution) -> tuple[StageBreakdown, dict[str, bool]]:
+                            stages: StageExpressions, solution: Solution
+                            ) -> tuple[StageBreakdown, dict[str, bool]]:
     """Stage breakdown of a solved model and its effective open set, with
     fixed costs charged to that set rather than to raw (possibly degenerate)
-    indicators."""
+    indicators.  ``stages`` are the builder's expressions over ``vars``."""
     _require(solution.status in (Status.OPTIMAL, Status.BUDGET_EXCEEDED),
              f"cannot build a breakdown from a {solution.status.value} solution")
-    stages = build_stage_expressions(instance, vars)
     breakdown = stages.evaluate(solution.values)
     opens = effective_opens(instance, vars, solution.values)
     fixed = instance.processing.fixed_cost
@@ -350,7 +356,8 @@ def merge_phases(phase1_vars: VariableMap, phase1: Solution,
 
     Phase I fixes the residence->dropoff assignment and the dropoff openings;
     phase II covers everything downstream.  The merged solution has no
-    objective of its own: its totals are the system objective expressions
+    objective of its own: its totals are the two phases' stage expressions,
+    one table followed by the other (:meth:`StageExpressions.followed_by`),
     evaluated on the concatenated values (see :func:`breakdown_from_solution`).
     """
     _require(phase1.status is Status.OPTIMAL, "phase I solution is not optimal")

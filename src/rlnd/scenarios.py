@@ -11,7 +11,12 @@ per-stage breakdowns.
 the two programs; every other caller, the CLI and the trade-off families
 included, goes through them.  An optional `EmissionCap` turns either into a
 grid solve of the epsilon-constraint sweep, and `solve_built` reports a
-whole-network model built elsewhere, such as a robust counterpart.
+whole-network model built elsewhere, such as a robust counterpart.  Given a
+related earlier result as ``start``, each phase's model names its
+counterpart there as its start, so that the embedded engine restarts the
+root relaxation from that model's optimal root where the matrices agree:
+calibration passes each step the previous one, whose matrix is the same
+under other trip-leg costs.  Every solve still builds its own model.
 """
 
 from __future__ import annotations
@@ -252,6 +257,12 @@ def _collection_emission(stages: StageExpressions) -> LinExpr:
     return expr
 
 
+def _start_phase(model: MilpModel, start: SideResult | None, phase: int) -> None:
+    """Start ``model`` from the model of phase ``phase`` of ``start``, if any."""
+    if start is not None and phase < len(start.phases):
+        model.start_from(start.phases[phase][0].model)
+
+
 def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
                 solver: Solver | None = None) -> SideResult:
     """Solve a built whole-network model, robust counterparts included, and
@@ -260,15 +271,24 @@ def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
     phases = [(artifacts, solution)]
     if solution.status is not Status.OPTIMAL and not solution.values:
         return SideResult(solution.status, phases)
-    breakdown, opens = breakdown_from_solution(instance, artifacts.vars, solution)
+    breakdown, opens = breakdown_from_solution(instance, artifacts.vars, artifacts.stages,
+                                               solution)
     return SideResult(solution.status, phases, breakdown, opens, dict(solution.values))
 
 
 def solve_system(instance: NetworkInstance, objective: str = "cost",
                  solver: Solver | None = None, include_policy: bool = True,
-                 cap: EmissionCap | None = None) -> SideResult:
-    """One decision maker routes everything."""
+                 cap: EmissionCap | None = None,
+                 start: SideResult | None = None) -> SideResult:
+    """One decision maker routes everything.
+
+    With ``start``, a related solve (the previous grid point or calibration
+    step), the embedded engine starts the root relaxation from its model's
+    optimal root when the two assemble to the same matrix (see
+    :meth:`~rlnd.milp.MilpModel.start_from`).
+    """
     artifacts = build_system_model(instance, objective, include_policy)
+    _start_phase(artifacts.model, start, 0)
     if cap is None:
         return solve_built(instance, artifacts, solver)
     emission = artifacts.stages.total_emission()
@@ -282,14 +302,20 @@ def solve_system(instance: NetworkInstance, objective: str = "cost",
 
 def solve_user(instance: NetworkInstance, objective: str = "cost",
                solver: Solver | None = None, include_policy: bool = True,
-               cap: EmissionCap | None = None) -> SideResult:
-    """Residents choose dropoffs first; the operator routes what arrives."""
+               cap: EmissionCap | None = None,
+               start: SideResult | None = None) -> SideResult:
+    """Residents choose dropoffs first; the operator routes what arrives.
+
+    With ``start``, each phase starts from its counterpart there, as in
+    :func:`solve_system`.
+    """
     solver = solver or DEFAULT_SOLVER
     phase1 = build_user_model_i(instance, objective, include_policy)
     if cap is not None:
         collection = _collection_emission(phase1.stages)
         add_epsilon_row(phase1.model, collection, cap.v, cap.epsilon - cap.held_back,
                         cap.theta, phase1.model.objective)
+    _start_phase(phase1.model, start, 0)
     s1 = solver.solve(phase1.model)
     phases = [(phase1, s1)]
     if s1.status is not Status.OPTIMAL:
@@ -301,12 +327,14 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
         downstream = phase2.stages.total_emission()
         add_epsilon_row(phase2.model, downstream, cap.v, cap.epsilon - collected,
                         cap.theta, phase2.model.objective)
+    _start_phase(phase2.model, start, 1)
     s2 = solver.solve(phase2.model)
     phases.append((phase2, s2))
     if s2.status is not Status.OPTIMAL:
         return SideResult(s2.status, phases)
     vars, merged = merge_phases(phase1.vars, s1, phase2.vars, s2)
-    breakdown, opens = breakdown_from_solution(instance, vars, merged)
+    stages = phase1.stages.followed_by(phase2.stages)
+    breakdown, opens = breakdown_from_solution(instance, vars, stages, merged)
     side = SideResult(Status.OPTIMAL, phases, breakdown, opens, merged.values)
     if cap is not None:
         side.reach = collected + max(cap.held_back, downstream.evaluate(s2.values))
@@ -411,14 +439,17 @@ def calibrate_trip_factor(target_total_cost: float,
 
     The optimum is piecewise linear in the factor, so refitting the linear
     piece (total = rest + factor * trip-leg cost) converges in a couple of
-    steps unless the optimal routing keeps switching.
+    steps unless the optimal routing keeps switching.  Each step starts from
+    the previous step's root basis: only the trip-leg costs change.
     """
     instance = base if base is not None else load_bundled_instance()
     factor = 1.0
     trail: list[tuple[float, float]] = []
+    side = None
     for iteration in range(1, max_iterations + 1):
         scaled = with_trip_factor(instance, factor)
-        side = solve_system(scaled, "cost", solver).require_optimal("calibration solve")
+        side = solve_system(scaled, "cost", solver, start=side)
+        side.require_optimal("calibration solve")
         total = side.total_cost
         trail.append((factor, total))
         if abs(total - target_total_cost) <= rel_tol * max(1.0, abs(target_total_cost)):

@@ -16,7 +16,21 @@ from pathlib import Path
 from rlnd.domain import (Arc, ArcData, NetworkInstance, ProcessingData,
                          ProcessingEntry, SupplyData)
 from rlnd.io import instance_from_dict
-from rlnd.milp import LinExpr, MilpModel, RowTag, Solution, SolveStats, Status, solve_lp
+from rlnd.milp import (EmbeddedSolver, LinExpr, MilpModel, RowTag, Solution, SolveStats, Status,
+                       solve_lp)
+
+
+class RecordingSolver(EmbeddedSolver):
+    """The embedded engine, keeping each model it solved with its solution."""
+
+    def __init__(self):
+        super().__init__()
+        self.solves: list[tuple[MilpModel, Solution]] = []
+
+    def solve(self, model: MilpModel) -> Solution:
+        solution = super().solve(model)
+        self.solves.append((model, solution))
+        return solution
 
 
 def pattern_enumeration_optimum(model: MilpModel):

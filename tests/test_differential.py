@@ -55,6 +55,34 @@ def test_embedded_matches_highs_on_drawn_networks(seed):
     _assert_engines_agree(random_network_instance(random.Random(seed)))
 
 
+MODERATE_NODE_BUDGET = 16  # full trees of these draws take 7 to 33 nodes
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_embedded_brackets_highs_on_moderate_drawn_networks(seed):
+    """10x6x4 draws under a node budget: an optimal answer matches HiGHS, and
+    an exhausted budget's bound and incumbent bracket the HiGHS optimum."""
+    instance = random_network_instance(random.Random(seed), areas=10, dropoffs=6, primaries=4)
+    for build in (build_system_model, build_user_model_i):
+        for objective in ("cost", "emission"):
+            model = build(instance, objective).model
+            ours = solve_milp(model, node_budget=MODERATE_NODE_BUDGET)
+            ref = HIGHS.solve(model)
+            label = f"{build.__name__} {objective} {ours.status.value}"
+            if ours.status is not Status.BUDGET_EXCEEDED:
+                assert ours.status is ref.status, label
+                if ref.status is Status.OPTIMAL:
+                    assert ours.objective == pytest.approx(ref.objective, rel=1e-6), label
+            elif ref.status is Status.OPTIMAL:
+                slack = 1e-6 * max(1.0, abs(ref.objective))
+                assert ours.bound <= ref.objective + slack, label
+                if ours.objective is not None:
+                    assert ref.objective <= ours.objective + slack, label
+            else:
+                assert ref.status is Status.INFEASIBLE and ours.objective is None, label
+
+
 def test_cap_at_the_emission_anchor_is_feasible(bundled):
     """Grid point 0 caps emission exactly at the emission anchor: feasible
     only at that anchor's own vertex, to within the feasibility tolerance."""

@@ -2,14 +2,16 @@
 
 perfbench/workloads.py wraps the builders where cli, scenarios and
 multiobjective bind them, the grid solves of both trade-off families, and
-cli's robustify_artifacts, epsilon_sweep and EmbeddedSolver.
+cli's robustify_artifacts, epsilon_sweep and EmbeddedSolver.  Its traced
+run also wraps the loaders, validation, materialization, the throughput
+solve and the breakdown at the sites below.
 Its lookups have no default, so a missing name breaks every benchmark
 workload; a builder called through another name escapes its recording.
 """
 
 import pytest
 
-from rlnd import cli, multiobjective, scenarios
+from rlnd import builders, cli, multiobjective, scenarios
 
 BUILDERS = ("build_system_model", "build_user_model_i", "build_user_model_ii")
 
@@ -30,6 +32,15 @@ def test_solve_paths_and_grid_solves_exist():
 @pytest.mark.parametrize("name", ["robustify_artifacts", "epsilon_sweep", "EmbeddedSolver"])
 def test_cli_binds_what_the_benchmark_records(name):
     assert callable(getattr(cli, name))
+
+
+@pytest.mark.parametrize("module, name", [
+    (cli, "load_instance"), (cli, "load_bundled_instance"), (builders, "validate"),
+    (scenarios, "materialize"), (scenarios, "derive_throughput"),
+    (scenarios, "breakdown_from_solution")],
+    ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_traced_names_exist_where_the_benchmark_wraps_them(module, name):
+    assert callable(getattr(module, name))
 
 
 def test_cli_imports_the_highs_adapter_lazily():

@@ -1,12 +1,15 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from helpers import netgen_instance, pattern_enumeration_optimum, random_network_instance
 from rlnd import load_bundled_instance
+from rlnd import milp
 from rlnd.builders import build_system_model, build_user_model_i
 from rlnd.milp import (FEASIBILITY_TOL, EmbeddedSolver, LinExpr, MilpModel, ModelError,
                        RowTag, Solution, Status, _Lp, _Simplex, _solve, _verify, solve_lp,
@@ -431,3 +434,92 @@ def test_a_drifted_inverse_proves_no_infeasibility(monkeypatch):
     assert not refactors
     assert _solve(lp, lp.cost, lb, ub, root.basis, drifted).status is Status.INFEASIBLE
     assert refactors
+
+
+def _rebuilt(model, scale=1.0, extra_row=False):
+    """A copy of ``model`` with its first row's first coefficient times
+    ``scale`` and, with ``extra_row``, one more row that never binds."""
+    out = MilpModel(model.name)
+    for var in model.variables.values():
+        out.add_variable(var.name, var.lb, var.ub, var.binary)
+    for k, row in enumerate(model.rows):
+        expr = row.expr.copy()
+        if k == 0:
+            first = next(iter(expr.terms))
+            expr.terms[first] *= scale
+        out.add_row(expr, row.relation, row.rhs, row.tag)
+    if extra_row:
+        out.add_row(LinExpr({next(iter(model.variables)): 1.0}), "<=", 1e6, RowTag("extra"))
+    out.set_objective(model.objective)
+    return out
+
+
+@pytest.mark.parametrize("change", [{"scale": 3.0}, {"extra_row": True}],
+                         ids=["coefficient", "row"])
+def test_a_start_with_another_matrix_is_ignored(change):
+    start = _network_model()
+    assert solve_milp(start).status is Status.OPTIMAL
+    cold = solve_milp(_rebuilt(start, **change))
+    model = _rebuilt(start, **change)
+    assert not np.array_equal(_Lp.of(model).mat, _Lp.of(start).mat)
+    model.start_from(start)
+    warm = solve_milp(model)
+    assert warm.status is Status.OPTIMAL
+    assert warm.stats == cold.stats
+    assert warm.values == cold.values and warm.objective == cold.objective
+
+
+@pytest.mark.parametrize("objective", ["cost", "emission"])
+def test_a_start_with_the_same_matrix_lends_its_root(objective, monkeypatch):
+    """The root starts from the start's optimal basis; it takes the start's
+    factorization too only under the same costs."""
+    start = _network_model(objective="cost")
+    assert solve_milp(start).status is Status.OPTIMAL
+    root = _Lp.of(start).root()
+    cold = solve_milp(_network_model(objective=objective))
+    calls = []
+    solve = milp._solve
+    monkeypatch.setattr(milp, "_solve", lambda lp, cost, lb, ub, basis, factor=None:
+                        calls.append((basis, factor)) or solve(lp, cost, lb, ub, basis, factor))
+    model = _network_model(objective=objective)
+    assert np.array_equal(_Lp.of(model).mat, _Lp.of(start).mat)
+    model.start_from(start)
+    warm = solve_milp(model)
+    basis, factor = calls[0]
+    assert basis is root.basis
+    assert factor is (root.factor if objective == "cost" else None)
+    assert warm.status is cold.status is Status.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.stats.nodes == cold.stats.nodes
+    if objective == "cost":
+        assert warm.stats.simplex_iterations < cold.stats.simplex_iterations
+
+
+def test_a_model_lets_its_start_go_once_its_root_is_solved():
+    start = _network_model()
+    solve_milp(start)
+    held = weakref.ref(_Lp.of(start))
+    model = _network_model()
+    model.start_from(start)
+    del start
+    gc.collect()
+    assert held() is not None
+    assert solve_milp(model).status is Status.OPTIMAL
+    gc.collect()
+    assert held() is None
+
+
+def test_a_start_without_an_optimal_root_is_ignored():
+    """A start the engine never assembled, or one whose root relaxation is
+    infeasible (every binary closed: same matrix, other bounds), leaves the
+    root to the slack basis."""
+    unsolved = _network_model()
+    closed = _with_bounds(unsolved, {b: (0.0, 0.0) for b in unsolved.binary_names})
+    assert solve_milp(closed).status is Status.INFEASIBLE
+    assert _Lp.of(closed).root().status is Status.INFEASIBLE
+    cold = solve_milp(_network_model())
+    for start in (unsolved, closed):
+        model = _network_model()
+        assert np.array_equal(_Lp.of(model).mat, _Lp.of(closed).mat)
+        model.start_from(start)
+        assert solve_milp(model).stats == cold.stats

@@ -168,7 +168,7 @@ def test_model_objective_equals_breakdown(bundled):
     for objective, total in (("cost", "total_cost"), ("emission", "total_emission")):
         art = build_system_model(bundled, objective)
         sol = DEFAULT_SOLVER.solve(art.model)
-        breakdown, _ = breakdown_from_solution(bundled, art.vars, sol)
+        breakdown, _ = breakdown_from_solution(bundled, art.vars, art.stages, sol)
         assert sol.objective == pytest.approx(getattr(breakdown, total), rel=1e-9)
 
 
@@ -236,7 +236,8 @@ def test_merged_user_phases_match_reference(bundled):
     phase2 = build_user_model_ii(bundled, rq, "cost")
     s2 = DEFAULT_SOLVER.solve(phase2.model)
     vars, merged_solution = merge_phases(phase1.vars, s1, phase2.vars, s2)
-    breakdown, _ = breakdown_from_solution(bundled, vars, merged_solution)
+    breakdown, _ = breakdown_from_solution(
+        bundled, vars, phase1.stages.followed_by(phase2.stages), merged_solution)
 
     art = build_system_model(bundled, "cost")
     merged = {name: 0.0 for name in art.model.variables}
@@ -255,7 +256,7 @@ def test_revenue_invariant_under_dropoff_reordering(bundled):
     reordered = dataclasses.replace(bundled, dropoffs=("drop2", "drop1"))
     art = build_system_model(reordered, "cost")
     sol = DEFAULT_SOLVER.solve(art.model)
-    breakdown, _ = breakdown_from_solution(reordered, art.vars, sol)
+    breakdown, _ = breakdown_from_solution(reordered, art.vars, art.stages, sol)
     assert sum(breakdown.resale_revenue.values()) == pytest.approx(
         FROZEN_REVENUE, abs=1e-6)
     assert breakdown.total_cost == pytest.approx(FROZEN_TOTAL_COST, abs=1e-6)

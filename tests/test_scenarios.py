@@ -1,7 +1,8 @@
 import pytest
 
+from helpers import RecordingSolver, netgen_instance
 from rlnd.domain import with_total_capacity
-from rlnd.milp import EmbeddedSolver, ModelError, RowTag, Status
+from rlnd.milp import EmbeddedSolver, MilpModel, ModelError, RowTag, Status
 from rlnd.scenarios import (SCENARIO_ORDER, EmissionCap, builtin_scenarios,
                             calibrate_trip_factor, comparison_rows,
                             derive_throughput, load_scenario_spec, materialize,
@@ -82,6 +83,36 @@ def test_calibration_hits_measured_total(bundled):
     assert result.iterations <= 5
     assert len(result.trail) == result.iterations
     assert result.trail[0][0] == 1.0  # starts from the instance as given
+
+
+def test_calibration_steps_start_from_the_previous_root(bundled, monkeypatch):
+    """Each step re-solves the same matrix under new trip-leg costs from the
+    previous step's root basis.  The answers match the cold ones: a step may
+    end on the same basis with its rows in another order (netgen 5x4x3 seed
+    4 does), and the fresh inversion behind the values then rounds the total
+    differently in its last digit."""
+    networks = [(bundled, 57978.0)]
+    for seed in range(8):
+        instance = netgen_instance(5, 4, 3, seed)
+        side = solve_system(instance, "cost")
+        networks.append((instance, side.total_cost
+                         + 0.05 * side.breakdown.transport_cost["residence-dropoff"]))
+    pivots = {True: 0, False: 0}
+    for instance, target in networks:
+        results = {}
+        for warm in (True, False):
+            solver = RecordingSolver()
+            with monkeypatch.context() as m:
+                if not warm:
+                    m.setattr(MilpModel, "start_from", lambda self, other: None)
+                results[warm] = calibrate_trip_factor(target, instance, solver)
+            pivots[warm] += sum(s.stats.simplex_iterations for _, s in solver.solves)
+        warm, cold = results[True], results[False]
+        assert warm.iterations == cold.iterations, instance.name
+        assert warm.factor == pytest.approx(cold.factor, rel=1e-12), instance.name
+        assert warm.achieved_total_cost == pytest.approx(cold.achieved_total_cost,
+                                                         rel=1e-12), instance.name
+    assert pivots[True] < pivots[False]
 
 
 def test_calibration_raises_when_iterations_run_out(bundled):
