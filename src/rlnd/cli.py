@@ -5,7 +5,8 @@ sweep a trade-off front, build and solve a robust counterpart, run a named
 scenario both ways, or turn coordinate tables into an arc-distance grid.
 
 Exit codes: 0 solved/ok, 1 usage or data error, 2 proven infeasible,
-3 budget exhausted before proof.
+3 budget exhausted before proof.  A usage or data error prints one
+``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .domain import InstanceError, NetworkInstance, validate
 from .geo import grid_to_areas
 from .io import (load_bundled_instance, load_instance, read_points_csv,
                  write_breakdown_csv)
-from .milp import EmbeddedSolver, ModelError, Solver, Status
+from .milp import EmbeddedSolver, Solver, Status
 from .multiobjective import (POINTS_DEFAULT, SystemEpsilonFamily, THETA_DEFAULT,
                              UserEpsilonFamily, epsilon_sweep)
 from .robust import capacity_preset, load_uncertainty_spec, robustify_artifacts
@@ -40,6 +41,15 @@ _GAP_REL = 1e-9  # a proven gap above this share of the objective is printed
 _STATUS_EXIT = {Status.OPTIMAL: EXIT_OK,
                 Status.INFEASIBLE: EXIT_INFEASIBLE,
                 Status.BUDGET_EXCEEDED: EXIT_BUDGET}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1: argparse's own 2 means
+    a proven-infeasible model here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _solver_from_args(args: argparse.Namespace) -> Solver:
@@ -208,7 +218,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rlnd",
         description="exact planning models for product take-back networks")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -282,15 +292,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (OSError, ValueError) as exc:  # InstanceError, ModelError among them
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ An instance is one JSON document with sections ``sets``, ``supply``,
 ``processing``, ``arcs`` and ``policy`` (a ``scenario`` section is allowed
 and ignored here; the scenario engine reads it separately).  The CSV
 importer reads coordinate points, ``id, lat, lon[, population]``; a header
-row is detected (its ``lat`` cell not numeric) and skipped, so both bare and
-titled exports load.
+(the first non-blank row, when its ``lat`` cell is not numeric) is detected
+and skipped, so both bare and titled exports load.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable
 
-from .domain import (Arc, ArcData, NetworkInstance, PolicyData, ProcessingData,
-                     ProcessingEntry, SupplyData, DEFAULT_CITY_POPULATION_THRESHOLD)
+from .domain import (Arc, ArcData, InstanceError, NetworkInstance, PolicyData,
+                     ProcessingData, ProcessingEntry, SupplyData,
+                     DEFAULT_CITY_POPULATION_THRESHOLD)
 from .geo import GeoPoint
 
 BUNDLED_INSTANCE = "ewaste-two-area-example"
@@ -205,8 +206,16 @@ def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
 
 
 def load_instance(path: str | Path) -> NetworkInstance:
+    """An instance file; a missing key or a value of the wrong type raises an
+    InstanceError that names it."""
     with open(path, "r", encoding="utf-8") as f:
-        return instance_from_dict(json.load(f))
+        data = json.load(f)
+    try:
+        return instance_from_dict(data)
+    except KeyError as exc:
+        raise InstanceError(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InstanceError(f"{path}: wrong type: {exc}") from None
 
 
 def save_instance(instance: NetworkInstance, path: str | Path) -> None:
@@ -227,9 +236,8 @@ def load_bundled_instance() -> NetworkInstance:
 
 def _data_rows(path: str | Path, numeric_col: int) -> Iterable[list[str]]:
     with open(path, newline="", encoding="utf-8") as f:
-        for k, row in enumerate(csv.reader(f)):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        rows = (row for row in csv.reader(f) if any(cell.strip() for cell in row))
+        for k, row in enumerate(rows):
             if k == 0:
                 try:
                     float(row[numeric_col])

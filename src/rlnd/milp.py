@@ -9,9 +9,9 @@ factorization its pivots updated (basis inverse, reduced costs, dual
 steepest-edge weights) with its values: each branch-and-bound child
 restarts from its parent's optimal basis and factorization, which a bound
 change leaves dual feasible, so a child takes a handful of pivots.  The
-inverse is computed afresh only after 100 updates along a path, or when a
-residual check finds it has drifted: at an LP's end, and before a row proves
-an LP infeasible.  The slack basis's inverse is written down, not computed.
+inverse is computed afresh only when a residual check finds it has drifted:
+at an LP's end, and before a row proves an LP infeasible.  The slack basis's
+inverse is written down, not computed.
 The reported values always come from one fresh inversion of the final
 basis, which on a small model is the solve's only one.
 A model may name a related solved model as its start
@@ -182,6 +182,31 @@ class MilpModel:
     def binary_names(self) -> list[str]:
         return [v.name for v in self.variables.values() if v.binary]
 
+    def to_arrays(self) -> tuple[np.ndarray, ...]:
+        """The model as dense arrays, columns in variable order: costs, the
+        row matrix, row lower and upper bounds (infinite on a row's open
+        side), column lower and upper bounds, and the binary mask."""
+        variables = list(self.variables.values())
+        index = {name: j for j, name in enumerate(self.variables)}
+        n, m = len(variables), len(self.rows)
+        cost = np.zeros(n)
+        for var, coeff in self.objective.terms.items():
+            cost[index[var]] += coeff
+        a = np.zeros((m, n))
+        row_lb = np.full(m, -math.inf)
+        row_ub = np.full(m, math.inf)
+        for i, row in enumerate(self.rows):
+            for var, coeff in row.expr.terms.items():
+                a[i, index[var]] += coeff
+            if row.relation != ">=":
+                row_ub[i] = row.rhs
+            if row.relation != "<=":
+                row_lb[i] = row.rhs
+        lb = np.array([v.lb for v in variables], dtype=float)
+        ub = np.array([v.ub for v in variables], dtype=float)
+        binary = np.array([v.binary for v in variables], dtype=bool)
+        return cost, a, row_lb, row_ub, lb, ub, binary
+
     # -- diagnostics ---------------------------------------------------
 
     def to_lp_format(self) -> str:
@@ -284,7 +309,6 @@ class Solver(Protocol):
 
 _DUAL_TOL = 1e-7       # reduced-cost sign tolerance on the scaled model
 _PIVOT_TOL = 1e-9      # smallest pivot-row entry the ratio test accepts
-_REFACTOR_EVERY = 100  # basis updates between fresh factorizations
 _ROUNDS = 5            # phase-two runs, each checked after a refactorization
 _RESIDUAL_TOL = 1e-9   # relative drift a carried inverse may show and be kept
 
@@ -326,32 +350,18 @@ class _Lp:
 
     def __init__(self, model: MilpModel):
         self.names = list(model.variables)
-        variables = list(model.variables.values())
-        n, m = len(variables), len(model.rows)
-        self.index = index = {name: j for j, name in enumerate(self.names)}
-        a = np.zeros((m, n))
-        row_lb = np.full(m, -math.inf)
-        row_ub = np.full(m, math.inf)
-        for i, row in enumerate(model.rows):
-            for var, coeff in row.expr.terms.items():
-                a[i, index[var]] += coeff
-            if row.relation != ">=":
-                row_ub[i] = row.rhs
-            if row.relation != "<=":
-                row_lb[i] = row.rhs
+        cost, a, row_lb, row_ub, lb, ub, binary = model.to_arrays()
+        m = len(model.rows)
         row_scale = _power_of_two(np.abs(a).max(axis=1, initial=0.0))
         a *= row_scale[:, None]
         col_scale = _power_of_two(np.abs(a).max(axis=0, initial=0.0))
         a *= col_scale
         self.mat = np.hstack([a, -np.eye(m)])
         self.scale = np.concatenate([col_scale, 1.0 / row_scale])  # original / scaled
-        self.lb = np.concatenate([[v.lb for v in variables], row_lb]) / self.scale
-        self.ub = np.concatenate([[v.ub for v in variables], row_ub]) / self.scale
-        self.cost = np.zeros(n + m)
-        for var, coeff in model.objective.terms.items():
-            self.cost[index[var]] += coeff
-        self.cost[:n] *= col_scale
-        self.binaries = np.array([j for j, v in enumerate(variables) if v.binary], dtype=int)
+        self.lb = np.concatenate([lb, row_lb]) / self.scale
+        self.ub = np.concatenate([ub, row_ub]) / self.scale
+        self.cost = np.concatenate([cost * col_scale, np.zeros(m)])
+        self.binaries = np.flatnonzero(binary)
         self._root: _LpResult | None = None
 
     @staticmethod
@@ -413,14 +423,14 @@ class _Lp:
         k = int(np.argmax(frac))
         return k if frac[k] > INTEGRALITY_TOL else -1
 
-    def values(self, result: _LpResult, round_binaries: bool) -> dict[str, float]:
-        """An optimal result's values in original units, from one fresh
-        inversion of its basis with the nonbasic columns at its bounds."""
+    def values(self, result: _LpResult) -> dict[str, float]:
+        """An integral result's values in original units, from one fresh
+        inversion of its basis with the nonbasic columns at its bounds;
+        binaries are rounded to exactly 0 or 1."""
         x = _Simplex(self, self.cost, result.lb, result.ub, result.basis).x
         n = len(self.names)
         out = x[:n] * self.scale[:n]
-        if round_binaries:
-            out[self.binaries] = np.round(out[self.binaries])
+        out[self.binaries] = np.round(out[self.binaries])
         return dict(zip(self.names, out.tolist()))
 
 
@@ -509,12 +519,6 @@ class _Simplex:
     def run(self, limit: int) -> Status:
         """Pivot until the basis is primal feasible (OPTIMAL), a row proves
         the LP infeasible, or ``limit`` pivots are spent."""
-        while True:
-            status = self._pivot_until_refactor(limit)
-            if status is not None:
-                return status
-
-    def _pivot_until_refactor(self, limit: int) -> Status | None:
         mat = self.lp.mat
         head, x = self.head, self.x
         # nonbasic columns that may rise from their bound, or fall from it
@@ -545,13 +549,16 @@ class _Simplex:
             candidates = np.flatnonzero(((toward > _PIVOT_TOL) & rise)
                                         | ((toward < -_PIVOT_TOL) & fall))
             if not candidates.size:
-                # the row proves infeasibility only if it is B^-1's row r
+                # the row proves infeasibility only if it is B^-1's row r;
+                # an updated inverse that fails is inverted afresh first
                 unit = row[head]
                 unit[r] -= 1.0
-                if self.updates and np.abs(unit).max() > _RESIDUAL_TOL:
-                    self.refactor()
-                    return None
-                return Status.INFEASIBLE
+                if not self.updates or np.abs(unit).max() <= _RESIDUAL_TOL:
+                    return Status.INFEASIBLE
+                self.refactor()
+                x = self.x
+                xb = x[head]
+                continue
             # entering column: Harris two-pass ratio test, largest pivot wins
             t = toward[candidates]
             dj = self.d[candidates]
@@ -560,9 +567,6 @@ class _Simplex:
             q = int(candidates[near][np.argmax(np.abs(t[near]))])
             alpha = self.binv @ mat[:, q]
             pivot = alpha[r]
-            if self.updates and abs(pivot - row[q]) > 1e-8 * (1.0 + abs(pivot)):
-                self.refactor()
-                return None
             theta_d = sign * max(self.d[q] / toward[q], 0.0)
             theta_p = (xb[r] - target) / pivot
             xb -= theta_p * alpha
@@ -585,9 +589,6 @@ class _Simplex:
             self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
             self.pivots += 1
             self.updates += 1
-            if self.updates >= _REFACTOR_EVERY:
-                self.refactor()
-                return None
 
 
 @dataclass
@@ -653,54 +654,18 @@ def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# public solve entry points
+# the solve entry point
 # ----------------------------------------------------------------------
 
-def _root(model: MilpModel) -> tuple[_Lp, _LpResult]:
-    """The model's assembled form and its solved root relaxation; the start
-    :meth:`MilpModel.start_from` named is used, and then let go."""
-    lp = _Lp.of(model)
-    start, model._start = model._start, None
-    return lp, lp.root(start)
-
-
-def solve_lp(model: MilpModel, bounds: Mapping[str, tuple[float, float]] | None = None) -> Solution:
-    """Solve the continuous relaxation (binaries relaxed to [0, 1]).
-
-    With ``bounds``, the relaxation is re-solved from the final basis and
-    factorization of the model's own relaxation under the given bounds, as
-    a branch-and-bound child is.  The statistics count the pivots of both
-    solves.  The values come from one fresh inversion of the final basis.
-    """
-    lp, result = _root(model)
-    pivots = result.pivots
-    if bounds:
-        lb, ub = lp.lb.copy(), lp.ub.copy()
-        for var, (lo, hi) in bounds.items():
-            j = lp.index[var]
-            lb[j], ub[j] = lo / lp.scale[j], hi / lp.scale[j]
-        result = _solve(lp, lp.cost, lb, ub, result.basis, result.factor)
-        pivots += result.pivots
-    stats = SolveStats(simplex_iterations=pivots, nodes=1)
-    if result.status is not Status.OPTIMAL:
-        return Solution(result.status, None, {}, stats)
-    values = lp.values(result, round_binaries=False)
-    objective = model.objective.evaluate(values)
-    sol = Solution(Status.OPTIMAL, objective, values, stats, bound=objective)
-    _verify(model, sol, integral=False)
-    return sol
-
-
-def _verify(model: MilpModel, sol: Solution, integral: bool) -> None:
-    """Defensive check in original units: rows, variable bounds and, with
-    ``integral``, binary integrality; downgrade to NUMERICALLY_UNSTABLE on
-    failure."""
+def _verify(model: MilpModel, sol: Solution) -> None:
+    """Defensive check in original units: rows, variable bounds and binary
+    integrality; downgrade to NUMERICALLY_UNSTABLE on failure."""
     values = sol.values
     for var in model.variables.values():
         value = values[var.name]
         if (value < var.lb - FEASIBILITY_TOL * (1.0 + abs(var.lb))
                 or value > var.ub + FEASIBILITY_TOL * (1.0 + abs(var.ub))
-                or integral and var.binary and abs(value - round(value)) > FEASIBILITY_TOL):
+                or var.binary and abs(value - round(value)) > FEASIBILITY_TOL):
             sol.status = Status.NUMERICALLY_UNSTABLE
             return
     for row in model.rows:
@@ -715,29 +680,34 @@ def _verify(model: MilpModel, sol: Solution, integral: bool) -> None:
 
 
 def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
-    """Best-first branch and bound over the model's binary variables.
+    """Best-first branch and bound over the model's binary variables; a model
+    without binaries is solved as its root relaxation.
 
-    Branching picks the most fractional binary (ties: lowest variable index);
-    nodes are explored in proven-bound order, so the first incumbent that
-    matches the best outstanding bound is optimal.  Each child re-solves from
-    its parent's optimal basis, which a bound change leaves dual feasible,
-    and from the updated inverse that parent's LP ended on, so the update
-    count runs on down the path and a node inverts only when that count or
-    a residual check asks for it.  A heap node keeps its LP result (basis,
-    factorization, values and bounds).  A child the simplex cannot solve
-    ends the search NUMERICALLY_UNSTABLE instead of being dropped as if
-    pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED carrying the
-    incumbent and the remaining gap.  The reported values come from one
-    fresh inversion of the incumbent's basis, binaries rounded to exactly 0
-    or 1.  An unbounded relaxation makes the model UNBOUNDED only when some
-    binary assignment is feasible, which the same search under a zero
-    objective decides; otherwise the model is INFEASIBLE.
+    The root starts from the slack basis, or from the start that
+    :meth:`MilpModel.start_from` named, which is then let go.  Branching
+    picks the most fractional binary (ties: lowest variable index); nodes are
+    explored in proven-bound order, so the first incumbent that matches the
+    best outstanding bound is optimal.  Each child re-solves from its
+    parent's optimal basis, which a bound change leaves dual feasible, and
+    from the updated inverse that parent's LP ended on, so a node inverts
+    only when a residual check finds that inverse drifted.  A heap node keeps
+    its LP result (basis, factorization, values and bounds).  A child the
+    simplex cannot solve ends the search NUMERICALLY_UNSTABLE instead of
+    being dropped as if pruned.  Exceeding ``node_budget`` returns
+    BUDGET_EXCEEDED carrying the incumbent and the remaining gap.  The
+    reported values come from one fresh inversion of the incumbent's basis,
+    binaries rounded to exactly 0 or 1.  An unbounded relaxation makes a
+    model with binaries UNBOUNDED only when some binary assignment is
+    feasible, which the same search under a zero objective decides;
+    otherwise the model is INFEASIBLE.
     """
-    lp, root = _root(model)
+    lp = _Lp.of(model)
+    start, model._start = model._start, None
+    root = lp.root(start)
     stats = SolveStats()
     stats.simplex_iterations += root.pivots
     stats.nodes += 1
-    feasibility = root.status is Status.UNBOUNDED
+    feasibility = root.status is Status.UNBOUNDED and lp.binaries.size > 0
     cost = np.zeros_like(lp.cost) if feasibility else lp.cost
     if feasibility:
         root = _solve(lp, cost, lp.lb, lp.ub, lp.slack_basis())
@@ -786,7 +756,7 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
         return Solution(Status.UNBOUNDED, None, {}, stats)
     # normal termination proves optimality, so the bound closes to the incumbent
     sol = _incumbent_solution(model, lp, Status.OPTIMAL, incumbent, stats, None)
-    _verify(model, sol, integral=True)
+    _verify(model, sol)
     return sol
 
 
@@ -795,22 +765,20 @@ def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
                         bound: float | None) -> Solution:
     if incumbent is None:
         return Solution(status, None, {}, stats, bound=float(bound))
-    values = lp.values(incumbent, round_binaries=True)
+    values = lp.values(incumbent)
     objective = model.objective.evaluate(values)
     return Solution(status, objective, values, stats,
                     bound=objective if bound is None else float(bound))
 
 
 class EmbeddedSolver:
-    """Default engine: LP for continuous models, branch and bound otherwise."""
+    """Default engine: :func:`solve_milp` under a node budget."""
 
     def __init__(self, node_budget: int = 200_000):
         self.node_budget = node_budget
 
     def solve(self, model: MilpModel) -> Solution:
-        if model.binary_names:
-            return solve_milp(model, node_budget=self.node_budget)
-        return solve_lp(model)
+        return solve_milp(model, node_budget=self.node_budget)
 
 
 DEFAULT_SOLVER = EmbeddedSolver()

@@ -17,7 +17,7 @@ from rlnd.domain import (Arc, ArcData, NetworkInstance, ProcessingData,
                          ProcessingEntry, SupplyData)
 from rlnd.io import instance_from_dict
 from rlnd.milp import (EmbeddedSolver, LinExpr, MilpModel, RowTag, Solution, SolveStats, Status,
-                       solve_lp)
+                       solve_milp)
 
 
 class RecordingSolver(EmbeddedSolver):
@@ -33,17 +33,33 @@ class RecordingSolver(EmbeddedSolver):
         return solution
 
 
+def with_bounds(model: MilpModel, bounds) -> MilpModel:
+    """A fresh copy of ``model`` with some variables' bounds replaced:
+    ``bounds`` maps a name to its (lb, ub)."""
+    out = MilpModel(model.name)
+    for var in model.variables.values():
+        lo, hi = bounds.get(var.name, (var.lb, var.ub))
+        out.add_variable(var.name, lo, hi, var.binary)
+    for row in model.rows:
+        out.add_row(row.expr, row.relation, row.rhs, row.tag)
+    out.set_objective(model.objective)
+    return out
+
+
 def pattern_enumeration_optimum(model: MilpModel):
     """Exact MILP optimum by trying every binary assignment with an LP.
 
-    Returns (status, objective-or-None).  This is the ground truth the
-    branch-and-bound engine must match on small models.
+    Each assignment is solved as a fresh copy of the model with every binary
+    fixed, so it starts from the slack basis and shares no warm start with
+    the branch and bound it checks.  Returns (status, objective-or-None).
+    This is the ground truth the branch-and-bound engine must match on small
+    models.
     """
     binaries = model.binary_names
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        bounds = {name: (b, b) for name, b in zip(binaries, bits)}
-        sol = solve_lp(model, bounds=bounds)
+        fixed = with_bounds(model, {name: (b, b) for name, b in zip(binaries, bits)})
+        sol = solve_milp(fixed)
         if sol.status is Status.UNBOUNDED:
             return Status.UNBOUNDED, None
         if sol.status is Status.OPTIMAL and (best is None or sol.objective < best):

@@ -231,3 +231,69 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "rlnd" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["solve", "--model", "foo"], ["pareto", "--points", "x"],
+                                  ["solve", "--bogus"], ["frobnicate"], []],
+                         ids=["bad-choice", "bad-int", "unknown-flag", "unknown-command",
+                              "no-command"])
+def test_usage_errors_exit_one_not_the_infeasible_code(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def _first_dropoff_entry(data):
+    row = next(iter(data["processing"]["dropoff"].values()))
+    return next(iter(row.values()))
+
+
+def _validate(tmp_path, mutate):
+    return ["validate", "--instance", str(write_instance(tmp_path, mutate))]
+
+
+def _latitude_out_of_range(tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("id,lat,lon\na,147.6,-120\nb,47,-121\nc,46,-122\nd,45,-120\n",
+                      encoding="utf-8")
+    return ["distances", "--points", str(points),
+            "--dropoffs", "b", "--primaries", "c", "--secondaries", "d"]
+
+
+ERROR_CASES = {
+    "pareto-theta": lambda tmp_path: ["pareto", "--theta", "1"],
+    "pareto-points": lambda tmp_path: ["pareto", "--points", "0"],
+    "robust-fraction": lambda tmp_path: ["robust", "--fraction", "-1"],
+    "robust-gamma": lambda tmp_path: ["robust", "--gamma", "-1"],
+    "instance-without-arcs": lambda tmp_path: _validate(tmp_path, lambda d: d.pop("arcs")),
+    "entry-without-capacity": lambda tmp_path: _validate(
+        tmp_path, lambda d: _first_dropoff_entry(d).pop("capacity")),
+    "trips-not-a-number": lambda tmp_path: _validate(
+        tmp_path, lambda d: d["supply"].update(trips_per_year="many")),
+    "latitude-out-of-range": _latitude_out_of_range,
+    "instance-is-a-directory": lambda tmp_path: ["validate", "--instance", str(tmp_path)],
+}
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_bad_options_and_data_print_one_error_line(case, tmp_path, capsys):
+    assert main(ERROR_CASES[case](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_missing_and_mistyped_instance_keys_are_named(tmp_path, capsys):
+    assert main(ERROR_CASES["instance-without-arcs"](tmp_path)) == 1
+    assert "missing key 'arcs'" in capsys.readouterr().err
+    assert main(ERROR_CASES["trips-not-a-number"](tmp_path)) == 1
+    assert "'many'" in capsys.readouterr().err

@@ -6,12 +6,13 @@ cli's robustify_artifacts, epsilon_sweep and EmbeddedSolver.  Its traced
 run also wraps the loaders, validation, materialization, the throughput
 solve and the breakdown at the sites below.
 Its lookups have no default, so a missing name breaks every benchmark
-workload; a builder called through another name escapes its recording.
+workload; a builder called through another name escapes its recording, and
+so does a solve that goes around the two solver classes' ``solve``.
 """
 
 import pytest
 
-from rlnd import builders, cli, multiobjective, scenarios
+from rlnd import builders, cli, external, multiobjective, scenarios
 
 BUILDERS = ("build_system_model", "build_user_model_i", "build_user_model_ii")
 
@@ -57,3 +58,28 @@ def test_solves_call_the_builders_bound_in_scenarios(bundled, monkeypatch, capsy
     scenarios.solve_system(bundled, "cost")
     assert cli.main(["solve", "--model", "user"]) == 0
     assert called == list(BUILDERS)
+
+
+@pytest.mark.parametrize("solver", ["embedded", "scipy"])
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--model", "user"], ["robust"]],
+                         ids=" ".join)
+def test_solver_subclasses_see_every_model_the_cli_solves(command, solver, monkeypatch,
+                                                          tmp_path, capsys):
+    """perfbench records solves with subclasses of cli.EmbeddedSolver and
+    external.ScipySolver that override solve(model); every model the command
+    solves (its LP dump holds one section per model) passes through them."""
+    seen = []
+
+    def counting(base):
+        class Counting(base):
+            def solve(self, model):
+                seen.append(model)
+                return super().solve(model)
+        return Counting
+
+    monkeypatch.setattr(cli, "EmbeddedSolver", counting(cli.EmbeddedSolver))
+    monkeypatch.setattr(external, "ScipySolver", counting(external.ScipySolver))
+    dump = tmp_path / "models.lp"
+    assert cli.main([*command, "--solver", solver, "--dump-lp", str(dump)]) == 0
+    assert seen
+    assert "\n".join(m.to_lp_format() for m in seen) == dump.read_text(encoding="utf-8")

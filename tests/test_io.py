@@ -69,6 +69,10 @@ def test_read_points_csv(tmp_path):
     bare = tmp_path / "bare.csv"
     bare.write_text("blk1,47.6,-122.33,1200\n", encoding="utf-8")
     assert read_points_csv(bare) == {"blk1": points["blk1"]}
+    # a header after blank lines is still the header
+    late = tmp_path / "late.csv"
+    late.write_text("\n  ,\nid,lat,lon,population\nblk1,47.6,-122.33,1200\n", encoding="utf-8")
+    assert read_points_csv(late) == {"blk1": points["blk1"]}
 
 
 def test_write_breakdown_csv(tmp_path):

@@ -7,13 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import netgen_instance, pattern_enumeration_optimum, random_network_instance
+from helpers import (ExactHighs, netgen_instance, pattern_enumeration_optimum,
+                     random_network_instance, with_bounds)
 from rlnd import load_bundled_instance
 from rlnd import milp
 from rlnd.builders import build_system_model, build_user_model_i
 from rlnd.milp import (FEASIBILITY_TOL, EmbeddedSolver, LinExpr, MilpModel, ModelError,
-                       RowTag, Solution, Status, _Lp, _Simplex, _solve, _verify, solve_lp,
-                       solve_milp)
+                       RowTag, Solution, Status, _Lp, _Simplex, _solve, _verify, solve_milp)
+from rlnd.robust import capacity_preset, robustify_artifacts
 
 TAG = RowTag("row")
 
@@ -28,7 +29,7 @@ def test_simple_lp():
     m.add_variable("y")
     m.add_row(LinExpr({"x": 1.0, "y": 1.0}), "<=", 1.0, TAG)
     m.set_objective(LinExpr({"x": -1.0, "y": -2.0}))
-    sol = solve_lp(m)
+    sol = solve_milp(m)
     assert sol.status is Status.OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
     assert sol.value("y") == pytest.approx(1.0, abs=1e-9)
@@ -42,7 +43,7 @@ def test_lp_with_equality_and_free_variable():
     m.add_row(LinExpr({"x": 1.0, "y": -1.0}), "==", 3.0, TAG)
     m.add_row(LinExpr({"x": 1.0, "y": 1.0}), ">=", 1.0, RowTag("row2"))
     m.set_objective(LinExpr({"x": 1.0, "y": 2.0}))
-    sol = solve_lp(m)
+    sol = solve_milp(m)
     assert sol.status is Status.OPTIMAL
     # substituting y = x - 3: minimize 3x - 6 s.t. 2x >= 4 -> x = 2, y = -1
     assert sol.objective == pytest.approx(0.0, abs=1e-8)
@@ -54,9 +55,9 @@ def test_lp_respects_variable_bounds():
     m = _model()
     m.add_variable("x", lb=1.5, ub=4.0)
     m.set_objective(LinExpr({"x": 1.0}))
-    sol = solve_lp(m)
+    sol = solve_milp(m)
     assert sol.value("x") == pytest.approx(1.5, abs=1e-9)
-    sol = solve_lp(m, bounds={"x": (2.5, 4.0)})
+    sol = solve_milp(with_bounds(m, {"x": (2.5, 4.0)}))
     assert sol.value("x") == pytest.approx(2.5, abs=1e-9)
 
 
@@ -65,21 +66,21 @@ def test_infeasible_lp():
     m.add_variable("x", ub=1.0)
     m.add_row(LinExpr({"x": 1.0}), ">=", 2.0, TAG)
     m.set_objective(LinExpr({"x": 1.0}))
-    assert solve_lp(m).status is Status.INFEASIBLE
+    assert solve_milp(m).status is Status.INFEASIBLE
 
 
 def test_unbounded_lp():
     m = _model()
     m.add_variable("x")
     m.set_objective(LinExpr({"x": -1.0}))
-    assert solve_lp(m).status is Status.UNBOUNDED
+    assert solve_milp(m).status is Status.UNBOUNDED
 
 
 def test_objective_constant_carries_through():
     m = _model()
     m.add_variable("x", ub=2.0)
     m.set_objective(LinExpr({"x": 1.0}, constant=10.0))
-    assert solve_lp(m).objective == pytest.approx(10.0, abs=1e-9)
+    assert solve_milp(m).objective == pytest.approx(10.0, abs=1e-9)
 
 
 def test_row_constant_folds_into_rhs():
@@ -88,7 +89,7 @@ def test_row_constant_folds_into_rhs():
     expr = LinExpr({"x": 1.0}, constant=5.0)
     m.add_row(expr, "<=", 7.0, TAG)  # means x <= 2
     m.set_objective(LinExpr({"x": -1.0}))
-    assert solve_lp(m).value("x") == pytest.approx(2.0, abs=1e-9)
+    assert solve_milp(m).value("x") == pytest.approx(2.0, abs=1e-9)
 
 
 def test_unknown_variable_rejected():
@@ -140,7 +141,7 @@ def test_unbounded_relaxation_needs_a_feasible_assignment(coeff, status):
     z = m.add_variable("z", binary=True)
     m.add_row(LinExpr({z: coeff}), "==", 1.0, TAG)
     m.set_objective(LinExpr({"x": -1.0}))
-    assert solve_lp(m).status is Status.UNBOUNDED
+    assert _Lp.of(m).root().status is Status.UNBOUNDED
     assert solve_milp(m).status is status
 
 
@@ -239,7 +240,7 @@ def test_negative_cost_without_upper_bound_is_still_bounded():
     m.add_row(LinExpr({"x": 1.0, "y": 1.0}), "<=", 4.0, TAG)
     m.add_row(LinExpr({"y": 1.0}), ">=", -1.0, RowTag("row2"))
     m.set_objective(LinExpr({"x": -1.0, "y": 0.5}))
-    sol = solve_lp(m)
+    sol = solve_milp(m)
     assert sol.status is Status.OPTIMAL
     assert sol.objective == pytest.approx(-5.5, abs=1e-9)
     assert sol.value("x") == pytest.approx(5.0, abs=1e-9)
@@ -251,14 +252,14 @@ def test_dual_infeasible_lp_tells_unbounded_from_infeasible():
     m.add_variable("y")
     m.add_row(LinExpr({"x": 1.0, "y": -1.0}), "==", 1.0, TAG)
     m.set_objective(LinExpr({"x": -1.0}))
-    assert solve_lp(m).status is Status.UNBOUNDED
+    assert solve_milp(m).status is Status.UNBOUNDED
     m.add_row(LinExpr({"y": 1.0}), "<=", -1.0, RowTag("row2"))  # y >= 0 and y <= -1
-    assert solve_lp(m).status is Status.INFEASIBLE
+    assert solve_milp(m).status is Status.INFEASIBLE
 
 
 def _doctored(model, values):
     sol = Solution(Status.OPTIMAL, 0.0, dict(values), bound=0.0)
-    _verify(model, sol, integral=True)
+    _verify(model, sol)
     return sol.status
 
 
@@ -276,9 +277,6 @@ def test_verify_checks_bounds_and_integrality_in_original_units():
     assert _doctored(m, {"x": -1e-6, "z": 0.0}) is Status.NUMERICALLY_UNSTABLE
     # a fractional binary that every row still accepts
     assert _doctored(m, {"x": 0.0, "z": 0.5}) is Status.NUMERICALLY_UNSTABLE
-    relaxed = Solution(Status.OPTIMAL, 0.0, {"x": 0.0, "z": 0.5}, bound=0.0)
-    _verify(m, relaxed, integral=False)
-    assert relaxed.status is Status.OPTIMAL
     # and rows are still checked
     assert _doctored(m, {"x": 10.0, "z": 0.0}) is Status.NUMERICALLY_UNSTABLE
 
@@ -306,21 +304,14 @@ def test_binaries_come_back_exactly_integral():
     assert binaries and all(sol.values[b] in (0.0, 1.0) for b in binaries)
 
 
-def _with_bounds(model, bounds):
-    out = MilpModel(model.name)
-    for var in model.variables.values():
-        lo, hi = bounds.get(var.name, (var.lb, var.ub))
-        out.add_variable(var.name, lo, hi, var.binary)
-    for row in model.rows:
-        out.add_row(row.expr, row.relation, row.rhs, row.tag)
-    out.set_objective(model.objective)
-    return out
-
-
 def test_warm_started_bounds_match_a_cold_solve():
-    """solve_lp(model, bounds) re-solves from the relaxation's basis; a model
-    with those bounds built in is solved from the slack basis."""
+    """Bounds re-solved from the root relaxation's basis and factorization,
+    as a branch-and-bound child is, match the root of a model with those
+    bounds built in, which starts from the slack basis."""
     model = _network_model()
+    lp = _Lp.of(model)
+    root = lp.root()
+    col = {name: j for j, name in enumerate(lp.names)}
     binaries = model.binary_names
     rng = random.Random(5)
     statuses = set()
@@ -330,8 +321,12 @@ def test_warm_started_bounds_match_a_cold_solve():
         patterns.append({name: (float(b), float(b)) for name, b in
                          zip(picked, (rng.randint(0, 1) for _ in picked))})
     for trial, bounds in enumerate(patterns):
-        warm = solve_lp(model, bounds=bounds)
-        cold = solve_lp(_with_bounds(model, bounds))
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        for name, (lo, hi) in bounds.items():
+            j = col[name]
+            lb[j], ub[j] = lo / lp.scale[j], hi / lp.scale[j]
+        warm = _solve(lp, lp.cost, lb, ub, root.basis, root.factor)
+        cold = _Lp.of(with_bounds(model, bounds)).root()
         statuses.add(warm.status)
         assert warm.status is cold.status, trial
         if warm.status is Status.OPTIMAL:
@@ -368,21 +363,57 @@ def test_nodes_invert_only_the_bases_they_pivot_to(seed, monkeypatch):
             assert len(calls) <= sol.stats.nodes + 1, (build.__name__, objective)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_an_optimal_solve_inverts_once(seed, monkeypatch):
-    """The slack basis's inverse is built directly and every LP keeps the
-    inverse its pivots updated, so the one LAPACK inversion of a solve is
-    the fresh one behind the reported values."""
+def _inverting(monkeypatch):
+    """A list that gets one entry per LAPACK inversion from now on."""
     calls = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    return calls
+
+
+def _netgen_models(seed):
+    """System, user-I and capacity-preset robust (gamma 1 and 2) models of a
+    generated 5x4x3 network, for both objectives."""
     instance = netgen_instance(5, 4, 3, seed)
-    for build in (build_system_model, build_user_model_i):
-        for objective in ("cost", "emission"):
-            calls.clear()
-            sol = solve_milp(build(instance, objective).model)
-            assert sol.status is Status.OPTIMAL
-            assert len(calls) == 1, (build.__name__, objective, sol.stats.nodes)
+    for objective in ("cost", "emission"):
+        yield f"system {objective}", build_system_model(instance, objective).model
+        yield f"user-I {objective}", build_user_model_i(instance, objective).model
+        for gamma in (1.0, 2.0):
+            system = build_system_model(instance, objective)
+            robust = robustify_artifacts(system, capacity_preset(system, gamma=gamma))
+            yield f"robust gamma {gamma:g} {objective}", robust.model
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_optimal_solve_inverts_once(seed, monkeypatch):
+    """The slack basis's inverse is built directly and every LP keeps the
+    inverse its pivots updated unless a residual check finds it drifted, so
+    the one LAPACK inversion of a solve is the fresh one behind the reported
+    values, also on the longer paths of the robust counterparts."""
+    calls = _inverting(monkeypatch)
+    for name, model in _netgen_models(seed):
+        calls.clear()
+        sol = solve_milp(model)
+        assert sol.status is Status.OPTIMAL
+        assert len(calls) == 1, (name, sol.stats.nodes)
+
+
+@pytest.mark.parametrize("size", [(40, 12, 6), (60, 16, 8)], ids=["40x12x6", "60x16x8"])
+def test_every_lp_end_keeps_its_updated_inverse(size, monkeypatch):
+    """On the larger generated rungs every LP ends on the inverse its pivots
+    updated: each end passes the residual check, the solve inverts once, and
+    the answer is zero-gap HiGHS's."""
+    model = build_system_model(netgen_instance(*size, 0), "cost").model
+    checks = []
+    consistent = _Simplex.consistent
+    monkeypatch.setattr(_Simplex, "consistent", lambda s: checks.append(consistent(s)) or checks[-1])
+    calls = _inverting(monkeypatch)
+    sol = solve_milp(model)
+    assert sol.status is Status.OPTIMAL
+    assert checks and all(checks)
+    assert len(calls) == 1
+    exact = ExactHighs().solve(model)
+    assert sol.objective == pytest.approx(exact.objective, rel=1e-9)
 
 
 def _root_and_drifted():
@@ -417,8 +448,7 @@ def test_a_drifted_inverse_is_refactored_before_an_lp_ends(monkeypatch):
         assert result.status is cold.status is Status.OPTIMAL
         assert result.objective == pytest.approx(cold.objective, rel=1e-12)
         assert np.abs(lp.mat @ result.x).max() <= 1e-9 * np.abs(result.x).max()
-        assert lp.values(result, round_binaries=False) == \
-            pytest.approx(lp.values(cold, round_binaries=False), rel=1e-9)
+        assert lp.values(result) == pytest.approx(lp.values(cold), rel=1e-9)
 
 
 def test_a_drifted_inverse_proves_no_infeasibility(monkeypatch):
@@ -514,7 +544,7 @@ def test_a_start_without_an_optimal_root_is_ignored():
     infeasible (every binary closed: same matrix, other bounds), leaves the
     root to the slack basis."""
     unsolved = _network_model()
-    closed = _with_bounds(unsolved, {b: (0.0, 0.0) for b in unsolved.binary_names})
+    closed = with_bounds(unsolved, {b: (0.0, 0.0) for b in unsolved.binary_names})
     assert solve_milp(closed).status is Status.INFEASIBLE
     assert _Lp.of(closed).root().status is Status.INFEASIBLE
     cold = solve_milp(_network_model())
