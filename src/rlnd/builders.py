@@ -7,14 +7,18 @@ transformer can address them; see :class:`rlnd.milp.RowTag`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .domain import NetworkInstance, validate
+from .domain import TIERS, NetworkInstance, validate
 from .milp import LinExpr, MilpModel, ModelError, RowTag
-from .objectives import (StageExpressions, Tier, VariableMap, _dropoff_inflow,
+from .objectives import (TIER_VARIABLES, StageExpressions, Tier, VariableMap,
                          build_stage_expressions, tiers)
 
 OBJECTIVES = ("cost", "emission")
+
+# per tier: flow prefix and upper bound (RTD is a share of trips), open prefix
+_PREFIXES = (("RTD", 1.0, "X"), ("DTP", math.inf, "Y"), ("PTS", math.inf, "R"))
 
 
 @dataclass
@@ -41,42 +45,28 @@ def _checked(instance: NetworkInstance) -> NetworkInstance:
     return instance
 
 
-def _register_rtd(model: MilpModel, instance: NetworkInstance) -> dict:
-    rtd = {}
+def _register(model: MilpModel, instance: NetworkInstance, picked: slice) -> VariableMap:
+    """The flow variables of the picked tiers, then their open indicators:
+    every model's column order, on which LP dumps and lowest-index
+    tie-breaks depend.  A forbidden arc has no flow variable."""
+    layouts = list(zip(TIERS, _PREFIXES, TIER_VARIABLES))[picked]
+    names: dict[str, dict] = {}
+    for layout, (prefix, ub, _), (flows, _) in layouts:
+        facilities, items, sources = layout.sets(instance)
+        lane = instance.arcs[layout.lane]
+        names[flows] = {(it, a, f): model.add_variable(f"{prefix}[{it},{a},{f}]", 0.0, ub)
+                        for it in items for a in sources for f in facilities
+                        if not lane[a][f].forbidden}
+    for layout, (_, _, prefix), (_, opens) in layouts:
+        names[opens] = {f: model.add_variable(f"{prefix}[{f}]", binary=True)
+                        for f in getattr(instance, layout.facilities)}
+    return VariableMap(**names)
+
+
+def _add_trip_balance(model: MilpModel, instance: NetworkInstance, dropoff: Tier) -> None:
     for i in instance.products:
         for h in instance.areas:
-            for c in instance.dropoffs:
-                if instance.arcs.res_drop[h][c].forbidden:
-                    continue
-                rtd[(i, h, c)] = model.add_variable(f"RTD[{i},{h},{c}]", 0.0, 1.0)
-    return rtd
-
-
-def _register_downstream(model: MilpModel, instance: NetworkInstance) -> tuple[dict, dict]:
-    dtp, pts = {}, {}
-    for i in instance.products:
-        for c in instance.dropoffs:
-            for p in instance.primaries:
-                if instance.arcs.drop_pri[c][p].forbidden:
-                    continue
-                dtp[(i, c, p)] = model.add_variable(f"DTP[{i},{c},{p}]")
-    for j in instance.materials:
-        for p in instance.primaries:
-            for s in instance.secondaries:
-                if instance.arcs.pri_sec[p][s].forbidden:
-                    continue
-                pts[(j, p, s)] = model.add_variable(f"PTS[{j},{p},{s}]")
-    return dtp, pts
-
-
-def _add_trip_balance(model: MilpModel, instance: NetworkInstance, vars: VariableMap) -> None:
-    for i in instance.products:
-        for h in instance.areas:
-            expr = LinExpr()
-            for c in instance.dropoffs:
-                name = vars.rtd.get((i, h, c))
-                if name is not None:
-                    expr.add(name, 1.0)
+            expr = dropoff.outflow(i, h)
             if not expr.terms:
                 model.warnings.append(f"area {h} has no reachable dropoff for {i}; "
                                       "trip balance row is infeasible")
@@ -104,21 +94,18 @@ def _add_gates(model: MilpModel, instance: NetworkInstance, gated: tuple[Tier, .
                               RowTag("capacity", ("total", f)))
 
 
-def _add_dropoff_balance(model: MilpModel, instance: NetworkInstance, vars: VariableMap,
+def _add_dropoff_balance(model: MilpModel, instance: NetworkInstance, table: tuple[Tier, ...],
                          rq: dict[str, dict[str, float]] | None = None) -> None:
     """What each dropoff ships to the primaries is the non-resold share of
     what arrives: the RTD inflow, or the collected mass ``rq[i][c]`` when
     the assignment is already fixed."""
+    dropoff, primary = table[:2]
     for i in instance.products:
-        share = 1.0 - instance.processing.resale_dropoff[i]
+        share = 1.0 - dropoff.resale[i]
         for c in instance.dropoffs:
-            balance = LinExpr()
-            for p in instance.primaries:
-                name = vars.dtp.get((i, c, p))
-                if name is not None:
-                    balance.add(name, 1.0)
+            balance = primary.outflow(i, c)
             if rq is None:
-                balance.add_expr(_dropoff_inflow(instance, vars, i, c), -share)
+                balance.add_expr(dropoff.inflow(i, c), -share)
                 rhs = 0.0
             else:
                 rhs = share * rq.get(i, {}).get(c, 0.0)
@@ -126,20 +113,17 @@ def _add_dropoff_balance(model: MilpModel, instance: NetworkInstance, vars: Vari
 
 
 def _add_primary_balance(model: MilpModel, instance: NetworkInstance,
-                         vars: VariableMap) -> None:
+                         table: tuple[Tier, ...]) -> None:
     proc = instance.processing
+    primary, secondary = table[1:]
     for j in instance.materials:
         for p in instance.primaries:
-            expr = LinExpr()
-            for s in instance.secondaries:
-                name = vars.pts.get((j, p, s))
-                if name is not None:
-                    expr.add(name, 1.0)
+            expr = secondary.outflow(j, p)
             for i in instance.products:
                 factor = (proc.composition[j][i] * proc.eff(j, p)
-                          * (1.0 - proc.resale_primary[i]))
+                          * (1.0 - primary.resale[i]))
                 for c in instance.dropoffs:
-                    name = vars.dtp.get((i, c, p))
+                    name = primary.flows.get((i, c, p))
                     if name is not None:
                         expr.add(name, -factor)
             model.add_row(expr, "==", 0.0, RowTag("flow-balance", ("primary", j, p)))
@@ -170,7 +154,7 @@ def _structural_warnings(instance: NetworkInstance, table: tuple[Tier, ...]) -> 
             inflow, what = (1.0 - tier.resale[i]) * inflow, "expected inflow"
     totals = [proc.total_capacity.get(p) for p in instance.primaries]
     if all(t is not None for t in totals) and totals:
-        mass = sum((1.0 - proc.resale_dropoff[i]) * instance.total_supply(i)
+        mass = sum((1.0 - table[0].resale[i]) * instance.total_supply(i)
                    for i in instance.products)
         if sum(totals) < mass:
             out.append(f"aggregate primary capacity {sum(totals):g} below "
@@ -184,23 +168,18 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
     _check_objective(objective)
     _checked(instance)
     model = MilpModel(f"{instance.name}:system:{objective}")
-    rtd = _register_rtd(model, instance)
-    dtp, pts = _register_downstream(model, instance)
-    x = {c: model.add_variable(f"X[{c}]", binary=True) for c in instance.dropoffs}
-    y = {p: model.add_variable(f"Y[{p}]", binary=True) for p in instance.primaries}
-    r = {s: model.add_variable(f"R[{s}]", binary=True) for s in instance.secondaries}
-    vars = VariableMap(rtd=rtd, dtp=dtp, pts=pts, x=x, y=y, r=r)
+    vars = _register(model, instance, slice(None))
 
     table = tiers(instance, vars)
     model.warnings.extend(_structural_warnings(instance, table))
-    _add_trip_balance(model, instance, vars)
-    _add_dropoff_balance(model, instance, vars)
+    _add_trip_balance(model, instance, table[0])
+    _add_dropoff_balance(model, instance, table)
     _add_gates(model, instance, table[:1])
-    _add_primary_balance(model, instance, vars)
+    _add_primary_balance(model, instance, table)
     _add_gates(model, instance, table[1:])
     _add_open_counts(model, instance, table)
 
-    stages = build_stage_expressions(instance, vars)
+    stages = build_stage_expressions(instance, table)
     objective_expr = stages.total_cost() if objective == "cost" else stages.total_emission()
     model.set_objective(objective_expr)
 
@@ -220,16 +199,14 @@ def build_user_model_i(instance: NetworkInstance, objective: str = "cost",
     _check_objective(objective)
     _checked(instance)
     model = MilpModel(f"{instance.name}:user-I:{objective}")
-    rtd = _register_rtd(model, instance)
-    x = {c: model.add_variable(f"X[{c}]", binary=True) for c in instance.dropoffs}
-    vars = VariableMap(rtd=rtd, x=x)
+    vars = _register(model, instance, slice(1))
 
-    _add_trip_balance(model, instance, vars)
-    dropoff = tiers(instance, vars)[:1]
-    _add_gates(model, instance, dropoff)
-    _add_open_counts(model, instance, dropoff)
+    table = tiers(instance, vars)
+    _add_trip_balance(model, instance, table[0])
+    _add_gates(model, instance, table[:1])
+    _add_open_counts(model, instance, table[:1])
 
-    stages = build_stage_expressions(instance, vars)
+    stages = build_stage_expressions(instance, table)
     key = "residence-dropoff"
     expr = stages.transport_cost[key] if objective == "cost" else stages.transport_emission[key]
     model.set_objective(expr.copy())
@@ -253,18 +230,15 @@ def build_user_model_ii(instance: NetworkInstance, rq: dict[str, dict[str, float
                              f"supply {supply:g}")
 
     model = MilpModel(f"{instance.name}:user-II:{objective}")
-    dtp, pts = _register_downstream(model, instance)
-    y = {p: model.add_variable(f"Y[{p}]", binary=True) for p in instance.primaries}
-    r = {s: model.add_variable(f"R[{s}]", binary=True) for s in instance.secondaries}
-    vars = VariableMap(dtp=dtp, pts=pts, y=y, r=r)
+    vars = _register(model, instance, slice(1, None))
 
-    _add_dropoff_balance(model, instance, vars, rq)
-    _add_primary_balance(model, instance, vars)
-    downstream = tiers(instance, vars)[1:]
-    _add_gates(model, instance, downstream)
-    _add_open_counts(model, instance, downstream)
+    table = tiers(instance, vars)
+    _add_dropoff_balance(model, instance, table, rq)
+    _add_primary_balance(model, instance, table)
+    _add_gates(model, instance, table[1:])
+    _add_open_counts(model, instance, table[1:])
 
-    stages = build_stage_expressions(instance, vars)
+    stages = build_stage_expressions(instance, table)
     objective_expr = stages.total_cost() if objective == "cost" else stages.total_emission()
     model.set_objective(objective_expr)
     return ModelArtifacts(model, vars, stages)

@@ -5,6 +5,13 @@ sites collect them, primary processors dismantle them into materials, and
 secondary processors recover the materials.  Every tier can resell a fraction
 of its inflow, which earns revenue and avoids emissions.
 
+The three processing tiers share one shape, declared once in :data:`TIERS`:
+each tier's name, the id sets of its facilities, items and sources, its
+inbound arc lane and its validation symbols.  Per-tier data is keyed by tier
+as the instance JSON nests it (``ProcessingData.entries[tier][facility][item]``,
+``ProcessingData.resale[tier][item]``, ``NetworkInstance.arcs[lane][tail][head]``),
+and validation, the :mod:`rlnd.io` codec and the model layer loop over the layout.
+
 An instance is declarative data only; model assembly lives in
 :mod:`rlnd.builders`.  Instances are treated as immutable once validated —
 derived scenarios build modified copies instead of mutating.
@@ -14,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 DEFAULT_CITY_POPULATION_THRESHOLD = 10_000.0
 
@@ -64,12 +70,8 @@ class SupplyData:
 
 @dataclass(frozen=True)
 class ProcessingData:
-    dropoff: dict[str, dict[str, ProcessingEntry]]     # [dropoff][product]
-    primary: dict[str, dict[str, ProcessingEntry]]     # [primary][product]
-    secondary: dict[str, dict[str, ProcessingEntry]]   # [secondary][material]
-    resale_dropoff: dict[str, float]                   # [product]
-    resale_primary: dict[str, float]                   # [product]
-    resale_secondary: dict[str, float]                 # [material]
+    entries: dict[str, dict[str, dict[str, ProcessingEntry]]]  # [tier][facility][item]
+    resale: dict[str, dict[str, float]]                # [tier][item]
     fixed_cost: dict[str, float]                       # [facility]
     min_open: dict[str, int]                           # per tier name
     composition: dict[str, dict[str, float]]           # [material][product] kg/kg
@@ -78,13 +80,6 @@ class ProcessingData:
 
     def eff(self, material: str, primary: str) -> float:
         return self.efficiency.get(material, {}).get(primary, 1.0)
-
-
-@dataclass(frozen=True)
-class ArcData:
-    res_drop: dict[str, dict[str, Arc]]
-    drop_pri: dict[str, dict[str, Arc]]
-    pri_sec: dict[str, dict[str, Arc]]
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ class NetworkInstance:
     secondaries: tuple[str, ...]
     supply: SupplyData
     processing: ProcessingData
-    arcs: ArcData
+    arcs: dict[str, dict[str, dict[str, Arc]]]        # [lane][tail][head]
     policy: PolicyData | None = None
     description: str = ""
 
@@ -122,6 +117,33 @@ class NetworkInstance:
 
     def total_supply(self, product: str) -> float:
         return sum(self.supply.mass[product][h] for h in self.areas)
+
+
+@dataclass(frozen=True)
+class TierLayout:
+    """Where one processing tier's data sits in an instance: ``name`` keys
+    ``ProcessingData.entries``, ``resale`` and ``min_open``, ``lane`` keys
+    its inbound arcs, and the rest name ``NetworkInstance`` id sets."""
+
+    name: str
+    facilities: str
+    items: str         # products or materials
+    sources: str       # where the inflow comes from: areas or the tier before
+    lane: str
+    symbol: str        # of its processing entries; ``re^`` + symbol of its resale shares
+    lane_symbol: str   # of its inbound arcs
+
+    def sets(self, instance: NetworkInstance) -> tuple[tuple[str, ...], ...]:
+        """The tier's facilities, items and sources in ``instance``."""
+        return (getattr(instance, self.facilities), getattr(instance, self.items),
+                getattr(instance, self.sources))
+
+
+TIERS = (
+    TierLayout("dropoff", "dropoffs", "products", "areas", "res_drop", "drp", "d^res"),
+    TierLayout("primary", "primaries", "products", "dropoffs", "drop_pri", "pri", "d^drp"),
+    TierLayout("secondary", "secondaries", "materials", "primaries", "pri_sec", "sec", "d^pri"),
+)
 
 
 @dataclass(frozen=True)
@@ -261,38 +283,35 @@ def _check_entry(symbol: str, index: tuple[str, ...], e: ProcessingEntry,
 
 def _check_processing(inst: NetworkInstance, r: ValidationReport) -> None:
     p = inst.processing
-    tiers = [("drp", p.dropoff, inst.dropoffs, inst.products),
-             ("pri", p.primary, inst.primaries, inst.products),
-             ("sec", p.secondary, inst.secondaries, inst.materials)]
-    for symbol, table, facilities, items in tiers:
+    for tier in TIERS:
+        facilities, items, _ = tier.sets(inst)
+        table = p.entries.get(tier.name, {})
         for f in facilities:
             for it in items:
                 e = table.get(f, {}).get(it)
                 if e is None:
-                    r.add(symbol, (it, f), "missing processing entry")
+                    r.add(tier.symbol, (it, f), "missing processing entry")
                 else:
-                    _check_entry(symbol, (it, f), e, r)
-    resales = [("re^drp", p.resale_dropoff, inst.products),
-               ("re^pri", p.resale_primary, inst.products),
-               ("re^sec", p.resale_secondary, inst.materials)]
-    for symbol, table, items in resales:
-        for it in items:
-            v = table.get(it)
+                    _check_entry(tier.symbol, (it, f), e, r)
+    for tier in TIERS:
+        resale = p.resale.get(tier.name, {})
+        for it in getattr(inst, tier.items):
+            v = resale.get(it)
             if v is None:
-                r.add(symbol, (it,), "missing resale fraction")
+                r.add(f"re^{tier.symbol}", (it,), "missing resale fraction")
             elif not 0.0 <= v <= 1.0:
-                r.add(symbol, (it,), f"resale fraction {v} outside [0, 1]")
+                r.add(f"re^{tier.symbol}", (it,), f"resale fraction {v} outside [0, 1]")
     for f in inst.facilities():
         fc = p.fixed_cost.get(f)
         if fc is None:
             r.add("fc", (f,), "missing fixed cost")
         elif fc < 0:
             r.add("fc", (f,), f"negative fixed cost {fc}")
-    for tier, size in (("dropoff", len(inst.dropoffs)), ("primary", len(inst.primaries)),
-                       ("secondary", len(inst.secondaries))):
-        nof = p.min_open.get(tier, 0)
+    for tier in TIERS:
+        size = len(getattr(inst, tier.facilities))
+        nof = p.min_open.get(tier.name, 0)
         if not 0 <= nof <= size:
-            r.add("nof", (tier,), f"minimum open count {nof} outside [0, {size}]")
+            r.add("nof", (tier.name,), f"minimum open count {nof} outside [0, {size}]")
     for i in inst.products:
         total = 0.0
         for j in inst.materials:
@@ -317,10 +336,9 @@ def _check_processing(inst: NetworkInstance, r: ValidationReport) -> None:
 
 
 def _check_arcs(inst: NetworkInstance, r: ValidationReport) -> None:
-    lanes = [("d^res", inst.arcs.res_drop, inst.areas, inst.dropoffs),
-             ("d^drp", inst.arcs.drop_pri, inst.dropoffs, inst.primaries),
-             ("d^pri", inst.arcs.pri_sec, inst.primaries, inst.secondaries)]
-    for symbol, table, tails, heads in lanes:
+    for tier in TIERS:
+        heads, _, tails = tier.sets(inst)
+        table, symbol = inst.arcs.get(tier.lane, {}), tier.lane_symbol
         for a in tails:
             for b in heads:
                 arc = table.get(a, {}).get(b)

@@ -1,22 +1,28 @@
-"""Instance files and table imports.
+"""Instance files, spec files and table imports.
 
 An instance is one JSON document with sections ``sets``, ``supply``,
 ``processing``, ``arcs`` and ``policy`` (a ``scenario`` section is allowed
-and ignored here; the scenario engine reads it separately).  The CSV
-importer reads coordinate points, ``id, lat, lon[, population]``; a header
-(the first non-blank row, when its ``lat`` cell is not numeric) is detected
-and skipped, so both bare and titled exports load.
+and ignored here; the scenario engine reads it separately).  The codec reads
+and writes the per-tier parts of ``processing`` and ``arcs`` in one loop over
+:data:`rlnd.domain.TIERS`.  Instances and the scenario and uncertainty spec
+files are all read through :class:`Node`, so a missing key or a value of the
+wrong type raises one :class:`DocumentError` naming the file and the key's
+path, such as ``supply.trips_per_year``.  The CSV importer reads coordinate
+points, ``id, lat, lon[, population]``; a header (the first non-blank row,
+when its ``lat`` cell is not numeric) is detected and skipped, so both bare
+and titled exports load.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NoReturn
 
-from .domain import (Arc, ArcData, InstanceError, NetworkInstance, PolicyData,
+from .domain import (TIERS, Arc, InstanceError, NetworkInstance, PolicyData,
                      ProcessingData, ProcessingEntry, SupplyData,
                      DEFAULT_CITY_POPULATION_THRESHOLD)
 from .geo import GeoPoint
@@ -25,114 +31,161 @@ BUNDLED_INSTANCE = "ewaste-two-area-example"
 
 
 # ----------------------------------------------------------------------
-# JSON instance documents
+# JSON documents
 # ----------------------------------------------------------------------
 
-def _entry_from_dict(d: dict[str, Any]) -> ProcessingEntry:
-    return ProcessingEntry(cost=float(d["cost"]), credit=float(d["credit"]),
-                           emission=float(d["emission"]), offset=float(d["offset"]),
-                           capacity=float(d["capacity"]),
-                           min_shipment=float(d.get("min_shipment", 0.0)))
+class DocumentError(InstanceError):
+    """A JSON document lacks a key or holds a value of the wrong type."""
 
 
-def _entry_to_dict(e: ProcessingEntry) -> dict[str, Any]:
-    d = {"cost": e.cost, "credit": e.credit, "emission": e.emission,
-         "offset": e.offset, "capacity": e.capacity}
-    if e.min_shipment:
-        d["min_shipment"] = e.min_shipment
+class Node:
+    """One value of a JSON document, with the file and the keys that lead
+    to it, so that a missing key or a mistyped value is reported where it is."""
+
+    __slots__ = ("value", "path", "source")
+
+    def __init__(self, value: Any, path: tuple[str, ...] = (), source: str = ""):
+        self.value, self.path, self.source = value, path, source
+
+    def fail(self, problem: str) -> NoReturn:
+        where = ".".join(self.path)
+        message = f"{where}: {problem}" if where else problem
+        raise DocumentError(f"{self.source}: {message}" if self.source else message)
+
+    def table(self) -> dict[str, Any]:
+        if not isinstance(self.value, dict):
+            self.fail(f"expected an object, got {type(self.value).__name__}")
+        return self.value
+
+    def __getitem__(self, key: str) -> Node:
+        if key not in self.table():
+            Node(None, (), self.source).fail(f"missing key '{'.'.join(self.path + (key,))}'")
+        return Node(self.value[key], self.path + (key,), self.source)
+
+    def get(self, key: str, convert: Callable[[Node], Any], default: Any = None) -> Any:
+        """``convert`` of the value under ``key``; ``default`` when it is absent or null."""
+        return default if self.table().get(key) is None else convert(self[key])
+
+    def map(self, convert: Callable[[Node], Any]) -> dict[str, Any]:
+        return {k: convert(Node(v, self.path + (k,), self.source))
+                for k, v in self.table().items()}
+
+    def number(self) -> float:
+        try:
+            return float(self.value)
+        except (TypeError, ValueError):
+            self.fail(f"expected a number, got {self.value!r}")
+
+    def text(self) -> str:
+        if not isinstance(self.value, str):
+            self.fail(f"expected a string, got {self.value!r}")
+        return self.value
+
+    def texts(self) -> tuple[str, ...]:
+        if not (isinstance(self.value, list) and all(isinstance(v, str) for v in self.value)):
+            self.fail("expected a list of strings")
+        return tuple(self.value)
+
+    def numbers(self) -> dict[str, float]:
+        try:
+            return {k: float(v) for k, v in self.table().items()}
+        except (TypeError, ValueError):
+            return self.map(Node.number)  # raises, naming the value
+
+    def fields(self, names: tuple[str, ...]) -> list[float]:
+        """The numbers under ``names``, in that order."""
+        table = self.table()
+        try:
+            return [float(table[k]) for k in names]
+        except (KeyError, TypeError, ValueError):
+            return [self[k].number() for k in names]  # raises, naming the key
+
+
+def read_document(path: str | Path) -> Node:
+    """The JSON document in ``path``, as the root :class:`Node`."""
+    with open(path, "r", encoding="utf-8") as f:
+        return Node(json.load(f), source=str(path))
+
+
+# ----------------------------------------------------------------------
+# instance documents
+# ----------------------------------------------------------------------
+
+_SETS = ("products", "materials", "areas", "dropoffs", "primaries", "secondaries")
+_ENTRY_FIELDS = ("cost", "credit", "emission", "offset", "capacity")
+_ARC_FIELDS = ("distance", "cost", "emission")
+
+
+def _entry_from(node: Node) -> ProcessingEntry:
+    return ProcessingEntry(*node.fields(_ENTRY_FIELDS),
+                           min_shipment=node.get("min_shipment", Node.number, 0.0))
+
+
+def _to_dict(record: ProcessingEntry | Arc, names: tuple[str, ...], extra: str) -> dict[str, Any]:
+    """The ``names`` fields of a record, and its ``extra`` one when it is set."""
+    d = {k: getattr(record, k) for k in names}
+    if getattr(record, extra):
+        d[extra] = getattr(record, extra)
     return d
 
 
-def _arc_from_dict(d: dict[str, Any]) -> Arc:
-    if d.get("forbidden"):
-        return Arc(distance=float(d.get("distance", 0.0)), cost=float(d.get("cost", 0.0)),
-                   emission=float(d.get("emission", 0.0)), forbidden=True)
-    return Arc(distance=float(d["distance"]), cost=float(d["cost"]),
-               emission=float(d["emission"]))
+def _arc_from(node: Node) -> Arc:
+    if node.table().get("forbidden"):
+        return Arc(*(node.get(k, Node.number, 0.0) for k in _ARC_FIELDS), forbidden=True)
+    return Arc(*node.fields(_ARC_FIELDS))
 
 
-def _arc_to_dict(a: Arc) -> dict[str, Any]:
-    d = {"distance": a.distance, "cost": a.cost, "emission": a.emission}
-    if a.forbidden:
-        d["forbidden"] = True
-    return d
+def _policy_from(node: Node) -> PolicyData | None:
+    if not node.table():
+        return None
+    names = lambda n: n.map(Node.text)
+    return PolicyData(
+        county_of=node.get("county_of", names, {}),
+        city_of=node.get("city_of", names, {}),
+        city_population=node.get("city_population", Node.numbers, {}),
+        city_county=node.get("city_county", names, {}),
+        population_threshold=node.get("population_threshold", Node.number,
+                                      DEFAULT_CITY_POPULATION_THRESHOLD),
+    )
 
 
-def _float_table(d: dict[str, Any]) -> dict[str, float]:
-    return {k: float(v) for k, v in d.items()}
+def _instance_from(doc: Node) -> NetworkInstance:
+    sup = doc["supply"]
+    proc = doc["processing"]
 
-
-def _nested_float(d: dict[str, Any]) -> dict[str, dict[str, float]]:
-    return {k: _float_table(v) for k, v in d.items()}
+    supply = SupplyData(
+        mass=sup["mass"].map(Node.numbers),
+        trips_per_year=sup["trips_per_year"].number(),
+        dedicated_fraction=sup["dedicated_fraction"].numbers(),
+        population=sup.get("population", Node.numbers) or None,
+        household_size=sup.get("household_size", Node.number),
+        participation=sup.get("participation", Node.number),
+        trip_factor=sup.get("trip_factor", Node.numbers, {}),
+    )
+    processing = ProcessingData(
+        entries={t.name: proc[t.name].map(lambda row: row.map(_entry_from)) for t in TIERS},
+        resale={t.name: proc["resale"][t.name].numbers() for t in TIERS},
+        fixed_cost=proc["fixed_cost"].numbers(),
+        min_open=proc["min_open"].map(lambda n: int(n.number())),
+        composition=proc["composition"].map(Node.numbers),
+        efficiency=proc.get("efficiency", lambda n: n.map(Node.numbers), {}),
+        total_capacity=proc.get("total_capacity", Node.numbers, {}),
+    )
+    return NetworkInstance(
+        name=doc.get("name", Node.text, "instance"),
+        **{k: doc["sets"][k].texts() for k in _SETS},
+        supply=supply,
+        processing=processing,
+        arcs={t.lane: doc["arcs"][t.lane].map(lambda row: row.map(_arc_from)) for t in TIERS},
+        policy=doc.get("policy", _policy_from),
+        description=doc.get("description", Node.text, ""),
+    )
 
 
 def instance_from_dict(data: dict[str, Any]) -> NetworkInstance:
-    sets = data["sets"]
-    sup = data["supply"]
-    proc = data["processing"]
-    arcs = data["arcs"]
-
-    supply = SupplyData(
-        mass=_nested_float(sup["mass"]),
-        trips_per_year=float(sup["trips_per_year"]),
-        dedicated_fraction=_float_table(sup["dedicated_fraction"]),
-        population=_float_table(sup["population"]) if sup.get("population") else None,
-        household_size=(float(sup["household_size"])
-                        if sup.get("household_size") is not None else None),
-        participation=(float(sup["participation"])
-                       if sup.get("participation") is not None else None),
-        trip_factor=_float_table(sup.get("trip_factor", {})),
-    )
-    resale = proc["resale"]
-    processing = ProcessingData(
-        dropoff={f: {i: _entry_from_dict(e) for i, e in row.items()}
-                 for f, row in proc["dropoff"].items()},
-        primary={f: {i: _entry_from_dict(e) for i, e in row.items()}
-                 for f, row in proc["primary"].items()},
-        secondary={f: {j: _entry_from_dict(e) for j, e in row.items()}
-                   for f, row in proc["secondary"].items()},
-        resale_dropoff=_float_table(resale["dropoff"]),
-        resale_primary=_float_table(resale["primary"]),
-        resale_secondary=_float_table(resale["secondary"]),
-        fixed_cost=_float_table(proc["fixed_cost"]),
-        min_open={k: int(v) for k, v in proc["min_open"].items()},
-        composition=_nested_float(proc["composition"]),
-        efficiency=_nested_float(proc.get("efficiency", {})),
-        total_capacity=_float_table(proc.get("total_capacity", {})),
-    )
-    arc_data = ArcData(
-        res_drop={a: {b: _arc_from_dict(x) for b, x in row.items()}
-                  for a, row in arcs["res_drop"].items()},
-        drop_pri={a: {b: _arc_from_dict(x) for b, x in row.items()}
-                  for a, row in arcs["drop_pri"].items()},
-        pri_sec={a: {b: _arc_from_dict(x) for b, x in row.items()}
-                 for a, row in arcs["pri_sec"].items()},
-    )
-    pol = data.get("policy")
-    policy = None
-    if pol:
-        policy = PolicyData(
-            county_of=dict(pol.get("county_of", {})),
-            city_of=dict(pol.get("city_of", {})),
-            city_population=_float_table(pol.get("city_population", {})),
-            city_county=dict(pol.get("city_county", {})),
-            population_threshold=float(pol.get("population_threshold",
-                                               DEFAULT_CITY_POPULATION_THRESHOLD)),
-        )
-    return NetworkInstance(
-        name=data.get("name", "instance"),
-        products=tuple(sets["products"]),
-        materials=tuple(sets["materials"]),
-        areas=tuple(sets["areas"]),
-        dropoffs=tuple(sets["dropoffs"]),
-        primaries=tuple(sets["primaries"]),
-        secondaries=tuple(sets["secondaries"]),
-        supply=supply,
-        processing=processing,
-        arcs=arc_data,
-        policy=policy,
-        description=data.get("description", ""),
-    )
+    """The instance in a JSON document's layout; a missing key or a value of
+    the wrong type raises a DocumentError that names its path."""
+    return _instance_from(Node(data))
 
 
 def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
@@ -152,70 +205,39 @@ def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
     if sup.trip_factor:
         supply["trip_factor"] = dict(sup.trip_factor)
 
-    processing = {
-        "dropoff": {f: {i: _entry_to_dict(e) for i, e in row.items()}
-                    for f, row in proc.dropoff.items()},
-        "primary": {f: {i: _entry_to_dict(e) for i, e in row.items()}
-                    for f, row in proc.primary.items()},
-        "secondary": {f: {j: _entry_to_dict(e) for j, e in row.items()}
-                      for f, row in proc.secondary.items()},
-        "resale": {"dropoff": dict(proc.resale_dropoff),
-                   "primary": dict(proc.resale_primary),
-                   "secondary": dict(proc.resale_secondary)},
+    processing: dict[str, Any] = {
+        t.name: {f: {it: _to_dict(e, _ENTRY_FIELDS, "min_shipment") for it, e in row.items()}
+                 for f, row in proc.entries[t.name].items()}
+        for t in TIERS}
+    processing.update({
+        "resale": {t.name: dict(proc.resale[t.name]) for t in TIERS},
         "fixed_cost": dict(proc.fixed_cost),
         "min_open": dict(proc.min_open),
         "composition": {j: dict(row) for j, row in proc.composition.items()},
-    }
+    })
     if proc.efficiency:
         processing["efficiency"] = {j: dict(row) for j, row in proc.efficiency.items()}
     if proc.total_capacity:
         processing["total_capacity"] = dict(proc.total_capacity)
 
-    arcs = {
-        "res_drop": {a: {b: _arc_to_dict(x) for b, x in row.items()}
-                     for a, row in instance.arcs.res_drop.items()},
-        "drop_pri": {a: {b: _arc_to_dict(x) for b, x in row.items()}
-                     for a, row in instance.arcs.drop_pri.items()},
-        "pri_sec": {a: {b: _arc_to_dict(x) for b, x in row.items()}
-                    for a, row in instance.arcs.pri_sec.items()},
-    }
-    out: dict[str, Any] = {
+    arcs = {t.lane: {a: {b: _to_dict(x, _ARC_FIELDS, "forbidden") for b, x in row.items()}
+                     for a, row in instance.arcs[t.lane].items()}
+            for t in TIERS}
+    return {
         "name": instance.name,
         "description": instance.description,
-        "sets": {"products": list(instance.products),
-                 "materials": list(instance.materials),
-                 "areas": list(instance.areas),
-                 "dropoffs": list(instance.dropoffs),
-                 "primaries": list(instance.primaries),
-                 "secondaries": list(instance.secondaries)},
+        "sets": {k: list(getattr(instance, k)) for k in _SETS},
         "supply": supply,
         "processing": processing,
         "arcs": arcs,
-        "policy": None,
+        "policy": None if instance.policy is None else asdict(instance.policy),
     }
-    if instance.policy is not None:
-        pol = instance.policy
-        out["policy"] = {
-            "county_of": dict(pol.county_of),
-            "city_of": dict(pol.city_of),
-            "city_population": dict(pol.city_population),
-            "city_county": dict(pol.city_county),
-            "population_threshold": pol.population_threshold,
-        }
-    return out
 
 
 def load_instance(path: str | Path) -> NetworkInstance:
-    """An instance file; a missing key or a value of the wrong type raises an
-    InstanceError that names it."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    try:
-        return instance_from_dict(data)
-    except KeyError as exc:
-        raise InstanceError(f"{path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InstanceError(f"{path}: wrong type: {exc}") from None
+    """An instance file; a missing key or a value of the wrong type raises a
+    DocumentError that names the file and the key."""
+    return _instance_from(read_document(path))
 
 
 def save_instance(instance: NetworkInstance, path: str | Path) -> None:

@@ -12,21 +12,22 @@ Processing applies to the non-resold share of a facility's inflow, i.e. a
 resold share.  Dropoff inflow is ``supply x RTD``, primary inflow is DTP, and
 secondary inflow is PTS.
 
-The three processing tiers share one layout, described once by the tier
-table :func:`tiers`; the stage expressions, the inflow reports, the effective
-open set and the builders' capacity and minimum-shipment rows loop over it.
+The three processing tiers share one layout, declared once in
+:data:`rlnd.domain.TIERS`.  The tier table :func:`tiers` joins it with a
+model's variables; the stage expressions, the inflow reports, the effective
+open set and the builders' registration, balance and gate rows loop over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import partial
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .domain import NetworkInstance, ProcessingEntry, trip_multiplier
+from .domain import TIERS, Arc, NetworkInstance, ProcessingEntry, trip_multiplier
 from .milp import LinExpr, ModelError, Solution, Status
 
 _ARC_CLASSES = ("residence-dropoff", "dropoff-primary", "primary-secondary")  # into each tier
+TIER_VARIABLES = (("rtd", "x"), ("dtp", "y"), ("pts", "r"))  # VariableMap flows, opens per tier
 
 _FLOW_TOL = 1e-6
 
@@ -150,82 +151,66 @@ def _require(condition: bool, message: str) -> None:
 # stage expression builders
 # ----------------------------------------------------------------------
 
-def _trip_leg(instance: NetworkInstance, vars: VariableMap, rate: str) -> LinExpr:
-    """Residence->dropoff transport: per-trip rate x distance x annual
-    dedicated trips, scaled by the fraction RTD of trips to each dropoff."""
-    expr = LinExpr()
-    for (i, h, c), name in vars.rtd.items():
-        arc = instance.arcs.res_drop[h][c]
-        expr.add(name, trip_multiplier(instance, h, c) * getattr(arc, rate) * arc.distance)
-    return expr
-
-
-def _mass_leg(vars_table: dict, arcs, rate: str) -> LinExpr:
-    expr = LinExpr()
-    for (item, a, b), name in vars_table.items():
-        arc = arcs[a][b]
-        expr.add(name, getattr(arc, rate) * arc.distance)
-    return expr
-
-
-def _dropoff_inflow(instance: NetworkInstance, vars: VariableMap,
-                    product: str, dropoff: str) -> LinExpr:
-    expr = LinExpr()
-    for h in instance.areas:
-        name = vars.rtd.get((product, h, dropoff))
-        if name is not None:
-            expr.add(name, instance.supply.mass[product][h])
-    return expr
-
-
-def _primary_inflow(instance: NetworkInstance, vars: VariableMap,
-                    product: str, primary: str) -> LinExpr:
-    expr = LinExpr()
-    for c in instance.dropoffs:
-        name = vars.dtp.get((product, c, primary))
-        if name is not None:
-            expr.add(name, 1.0)
-    return expr
-
-
-def _secondary_inflow(instance: NetworkInstance, vars: VariableMap,
-                      material: str, secondary: str) -> LinExpr:
-    expr = LinExpr()
-    for p in instance.primaries:
-        name = vars.pts.get((material, p, secondary))
-        if name is not None:
-            expr.add(name, 1.0)
-    return expr
-
-
-@dataclass(frozen=True)
+@dataclass  # not frozen: the table is rebuilt per report, and a frozen init costs 2x
 class Tier:
     """One processing tier as a model sees it.
 
     ``opens`` and ``flows`` are the model's open indicators and inflow
-    variables for the tier; both are empty when the model has none.
+    variables for the tier; both are empty when the model has none.  The
+    dropoff tier's flows are shares of each area's ``supply`` and trips, the
+    other tiers' flows are kg and their ``supply`` is None.
     """
 
     name: str
     facilities: tuple[str, ...]
     items: tuple[str, ...]                           # products, or materials
+    sources: tuple[str, ...]                         # areas, or the tier before
     entries: Mapping[str, Mapping[str, ProcessingEntry]]  # [facility][item]
     resale: Mapping[str, float]                      # [item]
-    inflow: Callable[[str, str], LinExpr]            # (item, facility) -> inflow mass
+    arcs: Mapping[str, Mapping[str, Arc]]            # inbound lane [source][facility]
     opens: Mapping[str, str]                         # [facility]
-    flows: Mapping[tuple[str, str, str], str]
+    flows: Mapping[tuple[str, str, str], str]        # [item, source, facility]
+    supply: Mapping[str, Mapping[str, float]] | None  # [item][area] kg
+
+    def inflow(self, item: str, facility: str) -> LinExpr:
+        """Mass of ``item`` arriving at ``facility``."""
+        expr = LinExpr()
+        mass = None if self.supply is None else self.supply[item]
+        for a in self.sources:
+            name = self.flows.get((item, a, facility))
+            if name is not None:
+                expr.add(name, 1.0 if mass is None else mass[a])
+        return expr
+
+    def outflow(self, item: str, source: str) -> LinExpr:
+        """The flows of ``item`` from ``source`` into this tier."""
+        expr = LinExpr()
+        for f in self.facilities:
+            name = self.flows.get((item, source, f))
+            if name is not None:
+                expr.add(name, 1.0)
+        return expr
 
 
 def tiers(instance: NetworkInstance, vars: VariableMap) -> tuple[Tier, Tier, Tier]:
     """The dropoff, primary and secondary tiers, in that order."""
     proc = instance.processing
-    return (Tier("dropoff", instance.dropoffs, instance.products, proc.dropoff,
-                 proc.resale_dropoff, partial(_dropoff_inflow, instance, vars), vars.x, vars.rtd),
-            Tier("primary", instance.primaries, instance.products, proc.primary,
-                 proc.resale_primary, partial(_primary_inflow, instance, vars), vars.y, vars.dtp),
-            Tier("secondary", instance.secondaries, instance.materials, proc.secondary,
-                 proc.resale_secondary, partial(_secondary_inflow, instance, vars), vars.r,
-                 vars.pts))
+    return tuple(Tier(layout.name, *layout.sets(instance), proc.entries[layout.name],
+                      proc.resale[layout.name], instance.arcs[layout.lane],
+                      getattr(vars, opens), getattr(vars, flows),
+                      instance.supply.mass if k == 0 else None)
+                 for k, (layout, (flows, opens)) in enumerate(zip(TIERS, TIER_VARIABLES)))
+
+
+def _transport_leg(instance: NetworkInstance, tier: Tier, rate: str) -> LinExpr:
+    """Transport into a tier: rate x distance per kg, or per trip for the
+    dropoff tier, whose flows scale by each lane's annual dedicated trips."""
+    expr = LinExpr()
+    for (_, a, f), name in tier.flows.items():
+        arc = tier.arcs[a][f]
+        trips = 1.0 if tier.supply is None else trip_multiplier(instance, a, f)
+        expr.add(name, trips * getattr(arc, rate) * arc.distance)
+    return expr
 
 
 def _tier_expression(tier: Tier, kind: str) -> LinExpr:
@@ -241,24 +226,19 @@ def _tier_expression(tier: Tier, kind: str) -> LinExpr:
     return expr
 
 
-def build_stage_expressions(instance: NetworkInstance, vars: VariableMap) -> StageExpressions:
-    """All stage expressions the given variable map can support."""
-    arcs = instance.arcs
-    legs = ((_trip_leg(instance, vars, "cost"), _trip_leg(instance, vars, "emission")),
-            (_mass_leg(vars.dtp, arcs.drop_pri, "cost"),
-             _mass_leg(vars.dtp, arcs.drop_pri, "emission")),
-            (_mass_leg(vars.pts, arcs.pri_sec, "cost"),
-             _mass_leg(vars.pts, arcs.pri_sec, "emission")))
+def build_stage_expressions(instance: NetworkInstance, table: tuple[Tier, ...]
+                            ) -> StageExpressions:
+    """All stage expressions a model's tier table can support."""
     stages = StageExpressions()
-    for tier, arc_class, (cost, emission) in zip(tiers(instance, vars), _ARC_CLASSES, legs):
+    for tier, arc_class in zip(table, _ARC_CLASSES):
         if tier.flows:
-            stages.transport_cost[arc_class] = cost
-            stages.transport_emission[arc_class] = emission
-            for metric, table in (("cost", stages.processing_cost),
-                                  ("emission", stages.processing_emission),
-                                  ("credit", stages.resale_revenue),
-                                  ("offset", stages.emission_offset)):
-                table[tier.name] = _tier_expression(tier, metric)
+            stages.transport_cost[arc_class] = _transport_leg(instance, tier, "cost")
+            stages.transport_emission[arc_class] = _transport_leg(instance, tier, "emission")
+            for metric, by_tier in (("cost", stages.processing_cost),
+                                    ("emission", stages.processing_emission),
+                                    ("credit", stages.resale_revenue),
+                                    ("offset", stages.emission_offset)):
+                by_tier[tier.name] = _tier_expression(tier, metric)
         if tier.opens:
             fixed = LinExpr()
             for f, name in tier.opens.items():
@@ -345,8 +325,8 @@ def breakdown_from_solution(instance: NetworkInstance, vars: VariableMap,
 def collected_quantities(instance: NetworkInstance, vars: VariableMap,
                          values: Mapping[str, float]) -> dict[str, dict[str, float]]:
     """rq[i][c]: mass of product i arriving at dropoff c (pre-resale)."""
-    return {i: {c: _dropoff_inflow(instance, vars, i, c).evaluate(values)
-                for c in instance.dropoffs}
+    dropoff = tiers(instance, vars)[0]
+    return {i: {c: dropoff.inflow(i, c).evaluate(values) for c in instance.dropoffs}
             for i in instance.products}
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .builders import ModelArtifacts
+from .io import Node, read_document
 from .milp import LinExpr, MilpModel, ModelError, Row, RowTag
 
 _ABS_PREFIX = "ABS"
@@ -58,11 +59,12 @@ class UncertaintySpec:
                          for key, row in self.rows.items()}}
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "UncertaintySpec":
-        rows = {key: RowUncertainty(float(entry["gamma"]),
-                                    {v: float(d) for v, d in entry["deviations"].items()})
-                for key, entry in data["rows"].items()}
-        spec = cls(rows)
+    def from_dict(cls, data: Mapping | Node) -> "UncertaintySpec":
+        """The spec in :meth:`to_dict`'s layout; a missing key or a value of
+        the wrong type raises a DocumentError that names it."""
+        doc = data if isinstance(data, Node) else Node(data)
+        spec = cls(doc["rows"].map(lambda entry: RowUncertainty(
+            entry["gamma"].number(), entry["deviations"].numbers())))
         spec.validate()
         return spec
 
@@ -74,8 +76,7 @@ class UncertaintySpec:
 
 
 def load_uncertainty_spec(path: str | Path) -> UncertaintySpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return UncertaintySpec.from_dict(json.load(f))
+    return UncertaintySpec.from_dict(read_document(path))
 
 
 def save_uncertainty_spec(spec: UncertaintySpec, path: str | Path) -> None:

@@ -21,7 +21,6 @@ under other trip-leg costs.  Every solve still builds its own model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
@@ -30,7 +29,7 @@ from .builders import (ModelArtifacts, build_system_model, build_user_model_i,
                        build_user_model_ii)
 from .domain import (NetworkInstance, with_supply_mass, with_total_capacity,
                      with_trip_factor)
-from .io import load_bundled_instance
+from .io import Node, load_bundled_instance, read_document
 from .milp import (DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, RowTag, Solution,
                    Solver, Status)
 from .objectives import (StageBreakdown, StageExpressions, breakdown_from_solution,
@@ -77,15 +76,16 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
 
 
 def load_scenario_spec(path: str | Path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+    """A spec file, its numbers converted; a missing key or a value of the
+    wrong type raises a DocumentError that names the file and the key."""
+    doc = read_document(path)
     return ScenarioSpec(
-        name=data["name"],
-        description=data.get("description", ""),
-        supply_mass=data.get("supply_mass"),
-        trip_factor=data.get("trip_factor"),
-        total_capacity_fraction=data.get("total_capacity_fraction"),
-        total_capacity=data.get("total_capacity"),
+        name=doc["name"].text(),
+        description=doc.get("description", Node.text, ""),
+        supply_mass=doc.get("supply_mass", lambda n: n.map(Node.numbers)),
+        trip_factor=doc.get("trip_factor", Node.number),
+        total_capacity_fraction=doc.get("total_capacity_fraction", Node.number),
+        total_capacity=doc.get("total_capacity", Node.numbers),
     )
 
 

@@ -13,8 +13,7 @@ import itertools
 import random
 from pathlib import Path
 
-from rlnd.domain import (Arc, ArcData, NetworkInstance, ProcessingData,
-                         ProcessingEntry, SupplyData)
+from rlnd.domain import NetworkInstance
 from rlnd.io import instance_from_dict
 from rlnd.milp import (EmbeddedSolver, LinExpr, MilpModel, RowTag, Solution, SolveStats, Status,
                        solve_milp)
@@ -112,7 +111,8 @@ class ExactHighs:
 def random_network_instance(rng: random.Random, areas: int | None = None,
                             dropoffs: int | None = None,
                             primaries: int | None = None) -> NetworkInstance:
-    """A random but well-formed instance.
+    """A random but well-formed instance, built as a JSON document and read
+    by the codec.
 
     Tier sizes not given are drawn small (areas at most 2, dropoffs and
     primaries at most 3); a size that is given draws nothing from ``rng``.
@@ -125,54 +125,47 @@ def random_network_instance(rng: random.Random, areas: int | None = None,
     secondaries = [f"sec{k}" for k in range(1, rng.randint(1, 2) + 1)]
 
     mass = {i: {h: rng.uniform(50.0, 400.0) for h in areas} for i in products}
-    supply = SupplyData(
-        mass=mass,
-        trips_per_year=rng.uniform(100.0, 600.0),
-        dedicated_fraction={c: rng.uniform(0.2, 0.9) for c in dropoffs},
-        trip_factor={h: rng.uniform(0.5, 1.5) for h in areas},
-    )
+    supply = {
+        "mass": mass,
+        "trips_per_year": rng.uniform(100.0, 600.0),
+        "dedicated_fraction": {c: rng.uniform(0.2, 0.9) for c in dropoffs},
+        "trip_factor": {h: rng.uniform(0.5, 1.5) for h in areas},
+    }
 
-    def entry(cap_low: float, cap_high: float) -> ProcessingEntry:
-        return ProcessingEntry(
-            cost=rng.uniform(0.01, 1.0), credit=rng.uniform(0.0, 2.0),
-            emission=rng.uniform(0.001, 0.2), offset=rng.uniform(0.0, 5.0),
-            capacity=rng.uniform(cap_low, cap_high),
-            min_shipment=rng.choice([0.0, 0.0, rng.uniform(1.0, 30.0)]))
+    def entry(cap_low: float, cap_high: float) -> dict:
+        return {"cost": rng.uniform(0.01, 1.0), "credit": rng.uniform(0.0, 2.0),
+                "emission": rng.uniform(0.001, 0.2), "offset": rng.uniform(0.0, 5.0),
+                "capacity": rng.uniform(cap_low, cap_high),
+                "min_shipment": rng.choice([0.0, 0.0, rng.uniform(1.0, 30.0)])}
 
     # capacities sometimes below total supply, so some instances are infeasible
     total = sum(sum(row.values()) for row in mass.values())
-    processing = ProcessingData(
-        dropoff={c: {i: entry(0.3 * total, 1.6 * total) for i in products}
-                 for c in dropoffs},
-        primary={p: {i: entry(0.3 * total, 1.6 * total) for i in products}
-                 for p in primaries},
-        secondary={s: {j: entry(0.3 * total, 1.6 * total) for j in materials}
-                   for s in secondaries},
-        resale_dropoff={i: rng.uniform(0.0, 0.3) for i in products},
-        resale_primary={i: rng.uniform(0.0, 0.3) for i in products},
-        resale_secondary={j: rng.uniform(0.0, 0.3) for j in materials},
-        fixed_cost={f: rng.uniform(10.0, 300.0)
-                    for f in dropoffs + primaries + secondaries},
-        min_open={"dropoff": 1, "primary": 1, "secondary": 1},
-        composition={j: {i: rng.uniform(0.0, 0.5) for i in products}
-                     for j in materials},
-    )
+    tiers = {"dropoff": (dropoffs, products), "primary": (primaries, products),
+             "secondary": (secondaries, materials)}
+    processing = {
+        tier: {f: {it: entry(0.3 * total, 1.6 * total) for it in items} for f in facilities}
+        for tier, (facilities, items) in tiers.items()}
+    processing.update({
+        "resale": {tier: {it: rng.uniform(0.0, 0.3) for it in items}
+                   for tier, (_, items) in tiers.items()},
+        "fixed_cost": {f: rng.uniform(10.0, 300.0)
+                       for f in dropoffs + primaries + secondaries},
+        "min_open": {"dropoff": 1, "primary": 1, "secondary": 1},
+        "composition": {j: {i: rng.uniform(0.0, 0.5) for i in products}
+                        for j in materials},
+    })
 
-    def arc() -> Arc:
-        return Arc(distance=rng.uniform(5.0, 300.0), cost=rng.uniform(0.01, 0.5),
-                   emission=rng.uniform(0.01, 0.3))
+    def lane(tails: list[str], heads: list[str]) -> dict:
+        return {a: {b: {"distance": rng.uniform(5.0, 300.0), "cost": rng.uniform(0.01, 0.5),
+                        "emission": rng.uniform(0.01, 0.3)} for b in heads} for a in tails}
 
-    arcs = ArcData(
-        res_drop={h: {c: arc() for c in dropoffs} for h in areas},
-        drop_pri={c: {p: arc() for p in primaries} for c in dropoffs},
-        pri_sec={p: {s: arc() for s in secondaries} for p in primaries},
-    )
-    return NetworkInstance(
-        name=f"random-{rng.randrange(10 ** 9)}",
-        products=tuple(products), materials=tuple(materials), areas=tuple(areas),
-        dropoffs=tuple(dropoffs), primaries=tuple(primaries),
-        secondaries=tuple(secondaries),
-        supply=supply, processing=processing, arcs=arcs)
+    arcs = {"res_drop": lane(areas, dropoffs), "drop_pri": lane(dropoffs, primaries),
+            "pri_sec": lane(primaries, secondaries)}
+    return instance_from_dict({
+        "name": f"random-{rng.randrange(10 ** 9)}",
+        "sets": {"products": products, "materials": materials, "areas": areas,
+                 "dropoffs": dropoffs, "primaries": primaries, "secondaries": secondaries},
+        "supply": supply, "processing": processing, "arcs": arcs})
 
 
 @functools.cache

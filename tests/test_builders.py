@@ -80,16 +80,15 @@ def test_mass_conservation_on_solution(bundled):
         shipped = sum(sol.values[name] for (ii, c, p), name in art.vars.dtp.items()
                       if ii == i)
         assert shipped == pytest.approx(
-            (1.0 - proc.resale_dropoff[i]) * collected, rel=1e-9)
+            (1.0 - proc.resale["dropoff"][i]) * collected, rel=1e-9)
 
 
 def test_forbidden_arc_removes_variables(bundled):
     inst = dataclasses.replace(bundled)
-    res_drop = {h: dict(row) for h, row in bundled.arcs.res_drop.items()}
+    res_drop = {h: dict(row) for h, row in bundled.arcs["res_drop"].items()}
     res_drop["area1"]["drop2"] = dataclasses.replace(
-        bundled.arcs.res_drop["area1"]["drop2"], forbidden=True)
-    inst = dataclasses.replace(
-        bundled, arcs=dataclasses.replace(bundled.arcs, res_drop=res_drop))
+        bundled.arcs["res_drop"]["area1"]["drop2"], forbidden=True)
+    inst = dataclasses.replace(bundled, arcs={**bundled.arcs, "res_drop": res_drop})
     art = build_system_model(inst, "cost")
     assert len(art.vars.rtd) == 6
     sol = DEFAULT_SOLVER.solve(art.model)
@@ -99,9 +98,8 @@ def test_forbidden_arc_removes_variables(bundled):
 def test_unreachable_area_warns_and_is_infeasible(bundled):
     res_drop = {h: {c: dataclasses.replace(arc, forbidden=True) if h == "area1"
                     else arc for c, arc in row.items()}
-                for h, row in bundled.arcs.res_drop.items()}
-    inst = dataclasses.replace(
-        bundled, arcs=dataclasses.replace(bundled.arcs, res_drop=res_drop))
+                for h, row in bundled.arcs["res_drop"].items()}
+    inst = dataclasses.replace(bundled, arcs={**bundled.arcs, "res_drop": res_drop})
     art = build_system_model(inst, "cost")
     assert any("area1" in w for w in art.model.warnings)
     assert DEFAULT_SOLVER.solve(art.model).status is Status.INFEASIBLE
@@ -114,7 +112,8 @@ def test_capacity_shortfalls_warn_per_tier(bundled):
 
     proc = bundled.processing
     inst = dataclasses.replace(bundled, processing=dataclasses.replace(
-        proc, dropoff=shrunk(proc.dropoff), primary=shrunk(proc.primary),
+        proc, entries={**proc.entries, "dropoff": shrunk(proc.entries["dropoff"]),
+                       "primary": shrunk(proc.entries["primary"])},
         total_capacity={p: 1.0 for p in bundled.primaries}))
     assert build_system_model(inst, "cost").model.warnings == [
         "dropoff capacity 66 below supply 2100 for prod1",
@@ -184,6 +183,33 @@ def test_row_order_of_every_model(bundled):
                             + ["open-count[primary]", "open-count[secondary]"])
 
 
+def test_column_order_of_every_model(bundled):
+    # every flow family in (item, source, facility) loop order, then every
+    # open family: LP dumps and lowest-index tie-breaks depend on it
+    def runs(art):
+        out = []
+        for name in art.model.variables:
+            prefix = name.split("[")[0]
+            if not out or out[-1] != prefix:
+                out.append(prefix)
+        return out
+
+    b = bundled
+    system = build_system_model(b, "cost")
+    assert runs(system) == ["RTD", "DTP", "PTS", "X", "Y", "R"]
+    assert list(system.model.variables) == (
+        [f"RTD[{i},{h},{c}]" for i in b.products for h in b.areas for c in b.dropoffs]
+        + [f"DTP[{i},{c},{p}]" for i in b.products for c in b.dropoffs for p in b.primaries]
+        + [f"PTS[{j},{p},{s}]" for j in b.materials for p in b.primaries
+           for s in b.secondaries]
+        + [f"X[{c}]" for c in b.dropoffs] + [f"Y[{p}]" for p in b.primaries]
+        + [f"R[{s}]" for s in b.secondaries])
+    assert runs(build_user_model_i(b, "cost")) == ["RTD", "X"]
+    rq = {"prod1": {"drop1": 2100.0, "drop2": 0.0},
+          "prod2": {"drop1": 1200.0, "drop2": 0.0}}
+    assert runs(build_user_model_ii(b, rq, "cost")) == ["DTP", "PTS", "Y", "R"]
+
+
 def test_user_model_ii_balance_rhs(bundled):
     rq = {"prod1": {"drop1": 2100.0, "drop2": 0.0},
           "prod2": {"drop1": 1200.0, "drop2": 0.0}}
@@ -191,7 +217,7 @@ def test_user_model_ii_balance_rhs(bundled):
     balance = [row for row in art.model.rows
                if row.tag.family == "flow-balance" and row.tag.scope[0] == "dropoff"]
     by_scope = {row.tag.scope: row.rhs for row in balance}
-    re1 = bundled.processing.resale_dropoff["prod1"]
+    re1 = bundled.processing.resale["dropoff"]["prod1"]
     assert by_scope[("dropoff", "prod1", "drop1")] == pytest.approx((1 - re1) * 2100.0)
     assert by_scope[("dropoff", "prod1", "drop2")] == 0.0
 
@@ -214,7 +240,7 @@ def test_user_composition_consistent(bundled):
     for i in bundled.products:
         shipped = sum(s2.values[name] for (ii, c, p), name in phase2.vars.dtp.items()
                       if ii == i)
-        want = (1.0 - bundled.processing.resale_dropoff[i]) * bundled.total_supply(i)
+        want = (1.0 - bundled.processing.resale["dropoff"][i]) * bundled.total_supply(i)
         assert shipped == pytest.approx(want, rel=1e-9)
 
 

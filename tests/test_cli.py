@@ -269,6 +269,12 @@ def _latitude_out_of_range(tmp_path):
             "--dropoffs", "b", "--primaries", "c", "--secondaries", "d"]
 
 
+def _spec_file(tmp_path, command, flag, content):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    return [command, flag, str(path)]
+
+
 ERROR_CASES = {
     "pareto-theta": lambda tmp_path: ["pareto", "--theta", "1"],
     "pareto-points": lambda tmp_path: ["pareto", "--points", "0"],
@@ -281,6 +287,15 @@ ERROR_CASES = {
         tmp_path, lambda d: d["supply"].update(trips_per_year="many")),
     "latitude-out-of-range": _latitude_out_of_range,
     "instance-is-a-directory": lambda tmp_path: ["validate", "--instance", str(tmp_path)],
+    "scenario-spec-without-name": lambda tmp_path: _spec_file(
+        tmp_path, "scenario", "--spec", {"trip_factor": 0.5}),
+    "scenario-spec-mistyped": lambda tmp_path: _spec_file(
+        tmp_path, "scenario", "--spec", {"name": "x", "trip_factor": "half"}),
+    "uncertainty-row-without-gamma": lambda tmp_path: _spec_file(
+        tmp_path, "robust", "--uncertainty",
+        {"rows": {"capacity[dropoff,prod1,drop1]": {"deviations": {"X[drop1]": 1.0}}}}),
+    "uncertainty-spec-is-a-list": lambda tmp_path: _spec_file(
+        tmp_path, "robust", "--uncertainty", []),
 }
 
 
@@ -296,4 +311,19 @@ def test_missing_and_mistyped_instance_keys_are_named(tmp_path, capsys):
     assert main(ERROR_CASES["instance-without-arcs"](tmp_path)) == 1
     assert "missing key 'arcs'" in capsys.readouterr().err
     assert main(ERROR_CASES["trips-not-a-number"](tmp_path)) == 1
-    assert "'many'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "supply.trips_per_year" in err and "'many'" in err
+    assert main(_validate(tmp_path, lambda d: d["processing"]["primary"]["prim1"]["prod1"]
+                          .update(capacity="lots"))) == 1
+    assert "processing.primary.prim1.prod1.capacity" in capsys.readouterr().err
+    assert main(_validate(tmp_path, lambda d: d["arcs"].pop("pri_sec"))) == 1
+    assert "missing key 'arcs.pri_sec'" in capsys.readouterr().err
+
+
+def test_spec_file_errors_name_the_key(tmp_path, capsys):
+    assert main(ERROR_CASES["scenario-spec-without-name"](tmp_path)) == 1
+    assert "missing key 'name'" in capsys.readouterr().err
+    assert main(ERROR_CASES["scenario-spec-mistyped"](tmp_path)) == 1
+    assert "trip_factor" in capsys.readouterr().err
+    assert main(ERROR_CASES["uncertainty-row-without-gamma"](tmp_path)) == 1
+    assert "rows.capacity[dropoff,prod1,drop1].gamma" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from rlnd.domain import (InstanceError, PolicyData, ProcessingEntry, SupplyData,
+from rlnd.domain import (InstanceError, PolicyData,
                          trip_multiplier, validate, with_supply_mass,
                          with_total_capacity, with_trip_factor)
 from rlnd.io import instance_from_dict, instance_to_dict
@@ -50,7 +50,9 @@ def test_trip_multiplier_zero_household_size(bundled):
 @pytest.mark.parametrize("breaker,symbol", [
     (lambda i: i.supply.mass["prod1"].__setitem__("area1", -5.0), "r"),
     (lambda i: i.supply.dedicated_fraction.__setitem__("drop1", 1.5), "df"),
-    (lambda i: i.processing.resale_dropoff.__setitem__("prod1", 1.2), "re^drp"),
+    (lambda i: i.processing.resale["dropoff"].__setitem__("prod1", 1.2), "re^drp"),
+    (lambda i: i.processing.resale["primary"].__setitem__("prod2", -0.1), "re^pri"),
+    (lambda i: i.processing.resale["secondary"].__setitem__("mat3", 1.5), "re^sec"),
     (lambda i: i.processing.fixed_cost.__setitem__("prim2", -1.0), "fc"),
     (lambda i: i.processing.composition["mat2"].__setitem__("prod2", -0.1), "q"),
     (lambda i: i.processing.min_open.__setitem__("primary", 9), "nof"),
@@ -65,28 +67,43 @@ def test_single_bad_scalar_is_reported_once(bundled, breaker, symbol):
     assert report.violations[0].symbol == symbol
 
 
-def test_bad_processing_entry_flagged(bundled):
-    inst = mutable_copy(bundled)
-    old = inst.processing.primary["prim1"]["prod1"]
-    inst.processing.primary["prim1"]["prod1"] = ProcessingEntry(
-        cost=old.cost, credit=old.credit, emission=old.emission,
-        offset=old.offset, capacity=100.0, min_shipment=200.0)
-    report = validate(inst)
-    assert [v.symbol for v in report.violations] == ["pri.min_shipment"]
+TIER_IDS = ["dropoff", "primary", "secondary"]
 
 
-def test_missing_arc_flagged(bundled):
+@pytest.mark.parametrize("tier,facility,item,symbol", [
+    ("dropoff", "drop2", "prod1", "drp"),
+    ("primary", "prim1", "prod1", "pri"),
+    ("secondary", "sec1", "mat2", "sec"),
+], ids=TIER_IDS)
+def test_bad_processing_entry_flagged(bundled, tier, facility, item, symbol):
     inst = mutable_copy(bundled)
-    del inst.arcs.drop_pri["drop1"]["prim3"]
+    row = inst.processing.entries[tier][facility]
+    row[item] = dataclasses.replace(row[item], capacity=100.0, min_shipment=200.0)
     report = validate(inst)
-    assert [v.symbol for v in report.violations] == ["d^drp"]
-    assert report.violations[0].index == ("drop1", "prim3")
+    assert [v.symbol for v in report.violations] == [f"{symbol}.min_shipment"]
+    del row[item]
+    report = validate(inst)
+    assert [v.symbol for v in report.violations] == [symbol]
+    assert report.violations[0].index == (item, facility)
+
+
+@pytest.mark.parametrize("lane,tail,head,symbol", [
+    ("res_drop", "area2", "drop1", "d^res"),
+    ("drop_pri", "drop1", "prim3", "d^drp"),
+    ("pri_sec", "prim2", "sec1", "d^pri"),
+], ids=TIER_IDS)
+def test_missing_arc_flagged(bundled, lane, tail, head, symbol):
+    inst = mutable_copy(bundled)
+    del inst.arcs[lane][tail][head]
+    report = validate(inst)
+    assert [v.symbol for v in report.violations] == [symbol]
+    assert report.violations[0].index == (tail, head)
 
 
 def test_forbidden_arc_is_allowed(bundled):
     inst = mutable_copy(bundled)
-    arc = inst.arcs.res_drop["area1"]["drop2"]
-    inst.arcs.res_drop["area1"]["drop2"] = dataclasses.replace(arc, forbidden=True)
+    arc = inst.arcs["res_drop"]["area1"]["drop2"]
+    inst.arcs["res_drop"]["area1"]["drop2"] = dataclasses.replace(arc, forbidden=True)
     assert validate(inst).ok
 
 

@@ -14,8 +14,8 @@ def test_bundled_loads(bundled):
     assert bundled.dropoffs == ("drop1", "drop2")
     assert bundled.primaries == ("prim1", "prim2", "prim3")
     assert bundled.secondaries == ("sec1",)
-    assert bundled.arcs.res_drop["area2"]["drop2"].distance == 80.0
-    assert bundled.processing.secondary["sec1"]["mat2"].credit == 11.5
+    assert bundled.arcs["res_drop"]["area2"]["drop2"].distance == 80.0
+    assert bundled.processing.entries["secondary"]["sec1"]["mat2"].credit == 11.5
 
 
 def test_dict_round_trip(bundled):
@@ -52,7 +52,7 @@ def test_defaults_backfilled(bundled):
     assert "min_shipment" not in entry
     assert "efficiency" not in data["processing"]
     inst = instance_from_dict(data)
-    assert inst.processing.dropoff["drop1"]["prod1"].min_shipment == 0.0
+    assert inst.processing.entries["dropoff"]["drop1"]["prod1"].min_shipment == 0.0
     assert inst.processing.eff("mat1", "prim1") == 1.0
 
 

@@ -38,7 +38,7 @@ def reference_stages(inst, vars, values):
 
     trip_c = trip_e = 0.0
     for (i, h, c), name in vars.rtd.items():
-        arc = inst.arcs.res_drop[h][c]
+        arc = inst.arcs["res_drop"][h][c]
         m = reference_multiplier(inst, h, c)
         trip_c += m * arc.cost * arc.distance * values[name]
         trip_e += m * arc.emission * arc.distance * values[name]
@@ -47,7 +47,7 @@ def reference_stages(inst, vars, values):
 
     leg_c = leg_e = 0.0
     for (i, c, p), name in vars.dtp.items():
-        arc = inst.arcs.drop_pri[c][p]
+        arc = inst.arcs["drop_pri"][c][p]
         leg_c += arc.cost * arc.distance * values[name]
         leg_e += arc.emission * arc.distance * values[name]
     out["transport_cost"]["dropoff-primary"] = leg_c
@@ -55,7 +55,7 @@ def reference_stages(inst, vars, values):
 
     leg_c = leg_e = 0.0
     for (j, p, s), name in vars.pts.items():
-        arc = inst.arcs.pri_sec[p][s]
+        arc = inst.arcs["pri_sec"][p][s]
         leg_c += arc.cost * arc.distance * values[name]
         leg_e += arc.emission * arc.distance * values[name]
     out["transport_cost"]["primary-secondary"] = leg_c
@@ -90,11 +90,11 @@ def reference_stages(inst, vars, values):
                    for p in inst.primaries if (j, p, s) in vars.pts)
 
     tally("dropoff", inst.products, inst.dropoffs, dropoff_inflow,
-          lambda f, it: proc.dropoff[f][it], lambda it: proc.resale_dropoff[it])
+          lambda f, it: proc.entries["dropoff"][f][it], lambda it: proc.resale["dropoff"][it])
     tally("primary", inst.products, inst.primaries, primary_inflow,
-          lambda f, it: proc.primary[f][it], lambda it: proc.resale_primary[it])
+          lambda f, it: proc.entries["primary"][f][it], lambda it: proc.resale["primary"][it])
     tally("secondary", inst.materials, inst.secondaries, secondary_inflow,
-          lambda f, it: proc.secondary[f][it], lambda it: proc.resale_secondary[it])
+          lambda f, it: proc.entries["secondary"][f][it], lambda it: proc.resale["secondary"][it])
 
     out["fixed_cost"]["dropoff"] = sum(proc.fixed_cost[c] for c in inst.dropoffs
                                        if values[vars.x[c]] > 0.5)
@@ -115,11 +115,11 @@ def hand_plan_values(inst, vars):
             values[vars.rtd[(i, h, "drop1")]] = 1.0
     collected = {i: sum(inst.supply.mass[i][h] for h in inst.areas)
                  for i in inst.products}
-    shipped = {i: (1.0 - proc.resale_dropoff[i]) * collected[i] for i in inst.products}
+    shipped = {i: (1.0 - proc.resale["dropoff"][i]) * collected[i] for i in inst.products}
     for i in inst.products:
         values[vars.dtp[(i, "drop1", "prim3")]] = shipped[i]
     for j in inst.materials:
-        mass = sum(proc.composition[j][i] * (1.0 - proc.resale_primary[i]) * shipped[i]
+        mass = sum(proc.composition[j][i] * (1.0 - proc.resale["primary"][i]) * shipped[i]
                    for i in inst.products)
         values[vars.pts[(j, "prim3", "sec1")]] = mass
     for c in inst.dropoffs:
