@@ -10,15 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import TIERS, NetworkInstance, validate
+from .domain import TIERS, NetworkInstance, TierLayout, validate
 from .milp import LinExpr, MilpModel, ModelError, RowTag
-from .objectives import (TIER_VARIABLES, StageExpressions, Tier, VariableMap,
-                         build_stage_expressions, tiers)
+from .objectives import StageExpressions, Tier, VariableMap, build_stage_expressions, tiers
 
 OBJECTIVES = ("cost", "emission")
-
-# per tier: flow prefix and upper bound (RTD is a share of trips), open prefix
-_PREFIXES = (("RTD", 1.0, "X"), ("DTP", math.inf, "Y"), ("PTS", math.inf, "R"))
 
 
 @dataclass
@@ -34,32 +30,38 @@ class ModelArtifacts:
         return self.model.to_lp_format()
 
 
-def _check_objective(objective: str) -> None:
+def _new_model(instance: NetworkInstance, objective: str, phase: str,
+               picked: tuple[TierLayout, ...]) -> tuple[MilpModel, VariableMap, tuple[Tier, ...]]:
+    """Every builder's prologue: check the objective, validate the instance,
+    and start the model with the picked tiers' variables.  Returns the
+    model, its variables and the tier table over them."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    validate(instance).assert_valid()
+    model = MilpModel(f"{instance.name}:{phase}:{objective}")
+    vars = _register(model, instance, picked)
+    return model, vars, tiers(instance, vars)
 
 
-def _checked(instance: NetworkInstance) -> NetworkInstance:
-    report = validate(instance)
-    report.assert_valid()
-    return instance
-
-
-def _register(model: MilpModel, instance: NetworkInstance, picked: slice) -> VariableMap:
+def _register(model: MilpModel, instance: NetworkInstance,
+              picked: tuple[TierLayout, ...]) -> VariableMap:
     """The flow variables of the picked tiers, then their open indicators:
     every model's column order, on which LP dumps and lowest-index
-    tie-breaks depend.  A forbidden arc has no flow variable."""
-    layouts = list(zip(TIERS, _PREFIXES, TIER_VARIABLES))[picked]
+    tie-breaks depend.  A variable's name is its ``VariableMap`` field
+    upper-cased; a forbidden arc has no flow variable, and only the dropoff
+    tier's flows, which are shares of trips, are bounded by 1."""
     names: dict[str, dict] = {}
-    for layout, (prefix, ub, _), (flows, _) in layouts:
+    for layout in picked:
         facilities, items, sources = layout.sets(instance)
-        lane = instance.arcs[layout.lane]
-        names[flows] = {(it, a, f): model.add_variable(f"{prefix}[{it},{a},{f}]", 0.0, ub)
-                        for it in items for a in sources for f in facilities
-                        if not lane[a][f].forbidden}
-    for layout, (_, _, prefix), (_, opens) in layouts:
-        names[opens] = {f: model.add_variable(f"{prefix}[{f}]", binary=True)
-                        for f in getattr(instance, layout.facilities)}
+        lane, prefix = instance.arcs[layout.lane], layout.flows.upper()
+        ub = 1.0 if layout is TIERS[0] else math.inf
+        names[layout.flows] = {(it, a, f): model.add_variable(f"{prefix}[{it},{a},{f}]", 0.0, ub)
+                               for it in items for a in sources for f in facilities
+                               if not lane[a][f].forbidden}
+    for layout in picked:
+        prefix = layout.opens.upper()
+        names[layout.opens] = {f: model.add_variable(f"{prefix}[{f}]", binary=True)
+                               for f in getattr(instance, layout.facilities)}
     return VariableMap(**names)
 
 
@@ -165,12 +167,7 @@ def _structural_warnings(instance: NetworkInstance, table: tuple[Tier, ...]) -> 
 def build_system_model(instance: NetworkInstance, objective: str = "cost",
                        include_policy: bool = True) -> ModelArtifacts:
     """Whole-network program: one decision maker routes everything."""
-    _check_objective(objective)
-    _checked(instance)
-    model = MilpModel(f"{instance.name}:system:{objective}")
-    vars = _register(model, instance, slice(None))
-
-    table = tiers(instance, vars)
+    model, vars, table = _new_model(instance, objective, "system", TIERS)
     model.warnings.extend(_structural_warnings(instance, table))
     _add_trip_balance(model, instance, table[0])
     _add_dropoff_balance(model, instance, table)
@@ -182,11 +179,8 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
     stages = build_stage_expressions(instance, table)
     objective_expr = stages.total_cost() if objective == "cost" else stages.total_emission()
     model.set_objective(objective_expr)
-
     artifacts = ModelArtifacts(model, vars, stages)
-    if include_policy and instance.policy is not None:
-        add_policy_constraints(artifacts, instance)
-    return artifacts
+    return add_policy_constraints(artifacts, instance) if include_policy else artifacts
 
 
 def build_user_model_i(instance: NetworkInstance, objective: str = "cost",
@@ -196,32 +190,23 @@ def build_user_model_i(instance: NetworkInstance, objective: str = "cost",
     Only the residence->dropoff legs exist here; fixed costs are charged later
     during composition, which is what makes the split decentralized.
     """
-    _check_objective(objective)
-    _checked(instance)
-    model = MilpModel(f"{instance.name}:user-I:{objective}")
-    vars = _register(model, instance, slice(1))
-
-    table = tiers(instance, vars)
+    model, vars, table = _new_model(instance, objective, "user-I", TIERS[:1])
     _add_trip_balance(model, instance, table[0])
     _add_gates(model, instance, table[:1])
     _add_open_counts(model, instance, table[:1])
 
     stages = build_stage_expressions(instance, table)
-    key = "residence-dropoff"
-    expr = stages.transport_cost[key] if objective == "cost" else stages.transport_emission[key]
+    leg = TIERS[0].leg
+    expr = stages.transport_cost[leg] if objective == "cost" else stages.transport_emission[leg]
     model.set_objective(expr.copy())
-
     artifacts = ModelArtifacts(model, vars, stages)
-    if include_policy and instance.policy is not None:
-        add_policy_constraints(artifacts, instance)
-    return artifacts
+    return add_policy_constraints(artifacts, instance) if include_policy else artifacts
 
 
 def build_user_model_ii(instance: NetworkInstance, rq: dict[str, dict[str, float]],
                         objective: str = "cost") -> ModelArtifacts:
     """Operator's phase: route the collected mass rq[i][c] downstream."""
-    _check_objective(objective)
-    _checked(instance)
+    model, vars, table = _new_model(instance, objective, "user-II", TIERS[1:])
     for i in instance.products:
         collected = sum(rq.get(i, {}).get(c, 0.0) for c in instance.dropoffs)
         supply = instance.total_supply(i)
@@ -229,10 +214,6 @@ def build_user_model_ii(instance: NetworkInstance, rq: dict[str, dict[str, float
             raise ModelError(f"collected mass {collected:g} for {i} does not match "
                              f"supply {supply:g}")
 
-    model = MilpModel(f"{instance.name}:user-II:{objective}")
-    vars = _register(model, instance, slice(1, None))
-
-    table = tiers(instance, vars)
     _add_dropoff_balance(model, instance, table, rq)
     _add_primary_balance(model, instance, table)
     _add_gates(model, instance, table[1:])

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 # the user builders stay bound for perfbench, which wraps all three here by name
 from .builders import build_system_model, build_user_model_i, build_user_model_ii
-from .domain import InstanceError, NetworkInstance, validate
+from .domain import TIERS, InstanceError, NetworkInstance, validate
 from .geo import grid_to_areas
 from .io import (load_bundled_instance, load_instance, read_points_csv,
                  write_breakdown_csv)
@@ -27,8 +27,8 @@ from .milp import EmbeddedSolver, Solver, Status
 from .multiobjective import (POINTS_DEFAULT, SystemEpsilonFamily, THETA_DEFAULT,
                              UserEpsilonFamily, epsilon_sweep)
 from .robust import capacity_preset, load_uncertainty_spec, robustify_artifacts
-from .scenarios import (SCENARIO_ORDER, SideResult, builtin_scenarios, load_scenario_spec,
-                        run_all, run_scenario, solve_built, solve_system, solve_user,
+from .scenarios import (SCENARIO_ORDER, SideResult, load_scenario_spec, run_all,
+                        run_scenario, solve_built, solve_system, solve_user,
                         write_comparison_csv)
 
 EXIT_OK = 0
@@ -72,9 +72,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver", choices=("embedded", "scipy"), default="embedded")
     parser.add_argument("--node-budget", type=int, default=200_000,
                         help="search-node cap for the embedded engine")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted for workflow compatibility; all "
-                             "computations here are deterministic")
 
 
 def _print_solution_header(status: Status, objective: float | None) -> None:
@@ -172,12 +169,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     elif args.name == "all":
         results = run_all(args.objective, base, solver)
     else:
-        table = builtin_scenarios()
-        if args.name not in table:
-            print(f"unknown scenario {args.name!r}; built-ins: "
-                  f"{', '.join(SCENARIO_ORDER)} or 'all'", file=sys.stderr)
-            return EXIT_ERROR
-        results = [run_scenario(table[args.name], args.objective, base, solver)]
+        results = [run_scenario(args.name, args.objective, base, solver)]
     for result in results:
         print(result.format_text())
         print()
@@ -197,18 +189,13 @@ def _cmd_distances(args: argparse.Namespace) -> int:
             raise InstanceError(f"points file lacks {missing}")
         return {name: points[name] for name in names}
 
-    dropoffs = pick(args.dropoffs)
-    primaries = pick(args.primaries)
-    secondaries = pick(args.secondaries)
-    used = set(dropoffs) | set(primaries) | set(secondaries)
-    residences = {k: v for k, v in points.items() if k not in used}
+    sites = [pick(getattr(args, tier.facilities)) for tier in TIERS]
+    residences = {k: v for k, v in points.items() if not any(k in s for s in sites)}
     if not residences:
         raise InstanceError("every point is assigned to a facility tier; "
                             "none remain as residence areas")
-    grid = grid_to_areas(residences, dropoffs, primaries, secondaries)
-    payload = {"res_drop": grid.res_drop, "drop_pri": grid.drop_pri,
-               "pri_sec": grid.pri_sec, "population": grid.population}
-    text = json.dumps(payload, indent=2)
+    grid = grid_to_areas(residences, *sites)
+    text = json.dumps({**grid.lanes, "population": grid.population}, indent=2)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
         print(f"distance grid written to {args.output}")

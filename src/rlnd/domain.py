@@ -7,8 +7,10 @@ of its inflow, which earns revenue and avoids emissions.
 
 The three processing tiers share one shape, declared once in :data:`TIERS`:
 each tier's name, the id sets of its facilities, items and sources, its
-inbound arc lane and its validation symbols.  Per-tier data is keyed by tier
-as the instance JSON nests it (``ProcessingData.entries[tier][facility][item]``,
+inbound arc lane, its validation symbols, the stage-report name of its
+inbound leg and the model's names for its flow and open variables.
+Per-tier data is keyed by tier as the instance JSON nests it
+(``ProcessingData.entries[tier][facility][item]``,
 ``ProcessingData.resale[tier][item]``, ``NetworkInstance.arcs[lane][tail][head]``),
 and validation, the :mod:`rlnd.io` codec and the model layer loop over the layout.
 
@@ -121,9 +123,12 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class TierLayout:
-    """Where one processing tier's data sits in an instance: ``name`` keys
-    ``ProcessingData.entries``, ``resale`` and ``min_open``, ``lane`` keys
-    its inbound arcs, and the rest name ``NetworkInstance`` id sets."""
+    """Where one processing tier's data sits in an instance and a model:
+    ``name`` keys ``ProcessingData.entries``, ``resale`` and ``min_open``,
+    ``lane`` keys its inbound arcs, ``leg`` names that lane in stage
+    reports, ``flows`` and ``opens`` name its ``VariableMap`` fields (and,
+    upper-cased, its variables), and the rest name ``NetworkInstance`` id
+    sets."""
 
     name: str
     facilities: str
@@ -132,6 +137,9 @@ class TierLayout:
     lane: str
     symbol: str        # of its processing entries; ``re^`` + symbol of its resale shares
     lane_symbol: str   # of its inbound arcs
+    leg: str
+    flows: str
+    opens: str
 
     def sets(self, instance: NetworkInstance) -> tuple[tuple[str, ...], ...]:
         """The tier's facilities, items and sources in ``instance``."""
@@ -140,9 +148,12 @@ class TierLayout:
 
 
 TIERS = (
-    TierLayout("dropoff", "dropoffs", "products", "areas", "res_drop", "drp", "d^res"),
-    TierLayout("primary", "primaries", "products", "dropoffs", "drop_pri", "pri", "d^drp"),
-    TierLayout("secondary", "secondaries", "materials", "primaries", "pri_sec", "sec", "d^pri"),
+    TierLayout("dropoff", "dropoffs", "products", "areas", "res_drop", "drp", "d^res",
+               "residence-dropoff", "rtd", "x"),
+    TierLayout("primary", "primaries", "products", "dropoffs", "drop_pri", "pri", "d^drp",
+               "dropoff-primary", "dtp", "y"),
+    TierLayout("secondary", "secondaries", "materials", "primaries", "pri_sec", "sec", "d^pri",
+               "primary-secondary", "pts", "r"),
 )
 
 

@@ -1,9 +1,10 @@
 """Great-circle distances and coordinate-grid ingestion.
 
 Converts point coordinates (census block groups, candidate facility sites)
-into the dense distance tables the network model needs.  Distances use the
-haversine form, which stays accurate for nearby points where the spherical
-law of cosines loses precision.
+into the dense distance tables the network model needs, one per inbound
+lane of :data:`rlnd.domain.TIERS` and keyed like the instance's arcs.
+Distances use the haversine form, which stays accurate for nearby points
+where the spherical law of cosines loses precision.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .domain import TIERS
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean Earth radius
 
@@ -61,11 +64,10 @@ def pairwise_km(origins: Sequence[GeoPoint], destinations: Sequence[GeoPoint],
 
 @dataclass
 class GriddedDistances:
-    """Distance tables (km) between named tiers, plus area populations."""
+    """Distance tables (km) ``lanes[lane][tail][head]`` into each tier, keyed
+    by :attr:`~rlnd.domain.TierLayout.lane`, plus area populations."""
 
-    res_drop: dict[str, dict[str, float]]
-    drop_pri: dict[str, dict[str, float]]
-    pri_sec: dict[str, dict[str, float]]
+    lanes: dict[str, dict[str, dict[str, float]]]
     population: dict[str, float]
 
 
@@ -77,10 +79,11 @@ def grid_to_areas(points: dict[str, GeoPoint], dropoffs: dict[str, GeoPoint],
     Each point becomes one residence area (keyed by its id) carrying its
     population attribute; facility tiers must be non-empty.
     """
-    for tier, table in (("dropoffs", dropoffs), ("primaries", primaries),
-                        ("secondaries", secondaries)):
-        if not table:
-            raise ValueError(f"empty facility tier: {tier}")
+    sites = {"areas": points, "dropoffs": dropoffs, "primaries": primaries,
+             "secondaries": secondaries}
+    for tier in TIERS:
+        if not sites[tier.facilities]:
+            raise ValueError(f"empty facility tier: {tier.facilities}")
     if not points:
         raise ValueError("no residence points")
 
@@ -91,8 +94,5 @@ def grid_to_areas(points: dict[str, GeoPoint], dropoffs: dict[str, GeoPoint],
                 for i, a in enumerate(okeys)}
 
     return GriddedDistances(
-        res_drop=table_of(points, dropoffs),
-        drop_pri=table_of(dropoffs, primaries),
-        pri_sec=table_of(primaries, secondaries),
-        population={k: (p.population or 0.0) for k, p in points.items()},
-    )
+        {tier.lane: table_of(sites[tier.sources], sites[tier.facilities]) for tier in TIERS},
+        {k: (p.population or 0.0) for k, p in points.items()})

@@ -30,13 +30,13 @@ Families adapt concrete model shapes to the sweep:
 
 * :class:`ExpressionFamily` — any single MilpModel with a cost and an
   emission expression.
-* :class:`SystemEpsilonFamily` and :class:`UserEpsilonFamily` — the
-  whole-network and the two-phase program.  Both ride on
-  :func:`~rlnd.scenarios.solve_system` and :func:`~rlnd.scenarios.solve_user`:
-  an anchor is the plain solve of one objective, the same optimum
-  ``rlnd solve`` prints, and a grid solve is the cost solve under an
-  :class:`~rlnd.scenarios.EmissionCap`.  The user emission anchor is thus
-  the residents' own trip-emission optimum followed by the operator's
+* :class:`SystemEpsilonFamily` — the whole-network program, on
+  :func:`~rlnd.scenarios.solve_system`: an anchor is the plain solve of one
+  objective, the same optimum ``rlnd solve`` prints, and a grid solve is the
+  cost solve under an :class:`~rlnd.scenarios.EmissionCap`.
+* :class:`UserEpsilonFamily` — the same family on the two-phase program,
+  :func:`~rlnd.scenarios.solve_user`.  Its emission anchor is thus the
+  residents' own trip-emission optimum followed by the operator's
   emission-optimal routing.  The two-phase cap holds back that anchor's
   phase-two emission from phase one, so that phase two can still fit under
   the overall cap, and caps phase two at what phase one left.
@@ -244,14 +244,6 @@ class ExpressionFamily:
         return cost.evaluate(solution.values), reach, dict(solution.values), reach
 
 
-def _grid_answer(side: SideResult, v: int
-                 ) -> tuple[float, float, dict[str, float], float] | None:
-    if side.status is Status.INFEASIBLE:
-        return None
-    side.require_optimal(f"grid solve {v}")
-    return side.total_cost, side.total_emission, side.values, side.reach
-
-
 class SystemEpsilonFamily:
     """Trade-off family for the whole-network program."""
 
@@ -260,56 +252,51 @@ class SystemEpsilonFamily:
         self.instance = instance
         self.include_policy = include_policy
         self.solver = solver or DEFAULT_SOLVER
+        self._held_back: float | None = None
         self._previous: SideResult | None = None
 
+    def _solve(self, objective: str, cap: EmissionCap | None = None,
+               start: SideResult | None = None) -> SideResult:
+        return solve_system(self.instance, objective, self.solver, self.include_policy,
+                            cap, start)
+
     def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
-        side = solve_system(self.instance, objective, self.solver,
-                            self.include_policy).require_optimal("anchor solve")
+        side = self._solve(objective).require_optimal("anchor solve")
+        if objective == "emission":  # later phases' emission, held back from phase one
+            self._held_back = sum(artifacts.stages.total_emission().evaluate(solution.values)
+                                  for artifacts, solution in side.phases[1:])
         return side.total_cost, side.total_emission, side.values
 
     def solve_point(self, v: int, epsilon: float, theta: float
                     ) -> tuple[float, float, dict[str, float], float] | None:
-        side = solve_system(self.instance, "cost", self.solver, self.include_policy,
-                            EmissionCap(v, epsilon, theta), self._previous)
-        answer = _grid_answer(side, v)
-        if answer is not None:
-            self._previous = side
-        return answer
+        return self._grid_solve(EmissionCap(v, epsilon, theta))
+
+    def _grid_solve(self, cap: EmissionCap
+                    ) -> tuple[float, float, dict[str, float], float] | None:
+        side = self._solve("cost", cap, self._previous)
+        if side.status is Status.INFEASIBLE:
+            return None
+        self._previous = side.require_optimal(f"grid solve {cap.v}")
+        return side.total_cost, side.total_emission, side.values, side.reach
 
 
-class UserEpsilonFamily:
+class UserEpsilonFamily(SystemEpsilonFamily):
     """Trade-off family for the two-phase (decentralized) program.
 
     The emission cap applies to the composed network total.  Phase one is
     capped at ``epsilon`` minus the phase-two emission of the emission
     anchor, and phase two at what phase one left (see
-    :class:`~rlnd.scenarios.EmissionCap`).
+    :class:`~rlnd.scenarios.EmissionCap`); a grid solve asked for before
+    the anchors solves the emission anchor first.
     """
 
-    def __init__(self, instance: NetworkInstance, include_policy: bool = True,
-                 solver: Solver | None = None):
-        self.instance = instance
-        self.include_policy = include_policy
-        self.solver = solver or DEFAULT_SOLVER
-        self._downstream_floor: float | None = None
-        self._previous: SideResult | None = None
-
-    def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
-        side = solve_user(self.instance, objective, self.solver,
-                          self.include_policy).require_optimal("anchor solve")
-        if objective == "emission":
-            phase2, s2 = side.phases[1]
-            self._downstream_floor = phase2.stages.total_emission().evaluate(s2.values)
-        return side.total_cost, side.total_emission, side.values
+    def _solve(self, objective: str, cap: EmissionCap | None = None,
+               start: SideResult | None = None) -> SideResult:
+        return solve_user(self.instance, objective, self.solver, self.include_policy,
+                          cap, start)
 
     def solve_point(self, v: int, epsilon: float, theta: float
                     ) -> tuple[float, float, dict[str, float], float] | None:
-        if self._downstream_floor is None:
+        if self._held_back is None:
             self.anchor("emission")
-        cap = EmissionCap(v, epsilon, theta, held_back=self._downstream_floor)
-        side = solve_user(self.instance, "cost", self.solver, self.include_policy, cap,
-                          self._previous)
-        answer = _grid_answer(side, v)
-        if answer is not None:
-            self._previous = side
-        return answer
+        return self._grid_solve(EmissionCap(v, epsilon, theta, self._held_back))

@@ -13,9 +13,11 @@ resold share.  Dropoff inflow is ``supply x RTD``, primary inflow is DTP, and
 secondary inflow is PTS.
 
 The three processing tiers share one layout, declared once in
-:data:`rlnd.domain.TIERS`.  The tier table :func:`tiers` joins it with a
-model's variables; the stage expressions, the inflow reports, the effective
-open set and the builders' registration, balance and gate rows loop over it.
+:data:`rlnd.domain.TIERS`, which also names each tier's transport leg in the
+reports and its fields in :class:`VariableMap`.  The tier table :func:`tiers`
+joins the layout with a model's variables; the stage expressions, the inflow
+reports, the effective open set, the phase merge and the builders'
+registration, balance and gate rows loop over it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ from typing import Mapping
 from .domain import TIERS, Arc, NetworkInstance, ProcessingEntry, trip_multiplier
 from .milp import LinExpr, ModelError, Solution, Status
 
-_ARC_CLASSES = ("residence-dropoff", "dropoff-primary", "primary-secondary")  # into each tier
-TIER_VARIABLES = (("rtd", "x"), ("dtp", "y"), ("pts", "r"))  # VariableMap flows, opens per tier
-
 _FLOW_TOL = 1e-6
 
 
@@ -37,7 +36,8 @@ class VariableMap:
     """Names of the decision variables registered in a model.
 
     Keys present define which arcs/facilities the model knows about; phase-I
-    user models carry only ``rtd`` and ``x``, phase-II models the rest.
+    user models carry only ``rtd`` and ``x``, phase-II models the rest.  The
+    field names are :attr:`~rlnd.domain.TierLayout.flows` and ``opens``.
     """
 
     rtd: dict[tuple[str, str, str], str] = field(default_factory=dict)  # (i,h,c)
@@ -197,9 +197,9 @@ def tiers(instance: NetworkInstance, vars: VariableMap) -> tuple[Tier, Tier, Tie
     proc = instance.processing
     return tuple(Tier(layout.name, *layout.sets(instance), proc.entries[layout.name],
                       proc.resale[layout.name], instance.arcs[layout.lane],
-                      getattr(vars, opens), getattr(vars, flows),
-                      instance.supply.mass if k == 0 else None)
-                 for k, (layout, (flows, opens)) in enumerate(zip(TIERS, TIER_VARIABLES)))
+                      getattr(vars, layout.opens), getattr(vars, layout.flows),
+                      instance.supply.mass if layout is TIERS[0] else None)
+                 for layout in TIERS)
 
 
 def _transport_leg(instance: NetworkInstance, tier: Tier, rate: str) -> LinExpr:
@@ -230,10 +230,10 @@ def build_stage_expressions(instance: NetworkInstance, table: tuple[Tier, ...]
                             ) -> StageExpressions:
     """All stage expressions a model's tier table can support."""
     stages = StageExpressions()
-    for tier, arc_class in zip(table, _ARC_CLASSES):
+    for tier, layout in zip(table, TIERS):
         if tier.flows:
-            stages.transport_cost[arc_class] = _transport_leg(instance, tier, "cost")
-            stages.transport_emission[arc_class] = _transport_leg(instance, tier, "emission")
+            stages.transport_cost[layout.leg] = _transport_leg(instance, tier, "cost")
+            stages.transport_emission[layout.leg] = _transport_leg(instance, tier, "emission")
             for metric, by_tier in (("cost", stages.processing_cost),
                                     ("emission", stages.processing_emission),
                                     ("credit", stages.resale_revenue),
@@ -342,6 +342,6 @@ def merge_phases(phase1_vars: VariableMap, phase1: Solution,
     """
     _require(phase1.status is Status.OPTIMAL, "phase I solution is not optimal")
     _require(phase2.status is Status.OPTIMAL, "phase II solution is not optimal")
-    vars = VariableMap(rtd=phase1_vars.rtd, x=phase1_vars.x, dtp=phase2_vars.dtp,
-                       pts=phase2_vars.pts, y=phase2_vars.y, r=phase2_vars.r)
+    vars = VariableMap(**{f.name: getattr(phase1_vars, f.name) or getattr(phase2_vars, f.name)
+                          for f in fields(VariableMap)})
     return vars, Solution(Status.OPTIMAL, None, {**phase1.values, **phase2.values})

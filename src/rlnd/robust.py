@@ -11,15 +11,13 @@ full worst case.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 from .builders import ModelArtifacts
-from .io import Node, read_document
-from .milp import LinExpr, MilpModel, ModelError, Row, RowTag
+from .io import read_document
+from .milp import LinExpr, MilpModel, ModelError, RowTag
 
 _ABS_PREFIX = "ABS"
 
@@ -54,35 +52,16 @@ class UncertaintySpec:
         for key, row in self.rows.items():
             row.validate(key)
 
-    def to_dict(self) -> dict:
-        return {"rows": {key: {"gamma": row.gamma, "deviations": dict(row.deviations)}
-                         for key, row in self.rows.items()}}
-
-    @classmethod
-    def from_dict(cls, data: Mapping | Node) -> "UncertaintySpec":
-        """The spec in :meth:`to_dict`'s layout; a missing key or a value of
-        the wrong type raises a DocumentError that names it."""
-        doc = data if isinstance(data, Node) else Node(data)
-        spec = cls(doc["rows"].map(lambda entry: RowUncertainty(
-            entry["gamma"].number(), entry["deviations"].numbers())))
-        spec.validate()
-        return spec
-
-    def with_gamma(self, gamma: float) -> "UncertaintySpec":
-        """Same deviations with every budget set to min(gamma, row size)."""
-        return UncertaintySpec({
-            key: RowUncertainty(min(gamma, len(row.deviations)), dict(row.deviations))
-            for key, row in self.rows.items()})
-
 
 def load_uncertainty_spec(path: str | Path) -> UncertaintySpec:
-    return UncertaintySpec.from_dict(read_document(path))
-
-
-def save_uncertainty_spec(spec: UncertaintySpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(spec.to_dict(), f, indent=2)
-        f.write("\n")
+    """A spec file ``{"rows": {tag: {"gamma": g, "deviations": {var: d}}}}``;
+    a missing key or a value of the wrong type raises a DocumentError that
+    names it."""
+    doc = read_document(path)
+    spec = UncertaintySpec(doc["rows"].map(lambda entry: RowUncertainty(
+        entry["gamma"].number(), entry["deviations"].numbers())))
+    spec.validate()
+    return spec
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +100,7 @@ def robustify(model: MilpModel, spec: UncertaintySpec,
 
     Rows not named in the spec are copied unchanged.  A named equality row is
     rejected: protecting only one side flips the row's meaning.  Split it
-    into a pair of inequalities first (see :func:`split_equality_rows`) and
-    protect the side that matters.
+    into a pair of inequalities first and protect the side that matters.
     """
     spec.validate()
     known = {str(row.tag) for row in model.rows}
@@ -147,7 +125,7 @@ def robustify(model: MilpModel, spec: UncertaintySpec,
         if row.relation == "==":
             raise ModelError(
                 f"cannot protect equality row {key}; split it into <= and >= "
-                f"(split_equality_rows) and protect the binding side")
+                f"and protect the binding side")
         flip = -1.0 if row.relation == ">=" else 1.0
         expr = row.expr.scaled(flip)
         rhs = row.rhs * flip
@@ -170,47 +148,6 @@ def robustify_artifacts(artifacts: ModelArtifacts, spec: UncertaintySpec) -> Mod
     """Counterpart of a built model, keeping its interpretation maps."""
     model = robustify(artifacts.model, spec)
     return ModelArtifacts(model, artifacts.vars, artifacts.stages)
-
-
-def split_equality_rows(model: MilpModel, keys: set[str] | None = None,
-                        name: str | None = None) -> MilpModel:
-    """Replace == rows (all, or those whose tag string is in `keys`) by a
-    <=/>= pair tagged with `le`/`ge` suffixes, so each side can be protected
-    independently."""
-    out = _copy_model(model, name or f"{model.name}:split")
-    for row in model.rows:
-        if row.relation == "==" and (keys is None or str(row.tag) in keys):
-            le = RowTag(row.tag.family, row.tag.scope + ("le",))
-            ge = RowTag(row.tag.family, row.tag.scope + ("ge",))
-            out.add_row(row.expr, "<=", row.rhs, le)
-            out.add_row(row.expr, ">=", row.rhs, ge)
-        else:
-            out.add_row(row.expr, row.relation, row.rhs, row.tag)
-    return out
-
-
-# ----------------------------------------------------------------------
-# analysis helpers
-# ----------------------------------------------------------------------
-
-def protection_value(entry: RowUncertainty, values: Mapping[str, float],
-                     gamma: float | None = None) -> float:
-    """Worst-case extra row activity at a fixed point under the budget.
-
-    Greedy: spend whole budget units on the largest deviation impacts, then
-    the fractional remainder on the next one.  This equals the optimum of
-    the inner maximization, so no LP is needed.
-    """
-    g = entry.gamma if gamma is None else gamma
-    g = max(0.0, min(g, len(entry.deviations)))
-    impacts = sorted((dev * abs(values.get(var, 0.0))
-                      for var, dev in entry.deviations.items()), reverse=True)
-    whole = int(math.floor(g))
-    total = sum(impacts[:whole])
-    fraction = g - whole
-    if fraction > 0.0 and whole < len(impacts):
-        total += fraction * impacts[whole]
-    return total
 
 
 def violation_bound(gamma: float, n: int) -> float:

@@ -27,7 +27,7 @@ from typing import Any, Iterable
 
 from .builders import (ModelArtifacts, build_system_model, build_user_model_i,
                        build_user_model_ii)
-from .domain import (NetworkInstance, with_supply_mass, with_total_capacity,
+from .domain import (TIERS, NetworkInstance, with_supply_mass, with_total_capacity,
                      with_trip_factor)
 from .io import Node, load_bundled_instance, read_document
 from .milp import (DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, RowTag, Solution,
@@ -197,16 +197,6 @@ class ScenarioResult:
     system: SideResult
     user: SideResult
 
-    def rows(self) -> list[tuple[str, str, str, float]]:
-        out = []
-        for mode, side in (("system", self.system), ("user", self.user)):
-            for metric, stage, value in side.breakdown.rows():
-                out.append((mode, metric, stage, value))
-            out.append((mode, "fixed_cost_total", "all", side.fixed_cost))
-            out.append((mode, "revenue_total", "all", side.revenue))
-            out.append((mode, "offset_total", "all", side.offset))
-        return out
-
     def format_text(self) -> str:
         lines = [f"scenario {self.name} ({self.objective} objective)"]
         header = (f"{'':10s} {'fixed':>10s} {'revenue':>10s} {'cost':>12s} "
@@ -251,9 +241,10 @@ def add_epsilon_row(model: MilpModel, emission: LinExpr, v: int, epsilon: float,
 def _collection_emission(stages: StageExpressions) -> LinExpr:
     """Emission the users' phase settles alone: trips, dropoff processing,
     less the dropoff offsets."""
-    expr = stages.transport_emission["residence-dropoff"].copy()
-    expr.add_expr(stages.processing_emission["dropoff"])
-    expr.add_expr(stages.emission_offset["dropoff"], -1.0)
+    dropoff = TIERS[0]
+    expr = stages.transport_emission[dropoff.leg].copy()
+    expr.add_expr(stages.processing_emission[dropoff.name])
+    expr.add_expr(stages.emission_offset[dropoff.name], -1.0)
     return expr
 
 
@@ -344,7 +335,7 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
 def _builtin(name: str) -> ScenarioSpec:
     table = builtin_scenarios()
     if name not in table:
-        raise KeyError(f"unknown scenario {name!r}; built-ins are {sorted(table)}")
+        raise ValueError(f"unknown scenario {name!r}; built-ins: {', '.join(SCENARIO_ORDER)}")
     return table[name]
 
 
@@ -454,7 +445,7 @@ def calibrate_trip_factor(target_total_cost: float,
         trail.append((factor, total))
         if abs(total - target_total_cost) <= rel_tol * max(1.0, abs(target_total_cost)):
             return CalibrationResult(factor, total, iteration, trail)
-        trip_leg = side.breakdown.transport_cost.get("residence-dropoff", 0.0)
+        trip_leg = side.breakdown.transport_cost.get(TIERS[0].leg, 0.0)
         if trip_leg <= 0.0:
             raise ModelError("the trip leg contributes no cost; "
                              "the target cannot be reached by scaling it")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import Counter
 
 import pytest
@@ -315,3 +316,37 @@ def test_dump_contains_tags(bundled):
     text = art.dump()
     assert "flow-balance[trip,prod1,area1]" in text
     assert "capacity[primary,prod2,prim3]" in text
+
+
+POLICY = PolicyData(county_of={"drop1": "u1", "drop2": "u2"},
+                    city_of={"drop1": "t1", "drop2": "t2"},
+                    city_population={"t1": 50000.0, "t2": 2000.0},
+                    city_county={"t1": "u1", "t2": "u2"})
+
+# SHA-256 of to_lp_format() on the bundled network, which has no siting
+# policy, and on it with POLICY: pins column order, row order and names
+LP_SHA256 = {
+    (build_system_model, "cost"): (
+        "fd417bc5d9d544bcfd9be92e5ce083db710c848f8b43a4f0405275001486483a",
+        "e70aebc4e3ee8b310f997e3a3b1ea4d4a6ccc68f274d83b7b9e528bf6ec36515"),
+    (build_system_model, "emission"): (
+        "4436bdcec4df2179f64ee1c2223e72dd8aa9692f7db412771b609294c94fe42b",
+        "ab7f83f25fa7892afa16a4e952c4cabf5931982467471c8db19a5a96982e1353"),
+    (build_user_model_i, "cost"): (
+        "112733dd48b68587cba697f252c5ee435fbe164dc240ca6f2558cafdfe9173d7",
+        "572c6bee04fa2fc8b6f960d661ffe954c934ac97772efa242ff830553b6b75af"),
+    (build_user_model_i, "emission"): (
+        "504a699098035afae2e2cfc65e1576c372d20c4c9d0e2f4f3cdd6fd3a60056e8",
+        "82cc6ad51a87c29f119a0a00dd636ca622bad8122a8018864f342f4b2272f25f"),
+}
+
+
+@pytest.mark.parametrize("builder, objective", list(LP_SHA256),
+                         ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_lp_dumps_are_pinned(builder, objective, bundled):
+    digest = lambda art: hashlib.sha256(art.dump().encode("utf-8")).hexdigest()
+    plain, with_policy = LP_SHA256[builder, objective]
+    sited = dataclasses.replace(bundled, policy=POLICY)
+    assert digest(builder(bundled, objective)) == plain
+    assert digest(builder(sited, objective)) == with_policy
+    assert digest(builder(sited, objective, include_policy=False)) == plain

@@ -5,7 +5,6 @@ import pytest
 from helpers import netgen_instance
 from rlnd.cli import main
 from rlnd.io import instance_to_dict, load_bundled_instance, save_instance
-from rlnd.robust import RowUncertainty, UncertaintySpec, save_uncertainty_spec
 from rlnd.scenarios import solve_user
 
 
@@ -23,8 +22,11 @@ def test_validate_bundled_instance(capsys):
     assert "is consistent" in capsys.readouterr().out
 
 
-def test_validate_accepts_seed_for_compatibility():
-    assert main(["validate", "--seed", "7"]) == 0
+def test_the_removed_seed_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", "--seed", "7"])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_validate_reports_violations(tmp_path, capsys):
@@ -155,19 +157,18 @@ def test_robust_preset(capsys):
 
 
 def test_robust_with_spec_file(tmp_path, capsys):
-    spec = UncertaintySpec({
-        "capacity[dropoff,prod1,drop1]": RowUncertainty(1.0, {"X[drop1]": 50.0}),
-    })
+    spec = {"rows": {"capacity[dropoff,prod1,drop1]":
+                     {"gamma": 1.0, "deviations": {"X[drop1]": 50.0}}}}
     path = tmp_path / "unc.json"
-    save_uncertainty_spec(spec, path)
+    path.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["robust", "--uncertainty", str(path)]) == 0
     assert "status: optimal" in capsys.readouterr().out
 
 
 def test_robust_rejects_unknown_row(tmp_path, capsys):
-    spec = UncertaintySpec({"no-such-row": RowUncertainty(0.0, {})})
+    spec = {"rows": {"no-such-row": {"gamma": 0.0, "deviations": {}}}}
     path = tmp_path / "unc.json"
-    save_uncertainty_spec(spec, path)
+    path.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["robust", "--uncertainty", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -184,7 +185,7 @@ def test_scenario_by_name_and_csv(tmp_path, capsys):
 
 def test_scenario_unknown_name(capsys):
     assert main(["scenario", "--name", "bogus"]) == 1
-    assert "unknown scenario" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: unknown scenario 'bogus'")
 
 
 def test_scenario_from_spec_file(tmp_path, capsys):

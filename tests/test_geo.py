@@ -94,12 +94,13 @@ def test_grid_to_areas_tables():
     prims = {"p1": GeoPoint(47.40, -122.20)}
     secs = {"s1": GeoPoint(47.00, -122.90)}
     grid = grid_to_areas(residences, drops, prims, secs)
-    assert set(grid.res_drop) == {"blk1", "blk2"}
-    assert grid.res_drop["blk1"]["d1"] == pytest.approx(
+    assert list(grid.lanes) == ["res_drop", "drop_pri", "pri_sec"]
+    assert set(grid.lanes["res_drop"]) == {"blk1", "blk2"}
+    assert grid.lanes["res_drop"]["blk1"]["d1"] == pytest.approx(
         haversine(residences["blk1"], drops["d1"]), abs=1e-9)
-    assert grid.drop_pri["d1"]["p1"] == pytest.approx(
+    assert grid.lanes["drop_pri"]["d1"]["p1"] == pytest.approx(
         haversine(drops["d1"], prims["p1"]), abs=1e-9)
-    assert grid.pri_sec["p1"]["s1"] == pytest.approx(
+    assert grid.lanes["pri_sec"]["p1"]["s1"] == pytest.approx(
         haversine(prims["p1"], secs["s1"]), abs=1e-9)
     assert grid.population == {"blk1": 1200.0, "blk2": 900.0}
     with pytest.raises(ValueError):

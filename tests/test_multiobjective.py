@@ -2,7 +2,7 @@ import pytest
 
 from helpers import RecordingSolver, netgen_instance, three_plan_tradeoff
 from rlnd.milp import DEFAULT_SOLVER, LinExpr, MilpModel, RowTag, Status, solve_milp
-from rlnd.multiobjective import (ExpressionFamily, SystemEpsilonFamily,
+from rlnd.multiobjective import (THETA_DEFAULT, ExpressionFamily, SystemEpsilonFamily,
                                  UserEpsilonFamily, epsilon_sweep)
 
 
@@ -237,3 +237,16 @@ def test_user_family_on_tight_instance(tight40):
     # decentralized cost anchor cannot beat the centralized one
     assert front.cost_anchor[0] >= system.cost_anchor[0] - 1e-6
     assert front.emission_anchor[1] >= system.emission_anchor[1] - 1e-6
+
+
+def test_user_grid_solve_before_the_anchors_holds_back_the_same_emission():
+    """A user grid solve asked for first solves the emission anchor itself:
+    without that, phase one would get the whole cap and (on this network)
+    the point would read (119867.22, 129509.04)."""
+    instance = netgen_instance(5, 4, 3, 3)
+    anchored = UserEpsilonFamily(instance)
+    anchored.anchor("cost")
+    _, emission, _ = anchored.anchor("emission")
+    first = UserEpsilonFamily(instance).solve_point(0, emission, THETA_DEFAULT)
+    assert first == anchored.solve_point(0, emission, THETA_DEFAULT)
+    assert first[:2] == pytest.approx((148280.37, 145545.75), abs=0.01)

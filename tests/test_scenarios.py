@@ -182,7 +182,13 @@ def test_run_all_order_and_rows(bundled, tmp_path):
 
     text = results[0].format_text()
     assert "baseline" in text and "system" in text and "user" in text
-    assert any(metric == "revenue_total" for _, metric, _, _ in results[0].rows())
+    assert f"{results[0].system.revenue:10.2f}" in text
+
+
+def test_unknown_scenario_name_is_a_value_error(bundled):
+    # the CLI prints a ValueError as its one ``error:`` line
+    with pytest.raises(ValueError, match="unknown scenario 'bogus'; built-ins: baseline"):
+        run_scenario("bogus", base=bundled)
 
 
 def test_run_all_solves_the_base_throughput_once(bundled):
