@@ -238,19 +238,13 @@ def add_policy_constraints(artifacts: ModelArtifacts,
     pol = instance.policy
     if pol is None:
         return artifacts
-    if not artifacts.vars.x:
+    model, x = artifacts.model, getattr(artifacts.vars, TIERS[0].opens)
+    if not x:
         raise ModelError("policy constraints need dropoff indicators (X)")
-    model, x = artifacts.model, artifacts.vars.x
 
-    counties: list[str] = []
-    for c in instance.dropoffs:
-        u = pol.county_of.get(c)
-        if u is not None and u not in counties:
-            counties.append(u)
-    for city in pol.city_population:
-        u = pol.city_county.get(city)
-        if u is not None and u not in counties:
-            counties.append(u)
+    seen = [pol.county_of.get(c) for c in instance.dropoffs]
+    seen += [pol.city_county.get(city) for city in pol.city_population]
+    counties = [u for u in dict.fromkeys(seen) if u is not None]
 
     qualifying = pol.qualifying_cities()
     for u in counties:

@@ -25,7 +25,6 @@ class GeoPoint:
     lat: float
     lon: float
     population: float | None = None
-    land_area: float | None = None  # square miles
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
@@ -47,8 +46,7 @@ def haversine(a: GeoPoint, b: GeoPoint, r: float = EARTH_RADIUS_KM) -> float:
     return 2.0 * r * math.asin(min(1.0, math.sqrt(s)))
 
 
-def pairwise_km(origins: Sequence[GeoPoint], destinations: Sequence[GeoPoint],
-                r: float = EARTH_RADIUS_KM) -> np.ndarray:
+def pairwise_km(origins: Sequence[GeoPoint], destinations: Sequence[GeoPoint]) -> np.ndarray:
     """|origins| x |destinations| matrix of great-circle distances in km."""
     if len(origins) == 0 or len(destinations) == 0:
         return np.zeros((len(origins), len(destinations)))
@@ -59,7 +57,7 @@ def pairwise_km(origins: Sequence[GeoPoint], destinations: Sequence[GeoPoint],
     dphi = phi2 - phi1
     dlam = d[:, 1][None, :] - o[:, 1][:, None]
     s = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    return 2.0 * r * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
 @dataclass
@@ -72,8 +70,8 @@ class GriddedDistances:
 
 
 def grid_to_areas(points: dict[str, GeoPoint], dropoffs: dict[str, GeoPoint],
-                  primaries: dict[str, GeoPoint], secondaries: dict[str, GeoPoint],
-                  r: float = EARTH_RADIUS_KM) -> GriddedDistances:
+                  primaries: dict[str, GeoPoint], secondaries: dict[str, GeoPoint]
+                  ) -> GriddedDistances:
     """Turn coordinate lists into the three tier-adjacent distance tables.
 
     Each point becomes one residence area (keyed by its id) carrying its
@@ -89,7 +87,7 @@ def grid_to_areas(points: dict[str, GeoPoint], dropoffs: dict[str, GeoPoint],
 
     def table_of(origins: dict[str, GeoPoint], dests: dict[str, GeoPoint]) -> dict:
         okeys, dkeys = list(origins), list(dests)
-        m = pairwise_km([origins[k] for k in okeys], [dests[k] for k in dkeys], r)
+        m = pairwise_km([origins[k] for k in okeys], [dests[k] for k in dkeys])
         return {a: {b: float(m[i, j]) for j, b in enumerate(dkeys)}
                 for i, a in enumerate(okeys)}
 

@@ -27,8 +27,6 @@ from .domain import (TIERS, Arc, InstanceError, NetworkInstance, PolicyData,
                      DEFAULT_CITY_POPULATION_THRESHOLD)
 from .geo import GeoPoint
 
-BUNDLED_INSTANCE = "ewaste-two-area-example"
-
 
 # ----------------------------------------------------------------------
 # JSON documents

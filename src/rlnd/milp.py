@@ -12,22 +12,23 @@ change leaves dual feasible, so a child takes a handful of pivots.  The
 inverse is computed afresh only when a residual check finds it has drifted:
 at an LP's end, and before a row proves an LP infeasible.  The slack basis's
 inverse is written down, not computed.
-The reported values always come from one fresh inversion of the final
-basis, which on a small model is the solve's only one.
-A model may name a related solved model as its start
-(:meth:`MilpModel.start_from`), such as the previous grid point of a sweep:
-when the two assemble to exactly the same scaled matrix, the root restarts
-from the start's optimal root basis, and from its factorization too when
-the costs are the same, as a child restarts from its parent.
+An :class:`EmbeddedSolver` keeps, for each matrix shape, the last model it
+solved whose root relaxation was optimal, and starts the next root of that
+shape from it: when the two assemble to exactly the same scaled matrix, the
+root restarts from that optimal root basis, and from its factorization too
+when the costs are the same, as a child restarts from its parent.  The grid
+points of a sweep, the steps of a calibration and the scenarios of a run
+differ only in right-hand sides or costs, so they find their starts without
+being told.
 The models are desk-scale (at most a few hundred rows), so an explicit dense
-basis inverse is the simplest thing that is provably correct.  It is
-deterministic per model and start and per BLAS thread count: identical
-model input, with the same start, on the same thread count always yields an
-identical Solution.  The last digits can move with the start, because a
-warm root can end on the cold solve's basis with its rows in another order
-and the fresh inversion then rounds differently; and with the thread count
-(netgen 5x4x3 seed 0, robust at gamma 1, differs under
-``OMP_NUM_THREADS=1``), because the BLAS splits its sums by thread.
+basis inverse is the simplest thing that is provably correct.  The reported
+values come from one fresh inversion of the final basis, its columns in
+ascending order, so they depend on that basis alone and not on the pivots
+that reached it: a fresh solver always answers a model the same way, and a
+solver's history can change its pivot path but not the values of a basis.
+They can move with the BLAS thread count (netgen 5x4x3 seed 0, robust at
+gamma 1, differs under ``OMP_NUM_THREADS=1``), because the BLAS splits its
+sums by thread.
 
 Anything that speaks ``solve(model) -> Solution`` can replace the embedded
 engine (see :class:`Solver` and :mod:`rlnd.external`).
@@ -131,19 +132,6 @@ class MilpModel:
         self.objective = LinExpr()
         self.warnings: list[str] = []
         self._lp: _Lp | None = None
-        self._start: _Lp | None = None
-
-    def start_from(self, other: MilpModel) -> None:
-        """Let the embedded engine start this model's root relaxation from
-        ``other``'s optimal root, when both assemble to the same matrix.
-
-        Only ``other``'s assembled form is kept, and only until this model's
-        root is solved.  A start the engine never assembled (say, one HiGHS
-        solved), a start whose root was not optimal, or a matrix that differs
-        leaves the root to start from the slack basis.  Other engines ignore
-        the start.
-        """
-        self._start = other._lp
 
     # -- construction -------------------------------------------------
 
@@ -374,22 +362,21 @@ class _Lp:
     def root(self, start: _Lp | None = None) -> _LpResult:
         """The relaxation under the model's own bounds, solved once.
 
-        It starts from ``start``'s optimal root basis when ``start``
-        assembled exactly the same scaled matrix, and from that root's
-        factorization too when the costs are also the same; otherwise it
-        starts from the slack basis.  Only bounds (a row's right-hand side)
-        or costs can differ then: a bound change leaves the basis dual
-        feasible, and a cost change goes through the bound placement and, if
-        needed, the dual phase one of :func:`_solve`.
+        ``start`` is another model's assembled form whose root is optimal.
+        The root starts from that root's basis when ``start`` assembled
+        exactly the same scaled matrix, and from its factorization too when
+        the costs are also the same; otherwise it starts from the slack
+        basis.  Only bounds (a row's right-hand side) or costs can differ
+        then: a bound change leaves the basis dual feasible, and a cost
+        change goes through the bound placement and, if needed, the dual
+        phase one of :func:`_solve`.
         """
         if self._root is None:
             basis, factor = self.slack_basis(), None
-            warm = None if start is None else start._root
-            if (warm is not None and warm.status is Status.OPTIMAL
-                    and np.array_equal(self.mat, start.mat)):
-                basis = warm.basis
+            if start is not None and np.array_equal(self.mat, start.mat):
+                basis = start._root.basis
                 if np.array_equal(self.cost, start.cost):
-                    factor = warm.factor
+                    factor = start._root.factor
             self._root = _solve(self, self.cost, self.lb, self.ub, basis, factor)
         return self._root
 
@@ -425,9 +412,11 @@ class _Lp:
 
     def values(self, result: _LpResult) -> dict[str, float]:
         """An integral result's values in original units, from one fresh
-        inversion of its basis with the nonbasic columns at its bounds;
-        binaries are rounded to exactly 0 or 1."""
-        x = _Simplex(self, self.cost, result.lb, result.ub, result.basis).x
+        inversion of its basis, basic columns in ascending order, with the
+        nonbasic columns at its bounds; binaries are rounded to exactly 0 or
+        1."""
+        basis = _Basis(np.sort(result.basis.head), result.basis.upper)
+        x = _Simplex(self, self.cost, result.lb, result.ub, basis).x
         n = len(self.names)
         out = x[:n] * self.scale[:n]
         out[self.binaries] = np.round(out[self.binaries])
@@ -683,8 +672,8 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     """Best-first branch and bound over the model's binary variables; a model
     without binaries is solved as its root relaxation.
 
-    The root starts from the slack basis, or from the start that
-    :meth:`MilpModel.start_from` named, which is then let go.  Branching
+    The root starts from the slack basis unless it is already solved (an
+    :class:`EmbeddedSolver` solves it from its kept root).  Branching
     picks the most fractional binary (ties: lowest variable index); nodes are
     explored in proven-bound order, so the first incumbent that matches the
     best outstanding bound is optimal.  Each child re-solves from its
@@ -695,15 +684,14 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     simplex cannot solve ends the search NUMERICALLY_UNSTABLE instead of
     being dropped as if pruned.  Exceeding ``node_budget`` returns
     BUDGET_EXCEEDED carrying the incumbent and the remaining gap.  The
-    reported values come from one fresh inversion of the incumbent's basis,
-    binaries rounded to exactly 0 or 1.  An unbounded relaxation makes a
-    model with binaries UNBOUNDED only when some binary assignment is
-    feasible, which the same search under a zero objective decides;
-    otherwise the model is INFEASIBLE.
+    reported values come from one fresh inversion of the incumbent's basis
+    (:meth:`_Lp.values`), binaries rounded to exactly 0 or 1.  An unbounded
+    relaxation makes a model with binaries UNBOUNDED only when some binary
+    assignment is feasible, which the same search under a zero objective
+    decides; otherwise the model is INFEASIBLE.
     """
     lp = _Lp.of(model)
-    start, model._start = model._start, None
-    root = lp.root(start)
+    root = lp.root()
     stats = SolveStats()
     stats.simplex_iterations += root.pivots
     stats.nodes += 1
@@ -772,13 +760,16 @@ def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
 
 
 class EmbeddedSolver:
-    """Default engine: :func:`solve_milp` under a node budget."""
+    """Default engine: :func:`solve_milp` under a node budget, each root
+    started from the kept root of the last model of its matrix shape whose
+    root relaxation was optimal (see :meth:`_Lp.root`)."""
 
     def __init__(self, node_budget: int = 200_000):
         self.node_budget = node_budget
+        self._roots: dict[tuple[int, int], _Lp] = {}
 
     def solve(self, model: MilpModel) -> Solution:
-        return solve_milp(model, node_budget=self.node_budget)
-
-
-DEFAULT_SOLVER = EmbeddedSolver()
+        lp = _Lp.of(model)
+        if lp.root(self._roots.get(lp.mat.shape)).status is Status.OPTIMAL:
+            self._roots[lp.mat.shape] = lp
+        return solve_milp(model, self.node_budget)

@@ -20,11 +20,12 @@ is labelled with the lowest grid index it covers.  Duplicate and dominated
 grid results are filtered from the front.
 
 Consecutive grid solves differ only in right-hand sides: the cap and, in
-the two-phase program, the mass phase one collected.  Every family starts
-each grid solve from the previous optimal one
-(:meth:`~rlnd.milp.MilpModel.start_from`), whose optimal root basis stays
-dual feasible, so the embedded engine restarts the root from it; each grid
-solve still builds its own model.
+the two-phase program, the mass phase one collected.  A family given no
+solver makes one :class:`~rlnd.milp.EmbeddedSolver` for all of its solves,
+which restarts each root from the last optimal root of the same shape: the
+emission anchor's from the cost anchor's, each grid solve's from the
+previous one's, whose optimal basis a new right-hand side leaves dual
+feasible.  Each grid solve still builds its own model.
 
 Families adapt concrete model shapes to the sweep:
 
@@ -52,7 +53,7 @@ from typing import Callable, Protocol
 # the builders stay bound for perfbench, which wraps all three here by name
 from .builders import build_system_model, build_user_model_i, build_user_model_ii
 from .domain import NetworkInstance
-from .milp import DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, Solution, Solver, Status
+from .milp import EmbeddedSolver, LinExpr, MilpModel, ModelError, Solution, Solver, Status
 from .scenarios import (EmissionCap, SideResult, add_epsilon_row, solve_system,
                         solve_user)
 
@@ -204,14 +205,12 @@ class ExpressionFamily:
     """Family over a model factory returning (model, cost_expr, emission_expr).
 
     A fresh model is built per solve, so the factory must be deterministic.
-    Each grid solve starts from the previous optimal one.
     """
 
     def __init__(self, factory: Callable[[], tuple[MilpModel, LinExpr, LinExpr]],
                  solver: Solver | None = None):
         self.factory = factory
-        self.solver = solver or DEFAULT_SOLVER
-        self._previous: MilpModel | None = None
+        self.solver = solver or EmbeddedSolver()
 
     def _solved(self, model: MilpModel) -> Solution | None:
         solution = self.solver.solve(model)
@@ -234,12 +233,9 @@ class ExpressionFamily:
                     ) -> tuple[float, float, dict[str, float], float] | None:
         model, cost, emission = self.factory()
         add_epsilon_row(model, emission, v, epsilon, theta, cost)
-        if self._previous is not None:
-            model.start_from(self._previous)
         solution = self._solved(model)
         if solution is None:
             return None
-        self._previous = model
         reach = emission.evaluate(solution.values)
         return cost.evaluate(solution.values), reach, dict(solution.values), reach
 
@@ -251,14 +247,11 @@ class SystemEpsilonFamily:
                  solver: Solver | None = None):
         self.instance = instance
         self.include_policy = include_policy
-        self.solver = solver or DEFAULT_SOLVER
+        self.solver = solver or EmbeddedSolver()
         self._held_back: float | None = None
-        self._previous: SideResult | None = None
 
-    def _solve(self, objective: str, cap: EmissionCap | None = None,
-               start: SideResult | None = None) -> SideResult:
-        return solve_system(self.instance, objective, self.solver, self.include_policy,
-                            cap, start)
+    def _solve(self, objective: str, cap: EmissionCap | None = None) -> SideResult:
+        return solve_system(self.instance, objective, self.solver, self.include_policy, cap)
 
     def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
         side = self._solve(objective).require_optimal("anchor solve")
@@ -273,10 +266,10 @@ class SystemEpsilonFamily:
 
     def _grid_solve(self, cap: EmissionCap
                     ) -> tuple[float, float, dict[str, float], float] | None:
-        side = self._solve("cost", cap, self._previous)
+        side = self._solve("cost", cap)
         if side.status is Status.INFEASIBLE:
             return None
-        self._previous = side.require_optimal(f"grid solve {cap.v}")
+        side.require_optimal(f"grid solve {cap.v}")
         return side.total_cost, side.total_emission, side.values, side.reach
 
 
@@ -290,10 +283,8 @@ class UserEpsilonFamily(SystemEpsilonFamily):
     the anchors solves the emission anchor first.
     """
 
-    def _solve(self, objective: str, cap: EmissionCap | None = None,
-               start: SideResult | None = None) -> SideResult:
-        return solve_user(self.instance, objective, self.solver, self.include_policy,
-                          cap, start)
+    def _solve(self, objective: str, cap: EmissionCap | None = None) -> SideResult:
+        return solve_user(self.instance, objective, self.solver, self.include_policy, cap)
 
     def solve_point(self, v: int, epsilon: float, theta: float
                     ) -> tuple[float, float, dict[str, float], float] | None:

@@ -275,7 +275,7 @@ def item_inflows(instance: NetworkInstance, vars: VariableMap,
 
 
 def effective_opens(instance: NetworkInstance, vars: VariableMap,
-                    values: Mapping[str, float], tol: float = _FLOW_TOL) -> dict[str, bool]:
+                    values: Mapping[str, float]) -> dict[str, bool]:
     """Open/closed per facility for reporting.
 
     Emission objectives (and the phase-I user objective) carry no fixed-cost
@@ -289,7 +289,7 @@ def effective_opens(instance: NetworkInstance, vars: VariableMap,
     for tier in tiers(instance, vars):
         if not tier.opens:
             continue
-        active = {f: inflow.get(f, 0.0) > tol for f in tier.facilities}
+        active = {f: inflow.get(f, 0.0) > _FLOW_TOL for f in tier.facilities}
         floor = instance.processing.min_open.get(tier.name, 0)
         short = floor - sum(active.values())
         if short > 0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .builders import ModelArtifacts
+from .domain import TIERS
 from .io import read_document
 from .milp import LinExpr, MilpModel, ModelError, RowTag
 
@@ -173,15 +174,15 @@ def capacity_preset(artifacts: ModelArtifacts, fraction: float = 0.1,
     if not 0.0 <= fraction:
         raise ValueError("fraction must be nonnegative")
     vars = artifacts.vars
-    indicators = set(vars.x.values()) | set(vars.y.values()) | set(vars.r.values())
-    rtd_names = set(vars.rtd.values())
+    uncertain = {name for layout in TIERS for name in getattr(vars, layout.opens).values()}
+    uncertain.update(getattr(vars, TIERS[0].flows).values())
     rows: dict[str, RowUncertainty] = {}
     for row in artifacts.model.rows:
         if row.tag.family != "capacity" or row.relation == "==":
             continue
         deviations = {var: fraction * abs(coeff)
                       for var, coeff in row.expr.terms.items()
-                      if (var in indicators or var in rtd_names) and coeff}
+                      if var in uncertain and coeff}
         if deviations:
             rows[str(row.tag)] = RowUncertainty(min(gamma, len(deviations)), deviations)
     return UncertaintySpec(rows)

@@ -11,12 +11,11 @@ per-stage breakdowns.
 the two programs; every other caller, the CLI and the trade-off families
 included, goes through them.  An optional `EmissionCap` turns either into a
 grid solve of the epsilon-constraint sweep, and `solve_built` reports a
-whole-network model built elsewhere, such as a robust counterpart.  Given a
-related earlier result as ``start``, each phase's model names its
-counterpart there as its start, so that the embedded engine restarts the
-root relaxation from that model's optimal root where the matrices agree:
-calibration passes each step the previous one, whose matrix is the same
-under other trip-leg costs.  Every solve still builds its own model.
+whole-network model built elsewhere, such as a robust counterpart.  An
+entry point given no solver makes one :class:`~rlnd.milp.EmbeddedSolver`
+for all of its solves, so each root starts from the last one of its shape
+(the baseline's for the throughput solve, the previous step's in
+calibration).  Every solve still builds its own model.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .builders import (ModelArtifacts, build_system_model, build_user_model_i,
 from .domain import (TIERS, NetworkInstance, with_supply_mass, with_total_capacity,
                      with_trip_factor)
 from .io import Node, load_bundled_instance, read_document
-from .milp import (DEFAULT_SOLVER, LinExpr, MilpModel, ModelError, RowTag, Solution,
+from .milp import (EmbeddedSolver, LinExpr, MilpModel, ModelError, RowTag, Solution,
                    Solver, Status)
 from .objectives import (StageBreakdown, StageExpressions, breakdown_from_solution,
                          collected_quantities, facility_inflows, merge_phases)
@@ -248,17 +247,11 @@ def _collection_emission(stages: StageExpressions) -> LinExpr:
     return expr
 
 
-def _start_phase(model: MilpModel, start: SideResult | None, phase: int) -> None:
-    """Start ``model`` from the model of phase ``phase`` of ``start``, if any."""
-    if start is not None and phase < len(start.phases):
-        model.start_from(start.phases[phase][0].model)
-
-
 def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
                 solver: Solver | None = None) -> SideResult:
     """Solve a built whole-network model, robust counterparts included, and
     report it."""
-    solution = (solver or DEFAULT_SOLVER).solve(artifacts.model)
+    solution = (solver or EmbeddedSolver()).solve(artifacts.model)
     phases = [(artifacts, solution)]
     if solution.status is not Status.OPTIMAL and not solution.values:
         return SideResult(solution.status, phases)
@@ -269,17 +262,9 @@ def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
 
 def solve_system(instance: NetworkInstance, objective: str = "cost",
                  solver: Solver | None = None, include_policy: bool = True,
-                 cap: EmissionCap | None = None,
-                 start: SideResult | None = None) -> SideResult:
-    """One decision maker routes everything.
-
-    With ``start``, a related solve (the previous grid point or calibration
-    step), the embedded engine starts the root relaxation from its model's
-    optimal root when the two assemble to the same matrix (see
-    :meth:`~rlnd.milp.MilpModel.start_from`).
-    """
+                 cap: EmissionCap | None = None) -> SideResult:
+    """One decision maker routes everything."""
     artifacts = build_system_model(instance, objective, include_policy)
-    _start_phase(artifacts.model, start, 0)
     if cap is None:
         return solve_built(instance, artifacts, solver)
     emission = artifacts.stages.total_emission()
@@ -293,20 +278,14 @@ def solve_system(instance: NetworkInstance, objective: str = "cost",
 
 def solve_user(instance: NetworkInstance, objective: str = "cost",
                solver: Solver | None = None, include_policy: bool = True,
-               cap: EmissionCap | None = None,
-               start: SideResult | None = None) -> SideResult:
-    """Residents choose dropoffs first; the operator routes what arrives.
-
-    With ``start``, each phase starts from its counterpart there, as in
-    :func:`solve_system`.
-    """
-    solver = solver or DEFAULT_SOLVER
+               cap: EmissionCap | None = None) -> SideResult:
+    """Residents choose dropoffs first; the operator routes what arrives."""
+    solver = solver or EmbeddedSolver()
     phase1 = build_user_model_i(instance, objective, include_policy)
     if cap is not None:
         collection = _collection_emission(phase1.stages)
         add_epsilon_row(phase1.model, collection, cap.v, cap.epsilon - cap.held_back,
                         cap.theta, phase1.model.objective)
-    _start_phase(phase1.model, start, 0)
     s1 = solver.solve(phase1.model)
     phases = [(phase1, s1)]
     if s1.status is not Status.OPTIMAL:
@@ -318,7 +297,6 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
         downstream = phase2.stages.total_emission()
         add_epsilon_row(phase2.model, downstream, cap.v, cap.epsilon - collected,
                         cap.theta, phase2.model.objective)
-    _start_phase(phase2.model, start, 1)
     s2 = solver.solve(phase2.model)
     phases.append((phase2, s2))
     if s2.status is not Status.OPTIMAL:
@@ -345,6 +323,7 @@ def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
     """Materialize a scenario and solve it both ways."""
     if isinstance(spec, str):
         spec = _builtin(spec)
+    solver = solver or EmbeddedSolver()
     instance = materialize(spec, base, solver)
     system = solve_system(instance, objective, solver)
     system.require_optimal(f"whole-network {objective} solve")
@@ -354,17 +333,17 @@ def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
 
 
 def run_all(objective: str = "cost", base: NetworkInstance | None = None,
-            solver: Solver | None = None,
-            names: Iterable[str] = SCENARIO_ORDER) -> list[ScenarioResult]:
-    """Run the named built-in scenarios in order on one base instance.
+            solver: Solver | None = None) -> list[ScenarioResult]:
+    """Run the built-in scenarios in ``SCENARIO_ORDER`` on one base instance.
 
     The base throughput that fraction caps refer to is solved at most once,
     and each such scenario gets the caps it would derive from it.
     """
     instance = base if base is not None else load_bundled_instance()
+    solver = solver or EmbeddedSolver()
     throughput = None
     results = []
-    for name in names:
+    for name in SCENARIO_ORDER:
         spec = _builtin(name)
         if spec.total_capacity_fraction is not None:
             if throughput is None:
@@ -423,27 +402,27 @@ class CalibrationResult:
 def calibrate_trip_factor(target_total_cost: float,
                           base: NetworkInstance | None = None,
                           solver: Solver | None = None,
-                          rel_tol: float = 1e-9,
                           max_iterations: int = 25) -> CalibrationResult:
     """Scale the lumped trip factor so the whole-network cost optimum hits a
     measured total.
 
     The optimum is piecewise linear in the factor, so refitting the linear
     piece (total = rest + factor * trip-leg cost) converges in a couple of
-    steps unless the optimal routing keeps switching.  Each step starts from
-    the previous step's root basis: only the trip-leg costs change.
+    steps unless the optimal routing keeps switching.  The total is reached
+    when it is within 1e-9 of the target, relative.  Every step goes through
+    one solver, and only the trip-leg costs change, so the embedded engine
+    starts each step's root from the previous step's.
     """
     instance = base if base is not None else load_bundled_instance()
+    solver = solver or EmbeddedSolver()
     factor = 1.0
     trail: list[tuple[float, float]] = []
-    side = None
     for iteration in range(1, max_iterations + 1):
         scaled = with_trip_factor(instance, factor)
-        side = solve_system(scaled, "cost", solver, start=side)
-        side.require_optimal("calibration solve")
+        side = solve_system(scaled, "cost", solver).require_optimal("calibration solve")
         total = side.total_cost
         trail.append((factor, total))
-        if abs(total - target_total_cost) <= rel_tol * max(1.0, abs(target_total_cost)):
+        if abs(total - target_total_cost) <= 1e-9 * max(1.0, abs(target_total_cost)):
             return CalibrationResult(factor, total, iteration, trail)
         trip_leg = side.breakdown.transport_cost.get(TIERS[0].leg, 0.0)
         if trip_leg <= 0.0:

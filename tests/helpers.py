@@ -20,14 +20,16 @@ from rlnd.milp import (EmbeddedSolver, LinExpr, MilpModel, RowTag, Solution, Sol
 
 
 class RecordingSolver(EmbeddedSolver):
-    """The embedded engine, keeping each model it solved with its solution."""
+    """The embedded engine, keeping each model it solved with its solution;
+    with ``warm`` false, every root starts cold (:func:`solve_milp` alone)."""
 
-    def __init__(self):
+    def __init__(self, warm: bool = True):
         super().__init__()
+        self.warm = warm
         self.solves: list[tuple[MilpModel, Solution]] = []
 
     def solve(self, model: MilpModel) -> Solution:
-        solution = super().solve(model)
+        solution = super().solve(model) if self.warm else solve_milp(model, self.node_budget)
         self.solves.append((model, solution))
         return solution
 

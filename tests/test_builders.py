@@ -7,8 +7,9 @@ import pytest
 from rlnd.builders import (build_system_model, build_user_model_i,
                            build_user_model_ii)
 from rlnd.domain import Arc, PolicyData, with_total_capacity
-from rlnd.milp import DEFAULT_SOLVER, ModelError, Status
+from rlnd.milp import EmbeddedSolver, ModelError, Status
 from rlnd.objectives import collected_quantities
+from rlnd.robust import capacity_preset, robustify_artifacts
 
 
 def row_families(model):
@@ -61,14 +62,14 @@ def test_solution_satisfies_all_rows(bundled, tight40):
     for inst in (bundled, tight40):
         for objective in ("cost", "emission"):
             art = build_system_model(inst, objective)
-            sol = DEFAULT_SOLVER.solve(art.model)
+            sol = EmbeddedSolver().solve(art.model)
             assert sol.status is Status.OPTIMAL
             assert max_row_residual(art.model, sol.values) <= 1e-6
 
 
 def test_mass_conservation_on_solution(bundled):
     art = build_system_model(bundled, "cost")
-    sol = DEFAULT_SOLVER.solve(art.model)
+    sol = EmbeddedSolver().solve(art.model)
     proc = bundled.processing
     for i in bundled.products:
         # everything supplied is assigned to exactly one dropoff
@@ -92,7 +93,7 @@ def test_forbidden_arc_removes_variables(bundled):
     inst = dataclasses.replace(bundled, arcs={**bundled.arcs, "res_drop": res_drop})
     art = build_system_model(inst, "cost")
     assert len(art.vars.rtd) == 6
-    sol = DEFAULT_SOLVER.solve(art.model)
+    sol = EmbeddedSolver().solve(art.model)
     assert sol.status is Status.OPTIMAL
 
 
@@ -103,7 +104,7 @@ def test_unreachable_area_warns_and_is_infeasible(bundled):
     inst = dataclasses.replace(bundled, arcs={**bundled.arcs, "res_drop": res_drop})
     art = build_system_model(inst, "cost")
     assert any("area1" in w for w in art.model.warnings)
-    assert DEFAULT_SOLVER.solve(art.model).status is Status.INFEASIBLE
+    assert EmbeddedSolver().solve(art.model).status is Status.INFEASIBLE
 
 
 def test_capacity_shortfalls_warn_per_tier(bundled):
@@ -178,7 +179,7 @@ def test_row_order_of_every_model(bundled):
                                                  "open-count[secondary]"])
     phase1 = build_user_model_i(inst, "cost")
     assert tags(phase1) == TRIP_ROWS + DROPOFF_GATE_ROWS + ["open-count[dropoff]"]
-    s1 = DEFAULT_SOLVER.solve(phase1.model)
+    s1 = EmbeddedSolver().solve(phase1.model)
     phase2 = build_user_model_ii(inst, collected_quantities(inst, phase1.vars, s1.values))
     assert tags(phase2) == (DROPOFF_BALANCE_ROWS + DOWNSTREAM_ROWS
                             + ["open-count[primary]", "open-count[secondary]"])
@@ -232,10 +233,10 @@ def test_user_model_ii_rejects_mass_mismatch(bundled):
 
 def test_user_composition_consistent(bundled):
     phase1 = build_user_model_i(bundled, "cost")
-    s1 = DEFAULT_SOLVER.solve(phase1.model)
+    s1 = EmbeddedSolver().solve(phase1.model)
     rq = collected_quantities(bundled, phase1.vars, s1.values)
     phase2 = build_user_model_ii(bundled, rq, "cost")
-    s2 = DEFAULT_SOLVER.solve(phase2.model)
+    s2 = EmbeddedSolver().solve(phase2.model)
     assert s2.status is Status.OPTIMAL
     # phase II moved exactly the post-resale collected mass
     for i in bundled.products:
@@ -259,14 +260,14 @@ def test_policy_rows(bundled):
     assert set(policy_rows) == {"policy[county,u1]", "policy[county,u2]",
                                 "policy[city,t1]"}
     assert policy_rows["policy[county,u1]"].rhs == 1.0
-    sol = DEFAULT_SOLVER.solve(art.model)
+    sol = EmbeddedSolver().solve(art.model)
     assert sol.status is Status.OPTIMAL
     # both counties must now host an open dropoff
     assert sol.values[art.vars.x["drop1"]] == pytest.approx(1.0)
     assert sol.values[art.vars.x["drop2"]] == pytest.approx(1.0)
     relaxed = build_system_model(inst, "cost", include_policy=False)
     assert not any(row.tag.family == "policy" for row in relaxed.model.rows)
-    base = DEFAULT_SOLVER.solve(relaxed.model)
+    base = EmbeddedSolver().solve(relaxed.model)
     assert base.objective <= sol.objective + 1e-9
 
 
@@ -295,14 +296,14 @@ def test_policy_without_candidates_is_infeasible(bundled):
     inst = dataclasses.replace(bundled, policy=policy)
     art = build_system_model(inst, "cost")
     assert any("t9" in w for w in art.model.warnings)
-    assert DEFAULT_SOLVER.solve(art.model).status is Status.INFEASIBLE
+    assert EmbeddedSolver().solve(art.model).status is Status.INFEASIBLE
 
 
 def test_total_capacity_rows(tight40):
     art = build_system_model(tight40, "cost")
     totals = [row for row in art.model.rows if row.tag.scope[:1] == ("total",)]
     assert len(totals) == 3
-    sol = DEFAULT_SOLVER.solve(art.model)
+    sol = EmbeddedSolver().solve(art.model)
     assert sol.status is Status.OPTIMAL
     cap = tight40.processing.total_capacity["prim1"]
     for p in tight40.primaries:
@@ -323,6 +324,21 @@ POLICY = PolicyData(county_of={"drop1": "u1", "drop2": "u2"},
                     city_population={"t1": 50000.0, "t2": 2000.0},
                     city_county={"t1": "u1", "t2": "u2"})
 
+
+def robust_capacity_preset(instance, objective, include_policy=True):
+    """The capacity-preset counterpart at budget 1, as ``rlnd robust`` builds it."""
+    artifacts = build_system_model(instance, objective, include_policy)
+    return robustify_artifacts(artifacts, capacity_preset(artifacts, gamma=1.0))
+
+
+def user_model_ii_even_split(instance, objective, include_policy=True):
+    """Phase two with each product's supply split evenly over the dropoffs;
+    phase two has no siting rows, so ``include_policy`` changes nothing."""
+    rq = {i: {c: instance.total_supply(i) / len(instance.dropoffs) for c in instance.dropoffs}
+          for i in instance.products}
+    return build_user_model_ii(instance, rq, objective)
+
+
 # SHA-256 of to_lp_format() on the bundled network, which has no siting
 # policy, and on it with POLICY: pins column order, row order and names
 LP_SHA256 = {
@@ -338,6 +354,18 @@ LP_SHA256 = {
     (build_user_model_i, "emission"): (
         "504a699098035afae2e2cfc65e1576c372d20c4c9d0e2f4f3cdd6fd3a60056e8",
         "82cc6ad51a87c29f119a0a00dd636ca622bad8122a8018864f342f4b2272f25f"),
+    (robust_capacity_preset, "cost"): (
+        "3f14b87308f65d9d19db7e4ef19139ab9bb6ee6f767620ca38bbb28979da13fe",
+        "a848413fd871d9ae12b409e9f4671d1f85b2f6351dd4f3c2789d6236146e4b69"),
+    (robust_capacity_preset, "emission"): (
+        "73fb71fed3c78caf7e6f88808bbeca9ec24ef26e61e175c7d1c1a55e83d41fc9",
+        "20e89b91e37b54719489efca8f74bc4fdaf4860b50c3fd25fbb19cca6f2b9e0f"),
+    (user_model_ii_even_split, "cost"): (
+        "274c29f45cd909816b7683be162600b55587ddec879b73f15f6d81c2963cf50e",
+        "274c29f45cd909816b7683be162600b55587ddec879b73f15f6d81c2963cf50e"),
+    (user_model_ii_even_split, "emission"): (
+        "0b3641fa4bb35f30663dd6dfcb6db6e1baae0152ed41ce2c56c06f3ea246f34f",
+        "0b3641fa4bb35f30663dd6dfcb6db6e1baae0152ed41ce2c56c06f3ea246f34f"),
 }
 
 

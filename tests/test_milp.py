@@ -488,12 +488,12 @@ def _rebuilt(model, scale=1.0, extra_row=False):
                          ids=["coefficient", "row"])
 def test_a_start_with_another_matrix_is_ignored(change):
     start = _network_model()
-    assert solve_milp(start).status is Status.OPTIMAL
     cold = solve_milp(_rebuilt(start, **change))
+    solver = EmbeddedSolver()
+    assert solver.solve(start).status is Status.OPTIMAL
     model = _rebuilt(start, **change)
     assert not np.array_equal(_Lp.of(model).mat, _Lp.of(start).mat)
-    model.start_from(start)
-    warm = solve_milp(model)
+    warm = solver.solve(model)
     assert warm.status is Status.OPTIMAL
     assert warm.stats == cold.stats
     assert warm.values == cold.values and warm.objective == cold.objective
@@ -501,20 +501,20 @@ def test_a_start_with_another_matrix_is_ignored(change):
 
 @pytest.mark.parametrize("objective", ["cost", "emission"])
 def test_a_start_with_the_same_matrix_lends_its_root(objective, monkeypatch):
-    """The root starts from the start's optimal basis; it takes the start's
-    factorization too only under the same costs."""
+    """The root starts from the kept root's optimal basis; it takes that
+    root's factorization too only under the same costs."""
     start = _network_model(objective="cost")
-    assert solve_milp(start).status is Status.OPTIMAL
-    root = _Lp.of(start).root()
     cold = solve_milp(_network_model(objective=objective))
+    solver = EmbeddedSolver()
+    assert solver.solve(start).status is Status.OPTIMAL
+    root = _Lp.of(start).root()
     calls = []
     solve = milp._solve
     monkeypatch.setattr(milp, "_solve", lambda lp, cost, lb, ub, basis, factor=None:
                         calls.append((basis, factor)) or solve(lp, cost, lb, ub, basis, factor))
     model = _network_model(objective=objective)
     assert np.array_equal(_Lp.of(model).mat, _Lp.of(start).mat)
-    model.start_from(start)
-    warm = solve_milp(model)
+    warm = solver.solve(model)
     basis, factor = calls[0]
     assert basis is root.basis
     assert factor is (root.factor if objective == "cost" else None)
@@ -525,31 +525,36 @@ def test_a_start_with_the_same_matrix_lends_its_root(objective, monkeypatch):
         assert warm.stats.simplex_iterations < cold.stats.simplex_iterations
 
 
-def test_a_model_lets_its_start_go_once_its_root_is_solved():
-    start = _network_model()
-    solve_milp(start)
-    held = weakref.ref(_Lp.of(start))
-    model = _network_model()
-    model.start_from(start)
-    del start
+def test_a_later_optimal_root_of_the_same_shape_replaces_the_kept_one():
+    """The solver keeps one root per matrix shape: a model of another shape
+    leaves the kept root alone, one of the same shape replaces it, and the
+    replaced root is then freed."""
+    solver = EmbeddedSolver()
+    first = _network_model()
+    assert solver.solve(first).status is Status.OPTIMAL
+    held = weakref.ref(_Lp.of(first))
+    other_shape = _rebuilt(first, extra_row=True)
+    del first
+    assert solver.solve(other_shape).status is Status.OPTIMAL
     gc.collect()
     assert held() is not None
-    assert solve_milp(model).status is Status.OPTIMAL
+    assert solver.solve(_network_model(objective="emission")).status is Status.OPTIMAL
     gc.collect()
     assert held() is None
 
 
 def test_a_start_without_an_optimal_root_is_ignored():
-    """A start the engine never assembled, or one whose root relaxation is
-    infeasible (every binary closed: same matrix, other bounds), leaves the
-    root to the slack basis."""
+    """A fresh solver, or one whose only solve had an infeasible root
+    relaxation (every binary closed: same matrix, other bounds), starts the
+    next root from the slack basis."""
     unsolved = _network_model()
     closed = with_bounds(unsolved, {b: (0.0, 0.0) for b in unsolved.binary_names})
-    assert solve_milp(closed).status is Status.INFEASIBLE
-    assert _Lp.of(closed).root().status is Status.INFEASIBLE
     cold = solve_milp(_network_model())
-    for start in (unsolved, closed):
+    after_closed = EmbeddedSolver()
+    assert after_closed.solve(closed).status is Status.INFEASIBLE
+    assert _Lp.of(closed).root().status is Status.INFEASIBLE
+    assert not after_closed._roots
+    for solver in (EmbeddedSolver(), after_closed):
         model = _network_model()
         assert np.array_equal(_Lp.of(model).mat, _Lp.of(closed).mat)
-        model.start_from(start)
-        assert solve_milp(model).stats == cold.stats
+        assert solver.solve(model).stats == cold.stats

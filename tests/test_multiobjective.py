@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import RecordingSolver, netgen_instance, three_plan_tradeoff
-from rlnd.milp import DEFAULT_SOLVER, LinExpr, MilpModel, RowTag, Status, solve_milp
+from rlnd.milp import LinExpr, MilpModel, RowTag, Status, solve_milp
 from rlnd.multiobjective import (THETA_DEFAULT, ExpressionFamily, SystemEpsilonFamily,
                                  UserEpsilonFamily, epsilon_sweep)
 
@@ -81,14 +81,11 @@ def test_skipping_covered_caps_leaves_fronts_unchanged(seed, monkeypatch):
         assert with_bypass.skipped == without.skipped
 
 
-def _sweep(family, instance, monkeypatch, warm=True):
+def _sweep(family, instance, warm=True):
     """The family's front, and the summed pivots and nodes of its grid
-    solves; with ``warm`` false, no model is given a start."""
-    solver = RecordingSolver()
-    with monkeypatch.context() as m:
-        if not warm:
-            m.setattr(MilpModel, "start_from", lambda self, other: None)
-        front = epsilon_sweep(family(instance, solver=solver), points=10)
+    solves; with ``warm`` false, every root starts cold."""
+    solver = RecordingSolver(warm)
+    front = epsilon_sweep(family(instance, solver=solver), points=10)
     grid = [s.stats for model, s in solver.solves
             if any(row.tag.family == "epsilon" for row in model.rows)]
     return front, sum(s.simplex_iterations for s in grid), sum(s.nodes for s in grid)
@@ -96,15 +93,14 @@ def _sweep(family, instance, monkeypatch, warm=True):
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3],
                          ids=lambda s: "bundled" if s is None else f"netgen-{s}")
-def test_grid_solves_started_from_the_previous_one_give_the_cold_front(seed, bundled,
-                                                                      monkeypatch):
-    """The printed fronts are identical.  A warm grid solve may end on its
-    optimal basis with the rows in another order, and the fresh inversion
-    behind the values then rounds differently in the last digits."""
+def test_grid_solves_started_from_the_previous_one_give_the_cold_front(seed, bundled):
+    """The printed fronts are identical, and so is every grid point's
+    ``(v, epsilon)``: the values come from the final basis alone, whatever
+    order its rows reached it in."""
     instance = bundled if seed is None else netgen_instance(5, 4, 3, seed)
     for family in (SystemEpsilonFamily, UserEpsilonFamily):
-        warm, _, _ = _sweep(family, instance, monkeypatch)
-        cold, _, _ = _sweep(family, instance, monkeypatch, warm=False)
+        warm, _, _ = _sweep(family, instance)
+        cold, _, _ = _sweep(family, instance, warm=False)
         label = family.__name__
         assert warm.format_text() == cold.format_text(), label
         assert warm.skipped == cold.skipped, label
@@ -114,13 +110,13 @@ def test_grid_solves_started_from_the_previous_one_give_the_cold_front(seed, bun
             assert p.total_emission == pytest.approx(q.total_emission, rel=1e-9), label
 
 
-def test_grid_solves_started_from_the_previous_one_save_pivots(monkeypatch):
+def test_grid_solves_started_from_the_previous_one_save_pivots():
     """A deterministic guard: on netgen 5x4x3 seed 0 the grid solves take
     769 (system) and 870 (user) pivots cold, 465 and 385 warm."""
     instance = netgen_instance(5, 4, 3, 0)
     for family in (SystemEpsilonFamily, UserEpsilonFamily):
-        _, warm_pivots, warm_nodes = _sweep(family, instance, monkeypatch)
-        _, cold_pivots, cold_nodes = _sweep(family, instance, monkeypatch, warm=False)
+        _, warm_pivots, warm_nodes = _sweep(family, instance)
+        _, cold_pivots, cold_nodes = _sweep(family, instance, warm=False)
         assert warm_nodes == cold_nodes, family.__name__
         assert warm_pivots <= 0.75 * cold_pivots, (family.__name__, warm_pivots, cold_pivots)
 

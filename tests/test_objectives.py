@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from rlnd.builders import build_system_model, build_user_model_i, build_user_model_ii
-from rlnd.milp import DEFAULT_SOLVER, Status
+from rlnd.milp import EmbeddedSolver, Status
 from rlnd.objectives import (breakdown_from_solution, collected_quantities,
                              effective_opens, facility_inflows, item_inflows,
                              merge_phases)
@@ -155,7 +155,7 @@ def test_stage_expressions_match_reference_on_solved_plans(bundled, tight40):
     for inst, objective in ((bundled, "cost"), (tight40, "cost"),
                             (tight40, "emission")):
         art = build_system_model(inst, objective)
-        sol = DEFAULT_SOLVER.solve(art.model)
+        sol = EmbeddedSolver().solve(art.model)
         assert sol.status is Status.OPTIMAL
         got = art.stages.evaluate(sol.values)
         want = reference_stages(inst, art.vars, sol.values)
@@ -167,7 +167,7 @@ def test_stage_expressions_match_reference_on_solved_plans(bundled, tight40):
 def test_model_objective_equals_breakdown(bundled):
     for objective, total in (("cost", "total_cost"), ("emission", "total_emission")):
         art = build_system_model(bundled, objective)
-        sol = DEFAULT_SOLVER.solve(art.model)
+        sol = EmbeddedSolver().solve(art.model)
         breakdown, _ = breakdown_from_solution(bundled, art.vars, art.stages, sol)
         assert sol.objective == pytest.approx(getattr(breakdown, total), rel=1e-9)
 
@@ -182,7 +182,7 @@ def test_zero_flow_evaluates_to_zero(bundled):
 
 def test_inflows_and_effective_opens(bundled):
     art = build_system_model(bundled, "cost")
-    sol = DEFAULT_SOLVER.solve(art.model)
+    sol = EmbeddedSolver().solve(art.model)
     inflows = facility_inflows(bundled, art.vars, sol.values)
     assert inflows["prim3"] == pytest.approx(2784.87, abs=1e-6)
     assert inflows["drop1"] == pytest.approx(3300.0, abs=1e-6)
@@ -219,7 +219,7 @@ def test_effective_opens_tops_up_to_floor(bundled):
 
 def test_collected_quantities_user_phase(bundled):
     phase1 = build_user_model_i(bundled, "cost")
-    s1 = DEFAULT_SOLVER.solve(phase1.model)
+    s1 = EmbeddedSolver().solve(phase1.model)
     assert s1.status is Status.OPTIMAL
     rq = collected_quantities(bundled, phase1.vars, s1.values)
     # each area uses its nearest dropoff
@@ -231,10 +231,10 @@ def test_collected_quantities_user_phase(bundled):
 
 def test_merged_user_phases_match_reference(bundled):
     phase1 = build_user_model_i(bundled, "cost")
-    s1 = DEFAULT_SOLVER.solve(phase1.model)
+    s1 = EmbeddedSolver().solve(phase1.model)
     rq = collected_quantities(bundled, phase1.vars, s1.values)
     phase2 = build_user_model_ii(bundled, rq, "cost")
-    s2 = DEFAULT_SOLVER.solve(phase2.model)
+    s2 = EmbeddedSolver().solve(phase2.model)
     vars, merged_solution = merge_phases(phase1.vars, s1, phase2.vars, s2)
     breakdown, _ = breakdown_from_solution(
         bundled, vars, phase1.stages.followed_by(phase2.stages), merged_solution)
@@ -255,7 +255,7 @@ def test_merged_user_phases_match_reference(bundled):
 def test_revenue_invariant_under_dropoff_reordering(bundled):
     reordered = dataclasses.replace(bundled, dropoffs=("drop2", "drop1"))
     art = build_system_model(reordered, "cost")
-    sol = DEFAULT_SOLVER.solve(art.model)
+    sol = EmbeddedSolver().solve(art.model)
     breakdown, _ = breakdown_from_solution(reordered, art.vars, art.stages, sol)
     assert sum(breakdown.resale_revenue.values()) == pytest.approx(
         FROZEN_REVENUE, abs=1e-6)
@@ -264,10 +264,10 @@ def test_revenue_invariant_under_dropoff_reordering(bundled):
 
 def test_user_phases_report_only_their_own_tiers(bundled):
     phase1 = build_user_model_i(bundled, "cost")
-    s1 = DEFAULT_SOLVER.solve(phase1.model)
+    s1 = EmbeddedSolver().solve(phase1.model)
     rq = collected_quantities(bundled, phase1.vars, s1.values)
     phase2 = build_user_model_ii(bundled, rq, "cost")
-    s2 = DEFAULT_SOLVER.solve(phase2.model)
+    s2 = EmbeddedSolver().solve(phase2.model)
     for art, sol, arcs, tiers, facilities in (
             (phase1, s1, ["residence-dropoff"], ["dropoff"], bundled.dropoffs),
             (phase2, s2, ["dropoff-primary", "primary-secondary"], ["primary", "secondary"],

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import RecordingSolver, netgen_instance
 from rlnd.domain import with_total_capacity
-from rlnd.milp import EmbeddedSolver, MilpModel, ModelError, RowTag, Status
+from rlnd.milp import EmbeddedSolver, ModelError, RowTag, Status
 from rlnd.scenarios import (SCENARIO_ORDER, EmissionCap, builtin_scenarios,
                             calibrate_trip_factor, comparison_rows,
                             derive_throughput, load_scenario_spec, materialize,
@@ -85,12 +85,9 @@ def test_calibration_hits_measured_total(bundled):
     assert result.trail[0][0] == 1.0  # starts from the instance as given
 
 
-def test_calibration_steps_start_from_the_previous_root(bundled, monkeypatch):
+def test_calibration_steps_start_from_the_previous_root(bundled):
     """Each step re-solves the same matrix under new trip-leg costs from the
-    previous step's root basis.  The answers match the cold ones: a step may
-    end on the same basis with its rows in another order (netgen 5x4x3 seed
-    4 does), and the fresh inversion behind the values then rounds the total
-    differently in its last digit."""
+    previous step's root basis.  The answers match the cold ones."""
     networks = [(bundled, 57978.0)]
     for seed in range(8):
         instance = netgen_instance(5, 4, 3, seed)
@@ -101,11 +98,8 @@ def test_calibration_steps_start_from_the_previous_root(bundled, monkeypatch):
     for instance, target in networks:
         results = {}
         for warm in (True, False):
-            solver = RecordingSolver()
-            with monkeypatch.context() as m:
-                if not warm:
-                    m.setattr(MilpModel, "start_from", lambda self, other: None)
-                results[warm] = calibrate_trip_factor(target, instance, solver)
+            solver = RecordingSolver(warm)
+            results[warm] = calibrate_trip_factor(target, instance, solver)
             pivots[warm] += sum(s.stats.simplex_iterations for _, s in solver.solves)
         warm, cold = results[True], results[False]
         assert warm.iterations == cold.iterations, instance.name
@@ -210,6 +204,29 @@ def test_run_all_solves_the_base_throughput_once(bundled):
     one_by_one = [run_scenario(name, "cost", bundled) for name in SCENARIO_ORDER]
     assert comparison_rows(results) == comparison_rows(one_by_one)
     assert [r.instance for r in results] == [r.instance for r in one_by_one]
+
+
+def test_run_all_shares_its_solver_roots(bundled):
+    """A deterministic guard: one solver across the run lets the throughput
+    solve reuse the baseline's identical root (22 pivots cold, 2 warm) and
+    later phases start from earlier ones of their shape; on the bundled
+    network the run takes 331 pivots against 392 cold, with the same nodes
+    and the same tables."""
+    runs = {}
+    for warm in (True, False):
+        solver = RecordingSolver(warm)
+        runs[warm] = solver, run_all("cost", bundled, solver)
+    (warm, warm_results), (cold, cold_results) = runs[True], runs[False]
+    pivots = {solver: sum(s.stats.simplex_iterations for _, s in solver.solves)
+              for solver in (warm, cold)}
+    assert pivots[warm] <= 0.9 * pivots[cold], pivots
+    assert ([s.stats.nodes for _, s in warm.solves]
+            == [s.stats.nodes for _, s in cold.solves])
+    assert ([r.format_text() for r in warm_results]
+            == [r.format_text() for r in cold_results])
+    throughput, = [s for model, s in warm.solves
+                   if model.name == f"{bundled.name}:system:cost"]
+    assert throughput.stats.simplex_iterations <= 5
 
 
 def test_capacity_scenarios_only_tighten(bundled):
