@@ -21,7 +21,11 @@ points of a sweep, the steps of a calibration and the scenarios of a run
 differ only in right-hand sides or costs, so they find their starts without
 being told.
 The models are desk-scale (at most a few hundred rows), so an explicit dense
-basis inverse is the simplest thing that is provably correct.  The reported
+basis inverse is the simplest thing that is provably correct.  At that size
+a pivot costs the fixed price of a few dozen small numpy calls (about 70 us
+on one core of a shared 2-vCPU machine, plus 115 us per LP), so the pivot
+loop keeps those calls few; its rules (dual steepest-edge leaving row, Harris
+ratio test, largest pivot entering) fix every pivot it takes.  The reported
 values come from one fresh inversion of the final basis, its columns in
 ascending order, so they depend on that basis alone and not on the pivots
 that reached it: a fresh solver always answers a model the same way, and a
@@ -350,6 +354,7 @@ class _Lp:
         self.ub = np.concatenate([ub, row_ub]) / self.scale
         self.cost = np.concatenate([cost * col_scale, np.zeros(m)])
         self.binaries = np.flatnonzero(binary)
+        self.binary_scale = self.scale[self.binaries]
         self._root: _LpResult | None = None
 
     @staticmethod
@@ -403,20 +408,30 @@ class _Lp:
     def most_fractional(self, x: np.ndarray) -> int:
         """Position in ``binaries`` of the most fractional binary (ties: the
         lowest), or -1 when every binary is integral."""
-        values = x[self.binaries] * self.scale[self.binaries]
+        values = x[self.binaries] * self.binary_scale
         frac = np.abs(values - np.round(values))
         if not frac.size:
             return -1
-        k = int(np.argmax(frac))
+        k = int(frac.argmax())
         return k if frac[k] > INTEGRALITY_TOL else -1
+
+    def primal(self, binv: np.ndarray, head: np.ndarray, upper: np.ndarray,
+               lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        """Every column's value: a nonbasic one at its (finite, else zero)
+        upper or lower bound as ``upper`` says, the basic ones solved."""
+        x = np.where(upper, ub, lb)
+        x[~np.isfinite(x)] = 0.0
+        x[head] = 0.0
+        x[head] = -(binv @ (self.mat @ x))
+        return x
 
     def values(self, result: _LpResult) -> dict[str, float]:
         """An integral result's values in original units, from one fresh
         inversion of its basis, basic columns in ascending order, with the
         nonbasic columns at its bounds; binaries are rounded to exactly 0 or
         1."""
-        basis = _Basis(np.sort(result.basis.head), result.basis.upper)
-        x = _Simplex(self, self.cost, result.lb, result.ub, basis).x
+        head = np.sort(result.basis.head)
+        x = self.primal(self.factor(head), head, result.basis.upper, result.lb, result.ub)
         n = len(self.names)
         out = x[:n] * self.scale[:n]
         out[self.binaries] = np.round(out[self.binaries])
@@ -436,20 +451,20 @@ class _Simplex:
         self.set_bounds(lb, ub)
         if factor is None:
             self.refactor()
-        else:  # pivots update the inverse and the duals in place
+        else:  # pivots update the inverse and the duals in place, not the weights
             self._adopt(factor.binv.copy(), factor.d.copy(), factor.weights, factor.updates)
 
     def basis(self) -> _Basis:
-        return _Basis(self.head.copy(), self.upper.copy())
+        """The basis as it stands, sharing this simplex's arrays."""
+        return _Basis(self.head, self.upper)
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         self.lb, self.ub = lb, ub
         self.movable = lb < ub  # a fixed column never enters
         self.has_lb, self.has_ub = np.isfinite(lb), np.isfinite(ub)
         self.free = ~self.has_lb & ~self.has_ub
-        # where a nonbasic column rests: its bound, or zero when it has none
-        self.rest_lb = np.where(self.has_lb, lb, 0.0)
-        self.rest_ub = np.where(self.has_ub, ub, 0.0)
+        self.boxed = self.has_lb & self.has_ub
+        self.upper_only = self.has_ub & ~self.has_lb
 
     def factor(self) -> None:
         """Invert the basis afresh and recompute the duals and weights."""
@@ -465,8 +480,6 @@ class _Simplex:
                updates: int) -> None:
         self.binv, self.d, self.weights = binv, d, weights
         self.updates = updates
-        self.nonbasic = np.ones(self.cost.size, dtype=bool)
-        self.nonbasic[self.head] = False
 
     def consistent(self) -> bool:
         """Whether an updated inverse still agrees with the values and the
@@ -487,56 +500,57 @@ class _Simplex:
         self._reset_primal()
 
     def _reset_primal(self) -> None:
-        x = np.where(self.upper, self.rest_ub, self.rest_lb)
-        x[self.head] = 0.0
-        x[self.head] = -(self.binv @ (self.lp.mat @ x))
-        self.x = x
+        self.x = self.lp.primal(self.binv, self.head, self.upper, self.lb, self.ub)
 
     def place(self) -> float:
         """Rest each nonbasic column at the bound its reduced cost asks for;
         return the largest dual infeasibility that no bound can absorb."""
-        has_lb, has_ub = self.has_lb, self.has_ub
         d = self.d
-        self.upper = np.where(has_lb & has_ub,
+        self.upper = np.where(self.boxed,
                               (d < -_DUAL_TOL) | (self.upper & (d <= _DUAL_TOL)),
-                              has_ub & ~has_lb)
+                              self.upper_only)
         self._reset_primal()
-        infeasible = (np.where(has_lb, 0.0, np.maximum(d, 0.0))
-                      + np.where(has_ub, 0.0, np.maximum(-d, 0.0)))
+        infeasible = (np.where(self.has_lb, 0.0, np.maximum(d, 0.0))
+                      + np.where(self.has_ub, 0.0, np.maximum(-d, 0.0)))
         return float(infeasible.max(initial=0.0))
 
     def run(self, limit: int) -> Status:
         """Pivot until the basis is primal feasible (OPTIMAL), a row proves
         the LP infeasible, or ``limit`` pivots are spent."""
-        mat = self.lp.mat
-        head, x = self.head, self.x
-        # nonbasic columns that may rise from their bound, or fall from it
-        rise = self.nonbasic & self.movable & (~self.upper | self.free)
-        fall = self.nonbasic & self.movable & (self.upper | self.free)
+        mat, lb, ub = self.lp.mat, self.lb, self.ub
+        head, x, binv, d = self.head, self.x, self.binv, self.d
+        # +1 where a nonbasic column may rise from its bound, -1 where it may
+        # fall from it, 0 where it may not move; a free one may do both
+        movable = self.movable.copy()
+        movable[head] = False
+        way = np.where(self.upper, -1.0, 1.0) * movable
+        free = movable & self.free
+        free = free if free.any() else None
         # value and bounds of the column basic in each row; x holds the
         # nonbasic values and gets the basic ones back on an optimal exit
-        xb, lbb, ubb = x[head], self.lb[head], self.ub[head]
+        xb, lbb, ubb = x[head], lb[head], ub[head]
         while True:
-            below = lbb - xb
-            above = xb - ubb
-            infeasibility = np.maximum(below, above)
+            infeasibility = np.maximum(lbb - xb, xb - ubb)
             # leaving row: dual steepest edge over the primal infeasibilities
             score = np.where(infeasibility > FEASIBILITY_TOL,
                              infeasibility ** 2 / self.weights, -1.0)
-            r = int(np.argmax(score)) if score.size else 0
+            r = score.argmax() if score.size else 0
             if not score.size or score[r] < 0.0:
                 x[head] = xb
                 return Status.OPTIMAL
             if self.pivots >= limit:
                 return Status.NUMERICALLY_UNSTABLE
             leaving = int(head[r])
-            to_lower = below[r] > 0.0
+            to_lower = xb[r] < lbb[r]
             target = lbb[r] if to_lower else ubb[r]
             sign = -1.0 if to_lower else 1.0
-            row = self.binv[r] @ mat
-            toward = sign * row
-            candidates = np.flatnonzero(((toward > _PIVOT_TOL) & rise)
-                                        | ((toward < -_PIVOT_TOL) & fall))
+            # the pivot row; ``toward`` is sign * row, so a column is eligible
+            # when its ``toward * way`` is above the pivot tolerance
+            row = binv[r] @ mat
+            eligible = row * way < -_PIVOT_TOL if to_lower else row * way > _PIVOT_TOL
+            if free is not None:
+                eligible |= free & (np.abs(row) > _PIVOT_TOL)
+            candidates = eligible.nonzero()[0]
             if not candidates.size:
                 # the row proves infeasibility only if it is B^-1's row r;
                 # an updated inverse that fails is inverted afresh first
@@ -545,37 +559,39 @@ class _Simplex:
                 if not self.updates or np.abs(unit).max() <= _RESIDUAL_TOL:
                     return Status.INFEASIBLE
                 self.refactor()
-                x = self.x
+                x, binv, d = self.x, self.binv, self.d
                 xb = x[head]
                 continue
             # entering column: Harris two-pass ratio test, largest pivot wins
-            t = toward[candidates]
-            dj = self.d[candidates]
-            relaxed = np.where(t > 0.0, dj + _DUAL_TOL, dj - _DUAL_TOL) / t
-            near = dj / t <= relaxed.min()
-            q = int(candidates[near][np.argmax(np.abs(t[near]))])
-            alpha = self.binv @ mat[:, q]
+            t = sign * row[candidates]
+            k = 0
+            if t.size > 1:
+                dj = d[candidates]
+                relaxed = (dj + np.copysign(_DUAL_TOL, t)) / t
+                k = np.where(dj / t <= relaxed.min(), np.abs(t), -1.0).argmax()
+            q = int(candidates[k])
+            alpha = binv @ mat[:, q]
             pivot = alpha[r]
-            theta_d = sign * max(self.d[q] / toward[q], 0.0)
+            theta_d = sign * max(d[q] / t[k], 0.0)
             theta_p = (xb[r] - target) / pivot
             xb -= theta_p * alpha
             xb[r] = x[q] + theta_p
-            lbb[r], ubb[r] = self.lb[q], self.ub[q]
+            lbb[r], ubb[r] = lb[q], ub[q]
             x[leaving] = target
-            self.d -= theta_d * row
-            self.d[head] = 0.0
-            self.d[leaving] = -theta_d
-            self.d[q] = 0.0
+            d -= theta_d * row
+            d[head] = 0.0
+            d[leaving] = -theta_d
+            d[q] = 0.0
             head[r] = q
-            self.nonbasic[q] = rise[q] = fall[q] = False
-            self.nonbasic[leaving] = True
+            way[q] = 0.0
+            if free is not None:
+                free[q] = False
             self.upper[leaving] = not to_lower
-            rise[leaving] = to_lower and self.movable[leaving]
-            fall[leaving] = not to_lower and self.movable[leaving]
-            self.binv[r] /= pivot
+            way[leaving] = (1.0 if to_lower else -1.0) * self.movable[leaving]
+            binv[r] /= pivot
             alpha[r] = 0.0
-            self.binv -= np.outer(alpha, self.binv[r])
-            self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
+            binv -= alpha[:, None] * binv[r]
+            self.weights = np.einsum("ij,ij->i", binv, binv)
             self.pivots += 1
             self.updates += 1
 
@@ -765,6 +781,8 @@ class EmbeddedSolver:
     root relaxation was optimal (see :meth:`_Lp.root`)."""
 
     def __init__(self, node_budget: int = 200_000):
+        if node_budget < 1:
+            raise ValueError(f"node budget must be at least 1, got {node_budget}")
         self.node_budget = node_budget
         self._roots: dict[tuple[int, int], _Lp] = {}
 

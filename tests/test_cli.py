@@ -281,6 +281,8 @@ ERROR_CASES = {
     "pareto-points": lambda tmp_path: ["pareto", "--points", "0"],
     "robust-fraction": lambda tmp_path: ["robust", "--fraction", "-1"],
     "robust-gamma": lambda tmp_path: ["robust", "--gamma", "-1"],
+    "solve-node-budget-0": lambda tmp_path: ["solve", "--node-budget", "0"],
+    "solve-node-budget-negative": lambda tmp_path: ["solve", "--node-budget", "-3"],
     "instance-without-arcs": lambda tmp_path: _validate(tmp_path, lambda d: d.pop("arcs")),
     "entry-without-capacity": lambda tmp_path: _validate(
         tmp_path, lambda d: _first_dropoff_entry(d).pop("capacity")),

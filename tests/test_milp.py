@@ -61,6 +61,20 @@ def test_lp_respects_variable_bounds():
     assert sol.value("x") == pytest.approx(2.5, abs=1e-9)
 
 
+def test_a_free_column_enters_falling():
+    """The slack basis puts y = 0 above its row's bound; only the free
+    column y can repair that row, and it must fall to do so."""
+    m = _model()
+    m.add_variable("x")
+    m.add_variable("y", lb=-math.inf)
+    m.add_row(LinExpr({"y": 1.0}), "<=", -2.0, TAG)
+    m.set_objective(LinExpr({"x": 1.0}))
+    sol = solve_milp(m)
+    assert sol.status is Status.OPTIMAL
+    assert sol.objective == 0.0
+    assert sol.value("y") == -2.0
+
+
 def test_infeasible_lp():
     m = _model()
     m.add_variable("x", ub=1.0)
@@ -143,6 +157,12 @@ def test_unbounded_relaxation_needs_a_feasible_assignment(coeff, status):
     m.set_objective(LinExpr({"x": -1.0}))
     assert _Lp.of(m).root().status is Status.UNBOUNDED
     assert solve_milp(m).status is status
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_node_budget_below_one_is_rejected(budget):
+    with pytest.raises(ValueError, match="node budget"):
+        EmbeddedSolver(node_budget=budget)
 
 
 def test_budget_exhaustion_reports_bound():
@@ -344,6 +364,62 @@ def test_children_restart_from_their_parents_basis():
     sol = solve_milp(_network_model(seed=6))
     assert sol.stats.nodes >= 20
     assert sol.stats.simplex_iterations / sol.stats.nodes <= 8.0
+
+
+# (status, nodes, pivots) of a fresh solve of each model
+PIVOT_PATHS = {
+    ("bundled", "system", "cost"): ("optimal", 3, 22),
+    ("bundled", "system", "emission"): ("optimal", 3, 22),
+    ("bundled", "user-I", "cost"): ("optimal", 5, 13),
+    ("bundled", "user-I", "emission"): ("optimal", 5, 13),
+    (0, "system", "cost"): ("optimal", 19, 103),
+    (0, "system", "emission"): ("optimal", 9, 67),
+    (0, "user-I", "cost"): ("optimal", 5, 25),
+    (0, "user-I", "emission"): ("optimal", 5, 24),
+    (1, "system", "cost"): ("optimal", 13, 83),
+    (1, "system", "emission"): ("optimal", 13, 82),
+    (1, "user-I", "cost"): ("optimal", 5, 32),
+    (1, "user-I", "emission"): ("optimal", 5, 27),
+    (2, "system", "cost"): ("optimal", 9, 66),
+    (2, "system", "emission"): ("optimal", 7, 60),
+    (2, "user-I", "cost"): ("optimal", 7, 32),
+    (2, "user-I", "emission"): ("optimal", 7, 32),
+    (3, "system", "cost"): ("optimal", 9, 79),
+    (3, "system", "emission"): ("optimal", 9, 68),
+    (3, "user-I", "cost"): ("optimal", 7, 34),
+    (3, "user-I", "emission"): ("optimal", 7, 35),
+}
+
+
+@pytest.mark.parametrize("network", ["bundled", 0, 1, 2, 3],
+                         ids=["bundled", *(f"netgen-5x4x3-{s}" for s in range(4))])
+def test_pivot_paths_are_pinned(network, bundled):
+    """A change to the simplex's arithmetic that keeps its pivot rules keeps
+    every pivot; these counts hold under any BLAS thread count."""
+    instance = bundled if network == "bundled" else netgen_instance(5, 4, 3, network)
+    for model, build in (("system", build_system_model), ("user-I", build_user_model_i)):
+        for objective in ("cost", "emission"):
+            sol = solve_milp(build(instance, objective).model)
+            path = (sol.status.value, sol.stats.nodes, sol.stats.simplex_iterations)
+            assert path == PIVOT_PATHS[network, model, objective], (model, objective)
+
+
+def test_solving_children_leaves_the_parent_untouched():
+    """Both children of the root start from its factorization, which they
+    share with it and with each other: their pivots must not write to it."""
+    lp = _Lp.of(_network_model())
+    root = lp.root()
+    k = lp.most_fractional(root.x)
+    assert k >= 0
+    kept = [a.copy() for a in (root.factor.binv, root.factor.d, root.factor.weights,
+                                root.basis.head, root.basis.upper, root.x)]
+    for value in (0, 1):
+        child = _solve(lp, lp.cost, *lp.branch(root, k, value), root.basis, root.factor)
+        assert child.pivots > 0
+    after = (root.factor.binv, root.factor.d, root.factor.weights,
+             root.basis.head, root.basis.upper, root.x)
+    for before, now in zip(kept, after):
+        assert np.array_equal(before, now)
 
 
 @pytest.mark.parametrize("seed", range(8))
