@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 from .domain import TIERS, NetworkInstance, TierLayout, validate
 from .milp import LinExpr, MilpModel, ModelError, RowTag
-from .objectives import StageExpressions, Tier, VariableMap, build_stage_expressions, tiers
+from .objectives import (TOTALS, StageExpressions, Tier, VariableMap, build_stage_expressions,
+                         tiers)
 
-OBJECTIVES = ("cost", "emission")
+OBJECTIVES = tuple(TOTALS)
 
 
 @dataclass
@@ -177,8 +178,7 @@ def build_system_model(instance: NetworkInstance, objective: str = "cost",
     _add_open_counts(model, instance, table)
 
     stages = build_stage_expressions(instance, table)
-    objective_expr = stages.total_cost() if objective == "cost" else stages.total_emission()
-    model.set_objective(objective_expr)
+    model.set_objective(stages.total(objective))
     artifacts = ModelArtifacts(model, vars, stages)
     return add_policy_constraints(artifacts, instance) if include_policy else artifacts
 
@@ -196,9 +196,7 @@ def build_user_model_i(instance: NetworkInstance, objective: str = "cost",
     _add_open_counts(model, instance, table[:1])
 
     stages = build_stage_expressions(instance, table)
-    leg = TIERS[0].leg
-    expr = stages.transport_cost[leg] if objective == "cost" else stages.transport_emission[leg]
-    model.set_objective(expr.copy())
+    model.set_objective(stages.total(objective, {TIERS[0].leg}))
     artifacts = ModelArtifacts(model, vars, stages)
     return add_policy_constraints(artifacts, instance) if include_policy else artifacts
 
@@ -220,8 +218,7 @@ def build_user_model_ii(instance: NetworkInstance, rq: dict[str, dict[str, float
     _add_open_counts(model, instance, table[1:])
 
     stages = build_stage_expressions(instance, table)
-    objective_expr = stages.total_cost() if objective == "cost" else stages.total_emission()
-    model.set_objective(objective_expr)
+    model.set_objective(stages.total(objective))
     return ModelArtifacts(model, vars, stages)
 
 

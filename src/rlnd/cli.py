@@ -4,21 +4,22 @@ Subcommands mirror the library: validate an instance, solve one model,
 sweep a trade-off front, build and solve a robust counterpart, run a named
 scenario both ways, or turn coordinate tables into an arc-distance grid.
 
-Exit codes: 0 solved/ok, 1 usage or data error, 2 proven infeasible,
-3 budget exhausted before proof.  A usage or data error prints one
-``error:`` line on stderr, never a traceback.
+Exit codes: 0 solved/ok, 1 usage or data error or a numerically unstable
+answer, 2 proven infeasible, 3 budget exhausted before proof.  A usage or
+data error prints one ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
 # the user builders stay bound for perfbench, which wraps all three here by name
-from .builders import build_system_model, build_user_model_i, build_user_model_ii
+from .builders import OBJECTIVES, build_system_model, build_user_model_i, build_user_model_ii
 from .domain import TIERS, InstanceError, NetworkInstance, validate
 from .geo import grid_to_areas
 from .io import (load_bundled_instance, load_instance, read_points_csv,
@@ -66,9 +67,13 @@ def _load(args: argparse.Namespace) -> NetworkInstance:
     return load_instance(args.instance)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_instance(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instance", type=Path, default=None,
                         help="instance JSON (default: the bundled example)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_instance(parser)
     parser.add_argument("--solver", choices=("embedded", "scipy"), default="embedded")
     parser.add_argument("--node-budget", type=int, default=200_000,
                         help="search-node cap for the embedded engine")
@@ -204,7 +209,9 @@ def _cmd_distances(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once, as parsing leaves it unchanged."""
     parser = _Parser(
         prog="rlnd",
         description="exact planning models for product take-back networks")
@@ -212,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check an instance file for consistency")
-    _add_common(p)
+    _add_instance(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("solve", help="solve one model and print the breakdown")
     _add_common(p)
     p.add_argument("--model", choices=("system", "user"), default="system")
-    p.add_argument("--objective", choices=("cost", "emission"), default="cost")
+    p.add_argument("--objective", choices=OBJECTIVES, default="cost")
     p.add_argument("--no-policy", action="store_true",
                    help="ignore siting-policy rows")
     p.add_argument("--dump-lp", type=Path, default=None,
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robust", help="solve a budget-protected counterpart")
     _add_common(p)
-    p.add_argument("--objective", choices=("cost", "emission"), default="cost")
+    p.add_argument("--objective", choices=OBJECTIVES, default="cost")
     p.add_argument("--uncertainty", type=Path, default=None,
                    help="uncertainty spec JSON; omit to use the capacity preset")
     p.add_argument("--fraction", type=float, default=0.1,
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(SCENARIO_ORDER)} or 'all'")
     p.add_argument("--spec", type=Path, default=None,
                    help="scenario spec JSON instead of a built-in name")
-    p.add_argument("--objective", choices=("cost", "emission"), default="cost")
+    p.add_argument("--objective", choices=OBJECTIVES, default="cost")
     p.add_argument("--output", type=Path, default=None, help="comparison CSV")
     p.set_defaults(func=_cmd_scenario)
 

@@ -35,15 +35,13 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} outside (-180, 180]")
 
 
-def haversine(a: GeoPoint, b: GeoPoint, r: float = EARTH_RADIUS_KM) -> float:
+def haversine(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in km between two points given in degrees."""
-    if r <= 0:
-        raise ValueError(f"sphere radius must be positive, got {r}")
     phi_a, phi_b = math.radians(a.lat), math.radians(b.lat)
     dphi = math.radians(b.lat - a.lat)
     dlam = math.radians(b.lon - a.lon)
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi_a) * math.cos(phi_b) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * r * math.asin(min(1.0, math.sqrt(s)))
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
 def pairwise_km(origins: Sequence[GeoPoint], destinations: Sequence[GeoPoint]) -> np.ndarray:

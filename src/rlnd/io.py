@@ -10,7 +10,8 @@ wrong type raises one :class:`DocumentError` naming the file and the key's
 path, such as ``supply.trips_per_year``.  The CSV importer reads coordinate
 points, ``id, lat, lon[, population]``; a header (the first non-blank row,
 when its ``lat`` cell is not numeric) is detected and skipped, so both bare
-and titled exports load.
+and titled exports load.  :func:`write_csv` writes every CSV export, floats
+with six decimals.
 """
 
 from __future__ import annotations
@@ -275,10 +276,15 @@ def read_points_csv(path: str | Path) -> dict[str, GeoPoint]:
     return points
 
 
-def write_breakdown_csv(rows: Iterable[tuple[str, str, float]], path: str | Path) -> None:
-    """Serialize StageBreakdown.rows(): metric, stage, value."""
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
+    """A header, then the rows; floats are written with six decimals."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["metric", "stage", "value"])
-        for metric, stage, value in rows:
-            writer.writerow([metric, stage, f"{value:.6f}"])
+        writer.writerow(header)
+        writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_breakdown_csv(rows: Iterable[tuple[str, str, float]], path: str | Path) -> None:
+    """Serialize StageBreakdown.rows(): metric, stage, value."""
+    write_csv(path, ("metric", "stage", "value"), rows)

@@ -27,7 +27,11 @@ emission anchor's from the cost anchor's, each grid solve's from the
 previous one's, whose optimal basis a new right-hand side leaves dual
 feasible.  Each grid solve still builds its own model.
 
-Families adapt concrete model shapes to the sweep:
+Families adapt concrete model shapes to the sweep.  The sweep reads only
+totals from them: each anchor's cost and emission, and each grid solve's
+cost, emission and reach; the solution values stay with the family.  The
+whole-network and two-phase families take their totals and the emission
+each cap bounds from :data:`rlnd.objectives.TOTALS`:
 
 * :class:`ExpressionFamily` — any single MilpModel with a cost and an
   emission expression.
@@ -45,14 +49,14 @@ Families adapt concrete model shapes to the sweep:
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
 # the builders stay bound for perfbench, which wraps all three here by name
 from .builders import build_system_model, build_user_model_i, build_user_model_ii
 from .domain import NetworkInstance
+from .io import write_csv
 from .milp import EmbeddedSolver, LinExpr, MilpModel, ModelError, Solution, Solver, Status
 from .scenarios import (EmissionCap, SideResult, add_epsilon_row, solve_system,
                         solve_user)
@@ -69,7 +73,6 @@ class ParetoPoint:
     epsilon: float
     total_cost: float
     total_emission: float
-    values: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,12 +97,8 @@ class ParetoFront:
         return len(self.points)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["v", "epsilon", "total_cost", "total_emission"])
-            for p in self.points:
-                writer.writerow([p.v, f"{p.epsilon:.6f}",
-                                 f"{p.total_cost:.6f}", f"{p.total_emission:.6f}"])
+        write_csv(path, ("v", "epsilon", "total_cost", "total_emission"),
+                  ((p.v, p.epsilon, p.total_cost, p.total_emission) for p in self.points))
 
     def format_text(self) -> str:
         lines = [f"anchors: cost ({self.cost_anchor[0]:.3f}, {self.cost_anchor[1]:.3f})"
@@ -113,18 +112,20 @@ class ParetoFront:
 
 
 class TradeoffFamily(Protocol):
-    """What the sweep needs from a problem family."""
+    """What the sweep needs from a problem family: the cost and emission
+    totals of the two anchors and of each grid solve, and the tightest cap
+    each grid answer fits."""
 
-    def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
-        """(cost, emission, values) after minimizing the named objective."""
+    def anchor(self, objective: str) -> tuple[float, float]:
+        """(cost, emission) after minimizing the named objective."""
         ...
 
     def solve_point(self, v: int, epsilon: float, theta: float
-                    ) -> tuple[float, float, dict[str, float], float] | None:
+                    ) -> tuple[float, float, float] | None:
         """Minimize cost subject to emission <= epsilon; None if infeasible.
 
-        Returns (cost, emission, values, reach): ``reach`` is the tightest
-        cap under which this answer is still feasible.
+        Returns (cost, emission, reach): ``reach`` is the tightest cap under
+        which this answer is still feasible.
         """
         ...
 
@@ -166,8 +167,8 @@ def epsilon_sweep(family: TradeoffFamily, points: int = POINTS_DEFAULT,
     if points < 1:
         raise ValueError("the grid needs at least one step")
 
-    cost_c, em_c, _ = family.anchor("cost")
-    cost_e, em_e, _ = family.anchor("emission")
+    cost_c, em_c = family.anchor("cost")
+    cost_e, em_e = family.anchor("emission")
     em_min, em_max = em_e, max(em_e, em_c)
 
     found: list[ParetoPoint] = []
@@ -185,11 +186,11 @@ def epsilon_sweep(family: TradeoffFamily, points: int = POINTS_DEFAULT,
         if result is None:
             skipped.append(SkippedPoint(v, eps, "no solution fits this emission cap"))
             continue
-        cost, emission, values, reach = result
+        cost, emission, reach = result
         while k >= 0 and grid[k][1] >= reach:
             v, eps = grid[k]
             k -= 1
-        found.append(ParetoPoint(v, eps, cost, emission, values))
+        found.append(ParetoPoint(v, eps, cost, emission))
     found.reverse()
     skipped.reverse()
 
@@ -220,24 +221,23 @@ class ExpressionFamily:
             raise ModelError(f"trade-off solve ended {solution.status.value}")
         return solution
 
-    def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
+    def anchor(self, objective: str) -> tuple[float, float]:
         model, cost, emission = self.factory()
         model.set_objective(cost if objective == "cost" else emission)
         solution = self._solved(model)
         if solution is None:
             raise ModelError("the family is infeasible; no anchor exists")
-        return (cost.evaluate(solution.values), emission.evaluate(solution.values),
-                dict(solution.values))
+        return cost.evaluate(solution.values), emission.evaluate(solution.values)
 
     def solve_point(self, v: int, epsilon: float, theta: float
-                    ) -> tuple[float, float, dict[str, float], float] | None:
+                    ) -> tuple[float, float, float] | None:
         model, cost, emission = self.factory()
         add_epsilon_row(model, emission, v, epsilon, theta, cost)
         solution = self._solved(model)
         if solution is None:
             return None
         reach = emission.evaluate(solution.values)
-        return cost.evaluate(solution.values), reach, dict(solution.values), reach
+        return cost.evaluate(solution.values), reach, reach
 
 
 class SystemEpsilonFamily:
@@ -253,24 +253,23 @@ class SystemEpsilonFamily:
     def _solve(self, objective: str, cap: EmissionCap | None = None) -> SideResult:
         return solve_system(self.instance, objective, self.solver, self.include_policy, cap)
 
-    def anchor(self, objective: str) -> tuple[float, float, dict[str, float]]:
+    def anchor(self, objective: str) -> tuple[float, float]:
         side = self._solve(objective).require_optimal("anchor solve")
         if objective == "emission":  # later phases' emission, held back from phase one
-            self._held_back = sum(artifacts.stages.total_emission().evaluate(solution.values)
+            self._held_back = sum(artifacts.stages.total("emission").evaluate(solution.values)
                                   for artifacts, solution in side.phases[1:])
-        return side.total_cost, side.total_emission, side.values
+        return side.total_cost, side.total_emission
 
     def solve_point(self, v: int, epsilon: float, theta: float
-                    ) -> tuple[float, float, dict[str, float], float] | None:
+                    ) -> tuple[float, float, float] | None:
         return self._grid_solve(EmissionCap(v, epsilon, theta))
 
-    def _grid_solve(self, cap: EmissionCap
-                    ) -> tuple[float, float, dict[str, float], float] | None:
+    def _grid_solve(self, cap: EmissionCap) -> tuple[float, float, float] | None:
         side = self._solve("cost", cap)
         if side.status is Status.INFEASIBLE:
             return None
         side.require_optimal(f"grid solve {cap.v}")
-        return side.total_cost, side.total_emission, side.values, side.reach
+        return side.total_cost, side.total_emission, side.reach
 
 
 class UserEpsilonFamily(SystemEpsilonFamily):
@@ -287,7 +286,7 @@ class UserEpsilonFamily(SystemEpsilonFamily):
         return solve_user(self.instance, objective, self.solver, self.include_policy, cap)
 
     def solve_point(self, v: int, epsilon: float, theta: float
-                    ) -> tuple[float, float, dict[str, float], float] | None:
+                    ) -> tuple[float, float, float] | None:
         if self._held_back is None:
             self.anchor("emission")
         return self._grid_solve(EmissionCap(v, epsilon, theta, self._held_back))

@@ -7,6 +7,12 @@ tiers, three resale tiers, and the emission mirrors of each.  Totals follow
     total cost     = transport + processing + fixed - resale revenue
     total emission = transport + processing - offset
 
+and :data:`TOTALS` declares them once: the evaluated totals, the model
+objectives the builders set, the epsilon rows and the report rows all
+derive from it.  A partial total names its stages: the residents' phase
+minimizes its trip leg alone, and its emission cap bounds the trip leg and
+the dropoff tier.
+
 Processing applies to the non-resold share of a facility's inflow, i.e. a
 ``(1 - resale)`` factor on the inflow mass; revenue and offsets apply to the
 resold share.  Dropoff inflow is ``supply x RTD``, primary inflow is DTP, and
@@ -23,12 +29,20 @@ registration, balance and gate rows loop over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Mapping
+from typing import Container, Mapping
 
 from .domain import TIERS, Arc, NetworkInstance, ProcessingEntry, trip_multiplier
 from .milp import LinExpr, ModelError, Solution, Status
 
 _FLOW_TOL = 1e-6
+
+# each objective's total: its stage metrics, in summation order, with their signs
+TOTALS: dict[str, tuple[tuple[str, float], ...]] = {
+    "cost": (("transport_cost", 1.0), ("processing_cost", 1.0), ("fixed_cost", 1.0),
+             ("resale_revenue", -1.0)),
+    "emission": (("transport_emission", 1.0), ("processing_emission", 1.0),
+                 ("emission_offset", -1.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -60,32 +74,25 @@ class StageBreakdown:
     processing_emission: dict[str, float]
     emission_offset: dict[str, float]
 
+    def total(self, objective: str) -> float:
+        """The objective's total, as :data:`TOTALS` declares it."""
+        return sum(sign * sum(getattr(self, metric).values())
+                   for metric, sign in TOTALS[objective])
+
     @property
     def total_cost(self) -> float:
-        return (sum(self.transport_cost.values()) + sum(self.processing_cost.values())
-                + sum(self.fixed_cost.values()) - sum(self.resale_revenue.values()))
+        return self.total("cost")
 
     @property
     def total_emission(self) -> float:
-        return (sum(self.transport_emission.values())
-                + sum(self.processing_emission.values())
-                - sum(self.emission_offset.values()))
+        return self.total("emission")
 
     def rows(self) -> list[tuple[str, str, float]]:
-        out: list[tuple[str, str, float]] = []
-        groups = [("transport_cost", self.transport_cost),
-                  ("processing_cost", self.processing_cost),
-                  ("fixed_cost", self.fixed_cost),
-                  ("resale_revenue", self.resale_revenue),
-                  ("transport_emission", self.transport_emission),
-                  ("processing_emission", self.processing_emission),
-                  ("emission_offset", self.emission_offset)]
-        for metric, table in groups:
-            for stage in sorted(table):
-                out.append((metric, stage, table[stage]))
-        out.append(("total_cost", "all", self.total_cost))
-        out.append(("total_emission", "all", self.total_emission))
-        return out
+        """(metric, stage, value) of every stage, then each objective's total."""
+        out = [(f.name, stage, value) for f in fields(self)
+               for stage, value in sorted(getattr(self, f.name).items())]
+        return out + [(f"total_{objective}", "all", self.total(objective))
+                      for objective in TOTALS]
 
     def format_text(self) -> str:
         lines = [f"{metric:20s} {stage:20s} {value:14.3f}"
@@ -106,27 +113,21 @@ class StageExpressions:
     processing_emission: dict[str, LinExpr] = field(default_factory=dict)
     emission_offset: dict[str, LinExpr] = field(default_factory=dict)
 
-    def total_cost(self) -> LinExpr:
+    def total(self, objective: str, stages: Container[str] | None = None) -> LinExpr:
+        """The objective's total, as :data:`TOTALS` declares it, over every
+        stage or only the named ones."""
         total = LinExpr()
-        for expr in self.transport_cost.values():
-            total.add_expr(expr)
-        for expr in self.processing_cost.values():
-            total.add_expr(expr)
-        for expr in self.fixed_cost.values():
-            total.add_expr(expr)
-        for expr in self.resale_revenue.values():
-            total.add_expr(expr, -1.0)
+        for metric, sign in TOTALS[objective]:
+            for stage, expr in getattr(self, metric).items():
+                if stages is None or stage in stages:
+                    total.add_expr(expr, sign)
         return total
 
+    def total_cost(self) -> LinExpr:
+        return self.total("cost")
+
     def total_emission(self) -> LinExpr:
-        total = LinExpr()
-        for expr in self.transport_emission.values():
-            total.add_expr(expr)
-        for expr in self.processing_emission.values():
-            total.add_expr(expr)
-        for expr in self.emission_offset.values():
-            total.add_expr(expr, -1.0)
-        return total
+        return self.total("emission")
 
     def followed_by(self, other: StageExpressions) -> StageExpressions:
         """This table's stages, then ``other``'s, as one table: the two user
@@ -135,11 +136,9 @@ class StageExpressions:
                                   for f in fields(self)))
 
     def evaluate(self, values: Mapping[str, float]) -> StageBreakdown:
-        ev = lambda table: {k: expr.evaluate(values) for k, expr in table.items()}
-        return StageBreakdown(ev(self.transport_cost), ev(self.processing_cost),
-                              ev(self.fixed_cost), ev(self.resale_revenue),
-                              ev(self.transport_emission), ev(self.processing_emission),
-                              ev(self.emission_offset))
+        return StageBreakdown(*({k: expr.evaluate(values)
+                                 for k, expr in getattr(self, f.name).items()}
+                                for f in fields(self)))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -317,8 +316,8 @@ def breakdown_from_solution(instance: NetworkInstance, vars: VariableMap,
     fixed = instance.processing.fixed_cost
     for tier in tiers(instance, vars):
         if tier.name in breakdown.fixed_cost:
-            breakdown.fixed_cost[tier.name] = sum(fixed[f] for f in tier.facilities
-                                                  if opens.get(f))
+            breakdown.fixed_cost[tier.name] = sum((fixed[f] for f in tier.facilities
+                                                   if opens.get(f)), 0.0)
     return breakdown, opens
 
 

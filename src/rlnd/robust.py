@@ -95,8 +95,7 @@ def _magnitude_var(model: MilpModel, var_name: str,
     return mag
 
 
-def robustify(model: MilpModel, spec: UncertaintySpec,
-              name: str | None = None) -> MilpModel:
+def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
     """Build the robust counterpart of `model` under `spec`.
 
     Rows not named in the spec are copied unchanged.  A named equality row is
@@ -114,7 +113,7 @@ def robustify(model: MilpModel, spec: UncertaintySpec,
         if missing:
             raise ModelError(f"{key}: deviations name unknown variables {missing}")
 
-    out = _copy_model(model, name or f"{model.name}:robust")
+    out = _copy_model(model, f"{model.name}:robust")
     abs_vars: dict[str, str] = {}
     counter = 0
     for row in model.rows:

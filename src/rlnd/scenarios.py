@@ -28,11 +28,11 @@ from .builders import (ModelArtifacts, build_system_model, build_user_model_i,
                        build_user_model_ii)
 from .domain import (TIERS, NetworkInstance, with_supply_mass, with_total_capacity,
                      with_trip_factor)
-from .io import Node, load_bundled_instance, read_document
+from .io import Node, load_bundled_instance, read_document, write_csv
 from .milp import (EmbeddedSolver, LinExpr, MilpModel, ModelError, RowTag, Solution,
                    Solver, Status)
-from .objectives import (StageBreakdown, StageExpressions, breakdown_from_solution,
-                         collected_quantities, facility_inflows, merge_phases)
+from .objectives import (StageBreakdown, breakdown_from_solution, collected_quantities,
+                         facility_inflows, merge_phases)
 
 SCENARIO_ORDER = ("baseline", "capacity-80", "capacity-40", "supply-mix-1",
                   "supply-mix-2")
@@ -237,23 +237,15 @@ def add_epsilon_row(model: MilpModel, emission: LinExpr, v: int, epsilon: float,
     model.set_objective(objective)
 
 
-def _collection_emission(stages: StageExpressions) -> LinExpr:
-    """Emission the users' phase settles alone: trips, dropoff processing,
-    less the dropoff offsets."""
-    dropoff = TIERS[0]
-    expr = stages.transport_emission[dropoff.leg].copy()
-    expr.add_expr(stages.processing_emission[dropoff.name])
-    expr.add_expr(stages.emission_offset[dropoff.name], -1.0)
-    return expr
-
-
 def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
                 solver: Solver | None = None) -> SideResult:
     """Solve a built whole-network model, robust counterparts included, and
-    report it."""
+    report it: an optimal answer, or the incumbent of a search that ran out
+    of budget.  Any other verdict comes back as its status alone."""
     solution = (solver or EmbeddedSolver()).solve(artifacts.model)
     phases = [(artifacts, solution)]
-    if solution.status is not Status.OPTIMAL and not solution.values:
+    if not (solution.status is Status.OPTIMAL
+            or solution.status is Status.BUDGET_EXCEEDED and solution.values):
         return SideResult(solution.status, phases)
     breakdown, opens = breakdown_from_solution(instance, artifacts.vars, artifacts.stages,
                                                solution)
@@ -267,7 +259,7 @@ def solve_system(instance: NetworkInstance, objective: str = "cost",
     artifacts = build_system_model(instance, objective, include_policy)
     if cap is None:
         return solve_built(instance, artifacts, solver)
-    emission = artifacts.stages.total_emission()
+    emission = artifacts.stages.total("emission")
     add_epsilon_row(artifacts.model, emission, cap.v, cap.epsilon, cap.theta,
                     artifacts.model.objective)
     side = solve_built(instance, artifacts, solver)
@@ -283,7 +275,8 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
     solver = solver or EmbeddedSolver()
     phase1 = build_user_model_i(instance, objective, include_policy)
     if cap is not None:
-        collection = _collection_emission(phase1.stages)
+        # what the users' phase settles alone: trips and dropoff processing, less offsets
+        collection = phase1.stages.total("emission", {TIERS[0].leg, TIERS[0].name})
         add_epsilon_row(phase1.model, collection, cap.v, cap.epsilon - cap.held_back,
                         cap.theta, phase1.model.objective)
     s1 = solver.solve(phase1.model)
@@ -294,7 +287,7 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
     phase2 = build_user_model_ii(instance, rq, objective)
     if cap is not None:
         collected = collection.evaluate(s1.values)
-        downstream = phase2.stages.total_emission()
+        downstream = phase2.stages.total("emission")
         add_epsilon_row(phase2.model, downstream, cap.v, cap.epsilon - collected,
                         cap.theta, phase2.model.objective)
     s2 = solver.solve(phase2.model)
@@ -374,17 +367,9 @@ def comparison_rows(results: Iterable[ScenarioResult]) -> list[dict[str, Any]]:
 
 
 def write_comparison_csv(results: Iterable[ScenarioResult], path: str | Path) -> None:
-    import csv
-
-    records = comparison_rows(results)
-    columns = ["scenario", "objective", "mode", "fixed_cost", "revenue",
-               "total_cost", "offset", "total_emission", "open_facilities"]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=columns)
-        writer.writeheader()
-        for record in records:
-            writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                             for k, v in record.items()})
+    columns = ("scenario", "objective", "mode", "fixed_cost", "revenue",
+               "total_cost", "offset", "total_emission", "open_facilities")
+    write_csv(path, columns, ([record[k] for k in columns] for record in comparison_rows(results)))
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,17 @@ class RecordingSolver(EmbeddedSolver):
         return solution
 
 
+class UnstableSolver(EmbeddedSolver):
+    """The embedded engine, with every answer downgraded to
+    NUMERICALLY_UNSTABLE and its values kept, as a failed final check leaves
+    it."""
+
+    def solve(self, model: MilpModel) -> Solution:
+        solution = super().solve(model)
+        solution.status = Status.NUMERICALLY_UNSTABLE
+        return solution
+
+
 def with_bounds(model: MilpModel, bounds) -> MilpModel:
     """A fresh copy of ``model`` with some variables' bounds replaced:
     ``bounds`` maps a name to its (lb, ub)."""

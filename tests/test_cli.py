@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from helpers import netgen_instance
+from helpers import UnstableSolver, netgen_instance
+from rlnd import cli
 from rlnd.cli import main
 from rlnd.io import instance_to_dict, load_bundled_instance, save_instance
 from rlnd.scenarios import solve_user
@@ -23,10 +24,17 @@ def test_validate_bundled_instance(capsys):
 
 
 def test_the_removed_seed_option_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["validate", "--seed", "7"])
-    assert excinfo.value.code == 1
-    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    for argv in (["validate", "--seed", "7"], ["validate", "--solver", "scipy"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_an_unstable_answer_prints_its_status_and_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "EmbeddedSolver", UnstableSolver)
+    assert main(["solve"]) == 1
+    assert capsys.readouterr().out.startswith("status: numerically_unstable")
 
 
 def test_validate_reports_violations(tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_cap_at_the_emission_anchor_is_feasible(bundled):
     only at that anchor's own vertex, to within the feasibility tolerance."""
     for instance in (bundled, _network(1), _network(6)):
         family = SystemEpsilonFamily(instance)
-        _, emission, _ = family.anchor("emission")
+        _, emission = family.anchor("emission")
         assert family.solve_point(0, emission, THETA_DEFAULT) is not None, instance.name
 
 

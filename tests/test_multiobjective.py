@@ -72,7 +72,7 @@ def test_skipping_covered_caps_leaves_fronts_unchanged(seed, monkeypatch):
 
             def unreached(self, v, eps, theta, _solve_point=solve_point):
                 result = _solve_point(self, v, eps, theta)
-                return None if result is None else (*result[:3], float("inf"))
+                return None if result is None else (*result[:2], float("inf"))
 
             m.setattr(family, "solve_point", unreached)
             without = epsilon_sweep(family(instance), points=10)
@@ -242,7 +242,7 @@ def test_user_grid_solve_before_the_anchors_holds_back_the_same_emission():
     instance = netgen_instance(5, 4, 3, 3)
     anchored = UserEpsilonFamily(instance)
     anchored.anchor("cost")
-    _, emission, _ = anchored.anchor("emission")
+    _, emission = anchored.anchor("emission")
     first = UserEpsilonFamily(instance).solve_point(0, emission, THETA_DEFAULT)
     assert first == anchored.solve_point(0, emission, THETA_DEFAULT)
     assert first[:2] == pytest.approx((148280.37, 145545.75), abs=0.01)

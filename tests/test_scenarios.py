@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import RecordingSolver, netgen_instance
+from helpers import RecordingSolver, UnstableSolver, netgen_instance
 from rlnd.domain import with_total_capacity
 from rlnd.milp import EmbeddedSolver, ModelError, RowTag, Status
 from rlnd.scenarios import (SCENARIO_ORDER, EmissionCap, builtin_scenarios,
@@ -23,6 +23,12 @@ def test_builtin_catalog_matches_order():
     assert mix1["prod1"] == {"area1": 600.0, "area2": 1050.0}
     assert mix2["prod1"] == {"area1": 1050.0, "area2": 600.0}
     assert mix1["prod2"] == mix2["prod2"] == {"area1": 600.0, "area2": 1050.0}
+
+
+def test_an_unstable_answer_comes_back_as_its_status(bundled):
+    side = solve_system(bundled, "cost", UnstableSolver())
+    assert side.status is Status.NUMERICALLY_UNSTABLE
+    assert side.breakdown is None and not side.values
 
 
 def test_throughput_of_unmodified_network(bundled):
