@@ -26,10 +26,6 @@ class ModelArtifacts:
     vars: VariableMap
     stages: StageExpressions
 
-    def dump(self) -> str:
-        """Tagged LP-format text for auditing / external cross-checks."""
-        return self.model.to_lp_format()
-
 
 def _new_model(instance: NetworkInstance, objective: str, phase: str,
                picked: tuple[TierLayout, ...]) -> tuple[MilpModel, VariableMap, tuple[Tier, ...]]:

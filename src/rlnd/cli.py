@@ -22,8 +22,7 @@ from . import __version__
 from .builders import OBJECTIVES, build_system_model, build_user_model_i, build_user_model_ii
 from .domain import TIERS, InstanceError, NetworkInstance, validate
 from .geo import grid_to_areas
-from .io import (load_bundled_instance, load_instance, read_points_csv,
-                 write_breakdown_csv)
+from .io import load_bundled_instance, load_instance, read_points_csv, write_csv
 from .milp import EmbeddedSolver, Solver, Status
 from .multiobjective import (POINTS_DEFAULT, SystemEpsilonFamily, THETA_DEFAULT,
                              UserEpsilonFamily, epsilon_sweep)
@@ -106,7 +105,7 @@ def _report(args: argparse.Namespace, side: SideResult) -> int:
     write its LP dump and breakdown CSV if asked; the exit code its status
     maps to."""
     if args.dump_lp:
-        text = "\n".join(artifacts.dump() for artifacts, _ in side.phases)
+        text = "\n".join(artifacts.model.to_lp_format() for artifacts, _ in side.phases)
         Path(args.dump_lp).write_text(text, encoding="utf-8")
     solutions = [solution for _, solution in side.phases]
     if side.status is Status.OPTIMAL and len(solutions) == 2:
@@ -126,7 +125,7 @@ def _report(args: argparse.Namespace, side: SideResult) -> int:
     open_names = sorted(f for f, is_open in side.opens.items() if is_open)
     print(f"open facilities: {' '.join(open_names)}")
     if args.output:
-        write_breakdown_csv(side.breakdown.rows(), args.output)
+        write_csv(args.output, ("metric", "stage", "value"), side.breakdown.rows())
         print(f"breakdown written to {args.output}")
     return _STATUS_EXIT.get(side.status, EXIT_ERROR)
 

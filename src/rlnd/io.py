@@ -283,8 +283,3 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[A
         writer.writerow(header)
         writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
                          for row in rows)
-
-
-def write_breakdown_csv(rows: Iterable[tuple[str, str, float]], path: str | Path) -> None:
-    """Serialize StageBreakdown.rows(): metric, stage, value."""
-    write_csv(path, ("metric", "stage", "value"), rows)

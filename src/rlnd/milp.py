@@ -4,14 +4,16 @@ A bounded-variable dual simplex handles the LP relaxations; a best-first
 branch and bound on the binary variables makes the engine exact for the
 mixed-binary models this package builds.  The simplex works on ``[A | -I]``
 (one logical column per row), assembled and scaled by powers of two once per
-model, with every variable and row bound kept implicit.  An LP hands on the
-factorization its pivots updated (basis inverse, reduced costs, dual
-steepest-edge weights) with its values: each branch-and-bound child
-restarts from its parent's optimal basis and factorization, which a bound
-change leaves dual feasible, so a child takes a handful of pivots.  The
-inverse is computed afresh only when a residual check finds it has drifted:
-at an LP's end, and before a row proves an LP infeasible.  The slack basis's
-inverse is written down, not computed.
+model, with every variable and row bound kept implicit.  One state type,
+:class:`_Simplex`, is both the live simplex and the solved LP: a solved
+state keeps the factorization its pivots updated (basis inverse, reduced
+costs, dual steepest-edge weights) with its values, and every LP starts
+from one such state or from the slack basis.  Each branch-and-bound node is
+a solved state, and each child restarts from its parent's optimal basis and
+factorization, which a bound change leaves dual feasible, so a child takes
+a handful of pivots.  The inverse is computed afresh only when a residual
+check finds it has drifted: at an LP's end, and before a row proves an LP
+infeasible.  The slack basis's inverse is written down, not computed.
 An :class:`EmbeddedSolver` keeps, for each matrix shape, the last model it
 solved whose root relaxation was optimal, and starts the next root of that
 shape from it: when the two assemble to exactly the same scaled matrix, the
@@ -285,9 +287,6 @@ class Solution:
             return None
         return self.objective - self.bound
 
-    def value(self, var: str) -> float:
-        return self.values[var]
-
 
 class Solver(Protocol):
     """Anything that can exactly solve a MilpModel."""
@@ -309,27 +308,6 @@ def _power_of_two(magnitude: np.ndarray) -> np.ndarray:
     """Factors 2**-k that bring each positive magnitude nearest to 1."""
     safe = np.where(magnitude > 0.0, magnitude, 1.0)
     return np.ldexp(1.0, -np.round(np.log2(safe)).astype(int))
-
-
-@dataclass(frozen=True)
-class _Basis:
-    """A simplex basis: the column basic in each row, and which nonbasic
-    columns rest at their upper bound."""
-
-    head: np.ndarray
-    upper: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Factor:
-    """A factorization of a basis under one cost vector: the basis inverse,
-    the reduced costs, the exact dual steepest-edge weights of that inverse,
-    and the rank-one updates it has taken since it was last inverted."""
-
-    binv: np.ndarray
-    d: np.ndarray
-    weights: np.ndarray
-    updates: int
 
 
 class _Lp:
@@ -355,7 +333,7 @@ class _Lp:
         self.cost = np.concatenate([cost * col_scale, np.zeros(m)])
         self.binaries = np.flatnonzero(binary)
         self.binary_scale = self.scale[self.binaries]
-        self._root: _LpResult | None = None
+        self._root: _Simplex | None = None
 
     @staticmethod
     def of(model: MilpModel) -> _Lp:
@@ -364,30 +342,22 @@ class _Lp:
             model._lp = _Lp(model)
         return model._lp
 
-    def root(self, start: _Lp | None = None) -> _LpResult:
+    def root(self, start: _Lp | None = None) -> _Simplex:
         """The relaxation under the model's own bounds, solved once.
 
         ``start`` is another model's assembled form whose root is optimal.
-        The root starts from that root's basis when ``start`` assembled
-        exactly the same scaled matrix, and from its factorization too when
-        the costs are also the same; otherwise it starts from the slack
-        basis.  Only bounds (a row's right-hand side) or costs can differ
-        then: a bound change leaves the basis dual feasible, and a cost
-        change goes through the bound placement and, if needed, the dual
-        phase one of :func:`_solve`.
+        The root starts from that solved root (see :meth:`_Simplex.solve`)
+        when ``start`` assembled exactly the same scaled matrix, and
+        otherwise from the slack basis.  Only bounds (a row's right-hand
+        side) or costs can differ then: a bound change leaves the basis dual
+        feasible, and a cost change goes through the bound placement and, if
+        needed, the dual phase one.
         """
         if self._root is None:
-            basis, factor = self.slack_basis(), None
-            if start is not None and np.array_equal(self.mat, start.mat):
-                basis = start._root.basis
-                if np.array_equal(self.cost, start.cost):
-                    factor = start._root.factor
-            self._root = _solve(self, self.cost, self.lb, self.ub, basis, factor)
+            same = start is not None and np.array_equal(self.mat, start.mat)
+            self._root = _Simplex(self, self.cost, self.lb, self.ub).solve(
+                start._root if same else None)
         return self._root
-
-    def slack_basis(self) -> _Basis:
-        n, m = len(self.names), self.mat.shape[0]
-        return _Basis(np.arange(n, n + m), np.zeros(n + m, dtype=bool))
 
     def factor(self, head: np.ndarray) -> np.ndarray:
         n = len(self.names)
@@ -397,7 +367,7 @@ class _Lp:
             return binv
         return np.linalg.inv(self.mat[:, head])
 
-    def branch(self, node: _LpResult, k: int, value: int) -> tuple[np.ndarray, np.ndarray]:
+    def branch(self, node: _Simplex, k: int, value: int) -> tuple[np.ndarray, np.ndarray]:
         """A node's bounds with binary ``k`` (a position in ``binaries``) fixed
         at ``value``."""
         lb, ub = node.lb.copy(), node.ub.copy()
@@ -425,13 +395,13 @@ class _Lp:
         x[head] = -(binv @ (self.mat @ x))
         return x
 
-    def values(self, result: _LpResult) -> dict[str, float]:
-        """An integral result's values in original units, from one fresh
+    def values(self, solved: _Simplex) -> dict[str, float]:
+        """An integral solved LP's values in original units, from one fresh
         inversion of its basis, basic columns in ascending order, with the
         nonbasic columns at its bounds; binaries are rounded to exactly 0 or
         1."""
-        head = np.sort(result.basis.head)
-        x = self.primal(self.factor(head), head, result.basis.upper, result.lb, result.ub)
+        head = np.sort(solved.head)
+        x = self.primal(self.factor(head), head, solved.upper, solved.lb, solved.ub)
         n = len(self.names)
         out = x[:n] * self.scale[:n]
         out[self.binaries] = np.round(out[self.binaries])
@@ -440,23 +410,82 @@ class _Lp:
 
 class _Simplex:
     """Dual simplex state for one LP: an explicit basis inverse, the values
-    of every column, reduced costs and exact dual steepest-edge weights."""
+    of every column, reduced costs and exact dual steepest-edge weights.
 
-    def __init__(self, lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                 basis: _Basis, factor: _Factor | None = None):
+    A solved state is the LP's result: its status and pivots and, when
+    optimal, its objective, the values of every column, the factorization
+    its pivots left (inverse, reduced costs, weights and the rank-one
+    updates since the last inversion) and the bounds it was solved under.
+    A branch-and-bound node and a kept root are solved states.
+    """
+
+    def __init__(self, lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray):
         self.lp, self.cost = lp, cost
-        self.head = basis.head.copy()
-        self.upper = basis.upper.copy()
+        self.objective = math.nan
         self.pivots = 0
         self.set_bounds(lb, ub)
-        if factor is None:
-            self.refactor()
-        else:  # pivots update the inverse and the duals in place, not the weights
-            self._adopt(factor.binv.copy(), factor.d.copy(), factor.weights, factor.updates)
 
-    def basis(self) -> _Basis:
-        """The basis as it stands, sharing this simplex's arrays."""
-        return _Basis(self.head, self.upper)
+    def solve(self, start: _Simplex | None = None) -> _Simplex:
+        """Bounded dual simplex from ``start``, an optimal solved state over
+        the same matrix, or from the slack basis when there is none.  The LP
+        takes ``start``'s basis, and its factorization only when the costs
+        are the same, as a factorization holds under one cost vector.
+
+        When no bound placement makes the basis dual feasible, a dual phase
+        one solves the auxiliary problem that boxes every column in [0, 0],
+        widened to -1 or +1 on each side where the real bound is missing;
+        its optimal basis is dual feasible for the real bounds unless none
+        is, and then a zero-cost solve tells an unbounded LP from an
+        infeasible one.  Phase two ends on the inverse its pivots updated
+        when that inverse is still consistent (:meth:`consistent`), and
+        otherwise inverts the basis afresh and runs again.  Returns this
+        state, solved, without its ``_Lp``: a kept root would otherwise make
+        a reference cycle with the ``_Lp`` that keeps it.
+        """
+        try:
+            self.status = self._phases(start)
+        except np.linalg.LinAlgError:
+            self.status = Status.NUMERICALLY_UNSTABLE
+        if self.status is Status.OPTIMAL:
+            self.objective = float(self.cost @ self.x)
+        del self.lp
+        return self
+
+    def _phases(self, start: _Simplex | None) -> Status:
+        lp, cost, lb, ub = self.lp, self.cost, self.lb, self.ub
+        if np.any(lb > ub):
+            return Status.INFEASIBLE
+        if start is None:
+            n, m = len(lp.names), lp.mat.shape[0]
+            self.head, self.upper = np.arange(n, n + m), np.zeros(n + m, dtype=bool)
+        else:
+            self.head, self.upper = start.head.copy(), start.upper.copy()
+        if start is not None and (start.cost is cost or np.array_equal(start.cost, cost)):
+            # pivots update the inverse and the duals in place, not the weights
+            self.binv, self.d = start.binv.copy(), start.d.copy()
+            self.weights, self.updates = start.weights, start.updates
+        else:
+            self.factor()
+        limit = 1000 + 20 * cost.size
+        for _ in range(_ROUNDS):
+            if self.place() > _DUAL_TOL:
+                self.set_bounds(np.where(np.isfinite(lb), 0.0, -1.0),
+                                np.where(np.isfinite(ub), 0.0, 1.0))
+                self.place()
+                status = self.run(limit)
+                self.set_bounds(lb, ub)
+                if status is not Status.OPTIMAL:
+                    return Status.NUMERICALLY_UNSTABLE
+                if self.place() > _DUAL_TOL:
+                    probe = _Simplex(lp, np.zeros_like(cost), lb, ub).solve()
+                    self.pivots += probe.pivots
+                    return (Status.UNBOUNDED if probe.status is Status.OPTIMAL
+                            else probe.status)
+            status = self.run(limit)
+            if status is not Status.OPTIMAL or self.consistent():
+                return status
+            self.factor()  # the next round's placement resets the primal values
+        return Status.NUMERICALLY_UNSTABLE
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         self.lb, self.ub = lb, ub
@@ -468,18 +497,15 @@ class _Simplex:
 
     def factor(self) -> None:
         """Invert the basis afresh and recompute the duals and weights."""
-        binv = self.lp.factor(self.head)
-        self._adopt(binv, self._reduced_costs(binv), np.einsum("ij,ij->i", binv, binv), 0)
+        self.binv = self.lp.factor(self.head)
+        self.d = self._reduced_costs(self.binv)
+        self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
+        self.updates = 0
 
     def _reduced_costs(self, binv: np.ndarray) -> np.ndarray:
         d = self.cost - self.lp.mat.T @ (binv.T @ self.cost[self.head])
         d[self.head] = 0.0
         return d
-
-    def _adopt(self, binv: np.ndarray, d: np.ndarray, weights: np.ndarray,
-               updates: int) -> None:
-        self.binv, self.d, self.weights = binv, d, weights
-        self.updates = updates
 
     def consistent(self) -> bool:
         """Whether an updated inverse still agrees with the values and the
@@ -596,68 +622,6 @@ class _Simplex:
             self.updates += 1
 
 
-@dataclass
-class _LpResult:
-    status: Status
-    basis: _Basis
-    pivots: int
-    # when optimal: the scaled values of every column and the factorization
-    # the pivots left, both carried, and the bounds the LP was solved under
-    x: np.ndarray | None = None
-    objective: float = math.nan
-    factor: _Factor | None = None
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
-
-
-def _solve(lp: _Lp, cost: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-           basis: _Basis, factor: _Factor | None = None) -> _LpResult:
-    """Bounded dual simplex from ``basis`` (``factor``: its factorization
-    under ``cost``, if known).
-
-    When no bound placement makes the basis dual feasible, a dual phase one
-    solves the auxiliary problem that boxes every column in [0, 0], widened
-    to -1 or +1 on each side where the real bound is missing; its optimal
-    basis is dual feasible for the real bounds unless none is, and then a
-    zero-cost solve tells an unbounded LP from an infeasible one.  Phase two
-    ends on the inverse its pivots updated when that inverse is still
-    consistent (:meth:`_Simplex.consistent`), and otherwise inverts the basis
-    afresh and runs again.  The result carries that factorization, with its
-    update count, and the values of every column.
-    """
-    if np.any(lb > ub):
-        return _LpResult(Status.INFEASIBLE, basis, 0)
-    limit = 1000 + 20 * cost.size
-    s = None
-    try:
-        s = _Simplex(lp, cost, lb, ub, basis, factor)
-        for _ in range(_ROUNDS):
-            if s.place() > _DUAL_TOL:
-                s.set_bounds(np.where(np.isfinite(lb), 0.0, -1.0),
-                             np.where(np.isfinite(ub), 0.0, 1.0))
-                s.place()
-                status = s.run(limit)
-                s.set_bounds(lb, ub)
-                if status is not Status.OPTIMAL:
-                    return _LpResult(Status.NUMERICALLY_UNSTABLE, s.basis(), s.pivots)
-                if s.place() > _DUAL_TOL:
-                    probe = _solve(lp, np.zeros_like(cost), lb, ub, lp.slack_basis())
-                    status = (Status.UNBOUNDED if probe.status is Status.OPTIMAL
-                              else probe.status)
-                    return _LpResult(status, s.basis(), s.pivots + probe.pivots)
-            status = s.run(limit)
-            if status is not Status.OPTIMAL:
-                return _LpResult(status, s.basis(), s.pivots)
-            if s.consistent():
-                return _LpResult(Status.OPTIMAL, s.basis(), s.pivots, s.x, float(cost @ s.x),
-                                 _Factor(s.binv, s.d, s.weights, s.updates), lb, ub)
-            s.factor()  # the next round's placement resets the primal values
-    except np.linalg.LinAlgError:
-        pass
-    return _LpResult(Status.NUMERICALLY_UNSTABLE, basis if s is None else s.basis(),
-                     0 if s is None else s.pivots)
-
-
 # ----------------------------------------------------------------------
 # the solve entry point
 # ----------------------------------------------------------------------
@@ -695,16 +659,16 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     best outstanding bound is optimal.  Each child re-solves from its
     parent's optimal basis, which a bound change leaves dual feasible, and
     from the updated inverse that parent's LP ended on, so a node inverts
-    only when a residual check finds that inverse drifted.  A heap node keeps
-    its LP result (basis, factorization, values and bounds).  A child the
-    simplex cannot solve ends the search NUMERICALLY_UNSTABLE instead of
-    being dropped as if pruned.  Exceeding ``node_budget`` returns
-    BUDGET_EXCEEDED carrying the incumbent and the remaining gap.  The
-    reported values come from one fresh inversion of the incumbent's basis
-    (:meth:`_Lp.values`), binaries rounded to exactly 0 or 1.  An unbounded
-    relaxation makes a model with binaries UNBOUNDED only when some binary
-    assignment is feasible, which the same search under a zero objective
-    decides; otherwise the model is INFEASIBLE.
+    only when a residual check finds that inverse drifted.  A heap node is a
+    solved LP state (:class:`_Simplex`).  A child the simplex cannot solve
+    ends the search NUMERICALLY_UNSTABLE instead of being dropped as if
+    pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED carrying the
+    incumbent and the remaining gap.  The reported values come from one
+    fresh inversion of the incumbent's basis (:meth:`_Lp.values`), binaries
+    rounded to exactly 0 or 1.  An unbounded relaxation makes a model with
+    binaries UNBOUNDED only when some binary assignment is feasible, which
+    the same search under a zero objective decides; otherwise the model is
+    INFEASIBLE.
     """
     lp = _Lp.of(model)
     root = lp.root()
@@ -714,12 +678,12 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     feasibility = root.status is Status.UNBOUNDED and lp.binaries.size > 0
     cost = np.zeros_like(lp.cost) if feasibility else lp.cost
     if feasibility:
-        root = _solve(lp, cost, lp.lb, lp.ub, lp.slack_basis())
+        root = _Simplex(lp, cost, lp.lb, lp.ub).solve()
         stats.simplex_iterations += root.pivots
     if root.status is not Status.OPTIMAL:
         return Solution(root.status, None, {}, stats)
 
-    incumbent: _LpResult | None = None
+    incumbent: _Simplex | None = None
     incumbent_obj = math.inf
     counter = 0
     heap = [(root.objective, counter, root)]
@@ -744,8 +708,7 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
             if stats.nodes >= node_budget:
                 return _incumbent_solution(model, lp, Status.BUDGET_EXCEEDED, incumbent,
                                            stats, -math.inf if feasibility else best_bound)
-            child = _solve(lp, cost, *lp.branch(node, branch, value), node.basis,
-                           node.factor)
+            child = _Simplex(lp, cost, *lp.branch(node, branch, value)).solve(node)
             stats.simplex_iterations += child.pivots
             stats.nodes += 1
             if child.status in (Status.UNBOUNDED, Status.NUMERICALLY_UNSTABLE):
@@ -765,7 +728,7 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
 
 
 def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
-                        incumbent: _LpResult | None, stats: SolveStats,
+                        incumbent: _Simplex | None, stats: SolveStats,
                         bound: float | None) -> Solution:
     if incumbent is None:
         return Solution(status, None, {}, stats, bound=float(bound))

@@ -398,6 +398,8 @@ def calibrate_trip_factor(target_total_cost: float,
     one solver, and only the trip-leg costs change, so the embedded engine
     starts each step's root from the previous step's.
     """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     instance = base if base is not None else load_bundled_instance()
     solver = solver or EmbeddedSolver()
     factor = 1.0

@@ -314,7 +314,7 @@ def test_total_capacity_rows(tight40):
 
 def test_dump_contains_tags(bundled):
     art = build_system_model(bundled, "cost")
-    text = art.dump()
+    text = art.model.to_lp_format()
     assert "flow-balance[trip,prod1,area1]" in text
     assert "capacity[primary,prod2,prim3]" in text
 
@@ -372,7 +372,7 @@ LP_SHA256 = {
 @pytest.mark.parametrize("builder, objective", list(LP_SHA256),
                          ids=lambda x: x if isinstance(x, str) else x.__name__)
 def test_lp_dumps_are_pinned(builder, objective, bundled):
-    digest = lambda art: hashlib.sha256(art.dump().encode("utf-8")).hexdigest()
+    digest = lambda art: hashlib.sha256(art.model.to_lp_format().encode("utf-8")).hexdigest()
     plain, with_policy = LP_SHA256[builder, objective]
     sited = dataclasses.replace(bundled, policy=POLICY)
     assert digest(builder(bundled, objective)) == plain

@@ -4,7 +4,7 @@ import pytest
 
 from rlnd.domain import PolicyData
 from rlnd.io import (instance_from_dict, instance_to_dict, load_bundled_instance,
-                     load_instance, read_points_csv, save_instance, write_breakdown_csv)
+                     load_instance, read_points_csv, save_instance, write_csv)
 
 
 def test_bundled_loads(bundled):
@@ -77,7 +77,7 @@ def test_read_points_csv(tmp_path):
 
 def test_write_breakdown_csv(tmp_path):
     path = tmp_path / "rows.csv"
-    write_breakdown_csv([("total_cost", "all", 1.5)], path)
+    write_csv(path, ("metric", "stage", "value"), [("total_cost", "all", 1.5)])
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "metric,stage,value"
     assert lines[1].startswith("total_cost,all,1.5")

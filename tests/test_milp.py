@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import gc
 import math
 import random
@@ -10,10 +10,9 @@ import pytest
 from helpers import (ExactHighs, netgen_instance, pattern_enumeration_optimum,
                      random_network_instance, with_bounds)
 from rlnd import load_bundled_instance
-from rlnd import milp
 from rlnd.builders import build_system_model, build_user_model_i
 from rlnd.milp import (FEASIBILITY_TOL, EmbeddedSolver, LinExpr, MilpModel, ModelError,
-                       RowTag, Solution, Status, _Lp, _Simplex, _solve, _verify, solve_milp)
+                       RowTag, Solution, Status, _Lp, _Simplex, _verify, solve_milp)
 from rlnd.robust import capacity_preset, robustify_artifacts
 
 TAG = RowTag("row")
@@ -32,7 +31,7 @@ def test_simple_lp():
     sol = solve_milp(m)
     assert sol.status is Status.OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
-    assert sol.value("y") == pytest.approx(1.0, abs=1e-9)
+    assert sol.values["y"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lp_with_equality_and_free_variable():
@@ -47,8 +46,8 @@ def test_lp_with_equality_and_free_variable():
     assert sol.status is Status.OPTIMAL
     # substituting y = x - 3: minimize 3x - 6 s.t. 2x >= 4 -> x = 2, y = -1
     assert sol.objective == pytest.approx(0.0, abs=1e-8)
-    assert sol.value("x") == pytest.approx(2.0, abs=1e-8)
-    assert sol.value("y") == pytest.approx(-1.0, abs=1e-8)
+    assert sol.values["x"] == pytest.approx(2.0, abs=1e-8)
+    assert sol.values["y"] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_lp_respects_variable_bounds():
@@ -56,9 +55,9 @@ def test_lp_respects_variable_bounds():
     m.add_variable("x", lb=1.5, ub=4.0)
     m.set_objective(LinExpr({"x": 1.0}))
     sol = solve_milp(m)
-    assert sol.value("x") == pytest.approx(1.5, abs=1e-9)
+    assert sol.values["x"] == pytest.approx(1.5, abs=1e-9)
     sol = solve_milp(with_bounds(m, {"x": (2.5, 4.0)}))
-    assert sol.value("x") == pytest.approx(2.5, abs=1e-9)
+    assert sol.values["x"] == pytest.approx(2.5, abs=1e-9)
 
 
 def test_a_free_column_enters_falling():
@@ -72,7 +71,7 @@ def test_a_free_column_enters_falling():
     sol = solve_milp(m)
     assert sol.status is Status.OPTIMAL
     assert sol.objective == 0.0
-    assert sol.value("y") == -2.0
+    assert sol.values["y"] == -2.0
 
 
 def test_infeasible_lp():
@@ -103,7 +102,7 @@ def test_row_constant_folds_into_rhs():
     expr = LinExpr({"x": 1.0}, constant=5.0)
     m.add_row(expr, "<=", 7.0, TAG)  # means x <= 2
     m.set_objective(LinExpr({"x": -1.0}))
-    assert solve_milp(m).value("x") == pytest.approx(2.0, abs=1e-9)
+    assert solve_milp(m).values["x"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_unknown_variable_rejected():
@@ -263,7 +262,7 @@ def test_negative_cost_without_upper_bound_is_still_bounded():
     sol = solve_milp(m)
     assert sol.status is Status.OPTIMAL
     assert sol.objective == pytest.approx(-5.5, abs=1e-9)
-    assert sol.value("x") == pytest.approx(5.0, abs=1e-9)
+    assert sol.values["x"] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_dual_infeasible_lp_tells_unbounded_from_infeasible():
@@ -345,7 +344,7 @@ def test_warm_started_bounds_match_a_cold_solve():
         for name, (lo, hi) in bounds.items():
             j = col[name]
             lb[j], ub[j] = lo / lp.scale[j], hi / lp.scale[j]
-        warm = _solve(lp, lp.cost, lb, ub, root.basis, root.factor)
+        warm = _Simplex(lp, lp.cost, lb, ub).solve(root)
         cold = _Lp.of(with_bounds(model, bounds)).root()
         statuses.add(warm.status)
         assert warm.status is cold.status, trial
@@ -411,13 +410,11 @@ def test_solving_children_leaves_the_parent_untouched():
     root = lp.root()
     k = lp.most_fractional(root.x)
     assert k >= 0
-    kept = [a.copy() for a in (root.factor.binv, root.factor.d, root.factor.weights,
-                                root.basis.head, root.basis.upper, root.x)]
+    kept = [a.copy() for a in (root.binv, root.d, root.weights, root.head, root.upper, root.x)]
     for value in (0, 1):
-        child = _solve(lp, lp.cost, *lp.branch(root, k, value), root.basis, root.factor)
+        child = _Simplex(lp, lp.cost, *lp.branch(root, k, value)).solve(root)
         assert child.pivots > 0
-    after = (root.factor.binv, root.factor.d, root.factor.weights,
-             root.basis.head, root.basis.upper, root.x)
+    after = (root.binv, root.d, root.weights, root.head, root.upper, root.x)
     for before, now in zip(kept, after):
         assert np.array_equal(before, now)
 
@@ -493,16 +490,17 @@ def test_every_lp_end_keeps_its_updated_inverse(size, monkeypatch):
 
 
 def _root_and_drifted():
-    """The root relaxation of a generated network, and its carried
-    factorization with each row of the inverse scaled by up to 1e-6: off
-    enough to fail every residual check, while every entry the ratio test
-    reads as zero stays zero."""
+    """The root relaxation of a generated network, and a copy of it whose
+    carried inverse has each row scaled by up to 1e-6: off enough to fail
+    every residual check, while every entry the ratio test reads as zero
+    stays zero."""
     lp = _Lp.of(_network_model())
     root = lp.root()
-    assert root.status is Status.OPTIMAL and root.factor.updates > 0
-    binv = root.factor.binv
-    noise = np.random.default_rng(0).uniform(-1e-6, 1e-6, (binv.shape[0], 1))
-    return lp, root, dataclasses.replace(root.factor, binv=binv * (1.0 + noise))
+    assert root.status is Status.OPTIMAL and root.updates > 0
+    noise = np.random.default_rng(0).uniform(-1e-6, 1e-6, (root.binv.shape[0], 1))
+    drifted = copy.copy(root)
+    drifted.binv = root.binv * (1.0 + noise)
+    return lp, root, drifted
 
 
 def test_a_drifted_inverse_is_refactored_before_an_lp_ends(monkeypatch):
@@ -510,15 +508,15 @@ def test_a_drifted_inverse_is_refactored_before_an_lp_ends(monkeypatch):
     end check, is inverted afresh, and gives the cold solve's answer."""
     lp, root, drifted = _root_and_drifted()
     lb, ub = lp.branch(root, lp.most_fractional(root.x), 1)
-    cold = _solve(lp, lp.cost, lb, ub, lp.slack_basis())
+    cold = _Simplex(lp, lp.cost, lb, ub).solve()
     checks = []
     consistent = _Simplex.consistent
     monkeypatch.setattr(_Simplex, "consistent",
                         lambda s: checks.append(consistent(s)) or checks[-1])
-    carried = _solve(lp, lp.cost, lb, ub, root.basis, root.factor)
+    carried = _Simplex(lp, lp.cost, lb, ub).solve(root)
     assert checks == [True]
     checks.clear()
-    warm = _solve(lp, lp.cost, lb, ub, root.basis, drifted)
+    warm = _Simplex(lp, lp.cost, lb, ub).solve(drifted)
     assert checks == [False, True]
     for result in (carried, warm):
         assert result.status is cold.status is Status.OPTIMAL
@@ -536,9 +534,9 @@ def test_a_drifted_inverse_proves_no_infeasibility(monkeypatch):
     refactors = []
     refactor = _Simplex.refactor
     monkeypatch.setattr(_Simplex, "refactor", lambda s: refactors.append(1) or refactor(s))
-    assert _solve(lp, lp.cost, lb, ub, root.basis, root.factor).status is Status.INFEASIBLE
+    assert _Simplex(lp, lp.cost, lb, ub).solve(root).status is Status.INFEASIBLE
     assert not refactors
-    assert _solve(lp, lp.cost, lb, ub, root.basis, drifted).status is Status.INFEASIBLE
+    assert _Simplex(lp, lp.cost, lb, ub).solve(drifted).status is Status.INFEASIBLE
     assert refactors
 
 
@@ -578,22 +576,28 @@ def test_a_start_with_another_matrix_is_ignored(change):
 @pytest.mark.parametrize("objective", ["cost", "emission"])
 def test_a_start_with_the_same_matrix_lends_its_root(objective, monkeypatch):
     """The root starts from the kept root's optimal basis; it takes that
-    root's factorization too only under the same costs."""
+    root's factorization too only under the same costs, and otherwise
+    inverts the kept root's basis first."""
     start = _network_model(objective="cost")
     cold = solve_milp(_network_model(objective=objective))
     solver = EmbeddedSolver()
     assert solver.solve(start).status is Status.OPTIMAL
     root = _Lp.of(start).root()
-    calls = []
-    solve = milp._solve
-    monkeypatch.setattr(milp, "_solve", lambda lp, cost, lb, ub, basis, factor=None:
-                        calls.append((basis, factor)) or solve(lp, cost, lb, ub, basis, factor))
+    starts, inverted = [], []
+    solve, factor = _Simplex.solve, _Lp.factor
+    monkeypatch.setattr(_Simplex, "solve",
+                        lambda s, start=None: starts.append(start) or solve(s, start))
+    monkeypatch.setattr(_Lp, "factor", lambda lp, head: inverted.append(
+        (len(starts), head.copy())) or factor(lp, head))
     model = _network_model(objective=objective)
     assert np.array_equal(_Lp.of(model).mat, _Lp.of(start).mat)
     warm = solver.solve(model)
-    basis, factor = calls[0]
-    assert basis is root.basis
-    assert factor is (root.factor if objective == "cost" else None)
+    assert starts[0] is root
+    at_root = [head for lp_count, head in inverted if lp_count == 1]
+    if objective == "cost":
+        assert not at_root
+    else:
+        assert np.array_equal(at_root[0], root.head)
     assert warm.status is cold.status is Status.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
     assert warm.stats.nodes == cold.stats.nodes
@@ -617,6 +621,27 @@ def test_a_later_optimal_root_of_the_same_shape_replaces_the_kept_one():
     assert solver.solve(_network_model(objective="emission")).status is Status.OPTIMAL
     gc.collect()
     assert held() is None
+
+
+def test_a_solved_model_is_freed_without_the_cycle_collector():
+    """A solved LP state lets go of its ``_Lp``: the ``_Lp`` keeps its root,
+    so a root that kept the ``_Lp`` would form a cycle that only the cyclic
+    collector frees, and a model, its matrix and every kept factorization
+    would outlive the last reference to them."""
+    gc.collect()
+    gc.disable()
+    try:
+        alone = _network_model()
+        assert solve_milp(alone).status is Status.OPTIMAL
+        solver = EmbeddedSolver()
+        kept = _network_model(objective="emission")
+        assert solver.solve(kept).status is Status.OPTIMAL
+        held = [weakref.ref(_Lp.of(alone)), weakref.ref(_Lp.of(kept))]
+        del solver
+        del alone, kept
+        assert [ref() for ref in held] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_start_without_an_optimal_root_is_ignored():

@@ -121,6 +121,12 @@ def test_calibration_raises_when_iterations_run_out(bundled):
         calibrate_trip_factor(57978.0, bundled, max_iterations=1)
 
 
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_calibration_needs_at_least_one_iteration(iterations, bundled):
+    with pytest.raises(ValueError, match=f"max_iterations must be at least 1, got {iterations}"):
+        calibrate_trip_factor(57978.0, bundled, max_iterations=iterations)
+
+
 def test_calibration_rejects_unreachable_target(bundled):
     # below the trip-free cost floor the factor would have to go negative
     with pytest.raises(Exception, match="floor"):
