@@ -56,7 +56,7 @@ def _solver_from_args(args: argparse.Namespace) -> Solver:
     if args.solver == "scipy":
         from .external import ScipySolver
 
-        return ScipySolver()
+        return ScipySolver(node_budget=args.node_budget)
     return EmbeddedSolver(node_budget=args.node_budget)
 
 
@@ -75,7 +75,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_instance(parser)
     parser.add_argument("--solver", choices=("embedded", "scipy"), default="embedded")
     parser.add_argument("--node-budget", type=int, default=200_000,
-                        help="search-node cap for the embedded engine")
+                        help="branch-and-bound node cap for either solver")
 
 
 def _print_solution_header(status: Status, objective: float | None) -> None:

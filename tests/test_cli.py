@@ -109,7 +109,7 @@ def test_exhausted_node_budget_exits_three(capsys):
 
 def test_solve_prints_the_gap_highs_stops_at(tmp_path, capsys):
     """HiGHS stops at its default relative gap; on this network the bound it
-    proves is 58.09 below the answer it calls optimal."""
+    proves is 48.51 below the answer it calls optimal."""
     path = tmp_path / "network.json"
     save_instance(netgen_instance(40, 12, 6, seed=1), path)
     assert main(["solve", "--solver", "scipy", "--instance", str(path)]) == 0
@@ -291,6 +291,7 @@ ERROR_CASES = {
     "robust-gamma": lambda tmp_path: ["robust", "--gamma", "-1"],
     "solve-node-budget-0": lambda tmp_path: ["solve", "--node-budget", "0"],
     "solve-node-budget-negative": lambda tmp_path: ["solve", "--node-budget", "-3"],
+    "scipy-node-budget-0": lambda tmp_path: ["solve", "--solver", "scipy", "--node-budget", "0"],
     "instance-without-arcs": lambda tmp_path: _validate(tmp_path, lambda d: d.pop("arcs")),
     "entry-without-capacity": lambda tmp_path: _validate(
         tmp_path, lambda d: _first_dropoff_entry(d).pop("capacity")),

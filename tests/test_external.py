@@ -1,13 +1,20 @@
-"""Agreement between the bundled branch-and-bound solver and HiGHS."""
+"""Agreement between the bundled branch-and-bound solver and HiGHS, and the
+options and statuses of the HiGHS adapter."""
 
+import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import OptimizeResult
 
+from helpers import ExactHighs, netgen_instance
 from rlnd.builders import build_system_model, build_user_model_i
+from rlnd.cli import main
 from rlnd.external import ScipySolver
 from rlnd.milp import LinExpr, MilpModel, RowTag, Status, solve_milp
 from rlnd.robust import capacity_preset, robustify_artifacts
 
 scipy_solver = ScipySolver()
+exact_highs = ExactHighs()
 
 
 def agree(model, rel=1e-6):
@@ -57,3 +64,62 @@ def test_values_are_usable(bundled):
     assert theirs.status is Status.OPTIMAL
     assert set(theirs.values) == set(model.variables)
     assert theirs.objective == pytest.approx(model.objective.evaluate(theirs.values))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scipy_solver_matches_zero_gap_highs_on_the_ladder(seed):
+    """The benchmark's HiGHS ladder: without presolve, at the default gap,
+    against the presolved zero-gap oracle."""
+    instance = netgen_instance(20, 8, 5, seed)
+    for label, artifacts in (("system cost", build_system_model(instance, "cost")),
+                             ("system emission", build_system_model(instance, "emission")),
+                             ("user phase I cost", build_user_model_i(instance, "cost"))):
+        ours, ref = scipy_solver.solve(artifacts.model), exact_highs.solve(artifacts.model)
+        assert ours.status is ref.status, label
+        if ref.status is Status.OPTIMAL:
+            assert ours.objective == pytest.approx(ref.objective, rel=1e-4), label
+
+
+def test_the_cli_hands_highs_its_options(monkeypatch, capsys):
+    real, options = scipy.optimize.milp, []
+
+    def recording(*args, **kwargs):
+        options.append(dict(kwargs["options"]))  # milp pops from the dict it is given
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", recording)
+    assert main(["solve", "--model", "user", "--solver", "scipy", "--node-budget", "7"]) == 0
+    assert len(options) == 2
+    assert all(o == {"presolve": False, "node_limit": 7} for o in options)
+
+
+def test_a_node_budget_below_one_is_rejected():
+    with pytest.raises(ValueError, match="node budget must be at least 1, got 0"):
+        ScipySolver(node_budget=0)
+
+
+NODE_LIMIT = ("The HiGHS status code was not recognized. "
+              "(HiGHS Status 16: Solution limit reached)")
+
+
+@pytest.mark.parametrize("x, fun", [([1.0, 0.0], 5.0), (None, None)])
+def test_a_node_limit_stop_is_budget_exceeded(monkeypatch, x, fun):
+    """scipy reports HiGHS's node limit as status 4 with HiGHS's own status
+    in the message; the stop keeps its incumbent, if any, and its bound."""
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: OptimizeResult(
+        status=4, message=NODE_LIMIT, x=None if x is None else np.array(x), fun=fun,
+        mip_node_count=1, mip_dual_bound=3.0))
+    model = MilpModel("stub")
+    for name in ("a", "b"):
+        model.add_variable(name, 0.0, 1.0, binary=True)
+    model.add_row(LinExpr({"a": 1.0, "b": 1.0}), ">=", 1.0, RowTag("cover"))
+    model.set_objective(LinExpr({"a": 5.0, "b": 4.0}, constant=10.0))
+    solution = ScipySolver(node_budget=1).solve(model)
+    assert solution.status is Status.BUDGET_EXCEEDED
+    assert solution.bound == 13.0
+    assert solution.stats.nodes == 1
+    if x is None:
+        assert solution.objective is None and solution.values == {}
+    else:
+        assert solution.objective == 15.0
+        assert solution.values == {"a": 1.0, "b": 0.0}
