@@ -7,6 +7,9 @@ scenario both ways, or turn coordinate tables into an arc-distance grid.
 Exit codes: 0 solved/ok, 1 usage or data error or a numerically unstable
 answer, 2 proven infeasible, 3 budget exhausted before proof.  A usage or
 data error prints one ``error:`` line on stderr, never a traceback.
+``scenario --name all`` runs every scenario; one that does not solve prints
+one line naming the solve that failed, and the command exits 2 when any was
+infeasible, else with the highest code its scenarios map to.
 """
 
 from __future__ import annotations
@@ -180,7 +183,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.output:
         write_comparison_csv(results, args.output)
         print(f"comparison written to {args.output}")
-    return EXIT_OK
+    codes = [_STATUS_EXIT.get(result.status, EXIT_ERROR) for result in results]
+    return EXIT_INFEASIBLE if EXIT_INFEASIBLE in codes else max(codes)
 
 
 def _cmd_distances(args: argparse.Namespace) -> int:

@@ -1,13 +1,15 @@
 """Optional scipy-backed solver.
 
-`ScipySolver` hands a MilpModel's dense arrays (:meth:`MilpModel.to_arrays`,
-the mapping the embedded engine scales) to scipy.optimize.milp (HiGHS)
-unchanged and adapts the result to the same Solution type the embedded
-solver returns, so the two backends are interchangeable behind the Solver
-protocol.
+`ScipySolver` hands a MilpModel's arrays (:meth:`MilpModel.to_arrays`, the
+mapping the embedded engine scales) to scipy.optimize.milp (HiGHS)
+unchanged, the row matrix as the sparse matrix its CSR arrays describe, and
+adapts the result to the same Solution type the embedded solver returns, so
+the two backends are interchangeable behind the Solver protocol.
 """
 
 from __future__ import annotations
+
+import warnings
 
 from .milp import MilpModel, Solution, SolveStats, Status
 
@@ -16,19 +18,27 @@ from .milp import MilpModel, Solution, SolveStats, Status
 # message.
 _NODE_LIMIT_MESSAGE = "(HiGHS Status 16:"
 
+# scipy.optimize.milp passes options it does not know to HiGHS verbatim and
+# warns that it did so; this adapter sets such an option on purpose.
+_VERBATIM_WARNING = "Unrecognized options detected"
+
 
 class ScipySolver:
     """Solver protocol adapter around scipy.optimize.milp.
 
-    HiGHS runs without its MIP presolve. rlnd's models close at HiGHS's
-    root node either way, so on them presolve is mostly overhead: without
-    it, one pass of the benchmark's ladder of generated 20x8x5 networks
-    (194 models) took 4.5 s of HiGHS time instead of 12.7 s, and a 40x12x6
-    system cost solve 0.04-0.07 s instead of 0.11-0.56 s (one BLAS thread,
-    shared 2-vCPU machine). HiGHS still stops at its default relative MIP
-    gap (1e-4), so an ``optimal`` answer may sit above the optimum by up to
-    that gap; the returned ``bound`` says by how much. ``node_budget`` caps
-    HiGHS's branch-and-bound nodes (``node_limit``); a stop there returns
+    rlnd's models close at HiGHS's root node, so HiGHS runs without two
+    parts of its MIP machinery whose cost there is overhead: its MIP
+    presolve, and its feasibility-jump primal heuristic (Luteberget &
+    Sartor, Math. Prog. Comp. 2023), which costs about 15 ms per call
+    whatever the model's size.  Without them, the 24 system and user
+    phase-one models of the benchmark's 20x8x5 ladder took 0.25 s, against
+    0.44 s with feasibility jump on, with the same statuses, objectives and
+    node counts (one BLAS thread, shared 2-vCPU machine).  The row matrix
+    goes over as a sparse matrix of the model's CSR arrays; no dense copy
+    is made.  HiGHS stops at its default relative MIP gap (1e-4), so an
+    ``optimal`` answer may sit above the optimum by up to that gap; the
+    returned ``bound`` says by how much. ``node_budget`` caps HiGHS's
+    branch-and-bound nodes (``node_limit``); a stop there returns
     BUDGET_EXCEEDED with the incumbent, if any, and the proven bound.
     """
 
@@ -39,15 +49,20 @@ class ScipySolver:
 
     def solve(self, model: MilpModel) -> Solution:
         from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csr_array
 
         names = list(model.variables)
         if not names:
             return Solution(Status.OPTIMAL, model.objective.constant, {},
                             SolveStats(), model.objective.constant)
-        c, a, row_lb, row_ub, lb, ub, binary = model.to_arrays()
-        res = milp(c, constraints=[LinearConstraint(a, row_lb, row_ub)] if model.rows else [],
-                   integrality=binary, bounds=Bounds(lb, ub),
-                   options={"presolve": False, "node_limit": self.node_budget})
+        c, (indptr, indices, data), row_lb, row_ub, lb, ub, binary = model.to_arrays()
+        a = csr_array((data, indices, indptr), shape=(len(model.rows), len(names)))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _VERBATIM_WARNING, RuntimeWarning)
+            res = milp(c, constraints=[LinearConstraint(a, row_lb, row_ub)] if model.rows else [],
+                       integrality=binary, bounds=Bounds(lb, ub),
+                       options={"presolve": False, "node_limit": self.node_budget,
+                                "mip_heuristic_run_feasibility_jump": False})
 
         if res.status == 4 and _NODE_LIMIT_MESSAGE in (res.message or ""):
             status = Status.BUDGET_EXCEEDED

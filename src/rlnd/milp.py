@@ -176,30 +176,43 @@ class MilpModel:
     def binary_names(self) -> list[str]:
         return [v.name for v in self.variables.values() if v.binary]
 
-    def to_arrays(self) -> tuple[np.ndarray, ...]:
-        """The model as dense arrays, columns in variable order: costs, the
-        row matrix, row lower and upper bounds (infinite on a row's open
-        side), column lower and upper bounds, and the binary mask."""
+    def to_arrays(self) -> tuple:
+        """The model as arrays, columns in variable order: costs, the row
+        matrix as CSR arrays ``(indptr, indices, data)`` (a row's nonzero
+        terms in the row's own order), row lower and upper bounds (infinite
+        on a row's open side), column lower and upper bounds, and the binary
+        mask."""
         variables = list(self.variables.values())
         index = {name: j for j, name in enumerate(self.variables)}
         n, m = len(variables), len(self.rows)
         cost = np.zeros(n)
         for var, coeff in self.objective.terms.items():
             cost[index[var]] += coeff
-        a = np.zeros((m, n))
+        cols: list[int] = []
+        coeffs: list[float] = []
+        ends = [0]
         row_lb = np.full(m, -math.inf)
         row_ub = np.full(m, math.inf)
         for i, row in enumerate(self.rows):
-            for var, coeff in row.expr.terms.items():
-                a[i, index[var]] += coeff
+            terms = row.expr.terms
+            cols += map(index.__getitem__, terms)
+            coeffs += terms.values()
+            ends.append(len(cols))
             if row.relation != ">=":
                 row_ub[i] = row.rhs
             if row.relation != "<=":
                 row_lb[i] = row.rhs
+        indptr = np.array(ends, dtype=np.intp)
+        indices = np.array(cols, dtype=np.intp)
+        data = np.array(coeffs, dtype=float)
+        if 0.0 in coeffs:  # a row's terms may hold zeros; a sparse matrix does not
+            nonzero = data != 0.0
+            indptr = np.concatenate([[0], np.cumsum(nonzero)])[indptr]
+            indices, data = indices[nonzero], data[nonzero]
         lb = np.array([v.lb for v in variables], dtype=float)
         ub = np.array([v.ub for v in variables], dtype=float)
         binary = np.array([v.binary for v in variables], dtype=bool)
-        return cost, a, row_lb, row_ub, lb, ub, binary
+        return cost, (indptr, indices, data), row_lb, row_ub, lb, ub, binary
 
     # -- diagnostics ---------------------------------------------------
 
@@ -320,8 +333,10 @@ class _Lp:
 
     def __init__(self, model: MilpModel):
         self.names = list(model.variables)
-        cost, a, row_lb, row_ub, lb, ub, binary = model.to_arrays()
+        cost, (indptr, indices, data), row_lb, row_ub, lb, ub, binary = model.to_arrays()
         m = len(model.rows)
+        a = np.zeros((m, len(self.names)))
+        a[np.repeat(np.arange(m), np.diff(indptr)), indices] = data
         row_scale = _power_of_two(np.abs(a).max(axis=1, initial=0.0))
         a *= row_scale[:, None]
         col_scale = _power_of_two(np.abs(a).max(axis=0, initial=0.0))

@@ -190,14 +190,33 @@ class SideResult:
 
 @dataclass
 class ScenarioResult:
+    """A scenario solved both ways; the two-phase program is solved only
+    when the whole-network one ends optimal, and ``user`` is None otherwise."""
+
     name: str
     objective: str
     instance: NetworkInstance
     system: SideResult
-    user: SideResult
+    user: SideResult | None
+
+    @property
+    def status(self) -> Status:
+        """OPTIMAL, or the status of the solve that was not."""
+        return self.system.status if self.user is None else self.user.status
+
+    @property
+    def failure(self) -> str | None:
+        """Which solve ended how, when one was not optimal."""
+        if self.status is Status.OPTIMAL:
+            return None
+        mode = "whole-network" if self.user is None else "two-phase"
+        return f"{mode} {self.objective} solve ended {self.status.value}"
 
     def format_text(self) -> str:
-        lines = [f"scenario {self.name} ({self.objective} objective)"]
+        title = f"scenario {self.name} ({self.objective} objective)"
+        if self.failure is not None:
+            return f"{title}: {self.failure}"
+        lines = [title]
         header = (f"{'':10s} {'fixed':>10s} {'revenue':>10s} {'cost':>12s} "
                   f"{'offset':>10s} {'emission':>12s}")
         lines.append(header)
@@ -310,19 +329,25 @@ def _builtin(name: str) -> ScenarioSpec:
     return table[name]
 
 
+def _solve_scenario(spec: ScenarioSpec, objective: str, base: NetworkInstance | None,
+                    solver: Solver) -> ScenarioResult:
+    instance = materialize(spec, base, solver)
+    system = solve_system(instance, objective, solver)
+    user = solve_user(instance, objective, solver) if system.status is Status.OPTIMAL else None
+    return ScenarioResult(spec.name, objective, instance, system, user)
+
+
 def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
                  base: NetworkInstance | None = None,
                  solver: Solver | None = None) -> ScenarioResult:
-    """Materialize a scenario and solve it both ways."""
+    """Materialize a scenario and solve it both ways; ModelError names the
+    solve that did not end optimal."""
     if isinstance(spec, str):
         spec = _builtin(spec)
-    solver = solver or EmbeddedSolver()
-    instance = materialize(spec, base, solver)
-    system = solve_system(instance, objective, solver)
-    system.require_optimal(f"whole-network {objective} solve")
-    user = solve_user(instance, objective, solver)
-    user.require_optimal(f"two-phase {objective} solve")
-    return ScenarioResult(spec.name, objective, instance, system, user)
+    result = _solve_scenario(spec, objective, base, solver or EmbeddedSolver())
+    if result.failure is not None:
+        raise ModelError(result.failure)
+    return result
 
 
 def run_all(objective: str = "cost", base: NetworkInstance | None = None,
@@ -330,7 +355,9 @@ def run_all(objective: str = "cost", base: NetworkInstance | None = None,
     """Run the built-in scenarios in ``SCENARIO_ORDER`` on one base instance.
 
     The base throughput that fraction caps refer to is solved at most once,
-    and each such scenario gets the caps it would derive from it.
+    and each such scenario gets the caps it would derive from it.  A
+    scenario that does not solve keeps its status (see
+    :attr:`ScenarioResult.failure`), and the run goes on to the next.
     """
     instance = base if base is not None else load_bundled_instance()
     solver = solver or EmbeddedSolver()
@@ -342,14 +369,17 @@ def run_all(objective: str = "cost", base: NetworkInstance | None = None,
             if throughput is None:
                 _, throughput, _ = derive_throughput(instance, solver)
             spec = _with_absolute_caps(spec, instance, throughput)
-        results.append(run_scenario(spec, objective, instance, solver))
+        results.append(_solve_scenario(spec, objective, instance, solver))
     return results
 
 
 def comparison_rows(results: Iterable[ScenarioResult]) -> list[dict[str, Any]]:
-    """Flat records (one per scenario x mode) for CSV export."""
+    """Flat records (one per scenario x mode) for CSV export; a scenario
+    that did not solve has none."""
     records = []
     for result in results:
+        if result.failure is not None:
+            continue
         for mode, side in (("system", result.system), ("user", result.user)):
             records.append({
                 "scenario": result.name,

@@ -191,6 +191,24 @@ def test_scenario_by_name_and_csv(tmp_path, capsys):
     assert len(lines) == 3  # header + system + user
 
 
+def test_scenario_all_carries_on_past_an_infeasible_scenario(tmp_path, capsys):
+    """On netgen 5x4x3 seed 0 capacity-40 is infeasible and the other four
+    scenarios solve."""
+    path = tmp_path / "net.json"
+    save_instance(netgen_instance(5, 4, 3, 0), path)
+    out = tmp_path / "comparison.csv"
+    assert main(["scenario", "--instance", str(path), "--output", str(out)]) == 2
+    text = capsys.readouterr().out
+    assert ("scenario capacity-40 (cost objective): whole-network cost solve ended "
+            "infeasible\n") in text
+    for name in ("baseline", "capacity-80", "supply-mix-1", "supply-mix-2"):
+        assert f"scenario {name} (cost objective)\n" in text
+    rows = [line.split(",")[:3] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert rows == [[name, "cost", mode]
+                    for name in ("baseline", "capacity-80", "supply-mix-1", "supply-mix-2")
+                    for mode in ("system", "user")]
+
+
 def test_scenario_unknown_name(capsys):
     assert main(["scenario", "--name", "bogus"]) == 1
     assert capsys.readouterr().err.startswith("error: unknown scenario 'bogus'")

@@ -1,16 +1,19 @@
 """Agreement between the bundled branch-and-bound solver and HiGHS, and the
 options and statuses of the HiGHS adapter."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, OptimizeWarning
 
 from helpers import ExactHighs, netgen_instance
-from rlnd.builders import build_system_model, build_user_model_i
+from rlnd.builders import build_system_model, build_user_model_i, build_user_model_ii
 from rlnd.cli import main
 from rlnd.external import ScipySolver
-from rlnd.milp import LinExpr, MilpModel, RowTag, Status, solve_milp
+from rlnd.milp import EmbeddedSolver, LinExpr, MilpModel, RowTag, Status, solve_milp
+from rlnd.objectives import collected_quantities
 from rlnd.robust import capacity_preset, robustify_artifacts
 
 scipy_solver = ScipySolver()
@@ -58,6 +61,20 @@ def test_infeasible_and_unbounded_statuses_agree():
     assert theirs.status is Status.UNBOUNDED
 
 
+def test_a_model_without_rows_solves_on_both_backends():
+    model = MilpModel("rowless")
+    model.add_variable("x", 0.0, 3.0)
+    model.add_variable("y", 0.0, 1.0, binary=True)
+    model.set_objective(LinExpr({"x": 1.0, "y": -2.0}, constant=1.0))
+    indptr, indices, data = model.to_arrays()[1]
+    assert indptr.tolist() == [0] and indices.size == data.size == 0
+    for solver in (EmbeddedSolver(), scipy_solver):
+        solution = solver.solve(model)
+        assert solution.status is Status.OPTIMAL
+        assert solution.objective == pytest.approx(-1.0)
+        assert solution.values == pytest.approx({"x": 0.0, "y": 1.0})
+
+
 def test_values_are_usable(bundled):
     model = build_system_model(bundled, "cost").model
     theirs = scipy_solver.solve(model)
@@ -68,12 +85,19 @@ def test_values_are_usable(bundled):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scipy_solver_matches_zero_gap_highs_on_the_ladder(seed):
-    """The benchmark's HiGHS ladder: without presolve, at the default gap,
-    against the presolved zero-gap oracle."""
+    """The benchmark's HiGHS ladder, every model kind its flows solve:
+    without presolve or feasibility jump, at the default gap, against the
+    presolved zero-gap oracle."""
     instance = netgen_instance(20, 8, 5, seed)
+    phase1 = build_user_model_i(instance, "cost")
+    collected = collected_quantities(instance, phase1.vars,
+                                     exact_highs.solve(phase1.model).values)
     for label, artifacts in (("system cost", build_system_model(instance, "cost")),
                              ("system emission", build_system_model(instance, "emission")),
-                             ("user phase I cost", build_user_model_i(instance, "cost"))):
+                             ("user phase I cost", phase1),
+                             ("user phase I emission", build_user_model_i(instance, "emission")),
+                             ("user phase II cost",
+                              build_user_model_ii(instance, collected, "cost"))):
         ours, ref = scipy_solver.solve(artifacts.model), exact_highs.solve(artifacts.model)
         assert ours.status is ref.status, label
         if ref.status is Status.OPTIMAL:
@@ -90,7 +114,39 @@ def test_the_cli_hands_highs_its_options(monkeypatch, capsys):
     monkeypatch.setattr(scipy.optimize, "milp", recording)
     assert main(["solve", "--model", "user", "--solver", "scipy", "--node-budget", "7"]) == 0
     assert len(options) == 2
-    assert all(o == {"presolve": False, "node_limit": 7} for o in options)
+    assert all(o == {"presolve": False, "node_limit": 7,
+                     "mip_heuristic_run_feasibility_jump": False} for o in options)
+
+
+def test_the_adapter_lets_no_warning_escape(bundled):
+    model = build_user_model_i(bundled).model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = list(warnings.filters)
+        solution = scipy_solver.solve(model)
+        assert warnings.filters == before
+    assert solution.status is Status.OPTIMAL
+
+
+def test_only_the_verbatim_options_warning_is_silenced(monkeypatch, bundled):
+    """An older HiGHS that does not know an option says so with an
+    OptimizeWarning, which gets through like any other warning."""
+    real = scipy.optimize.milp
+
+    def warning(*args, **kwargs):
+        warnings.warn("Unrecognized options detected: {'x'}. These will be passed to "
+                      "HiGHS verbatim.", RuntimeWarning)
+        warnings.warn("Unrecognized options detected: {'x': False}", OptimizeWarning)
+        warnings.warn("another runtime warning", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", warning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scipy_solver.solve(build_system_model(bundled, "cost").model)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (OptimizeWarning, "Unrecognized options detected: {'x': False}"),
+        (RuntimeWarning, "another runtime warning")]
 
 
 def test_a_node_budget_below_one_is_rejected():

@@ -116,6 +116,43 @@ def test_unknown_variable_rejected():
         m.add_variable("x")
 
 
+def _rows_written_term_by_term(model):
+    col = {name: j for j, name in enumerate(model.variables)}
+    a = np.zeros((len(model.rows), len(model.variables)))
+    for i, row in enumerate(model.rows):
+        for var, coeff in row.expr.terms.items():
+            a[i, col[var]] += coeff
+    return a
+
+
+@pytest.mark.parametrize("network", ["bundled", "netgen 5x4x3 seed 0"])
+def test_the_csr_arrays_are_the_row_matrix(network, bundled):
+    instance = bundled if network == "bundled" else netgen_instance(5, 4, 3, 0)
+    for artifacts in (build_system_model(instance, "cost"),
+                      build_user_model_i(instance, "emission")):
+        model = artifacts.model
+        indptr, indices, data = model.to_arrays()[1]
+        assert indptr[0] == 0 and indptr.size == len(model.rows) + 1
+        assert indptr[-1] == indices.size == data.size
+        dense = np.zeros((len(model.rows), len(model.variables)))
+        for i in range(len(model.rows)):
+            cols = indices[indptr[i]:indptr[i + 1]]
+            assert np.unique(cols).size == cols.size  # one entry per column
+            dense[i, cols] = data[indptr[i]:indptr[i + 1]]
+        assert dense.tobytes() == _rows_written_term_by_term(model).tobytes()
+
+
+def test_a_zero_coefficient_is_no_entry():
+    m = _model()
+    for name in ("x", "y"):
+        m.add_variable(name, ub=1.0)
+    m.add_row(LinExpr({"x": 0.0, "y": 2.0}), "<=", 1.0, TAG)
+    m.add_row(LinExpr({"x": -0.0}), ">=", -1.0, TAG)
+    indptr, indices, data = m.to_arrays()[1]
+    assert (indptr.tolist(), indices.tolist(), data.tolist()) == ([0, 1, 1], [1], [2.0])
+    assert not np.signbit(_Lp(m).mat[:, :2]).any()
+
+
 def test_knapsack_against_enumeration():
     values = [6.0, 10.0, 12.0, 7.0, 3.0]
     weights = [1.0, 2.0, 3.0, 2.0, 1.0]

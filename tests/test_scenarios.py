@@ -297,3 +297,22 @@ def test_run_scenario_raises_on_infeasible_instance(bundled):
     assert solve_system(throttled, "cost").status is Status.INFEASIBLE
     with pytest.raises(ModelError, match="infeasible"):
         run_scenario("baseline", "cost", throttled)
+
+
+def test_run_all_records_a_failed_scenario_and_runs_the_rest():
+    """On netgen 5x4x3 seed 0 the capacity-40 caps leave no feasible plan;
+    run_scenario raises on it, and run_all keeps its status and goes on."""
+    instance = netgen_instance(5, 4, 3, 0)
+    results = run_all("cost", instance)
+    assert [r.name for r in results] == list(SCENARIO_ORDER)
+    failed = results[SCENARIO_ORDER.index("capacity-40")]
+    assert failed.status is Status.INFEASIBLE and failed.user is None
+    assert failed.failure == "whole-network cost solve ended infeasible"
+    assert failed.format_text() == ("scenario capacity-40 (cost objective): "
+                                    "whole-network cost solve ended infeasible")
+    assert all(r.status is Status.OPTIMAL and r.failure is None
+               for r in results if r is not failed)
+    assert [(r["scenario"], r["mode"]) for r in comparison_rows(results)] == [
+        (r.name, mode) for r in results if r is not failed for mode in ("system", "user")]
+    with pytest.raises(ModelError, match="^whole-network cost solve ended infeasible$"):
+        run_scenario("capacity-40", "cost", instance)
