@@ -7,9 +7,9 @@ scenario both ways, or turn coordinate tables into an arc-distance grid.
 Exit codes: 0 solved/ok, 1 usage or data error or a numerically unstable
 answer, 2 proven infeasible, 3 budget exhausted before proof.  A usage or
 data error prints one ``error:`` line on stderr, never a traceback.
-``scenario --name all`` runs every scenario; one that does not solve prints
-one line naming the solve that failed, and the command exits 2 when any was
-infeasible, else with the highest code its scenarios map to.
+A scenario that does not solve, in ``scenario --name all`` or alone,
+prints one line naming the solve that failed, and the command exits 2 when
+any was infeasible, else with the highest code its scenarios map to.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .multiobjective import (POINTS_DEFAULT, SystemEpsilonFamily, THETA_DEFAULT,
                              UserEpsilonFamily, epsilon_sweep)
 from .robust import capacity_preset, load_uncertainty_spec, robustify_artifacts
 from .scenarios import (SCENARIO_ORDER, SideResult, load_scenario_spec, run_all,
-                        run_scenario, solve_built, solve_system, solve_user,
+                        solve_built, solve_scenario, solve_system, solve_user,
                         write_comparison_csv)
 
 EXIT_OK = 0
@@ -172,11 +172,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     base = _load(args)
     solver = _solver_from_args(args)
     if args.spec:
-        results = [run_scenario(load_scenario_spec(args.spec), args.objective, base, solver)]
+        results = [solve_scenario(load_scenario_spec(args.spec), args.objective, base, solver)]
     elif args.name == "all":
         results = run_all(args.objective, base, solver)
     else:
-        results = [run_scenario(args.name, args.objective, base, solver)]
+        results = [solve_scenario(args.name, args.objective, base, solver)]
     for result in results:
         print(result.format_text())
         print()

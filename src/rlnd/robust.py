@@ -2,11 +2,19 @@
 
 Each protected row carries a budget: of its uncertain coefficients, at most
 `gamma` may drift to their worst value simultaneously (the last unit may be
-fractional).  The counterpart stays linear — one dual variable per row, one
-per uncertain coefficient — and its optimum is immunized against every
-realization inside the budget.  With gamma 0 the counterpart is the nominal
-model; with gamma equal to the number of uncertain coefficients it is the
-full worst case.
+fractional), and the counterpart's optimum is immunized against every
+realization inside the budget (Bertsimas & Sim, *Oper. Res.* 2004).  A row
+is written by its effective budget, min(gamma, number of nonzero
+deviations), in one of three ways, all linear:
+
+- budget 0: the row unchanged, so with gamma 0 the counterpart is the
+  nominal model;
+- a full budget, one unit per nonzero deviation: every deviation is added
+  to the coefficient of its variable's magnitude (the worst case of Soyster,
+  *Oper. Res.* 1973), with no new variable unless the variable can be
+  negative;
+- a split budget: one dual variable for the row and one per nonzero
+  deviation, with one dual row each.
 """
 
 from __future__ import annotations
@@ -98,8 +106,14 @@ def _magnitude_var(model: MilpModel, var_name: str,
 def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
     """Build the robust counterpart of `model` under `spec`.
 
-    Rows not named in the spec are copied unchanged.  A named equality row is
-    rejected: protecting only one side flips the row's meaning.  Split it
+    Rows not named in the spec are copied unchanged.  A named row's effective
+    budget is min(gamma, number of its nonzero deviations): at 0 the row is
+    copied unchanged, at the full count each deviation is folded into the
+    coefficient of |x| (x itself when x cannot be negative), and in between
+    the row gets the budget dual ``GAMMA[k|row]`` and one ``DEV[k|row|x]``
+    with a ``robust-dual`` row per nonzero deviation, where k counts the
+    protected rows in row order.  A named equality row is rejected at every
+    budget: protecting only one side flips the row's meaning.  Split it
     into a pair of inequalities first and protect the side that matters.
     """
     spec.validate()
@@ -126,20 +140,27 @@ def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
             raise ModelError(
                 f"cannot protect equality row {key}; split it into <= and >= "
                 f"and protect the binding side")
+        nonzero = {var: dev for var, dev in sorted(entry.deviations.items()) if dev}
+        gamma = min(entry.gamma, len(nonzero))
         flip = -1.0 if row.relation == ">=" else 1.0
-        expr = row.expr.scaled(flip)
-        rhs = row.rhs * flip
-
-        budget = out.add_variable(f"GAMMA[{counter}|{key}]", 0.0)
-        expr.add(budget, entry.gamma)
-        for var_name in sorted(entry.deviations):
-            deviation = entry.deviations[var_name]
-            spread = out.add_variable(f"DEV[{counter}|{key}|{var_name}]", 0.0)
-            expr.add(spread, 1.0)
-            dual = LinExpr({budget: 1.0, spread: 1.0})
-            dual.add(_magnitude_var(out, var_name, abs_vars), -deviation)
-            out.add_row(dual, ">=", 0.0, RowTag("robust-dual", (key, var_name)))
-        out.add_row(expr, "<=", rhs, row.tag)
+        if gamma == 0:
+            out.add_row(row.expr, row.relation, row.rhs, row.tag)
+        elif gamma == len(nonzero):
+            expr = row.expr.copy()
+            for var_name, deviation in nonzero.items():
+                expr.add(_magnitude_var(out, var_name, abs_vars), flip * deviation)
+            out.add_row(expr, row.relation, row.rhs, row.tag)
+        else:
+            expr = row.expr.scaled(flip)
+            budget = out.add_variable(f"GAMMA[{counter}|{key}]", 0.0)
+            expr.add(budget, gamma)
+            for var_name, deviation in nonzero.items():
+                spread = out.add_variable(f"DEV[{counter}|{key}|{var_name}]", 0.0)
+                expr.add(spread, 1.0)
+                dual = LinExpr({budget: 1.0, spread: 1.0})
+                dual.add(_magnitude_var(out, var_name, abs_vars), -deviation)
+                out.add_row(dual, ">=", 0.0, RowTag("robust-dual", (key, var_name)))
+            out.add_row(expr, "<=", row.rhs * flip, row.tag)
         counter += 1
     return out
 

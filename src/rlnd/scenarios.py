@@ -3,9 +3,10 @@
 A scenario is the bundled (or a user-supplied) instance plus light
 overrides: a different supply mix, a per-area trip factor, or primary-tier
 throughput caps expressed as a fraction of the throughput the unconstrained
-network actually uses.  `run_scenario` solves the whole-network program and
-the two-phase program on the materialized instance and reports both as
-per-stage breakdowns.
+network actually uses.  `solve_scenario` solves the whole-network program
+and the two-phase program on the materialized instance and reports both as
+per-stage breakdowns; `run_scenario` does the same and raises when a solve
+does not end optimal.
 
 `solve_system` and `solve_user` are the one build, solve and report path for
 the two programs; every other caller, the CLI and the trade-off families
@@ -329,8 +330,14 @@ def _builtin(name: str) -> ScenarioSpec:
     return table[name]
 
 
-def _solve_scenario(spec: ScenarioSpec, objective: str, base: NetworkInstance | None,
-                    solver: Solver) -> ScenarioResult:
+def solve_scenario(spec: ScenarioSpec | str, objective: str = "cost",
+                   base: NetworkInstance | None = None,
+                   solver: Solver | None = None) -> ScenarioResult:
+    """Materialize a scenario and solve it both ways.  A solve that does not
+    end optimal keeps its status (see :attr:`ScenarioResult.failure`)."""
+    if isinstance(spec, str):
+        spec = _builtin(spec)
+    solver = solver or EmbeddedSolver()
     instance = materialize(spec, base, solver)
     system = solve_system(instance, objective, solver)
     user = solve_user(instance, objective, solver) if system.status is Status.OPTIMAL else None
@@ -340,11 +347,9 @@ def _solve_scenario(spec: ScenarioSpec, objective: str, base: NetworkInstance | 
 def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
                  base: NetworkInstance | None = None,
                  solver: Solver | None = None) -> ScenarioResult:
-    """Materialize a scenario and solve it both ways; ModelError names the
-    solve that did not end optimal."""
-    if isinstance(spec, str):
-        spec = _builtin(spec)
-    result = _solve_scenario(spec, objective, base, solver or EmbeddedSolver())
+    """:func:`solve_scenario`, raising ModelError that names the solve that
+    did not end optimal."""
+    result = solve_scenario(spec, objective, base, solver)
     if result.failure is not None:
         raise ModelError(result.failure)
     return result
@@ -369,7 +374,7 @@ def run_all(objective: str = "cost", base: NetworkInstance | None = None,
             if throughput is None:
                 _, throughput, _ = derive_throughput(instance, solver)
             spec = _with_absolute_caps(spec, instance, throughput)
-        results.append(_solve_scenario(spec, objective, instance, solver))
+        results.append(solve_scenario(spec, objective, instance, solver))
     return results
 
 

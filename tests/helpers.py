@@ -239,6 +239,46 @@ def brute_force_robust_profit(gamma: float) -> float | None:
     return best
 
 
+def full_dual_counterpart(model: MilpModel, spec) -> MilpModel:
+    """The budgeted counterpart with a Bertsimas-Sim dual on every protected
+    row, whatever its budget: one ``GAMMA`` per row, and one ``DEV`` and one
+    dual row per uncertain coefficient, zero deviations included.  A
+    variable that can be negative enters the dual rows through its
+    magnitude ``ABS``, bounded below by both signs of it."""
+    out = MilpModel(f"{model.name}:full-dual")
+    for var in model.variables.values():
+        out.add_variable(var.name, var.lb, var.ub, var.binary)
+    out.set_objective(model.objective)
+    magnitude = {}
+
+    def size(name: str) -> str:
+        if model.variables[name].lb >= 0.0:
+            return name
+        if name not in magnitude:
+            magnitude[name] = out.add_variable(f"ABS[{name}]", 0.0)
+            for sign in (1.0, -1.0):
+                out.add_row(LinExpr({magnitude[name]: 1.0, name: sign}), ">=", 0.0,
+                            RowTag("abs", (name, str(sign))))
+        return magnitude[name]
+
+    for k, row in enumerate(model.rows):
+        entry = spec.rows.get(str(row.tag))
+        if entry is None or not entry.deviations:
+            out.add_row(row.expr, row.relation, row.rhs, row.tag)
+            continue
+        flip = -1.0 if row.relation == ">=" else 1.0
+        protected = row.expr.scaled(flip)
+        budget = out.add_variable(f"GAMMA[{k}]", 0.0)
+        protected.add(budget, entry.gamma)
+        for name, deviation in entry.deviations.items():
+            spread = out.add_variable(f"DEV[{k}|{name}]", 0.0)
+            protected.add(spread, 1.0)
+            out.add_row(LinExpr({budget: 1.0, spread: 1.0, size(name): -deviation}),
+                        ">=", 0.0, RowTag("dual", (str(k), name)))
+        out.add_row(protected, "<=", flip * row.rhs, row.tag)
+    return out
+
+
 def three_plan_tradeoff():
     """A model whose efficient set is exactly three known (cost, emission)
     points: pick one of three mutually exclusive plans."""

@@ -355,11 +355,11 @@ LP_SHA256 = {
         "504a699098035afae2e2cfc65e1576c372d20c4c9d0e2f4f3cdd6fd3a60056e8",
         "82cc6ad51a87c29f119a0a00dd636ca622bad8122a8018864f342f4b2272f25f"),
     (robust_capacity_preset, "cost"): (
-        "3f14b87308f65d9d19db7e4ef19139ab9bb6ee6f767620ca38bbb28979da13fe",
-        "a848413fd871d9ae12b409e9f4671d1f85b2f6351dd4f3c2789d6236146e4b69"),
+        "d64343c3a80085768c88574b2180c0168a625a5f50a19a979e5e862c8730c806",
+        "3133f46d7b3ddd1e5ac5101b82e5b4ac64671de46cf6d64afa1f050762498a66"),
     (robust_capacity_preset, "emission"): (
-        "73fb71fed3c78caf7e6f88808bbeca9ec24ef26e61e175c7d1c1a55e83d41fc9",
-        "20e89b91e37b54719489efca8f74bc4fdaf4860b50c3fd25fbb19cca6f2b9e0f"),
+        "3072269910d99f4af8b3228099182f24ed8360976556d7f701d898c8853c35f6",
+        "b3753b12e74ee4636dd5eb71974c2188f9f0f027def1bbfae4feb39c464a40b0"),
     (user_model_ii_even_split, "cost"): (
         "274c29f45cd909816b7683be162600b55587ddec879b73f15f6d81c2963cf50e",
         "274c29f45cd909816b7683be162600b55587ddec879b73f15f6d81c2963cf50e"),

@@ -146,15 +146,37 @@ def test_user_front_anchors_on_the_solve_optimum(seed, bundled, tmp_path, capsys
     assert anchors.endswith(f"emission ({side.total_cost:.3f}, {side.total_emission:.3f})")
 
 
-def test_robust_at_gamma_zero_reports_as_solve(tight40, tmp_path, capsys):
-    path = tmp_path / "capacity-40.json"
-    save_instance(tight40, path)
-    assert main(["solve", "--instance", str(path)]) == 0
+def assert_robust_reports_as_solve(path, capsys, *robust, solver=()):
+    assert main(["solve", "--instance", str(path), *solver]) == 0
     solved = capsys.readouterr().out
-    assert main(["robust", "--gamma", "0", "--instance", str(path)]) == 0
+    assert main(["robust", *robust, "--instance", str(path), *solver]) == 0
     preset, *report = capsys.readouterr().out.splitlines(keepends=True)
     assert preset.startswith("preset: ")
     assert "".join(report) == solved
+
+
+def test_robust_at_gamma_zero_reports_as_solve(tight40, tmp_path, capsys):
+    path = tmp_path / "capacity-40.json"
+    save_instance(tight40, path)
+    assert_robust_reports_as_solve(path, capsys, "--gamma", "0")
+
+
+@pytest.mark.parametrize("shape, seed, solver", [
+    *(((5, 4, 3), seed, ()) for seed in range(4)),
+    ((20, 8, 5), 3, ("--solver", "scipy"))],
+    ids=[*(f"netgen-5x4x3-{seed}" for seed in range(4)), "netgen-20x8x5-3-scipy"])
+def test_robust_at_gamma_zero_reports_as_solve_on_generated_networks(shape, seed, solver,
+                                                                     tmp_path, capsys):
+    """The 20x8x5 network solves to a HiGHS gap, which the gamma-0 counterpart
+    prints too only when it is the nominal model."""
+    path = tmp_path / "network.json"
+    save_instance(netgen_instance(*shape, seed=seed), path)
+    assert_robust_reports_as_solve(path, capsys, "--gamma", "0", solver=solver)
+
+
+def test_robust_without_deviations_reports_as_solve(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    assert_robust_reports_as_solve(path, capsys, "--fraction", "0", "--gamma", "1")
 
 
 def test_robust_preset(capsys):
@@ -207,6 +229,25 @@ def test_scenario_all_carries_on_past_an_infeasible_scenario(tmp_path, capsys):
     assert rows == [[name, "cost", mode]
                     for name in ("baseline", "capacity-80", "supply-mix-1", "supply-mix-2")
                     for mode in ("system", "user")]
+
+
+@pytest.mark.parametrize("form", ["name", "spec"])
+def test_a_single_infeasible_scenario_exits_two(form, tmp_path, capsys):
+    """On netgen 5x4x3 seed 0 capacity-40 has no feasible plan, asked for
+    alone by name or as a spec file."""
+    path = tmp_path / "net.json"
+    save_instance(netgen_instance(5, 4, 3, 0), path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "capacity-40", "total_capacity_fraction": 0.4}),
+                    encoding="utf-8")
+    pick = ["--name", "capacity-40"] if form == "name" else ["--spec", str(spec)]
+    out = tmp_path / "comparison.csv"
+    assert main(["scenario", *pick, "--instance", str(path), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("scenario capacity-40 (cost objective): whole-network "
+                                   "cost solve ended infeasible\n")
+    assert captured.err == ""
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == []
 
 
 def test_scenario_unknown_name(capsys):

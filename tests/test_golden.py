@@ -64,7 +64,7 @@ CASES = {
         ["robust", "--gamma", "1"],
         "3a41e5cdf9f0e01b44d6313df02706ac4ae68b4bea439c8140a614ed304e90bf",
         "21050b906f3a99ef34eac0348e4c49def9eb1b84f66a8c6e7678051fd200cb54",
-        "3f14b87308f65d9d19db7e4ef19139ab9bb6ee6f767620ca38bbb28979da13fe"),
+        "d64343c3a80085768c88574b2180c0168a625a5f50a19a979e5e862c8730c806"),
 }
 
 

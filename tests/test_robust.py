@@ -4,7 +4,8 @@ import pytest
 
 from helpers import (KNAP_CAP as CAP, KNAP_DEVS as DEVS,
                      KNAP_PROFITS as PROFITS, KNAP_WEIGHTS as WEIGHTS,
-                     brute_force_robust_profit, knapsack_model)
+                     brute_force_robust_profit, full_dual_counterpart, knapsack_model,
+                     netgen_instance)
 from rlnd.builders import build_system_model
 from rlnd.milp import LinExpr, MilpModel, ModelError, RowTag, Status, solve_milp
 from rlnd.robust import (RowUncertainty, UncertaintySpec, capacity_preset,
@@ -17,15 +18,43 @@ def knapsack_spec(gamma):
     return UncertaintySpec({"capacity[knap]": entry})
 
 
-def test_zero_budget_is_nominal():
+def assert_same_optimum(model, spec):
+    """The counterpart against a dual on every protected row: different LPs
+    with the same optimum, so the engine's answers may differ in the last
+    digit (at most 7e-16 relative on the capacity presets below), never
+    more."""
+    robust = solve_milp(robustify(model, spec))
+    reference = solve_milp(full_dual_counterpart(model, spec))
+    assert robust.status is Status.OPTIMAL and reference.status is Status.OPTIMAL
+    assert robust.objective == pytest.approx(reference.objective, rel=1e-14, abs=0.0)
+    return robust
+
+
+def dual_entries(model):
+    return ([name for name in model.variables if name.startswith(("GAMMA[", "DEV["))]
+            + [str(row.tag) for row in model.rows if row.tag.family == "robust-dual"])
+
+
+def test_zero_budget_is_nominal(bundled):
     nominal = solve_milp(knapsack_model())
     robust = solve_milp(robustify(knapsack_model(), knapsack_spec(0.0)))
     assert robust.status is Status.OPTIMAL
     assert robust.objective == nominal.objective
 
+    def shape(model):
+        return ([(v.name, v.lb, v.ub, v.binary) for v in model.variables.values()],
+                [(row.tag, row.expr.terms, row.relation, row.rhs) for row in model.rows],
+                model.objective)
+
+    artifacts = build_system_model(bundled)
+    for model, spec in ((knapsack_model(), knapsack_spec(0.0)),
+                        (artifacts.model, capacity_preset(artifacts, gamma=0.0))):
+        assert shape(robustify(model, spec)) == shape(model)
+
 
 def test_full_budget_is_all_coefficients_at_bound():
-    full = solve_milp(robustify(knapsack_model(), knapsack_spec(len(WEIGHTS))))
+    robust = robustify(knapsack_model(), knapsack_spec(len(WEIGHTS)))
+    full = solve_milp(robust)
 
     worst = MilpModel("all-at-bound")
     load = LinExpr()
@@ -41,12 +70,15 @@ def test_full_budget_is_all_coefficients_at_bound():
 
     assert full.status is Status.OPTIMAL
     assert full.objective == bound.objective
+    # no dual is needed: the row is the worst case itself
+    assert dual_entries(robust) == []
+    assert list(robust.variables) == list(worst.variables)
+    assert [row.expr.terms for row in robust.rows] == [load.terms]
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0])
 def test_budget_matches_exhaustive_enumeration(gamma):
-    sol = solve_milp(robustify(knapsack_model(), knapsack_spec(gamma)))
-    assert sol.status is Status.OPTIMAL
+    sol = assert_same_optimum(knapsack_model(), knapsack_spec(gamma))
     assert -sol.objective == pytest.approx(brute_force_robust_profit(gamma),
                                            rel=1e-9, abs=1e-9)
 
@@ -68,26 +100,26 @@ def test_protected_row_keeps_its_tag():
     assert sum(name.startswith("DEV[") for name in robust.variables) == len(WEIGHTS)
 
 
+def covering_model(third_coeff=4.0):
+    model = MilpModel("cover")
+    need = LinExpr()
+    cost = LinExpr()
+    for name, coeff, price in (("a", 2.0, 1.0), ("b", 3.0, 2.0), ("c", third_coeff, 2.5)):
+        model.add_variable(name, binary=True)
+        need.add(name, coeff)
+        cost.add(name, price)
+    model.add_row(need, ">=", 4.0, RowTag("demand", ("cover",)))
+    model.set_objective(cost)
+    return model
+
+
 def test_covering_row_protects_against_coefficient_drops():
     # >= rows protect the low side: the adversary shrinks coefficients
-    def covering(third_coeff):
-        model = MilpModel("cover")
-        need = LinExpr()
-        cost = LinExpr()
-        for name, coeff, price in (("a", 2.0, 1.0), ("b", 3.0, 2.0),
-                                   ("c", third_coeff, 2.5)):
-            model.add_variable(name, binary=True)
-            need.add(name, coeff)
-            cost.add(name, price)
-        model.add_row(need, ">=", 4.0, RowTag("demand", ("cover",)))
-        model.set_objective(cost)
-        return model
-
-    nominal = solve_milp(covering(4.0))
+    nominal = solve_milp(covering_model())
     assert nominal.objective == pytest.approx(2.5)  # c alone covers 4
 
     spec = UncertaintySpec({"demand[cover]": RowUncertainty(1.0, {"c": 1.5})})
-    robust = solve_milp(robustify(covering(4.0), spec))
+    robust = solve_milp(robustify(covering_model(), spec))
     assert robust.status is Status.OPTIMAL
     # c may deliver only 2.5, so the cheapest protected plan is a+b (cost 3)
     assert robust.objective == pytest.approx(3.0)
@@ -217,3 +249,66 @@ def test_tight_instance_ramp_is_strictly_increasing(tight40):
     assert all(b > a for a, b in zip(seen, seen[1:]))
     nominal = solve_milp(art.model)
     assert seen[0] == pytest.approx(nominal.objective, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the three row kinds against a dual on every protected row
+# ----------------------------------------------------------------------
+
+def signed_model():
+    """x pays to go negative, so its deviation acts on |x|."""
+    model = MilpModel("signed")
+    model.add_variable("x", -5.0, 5.0)
+    model.add_variable("y", 0.0, 8.0)
+    model.add_variable("z", binary=True)
+    model.add_row(LinExpr({"x": 1.0, "y": 1.0, "z": 2.0}), "<=", 3.0, RowTag("cap"))
+    model.set_objective(LinExpr({"x": 0.5, "y": -1.0, "z": -1.5}))
+    return model
+
+
+def test_a_zero_deviation_leaves_the_budget_full():
+    devs = {"x0": 1.0, "x1": 0.0, "x2": 1.2, "x3": 0.6}
+    spec = UncertaintySpec({"capacity[knap]": RowUncertainty(3.5, devs)})
+    assert_same_optimum(knapsack_model(), spec)
+    assert dual_entries(robustify(knapsack_model(), spec)) == []
+
+
+@pytest.mark.parametrize("gamma, devs", [(1.0, {"c": 1.5}), (0.5, {"c": 1.5}),
+                                         (1.0, {"b": 1.0, "c": 1.5})],
+                         ids=["folded", "dualized-one", "dualized-two"])
+def test_covering_counterpart_matches_the_full_dual(gamma, devs):
+    spec = UncertaintySpec({"demand[cover]": RowUncertainty(gamma, devs)})
+    assert_same_optimum(covering_model(), spec)
+    assert (dual_entries(robustify(covering_model(), spec)) == []) is (gamma == len(devs))
+
+
+@pytest.mark.parametrize("gamma, devs", [(1.0, {"x": 0.5}), (2.0, {"x": 0.5, "y": 0.25}),
+                                         (1.0, {"x": 0.5, "y": 0.25}),
+                                         (1.5, {"x": 0.5, "y": 0.25, "z": 1.0})],
+                         ids=["folded", "folded-two", "dualized", "dualized-three"])
+def test_signed_counterpart_matches_the_full_dual(gamma, devs):
+    spec = UncertaintySpec({"cap": RowUncertainty(gamma, devs)})
+    robust = assert_same_optimum(signed_model(), spec)
+    assert robust.values["x"] < 0.0
+    assert robust.objective > solve_milp(signed_model()).objective
+
+
+@pytest.mark.parametrize("objective", ["cost", "emission"])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3],
+                         ids=["bundled"] + [f"netgen-5x4x3-{s}" for s in range(4)])
+def test_capacity_preset_matches_the_full_dual(seed, objective, bundled):
+    instance = bundled if seed is None else netgen_instance(5, 4, 3, seed=seed)
+    artifacts = build_system_model(instance, objective)
+    for gamma in (0.0, 1.0, 2.0):
+        assert_same_optimum(artifacts.model, capacity_preset(artifacts, gamma=gamma))
+
+
+def test_split_budget_rows_keep_one_index_per_protected_row(bundled):
+    artifacts = build_system_model(bundled)
+    spec = capacity_preset(artifacts, gamma=1.0)
+    protected = [str(row.tag) for row in artifacts.model.rows if str(row.tag) in spec.rows]
+    split = [f"GAMMA[{k}|{key}]" for k, key in enumerate(protected)
+             if spec.rows[key].gamma < len(spec.rows[key].deviations)]
+    robust = robustify(artifacts.model, spec)
+    assert 0 < len(split) < len(protected)
+    assert [name for name in robust.variables if name.startswith("GAMMA[")] == split
