@@ -6,7 +6,10 @@ scenario both ways, or turn coordinate tables into an arc-distance grid.
 
 Exit codes: 0 solved/ok, 1 usage or data error or a numerically unstable
 answer, 2 proven infeasible, 3 budget exhausted before proof.  A usage or
-data error prints one ``error:`` line on stderr, never a traceback.
+data error prints one ``error:`` line on stderr, never a traceback, and so
+does a solve another one depends on (a trade-off anchor, the throughput a
+scenario's caps derive from) when it fails; the exit code is then the one
+its status maps to.
 A scenario that does not solve, in ``scenario --name all`` or alone,
 prints one line naming the solve that failed, and the command exits 2 when
 any was infeasible, else with the highest code its scenarios map to.
@@ -293,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
     except (OSError, ValueError) as exc:  # InstanceError, ModelError among them
         print(f"error: {exc}", file=sys.stderr)
+        return _STATUS_EXIT.get(getattr(exc, "status", None), EXIT_ERROR)
     return EXIT_ERROR
 
 

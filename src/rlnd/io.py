@@ -255,24 +255,34 @@ def load_bundled_instance() -> NetworkInstance:
 # CSV tables
 # ----------------------------------------------------------------------
 
-def _data_rows(path: str | Path, numeric_col: int) -> Iterable[list[str]]:
+def _data_rows(path: str | Path, numeric_col: int) -> Iterable[tuple[int, list[str]]]:
+    """Each nonblank row, its cells stripped, with the line it ends on; a
+    first row whose ``numeric_col`` is no number is a header and skipped."""
     with open(path, newline="", encoding="utf-8") as f:
-        rows = (row for row in csv.reader(f) if any(cell.strip() for cell in row))
+        reader = csv.reader(f)
+        rows = (row for row in reader if any(cell.strip() for cell in row))
         for k, row in enumerate(rows):
             if k == 0:
                 try:
                     float(row[numeric_col])
                 except (ValueError, IndexError):
                     continue  # header row
-            yield [cell.strip() for cell in row]
+            yield reader.line_num, [cell.strip() for cell in row]
 
 
 def read_points_csv(path: str | Path) -> dict[str, GeoPoint]:
-    """Geo points: id, lat, lon[, population]."""
+    """Geo points: id, lat, lon[, population].  A malformed row raises
+    ValueError naming the file, the row's line and the problem."""
     points: dict[str, GeoPoint] = {}
-    for row in _data_rows(path, 1):
-        population = float(row[3]) if len(row) > 3 and row[3] else None
-        points[row[0]] = GeoPoint(float(row[1]), float(row[2]), population)
+    for line, row in _data_rows(path, 1):
+        try:
+            if len(row) < 3:
+                raise ValueError(f"{len(row)} field(s) where id, lat, lon[, population] "
+                                 "are expected")
+            population = float(row[3]) if len(row) > 3 and row[3] else None
+            points[row[0]] = GeoPoint(float(row[1]), float(row[2]), population)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
     return points
 
 

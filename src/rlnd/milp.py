@@ -14,14 +14,14 @@ factorization, which a bound change leaves dual feasible, so a child takes
 a handful of pivots.  The inverse is computed afresh only when a residual
 check finds it has drifted: at an LP's end, and before a row proves an LP
 infeasible.  The slack basis's inverse is written down, not computed.
-An :class:`EmbeddedSolver` keeps, for each matrix shape, the last model it
-solved whose root relaxation was optimal, and starts the next root of that
-shape from it: when the two assemble to exactly the same scaled matrix, the
-root restarts from that optimal root basis, and from its factorization too
-when the costs are the same, as a child restarts from its parent.  The grid
-points of a sweep, the steps of a calibration and the scenarios of a run
-differ only in right-hand sides or costs, so they find their starts without
-being told.
+A model is plain data: it holds no engine state.  An
+:class:`EmbeddedSolver` keeps, for each matrix shape, the last optimal root
+relaxation it solved, and starts the next root of that shape from it: when
+the two assemble to exactly the same scaled matrix, the root restarts from
+that optimal root basis, and from its factorization too when the costs are
+the same, as a child restarts from its parent.  The grid points of a sweep,
+the steps of a calibration and the scenarios of a run differ only in
+right-hand sides or costs, so they find their starts without being told.
 The models are desk-scale (at most a few hundred rows), so an explicit dense
 basis inverse is the simplest thing that is provably correct.  At that size
 a pivot costs the fixed price of a few dozen small numpy calls (about 70 us
@@ -63,7 +63,13 @@ class Status(Enum):
 
 
 class ModelError(ValueError):
-    """Raised for malformed models (unknown variables, bad relations...)."""
+    """Raised for malformed models (unknown variables, bad relations...), and
+    for a solve that had to end optimal and did not: ``status`` is then how
+    it ended."""
+
+    def __init__(self, message: str, status: Status | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass
@@ -124,12 +130,7 @@ class Row:
 
 
 class MilpModel:
-    """Minimization model over named variables with tagged linear rows.
-
-    Change a model only through its methods: the embedded engine keeps the
-    assembled matrix and the solved root relaxation with the model, and
-    every change drops them.
-    """
+    """Minimization model over named variables with tagged linear rows."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -137,7 +138,6 @@ class MilpModel:
         self.rows: list[Row] = []
         self.objective = LinExpr()
         self.warnings: list[str] = []
-        self._lp: _Lp | None = None
 
     # -- construction -------------------------------------------------
 
@@ -150,7 +150,6 @@ class MilpModel:
         if lb > ub:
             raise ModelError(f"variable {name!r} has lb {lb} > ub {ub}")
         self.variables[name] = Variable(name, lb, ub, binary)
-        self._lp = None
         return name
 
     def add_row(self, expr: LinExpr, relation: str, rhs: float, tag: RowTag) -> int:
@@ -162,7 +161,6 @@ class MilpModel:
         # fold the expression constant into the right-hand side
         row = Row(LinExpr(dict(expr.terms)), relation, rhs - expr.constant, tag)
         self.rows.append(row)
-        self._lp = None
         return len(self.rows) - 1
 
     def set_objective(self, expr: LinExpr) -> None:
@@ -170,7 +168,6 @@ class MilpModel:
             if var not in self.variables:
                 raise ModelError(f"objective references unknown variable {var!r}")
         self.objective = expr.copy()
-        self._lp = None
 
     @property
     def binary_names(self) -> list[str]:
@@ -348,31 +345,19 @@ class _Lp:
         self.cost = np.concatenate([cost * col_scale, np.zeros(m)])
         self.binaries = np.flatnonzero(binary)
         self.binary_scale = self.scale[self.binaries]
-        self._root: _Simplex | None = None
 
-    @staticmethod
-    def of(model: MilpModel) -> _Lp:
-        """The model's assembled form, built on first use."""
-        if model._lp is None:
-            model._lp = _Lp(model)
-        return model._lp
+    def root(self, start: _Simplex | None = None) -> _Simplex:
+        """The relaxation under the model's own bounds, solved.
 
-    def root(self, start: _Lp | None = None) -> _Simplex:
-        """The relaxation under the model's own bounds, solved once.
-
-        ``start`` is another model's assembled form whose root is optimal.
-        The root starts from that solved root (see :meth:`_Simplex.solve`)
-        when ``start`` assembled exactly the same scaled matrix, and
-        otherwise from the slack basis.  Only bounds (a row's right-hand
-        side) or costs can differ then: a bound change leaves the basis dual
-        feasible, and a cost change goes through the bound placement and, if
-        needed, the dual phase one.
+        ``start`` is another model's optimal root.  The root starts from it
+        (see :meth:`_Simplex.solve`) when its LP assembled exactly the same
+        scaled matrix, and otherwise from the slack basis.  Only bounds (a
+        row's right-hand side) or costs can differ then: a bound change
+        leaves the basis dual feasible, and a cost change goes through the
+        bound placement and, if needed, the dual phase one.
         """
-        if self._root is None:
-            same = start is not None and np.array_equal(self.mat, start.mat)
-            self._root = _Simplex(self, self.cost, self.lb, self.ub).solve(
-                start._root if same else None)
-        return self._root
+        same = start is not None and np.array_equal(self.mat, start.lp.mat)
+        return _Simplex(self, self.cost, self.lb, self.ub).solve(start if same else None)
 
     def factor(self, head: np.ndarray) -> np.ndarray:
         n = len(self.names)
@@ -454,8 +439,8 @@ class _Simplex:
         infeasible one.  Phase two ends on the inverse its pivots updated
         when that inverse is still consistent (:meth:`consistent`), and
         otherwise inverts the basis afresh and runs again.  Returns this
-        state, solved, without its ``_Lp``: a kept root would otherwise make
-        a reference cycle with the ``_Lp`` that keeps it.
+        state, solved, with its ``_Lp``; only an :class:`EmbeddedSolver`
+        keeps a root past its solve, never the model.
         """
         try:
             self.status = self._phases(start)
@@ -463,7 +448,6 @@ class _Simplex:
             self.status = Status.NUMERICALLY_UNSTABLE
         if self.status is Status.OPTIMAL:
             self.objective = float(self.cost @ self.x)
-        del self.lp
         return self
 
     def _phases(self, start: _Simplex | None) -> Status:
@@ -667,14 +651,15 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     """Best-first branch and bound over the model's binary variables; a model
     without binaries is solved as its root relaxation.
 
-    The root starts from the slack basis unless it is already solved (an
-    :class:`EmbeddedSolver` solves it from its kept root).  Branching
-    picks the most fractional binary (ties: lowest variable index); nodes are
-    explored in proven-bound order, so the first incumbent that matches the
-    best outstanding bound is optimal.  Each child re-solves from its
-    parent's optimal basis, which a bound change leaves dual feasible, and
-    from the updated inverse that parent's LP ended on, so a node inverts
-    only when a residual check finds that inverse drifted.  A heap node is a
+    The root starts from the slack basis, and the solve leaves nothing on
+    the model; an :class:`EmbeddedSolver` starts the root from one it kept
+    itself.  Branching picks the most fractional binary (ties: lowest
+    variable index); nodes are explored in proven-bound order, so the first
+    incumbent that matches the best outstanding bound is optimal.  Each
+    child re-solves from its parent's optimal basis, which a bound change
+    leaves dual feasible, and from the updated inverse that parent's LP
+    ended on, so a node inverts only when a residual check finds that
+    inverse drifted.  A heap node is a
     solved LP state (:class:`_Simplex`).  A child the simplex cannot solve
     ends the search NUMERICALLY_UNSTABLE instead of being dropped as if
     pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED carrying the
@@ -685,8 +670,12 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     the same search under a zero objective decides; otherwise the model is
     INFEASIBLE.
     """
-    lp = _Lp.of(model)
-    root = lp.root()
+    lp = _Lp(model)
+    return _search(model, lp, lp.root(), node_budget)
+
+
+def _search(model: MilpModel, lp: _Lp, root: _Simplex, node_budget: int) -> Solution:
+    """The branch and bound of :func:`solve_milp` from its solved ``root``."""
     stats = SolveStats()
     stats.simplex_iterations += root.pivots
     stats.nodes += 1
@@ -755,17 +744,19 @@ def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
 
 class EmbeddedSolver:
     """Default engine: :func:`solve_milp` under a node budget, each root
-    started from the kept root of the last model of its matrix shape whose
-    root relaxation was optimal (see :meth:`_Lp.root`)."""
+    started from the last optimal root of its matrix shape this solver
+    solved (see :meth:`_Lp.root`).  The solver, not the model, keeps those
+    roots."""
 
     def __init__(self, node_budget: int = 200_000):
         if node_budget < 1:
             raise ValueError(f"node budget must be at least 1, got {node_budget}")
         self.node_budget = node_budget
-        self._roots: dict[tuple[int, int], _Lp] = {}
+        self._roots: dict[tuple[int, int], _Simplex] = {}
 
     def solve(self, model: MilpModel) -> Solution:
-        lp = _Lp.of(model)
-        if lp.root(self._roots.get(lp.mat.shape)).status is Status.OPTIMAL:
-            self._roots[lp.mat.shape] = lp
-        return solve_milp(model, self.node_budget)
+        lp = _Lp(model)
+        root = lp.root(self._roots.get(lp.mat.shape))
+        if root.status is Status.OPTIMAL:
+            self._roots[lp.mat.shape] = root
+        return _search(model, lp, root, self.node_budget)

@@ -163,9 +163,10 @@ class SideResult:
     reach: float | None = None  # under a cap: the tightest cap the answer fits
 
     def require_optimal(self, label: str) -> SideResult:
-        """This result, or ModelError naming `label` if it is not optimal."""
+        """This result, or ModelError naming `label` and carrying the status
+        if it is not optimal."""
         if self.status is not Status.OPTIMAL:
-            raise ModelError(f"{label} ended {self.status.value}")
+            raise ModelError(f"{label} ended {self.status.value}", self.status)
         return self
 
     @property
@@ -192,13 +193,18 @@ class SideResult:
 @dataclass
 class ScenarioResult:
     """A scenario solved both ways; the two-phase program is solved only
-    when the whole-network one ends optimal, and ``user`` is None otherwise."""
+    when the whole-network one ends optimal, and ``user`` is None otherwise.
+
+    A scenario whose caps could not be derived, because the base throughput
+    solve failed, has that solve's status as its ``system`` status, with no
+    phases, and its message as ``blocked_by``."""
 
     name: str
     objective: str
     instance: NetworkInstance
     system: SideResult
     user: SideResult | None
+    blocked_by: str | None = None
 
     @property
     def status(self) -> Status:
@@ -210,6 +216,8 @@ class ScenarioResult:
         """Which solve ended how, when one was not optimal."""
         if self.status is Status.OPTIMAL:
             return None
+        if self.blocked_by is not None:
+            return self.blocked_by
         mode = "whole-network" if self.user is None else "two-phase"
         return f"{mode} {self.objective} solve ended {self.status.value}"
 
@@ -351,7 +359,7 @@ def run_scenario(spec: ScenarioSpec | str, objective: str = "cost",
     did not end optimal."""
     result = solve_scenario(spec, objective, base, solver)
     if result.failure is not None:
-        raise ModelError(result.failure)
+        raise ModelError(result.failure, result.status)
     return result
 
 
@@ -360,19 +368,30 @@ def run_all(objective: str = "cost", base: NetworkInstance | None = None,
     """Run the built-in scenarios in ``SCENARIO_ORDER`` on one base instance.
 
     The base throughput that fraction caps refer to is solved at most once,
-    and each such scenario gets the caps it would derive from it.  A
-    scenario that does not solve keeps its status (see
-    :attr:`ScenarioResult.failure`), and the run goes on to the next.
+    and each such scenario gets the caps it would derive from it; when that
+    solve fails, each such scenario fails with it.  A scenario that does
+    not solve keeps its status (see :attr:`ScenarioResult.failure`), and
+    the run goes on to the next.
     """
     instance = base if base is not None else load_bundled_instance()
     solver = solver or EmbeddedSolver()
-    throughput = None
+    throughput: float | ModelError | None = None
     results = []
     for name in SCENARIO_ORDER:
         spec = _builtin(name)
         if spec.total_capacity_fraction is not None:
             if throughput is None:
-                _, throughput, _ = derive_throughput(instance, solver)
+                try:
+                    _, throughput, _ = derive_throughput(instance, solver)
+                except ModelError as exc:
+                    if exc.status is None:
+                        raise
+                    throughput = exc
+            if isinstance(throughput, ModelError):
+                results.append(ScenarioResult(name, objective, instance,
+                                              SideResult(throughput.status, []), None,
+                                              str(throughput)))
+                continue
             spec = _with_absolute_caps(spec, instance, throughput)
         results.append(solve_scenario(spec, objective, instance, solver))
     return results

@@ -6,7 +6,7 @@ from helpers import UnstableSolver, netgen_instance
 from rlnd import cli
 from rlnd.cli import main
 from rlnd.io import instance_to_dict, load_bundled_instance, save_instance
-from rlnd.scenarios import solve_user
+from rlnd.scenarios import SCENARIO_ORDER, solve_user
 
 
 def write_instance(tmp_path, mutate=None, name="case.json"):
@@ -91,14 +91,38 @@ def test_solve_user_dump_lp_holds_both_phases(tmp_path):
     assert "user-I:" in text and "user-II:" in text
 
 
-def test_infeasible_instance_exits_two(tmp_path, capsys):
-    def throttle(data):
-        data["processing"]["total_capacity"] = {
-            "prim1": 1.0, "prim2": 1.0, "prim3": 1.0}
+def _throttle(data):
+    """Cap every primary of the bundled network at 1 unit: no plan fits."""
+    data["processing"]["total_capacity"] = {"prim1": 1.0, "prim2": 1.0, "prim3": 1.0}
 
-    path = write_instance(tmp_path, throttle)
+
+def test_infeasible_instance_exits_two(tmp_path, capsys):
+    path = write_instance(tmp_path, _throttle)
     assert main(["solve", "--instance", str(path)]) == 2
     assert "infeasible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", ["system", "user"])
+def test_an_infeasible_anchor_exits_two(model, tmp_path, capsys):
+    path = write_instance(tmp_path, _throttle)
+    assert main(["pareto", "--model", model, "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: anchor solve ended infeasible\n"
+
+
+def test_an_infeasible_throughput_solve_exits_two(tmp_path, capsys):
+    """Alone, a capacity scenario stops at the throughput solve its caps
+    derive from; in a run of all five, both capacity scenarios report it
+    and the others still print their own line."""
+    path = write_instance(tmp_path, _throttle)
+    assert main(["scenario", "--name", "capacity-80", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: throughput solve ended infeasible\n"
+    assert main(["scenario", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = [line for line in captured.out.splitlines() if line]
+    assert lines == [f"scenario {name} (cost objective): " + (
+        "throughput solve" if name.startswith("capacity") else "whole-network cost solve")
+        + " ended infeasible" for name in SCENARIO_ORDER]
 
 
 def test_exhausted_node_budget_exits_three(capsys):
@@ -329,12 +353,18 @@ def _validate(tmp_path, mutate):
     return ["validate", "--instance", str(write_instance(tmp_path, mutate))]
 
 
-def _latitude_out_of_range(tmp_path):
+def _distances(tmp_path, *rows):
+    """``rlnd distances`` over a points file of these rows below a header,
+    with points b, c and d as the facilities."""
     points = tmp_path / "points.csv"
-    points.write_text("id,lat,lon\na,147.6,-120\nb,47,-121\nc,46,-122\nd,45,-120\n",
-                      encoding="utf-8")
+    points.write_text("\n".join(["id,lat,lon", *rows]) + "\n", encoding="utf-8")
     return ["distances", "--points", str(points),
             "--dropoffs", "b", "--primaries", "c", "--secondaries", "d"]
+
+
+def _second_point(row):
+    return lambda tmp_path: _distances(tmp_path, "a,47.6,-122.3", row, "c,47.5,-122.1",
+                                       "d,47.4,-122.0")
 
 
 def _spec_file(tmp_path, command, flag, content):
@@ -356,7 +386,10 @@ ERROR_CASES = {
         tmp_path, lambda d: _first_dropoff_entry(d).pop("capacity")),
     "trips-not-a-number": lambda tmp_path: _validate(
         tmp_path, lambda d: d["supply"].update(trips_per_year="many")),
-    "latitude-out-of-range": _latitude_out_of_range,
+    "latitude-out-of-range": lambda tmp_path: _distances(
+        tmp_path, "a,147.6,-120", "b,47,-121", "c,46,-122", "d,45,-120"),
+    "points-row-too-short": _second_point("b,47.7"),
+    "points-row-not-a-number": _second_point("b,47.7,abc"),
     "instance-is-a-directory": lambda tmp_path: ["validate", "--instance", str(tmp_path)],
     "scenario-spec-without-name": lambda tmp_path: _spec_file(
         tmp_path, "scenario", "--spec", {"trip_factor": 0.5}),
@@ -389,6 +422,15 @@ def test_missing_and_mistyped_instance_keys_are_named(tmp_path, capsys):
     assert "processing.primary.prim1.prod1.capacity" in capsys.readouterr().err
     assert main(_validate(tmp_path, lambda d: d["arcs"].pop("pri_sec"))) == 1
     assert "missing key 'arcs.pri_sec'" in capsys.readouterr().err
+
+
+def test_a_bad_points_row_names_its_file_and_line(tmp_path, capsys):
+    for case, problem in (("points-row-too-short", "2 field(s) where id, lat, lon"),
+                          ("points-row-not-a-number", "'abc'")):
+        argv = ERROR_CASES[case](tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[2]}, line 3: ") and problem in err, case
 
 
 def test_spec_file_errors_name_the_key(tmp_path, capsys):

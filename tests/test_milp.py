@@ -191,7 +191,7 @@ def test_unbounded_relaxation_needs_a_feasible_assignment(coeff, status):
     z = m.add_variable("z", binary=True)
     m.add_row(LinExpr({z: coeff}), "==", 1.0, TAG)
     m.set_objective(LinExpr({"x": -1.0}))
-    assert _Lp.of(m).root().status is Status.UNBOUNDED
+    assert _Lp(m).root().status is Status.UNBOUNDED
     assert solve_milp(m).status is status
 
 
@@ -365,7 +365,7 @@ def test_warm_started_bounds_match_a_cold_solve():
     as a branch-and-bound child is, match the root of a model with those
     bounds built in, which starts from the slack basis."""
     model = _network_model()
-    lp = _Lp.of(model)
+    lp = _Lp(model)
     root = lp.root()
     col = {name: j for j, name in enumerate(lp.names)}
     binaries = model.binary_names
@@ -382,7 +382,7 @@ def test_warm_started_bounds_match_a_cold_solve():
             j = col[name]
             lb[j], ub[j] = lo / lp.scale[j], hi / lp.scale[j]
         warm = _Simplex(lp, lp.cost, lb, ub).solve(root)
-        cold = _Lp.of(with_bounds(model, bounds)).root()
+        cold = _Lp(with_bounds(model, bounds)).root()
         statuses.add(warm.status)
         assert warm.status is cold.status, trial
         if warm.status is Status.OPTIMAL:
@@ -443,7 +443,7 @@ def test_pivot_paths_are_pinned(network, bundled):
 def test_solving_children_leaves_the_parent_untouched():
     """Both children of the root start from its factorization, which they
     share with it and with each other: their pivots must not write to it."""
-    lp = _Lp.of(_network_model())
+    lp = _Lp(_network_model())
     root = lp.root()
     k = lp.most_fractional(root.x)
     assert k >= 0
@@ -531,7 +531,7 @@ def _root_and_drifted():
     carried inverse has each row scaled by up to 1e-6: off enough to fail
     every residual check, while every entry the ratio test reads as zero
     stays zero."""
-    lp = _Lp.of(_network_model())
+    lp = _Lp(_network_model())
     root = lp.root()
     assert root.status is Status.OPTIMAL and root.updates > 0
     noise = np.random.default_rng(0).uniform(-1e-6, 1e-6, (root.binv.shape[0], 1))
@@ -603,7 +603,7 @@ def test_a_start_with_another_matrix_is_ignored(change):
     solver = EmbeddedSolver()
     assert solver.solve(start).status is Status.OPTIMAL
     model = _rebuilt(start, **change)
-    assert not np.array_equal(_Lp.of(model).mat, _Lp.of(start).mat)
+    assert not np.array_equal(_Lp(model).mat, _Lp(start).mat)
     warm = solver.solve(model)
     assert warm.status is Status.OPTIMAL
     assert warm.stats == cold.stats
@@ -619,7 +619,7 @@ def test_a_start_with_the_same_matrix_lends_its_root(objective, monkeypatch):
     cold = solve_milp(_network_model(objective=objective))
     solver = EmbeddedSolver()
     assert solver.solve(start).status is Status.OPTIMAL
-    root = _Lp.of(start).root()
+    (root,) = solver._roots.values()
     starts, inverted = [], []
     solve, factor = _Simplex.solve, _Lp.factor
     monkeypatch.setattr(_Simplex, "solve",
@@ -627,7 +627,7 @@ def test_a_start_with_the_same_matrix_lends_its_root(objective, monkeypatch):
     monkeypatch.setattr(_Lp, "factor", lambda lp, head: inverted.append(
         (len(starts), head.copy())) or factor(lp, head))
     model = _network_model(objective=objective)
-    assert np.array_equal(_Lp.of(model).mat, _Lp.of(start).mat)
+    assert np.array_equal(_Lp(model).mat, root.lp.mat)
     warm = solver.solve(model)
     assert starts[0] is root
     at_root = [head for lp_count, head in inverted if lp_count == 1]
@@ -649,22 +649,27 @@ def test_a_later_optimal_root_of_the_same_shape_replaces_the_kept_one():
     solver = EmbeddedSolver()
     first = _network_model()
     assert solver.solve(first).status is Status.OPTIMAL
-    held = weakref.ref(_Lp.of(first))
+    (kept,) = solver._roots.values()
+    held = weakref.ref(kept)
     other_shape = _rebuilt(first, extra_row=True)
-    del first
+    del first, kept
     assert solver.solve(other_shape).status is Status.OPTIMAL
     gc.collect()
-    assert held() is not None
+    assert held() is not None and len(solver._roots) == 2
     assert solver.solve(_network_model(objective="emission")).status is Status.OPTIMAL
     gc.collect()
-    assert held() is None
+    assert held() is None and len(solver._roots) == 2
 
 
-def test_a_solved_model_is_freed_without_the_cycle_collector():
-    """A solved LP state lets go of its ``_Lp``: the ``_Lp`` keeps its root,
-    so a root that kept the ``_Lp`` would form a cycle that only the cyclic
-    collector frees, and a model, its matrix and every kept factorization
-    would outlive the last reference to them."""
+def test_a_solved_model_is_freed_without_the_cycle_collector(monkeypatch):
+    """A kept root holds its ``_Lp`` and nothing holds either of them but the
+    solver: with a reference cycle among them only the cyclic collector
+    would free a model's matrix and every kept factorization, which would
+    then outlive the last reference to them."""
+    held = []
+    root = _Lp.root
+    monkeypatch.setattr(_Lp, "root", lambda lp, start=None: held.append(weakref.ref(lp))
+                        or root(lp, start))
     gc.collect()
     gc.disable()
     try:
@@ -673,12 +678,26 @@ def test_a_solved_model_is_freed_without_the_cycle_collector():
         solver = EmbeddedSolver()
         kept = _network_model(objective="emission")
         assert solver.solve(kept).status is Status.OPTIMAL
-        held = [weakref.ref(_Lp.of(alone)), weakref.ref(_Lp.of(kept))]
+        held += map(weakref.ref, [alone, kept, *solver._roots.values()])
+        assert len(held) == 5
         del solver
         del alone, kept
-        assert [ref() for ref in held] == [None, None]
+        assert [ref() for ref in held] == [None] * 5
     finally:
         gc.enable()
+
+
+def test_a_solve_leaves_the_model_as_plain_data():
+    """The solver, not the model, keeps what a solve learned: a solved model
+    equals its unsolved self, and two fresh solvers answer it identically."""
+    model = _network_model()
+    unsolved = copy.deepcopy(vars(model))
+    first = EmbeddedSolver().solve(model)
+    assert vars(model) == unsolved
+    second = EmbeddedSolver().solve(model)
+    assert first.status is second.status is Status.OPTIMAL
+    assert (first.values, first.objective, first.stats) == (second.values, second.objective,
+                                                             second.stats)
 
 
 def test_a_start_without_an_optimal_root_is_ignored():
@@ -690,9 +709,9 @@ def test_a_start_without_an_optimal_root_is_ignored():
     cold = solve_milp(_network_model())
     after_closed = EmbeddedSolver()
     assert after_closed.solve(closed).status is Status.INFEASIBLE
-    assert _Lp.of(closed).root().status is Status.INFEASIBLE
+    assert _Lp(closed).root().status is Status.INFEASIBLE
     assert not after_closed._roots
     for solver in (EmbeddedSolver(), after_closed):
         model = _network_model()
-        assert np.array_equal(_Lp.of(model).mat, _Lp.of(closed).mat)
+        assert np.array_equal(_Lp(model).mat, _Lp(closed).mat)
         assert solver.solve(model).stats == cold.stats

@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import RecordingSolver, UnstableSolver, netgen_instance
+from rlnd import scenarios
 from rlnd.domain import with_total_capacity
 from rlnd.milp import EmbeddedSolver, ModelError, RowTag, Status
 from rlnd.scenarios import (SCENARIO_ORDER, EmissionCap, builtin_scenarios,
@@ -295,8 +296,30 @@ def test_emission_cap_ends_each_phase_model(bundled):
 def test_run_scenario_raises_on_infeasible_instance(bundled):
     throttled = with_total_capacity(bundled, {p: 1.0 for p in bundled.primaries})
     assert solve_system(throttled, "cost").status is Status.INFEASIBLE
-    with pytest.raises(ModelError, match="infeasible"):
-        run_scenario("baseline", "cost", throttled)
+    for name, solve in (("baseline", "whole-network cost solve"),
+                        ("capacity-80", "throughput solve")):
+        with pytest.raises(ModelError, match=f"^{solve} ended infeasible$") as excinfo:
+            run_scenario(name, "cost", throttled)
+        assert excinfo.value.status is Status.INFEASIBLE
+
+
+def test_run_all_solves_a_failing_throughput_once(bundled, monkeypatch):
+    """Both capacity scenarios fail with the throughput solve they derive
+    their caps from, which is tried once, and the run goes on."""
+    throttled = with_total_capacity(bundled, {p: 1.0 for p in bundled.primaries})
+    calls = []
+    derive = scenarios.derive_throughput
+    monkeypatch.setattr(scenarios, "derive_throughput",
+                        lambda *args: calls.append(1) or derive(*args))
+    results = run_all("emission", throttled)
+    assert len(calls) == 1
+    assert [r.name for r in results] == list(SCENARIO_ORDER)
+    assert all(r.status is Status.INFEASIBLE and r.user is None for r in results)
+    for result in results:
+        solve = ("throughput solve" if result.name.startswith("capacity")
+                 else "whole-network emission solve")
+        assert result.failure == f"{solve} ended infeasible"
+    assert comparison_rows(results) == []
 
 
 def test_run_all_records_a_failed_scenario_and_runs_the_rest():
