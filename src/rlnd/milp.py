@@ -14,6 +14,16 @@ factorization, which a bound change leaves dual feasible, so a child takes
 a handful of pivots.  The inverse is computed afresh only when a residual
 check finds it has drifted: at an LP's end, and before a row proves an LP
 infeasible.  The slack basis's inverse is written down, not computed.
+A root that leaves a binary fractional is strengthened before the search
+branches: each gate row ``sum a_j x_j - b y <= 0`` on a binary y implies
+``x_j <= u_j y`` for a column bounded by ``u_j`` with ``a_j u_j < b``, which
+its relaxation does not (Savelsbergh 1994; Achterberg 2007).  A few rounds
+append only the violated ones to the solved root: the new rows' logicals
+enter the basis, the inverse is bordered, and the dual simplex carries on,
+dual feasible.  The tree runs on that cut LP; the cuts live in the engine
+only, never in the model.  A cut tree's plan is read on the model's own
+rows: every binary fixed at the incumbent's value, that LP is solved again
+from the uncut root, and its values are reported and checked.
 A model is plain data: it holds no engine state.  An
 :class:`EmbeddedSolver` keeps, for each matrix shape, the last optimal root
 relaxation it solved, and starts the next root of that shape from it: when
@@ -42,6 +52,7 @@ engine (see :class:`Solver` and :mod:`rlnd.external`).
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -312,6 +323,7 @@ _DUAL_TOL = 1e-7       # reduced-cost sign tolerance on the scaled model
 _PIVOT_TOL = 1e-9      # smallest pivot-row entry the ratio test accepts
 _ROUNDS = 5            # phase-two runs, each checked after a refactorization
 _RESIDUAL_TOL = 1e-9   # relative drift a carried inverse may show and be kept
+_CUT_ROUNDS = 3        # separation rounds at the root
 
 
 def _power_of_two(magnitude: np.ndarray) -> np.ndarray:
@@ -359,6 +371,71 @@ class _Lp:
         same = start is not None and np.array_equal(self.mat, start.lp.mat)
         return _Simplex(self, self.cost, self.lb, self.ub).solve(start if same else None)
 
+    def implied_bound_cuts(self, x: np.ndarray) -> tuple[np.ndarray, ...] | None:
+        """The implied bounds ``x_j <= u_j y`` of the model's gate rows that
+        the values ``x`` violate, as cut rows for :meth:`with_cuts`: the
+        columns of x and of y, the scaled bound ``x[j] <= ratio x[y]`` and
+        the power of two each cut row is scaled by; None when none is
+        violated.
+
+        A gate row is ``sum a_j x_j - b y <= 0`` with exactly one negative
+        coefficient, on a binary y, and every other column at least 0, so
+        y = 0 closes each x_j.  A column x_j with lower bound 0 and a finite
+        upper bound u_j gives a cut when ``a_j u_j < b``, where the row alone
+        does not imply it.  At y = 0 the row keeps the cut and at y = 1 the
+        bound does, so only the rows of a fractional y are searched.  The
+        tests run on the scaled matrix, where every entry and bound is its
+        original times a power of two, so they decide as on the original
+        rows, and a cut row is scaled as a model row is.
+        """
+        n = len(self.names)
+        a, lb, ub = self.mat[:, :n], self.lb[:n], self.ub[:n]
+        fractional = self.binaries[self.fractionality(x) > INTEGRALITY_TOL]
+        if not fractional.size:
+            return None
+        rows = np.flatnonzero((a[:, fractional] < 0.0).any(axis=1) & (self.ub[n:] == 0.0)
+                              & (self.lb[n:] == -math.inf))
+        block = a[rows]
+        negative = block < 0.0
+        gate = (negative.sum(axis=1) == 1) & ~((block > 0.0) & (lb < 0.0)).any(axis=1)
+        y = negative.argmax(axis=1)
+        b = -block[np.arange(rows.size), y] * ub[y]  # b in the units of a_j u_j
+        cols = np.flatnonzero((lb == 0.0) & np.isfinite(ub))
+        aj = block[:, cols]
+        r, c = np.nonzero(gate[:, None] & (aj > 0.0) & (aj * ub[cols] < b[:, None]))
+        if not r.size:
+            return None
+        j, y = cols[c], y[r]
+        ratio = ub[j] * self.scale[y]  # x_j <= u_j y is x[j] <= ratio x[y]
+        scale = _power_of_two(np.maximum(1.0, ratio))
+        violated = scale * x[j] - ratio * scale * x[y] > FEASIBILITY_TOL
+        if not violated.any():
+            return None
+        j, y, ratio, scale = j[violated], y[violated], ratio[violated], scale[violated]
+        first = np.sort(np.unique(j * n + y, return_index=True)[1])  # one cut per pair
+        return j[first], y[first], ratio[first], scale[first]
+
+    def with_cuts(self, x: np.ndarray, y: np.ndarray, ratio: np.ndarray,
+                  scale: np.ndarray) -> _Lp:
+        """This LP with the rows ``scale x[x] - ratio scale x[y] <= 0``
+        appended, each with its logical column, whose value in original
+        units is ``x_j - u_j y``; the new rows' logicals follow the old
+        ones."""
+        k = x.size
+        m, width = self.mat.shape
+        out = copy.copy(self)
+        out.mat = np.zeros((m + k, width + k))
+        out.mat[:m, :width] = self.mat
+        rows = np.arange(m, m + k)
+        out.mat[rows, x] = scale
+        out.mat[rows, y] = -ratio * scale
+        out.mat[rows, width + np.arange(k)] = -1.0
+        out.scale = np.concatenate([self.scale, self.scale[x] / scale])  # x_j - u_j y
+        out.lb = np.concatenate([self.lb, np.full(k, -math.inf)])
+        out.ub = np.concatenate([self.ub, np.zeros(k)])
+        out.cost = np.concatenate([self.cost, np.zeros(k)])
+        return out
+
     def factor(self, head: np.ndarray) -> np.ndarray:
         n = len(self.names)
         if head.min(initial=n) >= n:  # logical columns only: B = -P, so B^-1 = -P^T
@@ -375,11 +452,15 @@ class _Lp:
         lb[j] = ub[j] = value / self.scale[j]
         return lb, ub
 
+    def fractionality(self, x: np.ndarray) -> np.ndarray:
+        """Each binary's distance from its nearest integer."""
+        values = x[self.binaries] * self.binary_scale
+        return np.abs(values - np.round(values))
+
     def most_fractional(self, x: np.ndarray) -> int:
         """Position in ``binaries`` of the most fractional binary (ties: the
         lowest), or -1 when every binary is integral."""
-        values = x[self.binaries] * self.binary_scale
-        frac = np.abs(values - np.round(values))
+        frac = self.fractionality(x)
         if not frac.size:
             return -1
         k = int(frac.argmax())
@@ -485,6 +566,27 @@ class _Simplex:
                 return status
             self.factor()  # the next round's placement resets the primal values
         return Status.NUMERICALLY_UNSTABLE
+
+    def appended(self, lp: _Lp) -> _Simplex:
+        """This optimal state as a start for ``lp``, which is this state's LP
+        with rows appended (:meth:`_Lp.with_cuts`).  The new rows' logicals
+        enter the basis and the inverse is bordered,
+        ``[[B^-1, 0], [C_B B^-1, -I]]``, with ``C_B`` the new rows on the old
+        basic columns.  The duals of the new rows are zero, so no reduced
+        cost changes and the start is dual feasible: a violated row is a
+        primal infeasibility the dual simplex goes on to repair."""
+        m, k = self.head.size, lp.mat.shape[0] - self.head.size
+        start = _Simplex(lp, lp.cost, lp.lb, lp.ub)
+        start.head = np.concatenate([self.head, lp.mat.shape[1] - k + np.arange(k)])
+        start.upper = np.concatenate([self.upper, np.zeros(k, dtype=bool)])
+        start.binv = np.zeros((m + k, m + k))
+        start.binv[:m, :m] = self.binv
+        start.binv[m:, :m] = lp.mat[m:, self.head] @ self.binv
+        start.binv[m:, m:] = -np.eye(k)
+        start.d = np.concatenate([self.d, np.zeros(k)])
+        start.weights = np.einsum("ij,ij->i", start.binv, start.binv)
+        start.updates = self.updates
+        return start
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         self.lb, self.ub = lb, ub
@@ -662,10 +764,13 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     inverse drifted.  A heap node is a
     solved LP state (:class:`_Simplex`).  A child the simplex cannot solve
     ends the search NUMERICALLY_UNSTABLE instead of being dropped as if
-    pruned.  Exceeding ``node_budget`` returns BUDGET_EXCEEDED carrying the
-    incumbent and the remaining gap.  The reported values come from one
-    fresh inversion of the incumbent's basis (:meth:`_Lp.values`), binaries
-    rounded to exactly 0 or 1.  An unbounded relaxation makes a model with
+    pruned.  The root is first cut (:func:`_cut`) and the tree runs on the
+    cut LP.  An integral child becomes the incumbent when it is solved, so
+    exceeding ``node_budget`` returns BUDGET_EXCEEDED carrying the incumbent
+    found so far, if any, and the remaining gap.  The reported values come
+    from one fresh inversion of the incumbent's basis on the model's own LP
+    (:func:`_incumbent_solution`, :meth:`_Lp.values`), binaries rounded to
+    exactly 0 or 1.  An unbounded relaxation makes a model with
     binaries UNBOUNDED only when some binary assignment is feasible, which
     the same search under a zero objective decides; otherwise the model is
     INFEASIBLE.
@@ -687,55 +792,92 @@ def _search(model: MilpModel, lp: _Lp, root: _Simplex, node_budget: int) -> Solu
     if root.status is not Status.OPTIMAL:
         return Solution(root.status, None, {}, stats)
 
+    top = root if feasibility else _cut(lp, root, stats)
+    tree, cost = top.lp, top.cost
     incumbent: _Simplex | None = None
     incumbent_obj = math.inf
     counter = 0
-    heap = [(root.objective, counter, root)]
-    best_bound = root.objective
+    heap = [(top.objective, counter, tree.most_fractional(top.x), top)]
+    best_bound = top.objective
 
     while heap:
-        bound, _, node = heapq.heappop(heap)
+        bound, _, branch, node = heapq.heappop(heap)
         best_bound = bound
         if bound >= incumbent_obj - 1e-9:
             best_bound = min(bound, incumbent_obj)
             break  # best-first: nothing left can improve
-
-        branch = lp.most_fractional(node.x)
-        if branch < 0:
-            if bound < incumbent_obj - 1e-9:
-                incumbent_obj = bound
-                incumbent = node
-                stats.incumbent_history.append(bound)
+        if branch < 0:  # an integral root; an integral child is never pushed
+            incumbent_obj, incumbent = bound, node
+            stats.incumbent_history.append(bound)
             continue
 
         for value in (0, 1):
             if stats.nodes >= node_budget:
-                return _incumbent_solution(model, lp, Status.BUDGET_EXCEEDED, incumbent,
+                return _incumbent_solution(model, lp, root, Status.BUDGET_EXCEEDED, incumbent,
                                            stats, -math.inf if feasibility else best_bound)
-            child = _Simplex(lp, cost, *lp.branch(node, branch, value)).solve(node)
+            child = _Simplex(tree, cost, *tree.branch(node, branch, value)).solve(node)
             stats.simplex_iterations += child.pivots
             stats.nodes += 1
             if child.status in (Status.UNBOUNDED, Status.NUMERICALLY_UNSTABLE):
                 return Solution(child.status, None, {}, stats)
-            if child.status is Status.OPTIMAL and child.objective < incumbent_obj - 1e-9:
+            if child.status is not Status.OPTIMAL or child.objective >= incumbent_obj - 1e-9:
+                continue
+            k = tree.most_fractional(child.x)
+            if k < 0:  # the incumbent as soon as it is solved
+                incumbent_obj, incumbent = child.objective, child
+                stats.incumbent_history.append(child.objective)
+            else:
                 counter += 1
-                heapq.heappush(heap, (child.objective, counter, child))
+                heapq.heappush(heap, (child.objective, counter, k, child))
 
     if incumbent is None:
         return Solution(Status.INFEASIBLE, None, {}, stats)
     if feasibility:
         return Solution(Status.UNBOUNDED, None, {}, stats)
     # normal termination proves optimality, so the bound closes to the incumbent
-    sol = _incumbent_solution(model, lp, Status.OPTIMAL, incumbent, stats, None)
+    sol = _incumbent_solution(model, lp, root, Status.OPTIMAL, incumbent, stats, None)
     _verify(model, sol)
     return sol
 
 
-def _incumbent_solution(model: MilpModel, lp: _Lp, status: Status,
+def _cut(lp: _Lp, root: _Simplex, stats: SolveStats) -> _Simplex:
+    """The root with the implied-bound cuts it violates
+    (:meth:`_Lp.implied_bound_cuts`) appended and solved, in up to
+    ``_CUT_ROUNDS`` rounds while a binary stays fractional.  Each round
+    appends only the violated cuts (:meth:`_Simplex.appended`) and goes on
+    with the dual simplex from there.  A round that does not end optimal is
+    dropped with its cuts.  Returns the root itself when it is integral or
+    violates no cut."""
+    node = root
+    for _ in range(_CUT_ROUNDS):
+        rows = lp.implied_bound_cuts(node.x)
+        if rows is None:
+            break
+        cuts = node.lp.with_cuts(*rows)
+        cut = _Simplex(cuts, cuts.cost, cuts.lb, cuts.ub).solve(node.appended(cuts))
+        stats.simplex_iterations += cut.pivots
+        if cut.status is not Status.OPTIMAL:
+            break
+        node = cut
+    return node
+
+
+def _incumbent_solution(model: MilpModel, lp: _Lp, root: _Simplex, status: Status,
                         incumbent: _Simplex | None, stats: SolveStats,
                         bound: float | None) -> Solution:
+    """The incumbent's plan, read on the model's own LP: an incumbent of a
+    cut LP is solved again with every binary fixed at its value, from the
+    uncut ``root``, and the values come from that state."""
     if incumbent is None:
         return Solution(status, None, {}, stats, bound=float(bound))
+    if incumbent.lp is not lp:
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        lb[lp.binaries] = ub[lp.binaries] = (
+            np.round(incumbent.x[lp.binaries] * lp.binary_scale) / lp.binary_scale)
+        incumbent = _Simplex(lp, lp.cost, lb, ub).solve(root)
+        stats.simplex_iterations += incumbent.pivots
+        if incumbent.status is not Status.OPTIMAL:
+            return Solution(Status.NUMERICALLY_UNSTABLE, None, {}, stats)
     values = lp.values(incumbent)
     objective = model.objective.evaluate(values)
     return Solution(status, objective, values, stats,
@@ -746,7 +888,7 @@ class EmbeddedSolver:
     """Default engine: :func:`solve_milp` under a node budget, each root
     started from the last optimal root of its matrix shape this solver
     solved (see :meth:`_Lp.root`).  The solver, not the model, keeps those
-    roots."""
+    roots, without the cuts a search appended to them."""
 
     def __init__(self, node_budget: int = 200_000):
         if node_budget < 1:

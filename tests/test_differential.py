@@ -2,14 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ExactHighs, netgen_instance, random_network_instance
 from rlnd.builders import build_system_model, build_user_model_i
-from rlnd.milp import Status, solve_milp
+from rlnd.milp import SolveStats, Status, _cut, _Lp, solve_milp
 from rlnd.multiobjective import (THETA_DEFAULT, SystemEpsilonFamily, UserEpsilonFamily,
                                  epsilon_sweep)
+from rlnd.robust import capacity_preset, robustify_artifacts
 
 HIGHS = ExactHighs()
 
@@ -53,6 +55,45 @@ def test_embedded_matches_highs_on_moderate_networks(areas, dropoffs, primaries,
 def test_embedded_matches_highs_on_drawn_networks(seed):
     """Small networks of every shape the generator draws, feasible or not."""
     _assert_engines_agree(random_network_instance(random.Random(seed)))
+
+
+def _cut_models(instance):
+    """System, user-I and capacity-preset robust (gamma 1) models, both
+    objectives."""
+    for objective in ("cost", "emission"):
+        system = build_system_model(instance, objective)
+        yield f"system {objective}", system.model
+        yield f"user-I {objective}", build_user_model_i(instance, objective).model
+        yield f"robust {objective}", robustify_artifacts(
+            system, capacity_preset(system, gamma=1.0)).model
+
+
+@pytest.mark.parametrize("size, seeds", [((5, 4, 3), range(12)), ((10, 6, 4), range(4)),
+                                         ((20, 8, 5), range(3))],
+                         ids=["5x4x3", "10x6x4", "20x8x5"])
+def test_root_cuts_keep_the_optimum(size, seeds):
+    """The embedded engine, cutting at its root, against zero-gap HiGHS:
+    the same status and objective, and HiGHS's optimum satisfies every
+    implied-bound cut the root appended, in original units."""
+    appended = 0
+    for seed in seeds:
+        for label, model in _cut_models(netgen_instance(*size, seed)):
+            label = f"{size} seed {seed} {label}"
+            ours, ref = solve_milp(model), HIGHS.solve(model)
+            assert ours.status is ref.status, label
+            if ref.status is not Status.OPTIMAL:
+                continue
+            assert ours.objective == pytest.approx(ref.objective, rel=1e-9), label
+            lp = _Lp(model)
+            top = _cut(lp, lp.root(), SolveStats())
+            m, n = lp.mat.shape[0], len(lp.names)
+            if top.lp is lp:
+                continue
+            x = np.array([ref.values[name] for name in lp.names]) / lp.scale[:n]
+            cuts = top.lp.mat[m:, :n] @ x * top.lp.scale[n + m:]  # x_j - u_j y
+            appended += cuts.size
+            assert cuts.max() <= 1e-6, label
+    assert appended
 
 
 MODERATE_NODE_BUDGET = 16  # full trees of these draws take 7 to 33 nodes

@@ -12,7 +12,8 @@ from helpers import (ExactHighs, netgen_instance, pattern_enumeration_optimum,
 from rlnd import load_bundled_instance
 from rlnd.builders import build_system_model, build_user_model_i
 from rlnd.milp import (FEASIBILITY_TOL, EmbeddedSolver, LinExpr, MilpModel, ModelError,
-                       RowTag, Solution, Status, _Lp, _Simplex, _verify, solve_milp)
+                       RowTag, Solution, SolveStats, Status, _cut, _Lp, _Simplex, _verify,
+                       solve_milp)
 from rlnd.robust import capacity_preset, robustify_artifacts
 
 TAG = RowTag("row")
@@ -219,6 +220,23 @@ def test_budget_exhaustion_reports_bound():
     assert sol.bound <= full.objective + 1e-9
 
 
+def test_an_exhausted_budget_keeps_the_incumbent_it_found():
+    """An integral child becomes the incumbent when it is solved, so a node
+    budget that stops the search still returns a plan: read on the model's
+    own rows, feasible, and bracketing zero-gap HiGHS's optimum with the
+    bound."""
+    model = build_system_model(random_network_instance(random.Random(7), 10, 6, 4),
+                               "cost").model
+    sol = solve_milp(model, node_budget=12)
+    assert sol.status is Status.BUDGET_EXCEEDED
+    assert sol.objective is not None
+    assert sol.objective == model.objective.evaluate(sol.values)
+    assert _doctored(model, sol.values) is Status.OPTIMAL
+    exact = ExactHighs().solve(model).objective
+    assert sol.bound <= exact <= sol.objective + 1e-9 * abs(exact)
+    assert sol.stats.incumbent_history[-1] <= sol.objective * (1.0 + 1e-9)
+
+
 def test_determinism():
     rng = random.Random(7)
     m = _model()
@@ -390,6 +408,15 @@ def test_warm_started_bounds_match_a_cold_solve():
     assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
 
 
+def _without_share_bounds(model):
+    """``model`` with its continuous columns bounded by 1 (the RTD shares)
+    unbounded above.  Each trip balance row keeps them at most 1, so the LP
+    is the same, but no implied-bound cut applies and the root keeps the
+    tree the cuts would prune."""
+    return with_bounds(model, {name: (var.lb, math.inf) for name, var in model.variables.items()
+                               if var.ub == 1.0 and not var.binary})
+
+
 def test_children_restart_from_their_parents_basis():
     """A deterministic guard on pivot counts: a child re-solved from scratch
     costs 15 to 35 pivots on these models, one restarted from its parent's
@@ -397,33 +424,35 @@ def test_children_restart_from_their_parents_basis():
     bundled = solve_milp(build_system_model(load_bundled_instance(), "cost").model)
     assert bundled.status is Status.OPTIMAL
     assert bundled.stats.simplex_iterations <= 40
-    sol = solve_milp(_network_model(seed=6))
+    sol = solve_milp(_without_share_bounds(_network_model(seed=6)))
+    assert sol.status is Status.OPTIMAL
     assert sol.stats.nodes >= 20
     assert sol.stats.simplex_iterations / sol.stats.nodes <= 8.0
 
 
-# (status, nodes, pivots) of a fresh solve of each model
+# (status, nodes, pivots) of a fresh solve of each model; the pivots count
+# the root's cut rounds and the read-out of a cut tree's incumbent
 PIVOT_PATHS = {
     ("bundled", "system", "cost"): ("optimal", 3, 22),
     ("bundled", "system", "emission"): ("optimal", 3, 22),
-    ("bundled", "user-I", "cost"): ("optimal", 5, 13),
-    ("bundled", "user-I", "emission"): ("optimal", 5, 13),
-    (0, "system", "cost"): ("optimal", 19, 103),
-    (0, "system", "emission"): ("optimal", 9, 67),
-    (0, "user-I", "cost"): ("optimal", 5, 25),
-    (0, "user-I", "emission"): ("optimal", 5, 24),
-    (1, "system", "cost"): ("optimal", 13, 83),
-    (1, "system", "emission"): ("optimal", 13, 82),
-    (1, "user-I", "cost"): ("optimal", 5, 32),
-    (1, "user-I", "emission"): ("optimal", 5, 27),
-    (2, "system", "cost"): ("optimal", 9, 66),
-    (2, "system", "emission"): ("optimal", 7, 60),
-    (2, "user-I", "cost"): ("optimal", 7, 32),
-    (2, "user-I", "emission"): ("optimal", 7, 32),
-    (3, "system", "cost"): ("optimal", 9, 79),
-    (3, "system", "emission"): ("optimal", 9, 68),
-    (3, "user-I", "cost"): ("optimal", 7, 34),
-    (3, "user-I", "emission"): ("optimal", 7, 35),
+    ("bundled", "user-I", "cost"): ("optimal", 1, 10),
+    ("bundled", "user-I", "emission"): ("optimal", 1, 10),
+    (0, "system", "cost"): ("optimal", 9, 81),
+    (0, "system", "emission"): ("optimal", 7, 61),
+    (0, "user-I", "cost"): ("optimal", 1, 19),
+    (0, "user-I", "emission"): ("optimal", 1, 19),
+    (1, "system", "cost"): ("optimal", 7, 72),
+    (1, "system", "emission"): ("optimal", 9, 73),
+    (1, "user-I", "cost"): ("optimal", 1, 23),
+    (1, "user-I", "emission"): ("optimal", 1, 20),
+    (2, "system", "cost"): ("optimal", 7, 63),
+    (2, "system", "emission"): ("optimal", 5, 54),
+    (2, "user-I", "cost"): ("optimal", 1, 21),
+    (2, "user-I", "emission"): ("optimal", 1, 21),
+    (3, "system", "cost"): ("optimal", 5, 63),
+    (3, "system", "emission"): ("optimal", 9, 73),
+    (3, "user-I", "cost"): ("optimal", 1, 21),
+    (3, "user-I", "emission"): ("optimal", 1, 21),
 }
 
 
@@ -715,3 +744,70 @@ def test_a_start_without_an_optimal_root_is_ignored():
         model = _network_model()
         assert np.array_equal(_Lp(model).mat, _Lp(closed).mat)
         assert solver.solve(model).stats == cold.stats
+
+
+def _violated_cuts(seed=6):
+    """A generated network's root relaxation and its violated implied-bound
+    cuts, appended to its LP."""
+    lp = _Lp(_network_model(seed))
+    root = lp.root()
+    assert lp.most_fractional(root.x) >= 0
+    return lp, root, lp.with_cuts(*lp.implied_bound_cuts(root.x))
+
+
+def test_the_violated_implied_bounds_are_share_gates():
+    """Each cut is an RTD share against its own dropoff's X, fractional at
+    the root, one cut row per pair: ``RTD - X <= 0`` scaled by powers of
+    two, which the root's values violate."""
+    lp, root, _ = _violated_cuts()
+    x, y, ratio, scale = lp.implied_bound_cuts(root.x)
+    assert x.size and np.unique(x * len(lp.names) + y).size == x.size
+    for j, k in zip(x, y):
+        share, opens = lp.names[j], lp.names[k]
+        assert share.startswith("RTD[") and opens == f"X[{share[:-1].rsplit(',', 1)[1]}]"
+        assert 0.0 < root.x[k] * lp.scale[k] < 1.0
+    assert np.array_equal(ratio * lp.scale[x], lp.scale[y])  # RTD <= 1 * X
+    original = root.x[x] * lp.scale[x] - root.x[y] * lp.scale[y]
+    cut = scale * root.x[x] - ratio * scale * root.x[y]
+    assert np.allclose(cut, original * scale / lp.scale[x], rtol=1e-12, atol=0.0)
+    assert (cut > FEASIBILITY_TOL).all()
+
+
+def test_appending_cuts_borders_the_inverse():
+    """The cut rows' logicals enter the basis and the bordered inverse is
+    the basis's inverse; the reduced costs are the root's, so the start is
+    dual feasible, and the dual simplex goes on from it to an optimum that
+    satisfies every cut."""
+    lp, root, cuts = _violated_cuts()
+    start = root.appended(cuts)
+    m, k = root.head.size, cuts.mat.shape[0] - root.head.size
+    width = cuts.mat.shape[1]
+    assert np.array_equal(start.head[:m], root.head)
+    assert np.array_equal(start.head[m:], np.arange(width - k, width))
+    identity = start.binv @ cuts.mat[:, start.head]
+    assert np.abs(identity - np.eye(m + k)).max() <= 1e-12
+    assert np.array_equal(start.d[:root.d.size], root.d)
+    assert not start.d[root.d.size:].any()
+    assert start.cost is cuts.cost and not start.upper[root.upper.size:].any()
+    solved = _Simplex(cuts, cuts.cost, cuts.lb, cuts.ub).solve(start)
+    assert solved.status is Status.OPTIMAL
+    assert solved.objective >= root.objective - 1e-9 * abs(root.objective)
+    assert solved.x[width - k:].max() <= FEASIBILITY_TOL  # each cut's activity
+    assert solved.consistent()
+
+
+def test_cut_rounds_leave_the_root_and_the_kept_root_uncut():
+    """The cut rounds work on a copy: the model's own LP and root stay as
+    they were, and the solver keeps the uncut root."""
+    model = _network_model()
+    lp = _Lp(model)
+    root = lp.root()
+    kept = (lp.mat.copy(), root.binv.copy(), root.head.copy())
+    top = _cut(lp, root, SolveStats())
+    assert top.lp is not lp and top.lp.mat.shape[0] > lp.mat.shape[0]
+    assert top.objective > root.objective
+    assert all(np.array_equal(a, b) for a, b in zip(kept, (lp.mat, root.binv, root.head)))
+    solver = EmbeddedSolver()
+    assert solver.solve(model).status is Status.OPTIMAL
+    (kept_root,) = solver._roots.values()
+    assert kept_root.lp.mat.shape == lp.mat.shape
