@@ -3,12 +3,30 @@ two-phase pair that mimics decentralized (user-driven) behaviour.
 
 All rows are tagged by constraint family so dumps, tests and the robust
 transformer can address them; see :class:`rlnd.milp.RowTag`.
+
+Each builder builds its model once per instance, objective and policy flag:
+the first call validates the instance and builds, and every call, the first
+included, returns a fresh copy (:meth:`rlnd.milp.MilpModel.copy`) with its
+own variable, row and objective containers, so a caller may add an epsilon
+row or siting rows to its copy freely.  The copies share the built
+``Variable`` and ``Row`` records, the ``VariableMap`` and the
+``StageExpressions``, which nothing changes once built.  The operator's
+phase is kept without its collected mass: each call checks ``rq`` against
+the supply and writes it into the copy's dropoff balance rows.  What was
+built from an instance lives exactly as long as the instance (a
+``weakref.finalize`` drops it), so a trade-off sweep's grid points copy
+their model instead of rebuilding it, and no model outlives its data.  This
+relies on instances being immutable (:mod:`rlnd.domain`): change a copy,
+never an instance a model was built from.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .domain import TIERS, NetworkInstance, TierLayout, validate
 from .milp import LinExpr, MilpModel, ModelError, RowTag
@@ -25,6 +43,26 @@ class ModelArtifacts:
     model: MilpModel
     vars: VariableMap
     stages: StageExpressions
+
+
+# what each live instance was built into, by id(instance), then by builder
+# and its arguments; an instance's entry goes when the instance does
+_BUILT: dict[int, dict[tuple, ModelArtifacts]] = {}
+
+
+def _built(build: Callable[..., ModelArtifacts], instance: NetworkInstance,
+           *args) -> ModelArtifacts:
+    """A fresh copy of ``build(instance, *args)``, which runs once per live
+    instance and arguments."""
+    models = _BUILT.get(id(instance))
+    if models is None:
+        models = _BUILT[id(instance)] = {}
+        weakref.finalize(instance, _BUILT.pop, id(instance), None)
+    key = (build, *args)
+    artifacts = models.get(key)
+    if artifacts is None:
+        artifacts = models[key] = build(instance, *args)
+    return replace(artifacts, model=artifacts.model.copy())
 
 
 def _new_model(instance: NetworkInstance, objective: str, phase: str,
@@ -93,22 +131,28 @@ def _add_gates(model: MilpModel, instance: NetworkInstance, gated: tuple[Tier, .
                               RowTag("capacity", ("total", f)))
 
 
-def _add_dropoff_balance(model: MilpModel, instance: NetworkInstance, table: tuple[Tier, ...],
-                         rq: dict[str, dict[str, float]] | None = None) -> None:
+def _add_dropoff_balance(model: MilpModel, instance: NetworkInstance,
+                         table: tuple[Tier, ...]) -> None:
     """What each dropoff ships to the primaries is the non-resold share of
-    what arrives: the RTD inflow, or the collected mass ``rq[i][c]`` when
-    the assignment is already fixed."""
+    what arrives: the RTD inflow.  The operator's phase has no RTD, so its
+    rows read ``shipped == 0`` until :func:`_write_collected` moves the
+    collected mass to their right-hand sides."""
     dropoff, primary = table[:2]
     for i in instance.products:
         share = 1.0 - dropoff.resale[i]
         for c in instance.dropoffs:
-            balance = primary.outflow(i, c)
-            if rq is None:
-                balance.add_expr(dropoff.inflow(i, c), -share)
-                rhs = 0.0
-            else:
-                rhs = share * rq.get(i, {}).get(c, 0.0)
-            model.add_row(balance, "==", rhs, RowTag("flow-balance", ("dropoff", i, c)))
+            balance = primary.outflow(i, c).add_expr(dropoff.inflow(i, c), -share)
+            model.add_row(balance, "==", 0.0, RowTag("flow-balance", ("dropoff", i, c)))
+
+
+def _write_collected(model: MilpModel, instance: NetworkInstance,
+                     rq: dict[str, dict[str, float]]) -> None:
+    """The non-resold share of the collected mass ``rq[i][c]`` as the
+    right-hand side of each dropoff balance row, the operator's phase's
+    first rows; each row is replaced, not changed, as copies share them."""
+    resale = instance.processing.resale[TIERS[0].name]
+    for k, (i, c) in enumerate(itertools.product(instance.products, instance.dropoffs)):
+        model.rows[k] = replace(model.rows[k], rhs=(1.0 - resale[i]) * rq.get(i, {}).get(c, 0.0))
 
 
 def _add_primary_balance(model: MilpModel, instance: NetworkInstance,
@@ -164,6 +208,11 @@ def _structural_warnings(instance: NetworkInstance, table: tuple[Tier, ...]) -> 
 def build_system_model(instance: NetworkInstance, objective: str = "cost",
                        include_policy: bool = True) -> ModelArtifacts:
     """Whole-network program: one decision maker routes everything."""
+    return _built(_system_model, instance, objective, include_policy)
+
+
+def _system_model(instance: NetworkInstance, objective: str,
+                  include_policy: bool) -> ModelArtifacts:
     model, vars, table = _new_model(instance, objective, "system", TIERS)
     model.warnings.extend(_structural_warnings(instance, table))
     _add_trip_balance(model, instance, table[0])
@@ -186,6 +235,11 @@ def build_user_model_i(instance: NetworkInstance, objective: str = "cost",
     Only the residence->dropoff legs exist here; fixed costs are charged later
     during composition, which is what makes the split decentralized.
     """
+    return _built(_user_model_i, instance, objective, include_policy)
+
+
+def _user_model_i(instance: NetworkInstance, objective: str,
+                  include_policy: bool) -> ModelArtifacts:
     model, vars, table = _new_model(instance, objective, "user-I", TIERS[:1])
     _add_trip_balance(model, instance, table[0])
     _add_gates(model, instance, table[:1])
@@ -200,15 +254,20 @@ def build_user_model_i(instance: NetworkInstance, objective: str = "cost",
 def build_user_model_ii(instance: NetworkInstance, rq: dict[str, dict[str, float]],
                         objective: str = "cost") -> ModelArtifacts:
     """Operator's phase: route the collected mass rq[i][c] downstream."""
-    model, vars, table = _new_model(instance, objective, "user-II", TIERS[1:])
+    artifacts = _built(_user_model_ii, instance, objective)
     for i in instance.products:
         collected = sum(rq.get(i, {}).get(c, 0.0) for c in instance.dropoffs)
         supply = instance.total_supply(i)
         if abs(collected - supply) > 1e-6 * max(1.0, supply):
             raise ModelError(f"collected mass {collected:g} for {i} does not match "
                              f"supply {supply:g}")
+    _write_collected(artifacts.model, instance, rq)
+    return artifacts
 
-    _add_dropoff_balance(model, instance, table, rq)
+
+def _user_model_ii(instance: NetworkInstance, objective: str) -> ModelArtifacts:
+    model, vars, table = _new_model(instance, objective, "user-II", TIERS[1:])
+    _add_dropoff_balance(model, instance, table)
     _add_primary_balance(model, instance, table)
     _add_gates(model, instance, table[1:])
     _add_open_counts(model, instance, table[1:])

@@ -16,7 +16,11 @@ and validation, the :mod:`rlnd.io` codec and the model layer loop over the layou
 
 An instance is declarative data only; model assembly lives in
 :mod:`rlnd.builders`.  Instances are treated as immutable once validated —
-derived scenarios build modified copies instead of mutating.
+derived scenarios build modified copies instead of mutating.  That is also
+what keeps built models correct: the builders keep each model they built
+for as long as its instance lives and hand out copies of it without
+validating or building again, so change a copy (``dataclasses.replace``,
+:func:`with_trip_factor`, ...), never an instance a model was built from.
 """
 
 from __future__ import annotations

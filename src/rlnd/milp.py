@@ -180,6 +180,16 @@ class MilpModel:
                 raise ModelError(f"objective references unknown variable {var!r}")
         self.objective = expr.copy()
 
+    def copy(self) -> MilpModel:
+        """The same model in containers of its own: adding to or replacing
+        in this model's variables, rows or objective leaves the copy as it
+        is, and the other way round.  The two share their ``Variable`` and
+        ``Row`` records, which nothing changes once they are added."""
+        out = MilpModel(self.name)
+        out.variables, out.rows = dict(self.variables), list(self.rows)
+        out.objective, out.warnings = self.objective.copy(), list(self.warnings)
+        return out
+
     @property
     def binary_names(self) -> list[str]:
         return [v.name for v in self.variables.values() if v.binary]

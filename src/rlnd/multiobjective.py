@@ -25,7 +25,9 @@ solver makes one :class:`~rlnd.milp.EmbeddedSolver` for all of its solves,
 which restarts each root from the last optimal root of the same shape: the
 emission anchor's from the cost anchor's, each grid solve's from the
 previous one's, whose optimal basis a new right-hand side leaves dual
-feasible.  Each grid solve still builds its own model.
+feasible.  No grid solve rebuilds its model: the builders keep what they
+built for the family's instance, and each grid solve adds its epsilon row
+to a fresh copy of the anchor's model (see :mod:`rlnd.builders`).
 
 Families adapt concrete model shapes to the sweep.  The sweep reads only
 totals from them: each anchor's cost and emission, and each grid solve's

@@ -170,15 +170,20 @@ class Tier:
     opens: Mapping[str, str]                         # [facility]
     flows: Mapping[tuple[str, str, str], str]        # [item, source, facility]
     supply: Mapping[str, Mapping[str, float]] | None  # [item][area] kg
+    _inflows: dict[tuple[str, str], LinExpr] = field(default_factory=dict, repr=False)
 
     def inflow(self, item: str, facility: str) -> LinExpr:
-        """Mass of ``item`` arriving at ``facility``."""
-        expr = LinExpr()
-        mass = None if self.supply is None else self.supply[item]
-        for a in self.sources:
-            name = self.flows.get((item, a, facility))
-            if name is not None:
-                expr.add(name, 1.0 if mass is None else mass[a])
+        """Mass of ``item`` arriving at ``facility``: one expression per
+        (item, facility) for the table's life, shared by every row and
+        stage built from it, so callers must not mutate it."""
+        expr = self._inflows.get((item, facility))
+        if expr is None:
+            expr = self._inflows[item, facility] = LinExpr()
+            mass = None if self.supply is None else self.supply[item]
+            for a in self.sources:
+                name = self.flows.get((item, a, facility))
+                if name is not None:
+                    expr.add(name, 1.0 if mass is None else mass[a])
         return expr
 
     def outflow(self, item: str, source: str) -> LinExpr:
@@ -201,28 +206,17 @@ def tiers(instance: NetworkInstance, vars: VariableMap) -> tuple[Tier, Tier, Tie
                  for layout in TIERS)
 
 
-def _transport_leg(instance: NetworkInstance, tier: Tier, rate: str) -> LinExpr:
-    """Transport into a tier: rate x distance per kg, or per trip for the
-    dropoff tier, whose flows scale by each lane's annual dedicated trips."""
-    expr = LinExpr()
+def _transport_legs(instance: NetworkInstance, tier: Tier) -> tuple[LinExpr, LinExpr]:
+    """Transport cost and emission into a tier: rate x distance per kg, or
+    per trip for the dropoff tier, whose flows scale by each lane's annual
+    dedicated trips."""
+    cost, emission = LinExpr(), LinExpr()
     for (_, a, f), name in tier.flows.items():
         arc = tier.arcs[a][f]
         trips = 1.0 if tier.supply is None else trip_multiplier(instance, a, f)
-        expr.add(name, trips * getattr(arc, rate) * arc.distance)
-    return expr
-
-
-def _tier_expression(tier: Tier, kind: str) -> LinExpr:
-    """Processing cost/emission (non-resold share) or revenue/offset (resold
-    share) for one tier. kind in {cost, emission, credit, offset}."""
-    expr = LinExpr()
-    for f in tier.facilities:
-        for it in tier.items:
-            share = tier.resale[it] if kind in ("credit", "offset") else 1.0 - tier.resale[it]
-            coeff = getattr(tier.entries[f][it], kind) * share
-            if coeff != 0.0:
-                expr.add_expr(tier.inflow(it, f), coeff)
-    return expr
+        cost.add(name, trips * arc.cost * arc.distance)
+        emission.add(name, trips * arc.emission * arc.distance)
+    return cost, emission
 
 
 def build_stage_expressions(instance: NetworkInstance, table: tuple[Tier, ...]
@@ -231,13 +225,22 @@ def build_stage_expressions(instance: NetworkInstance, table: tuple[Tier, ...]
     stages = StageExpressions()
     for tier, layout in zip(table, TIERS):
         if tier.flows:
-            stages.transport_cost[layout.leg] = _transport_leg(instance, tier, "cost")
-            stages.transport_emission[layout.leg] = _transport_leg(instance, tier, "emission")
-            for metric, by_tier in (("cost", stages.processing_cost),
-                                    ("emission", stages.processing_emission),
-                                    ("credit", stages.resale_revenue),
-                                    ("offset", stages.emission_offset)):
-                by_tier[tier.name] = _tier_expression(tier, metric)
+            stages.transport_cost[layout.leg], stages.transport_emission[layout.leg] = \
+                _transport_legs(instance, tier)
+            # processing on the non-resold share, revenue and offsets on the resold one
+            cost, emission, credit, offset = (LinExpr() for _ in range(4))
+            for f in tier.facilities:
+                for it in tier.items:
+                    entry, resold = tier.entries[f][it], tier.resale[it]
+                    kept = 1.0 - resold
+                    for expr, coeff in ((cost, entry.cost * kept), (emission, entry.emission * kept),
+                                        (credit, entry.credit * resold),
+                                        (offset, entry.offset * resold)):
+                        if coeff != 0.0:
+                            expr.add_expr(tier.inflow(it, f), coeff)
+            stages.processing_cost[tier.name], stages.processing_emission[tier.name] = \
+                cost, emission
+            stages.resale_revenue[tier.name], stages.emission_offset[tier.name] = credit, offset
         if tier.opens:
             fixed = LinExpr()
             for f, name in tier.opens.items():

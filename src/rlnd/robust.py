@@ -77,15 +77,6 @@ def load_uncertainty_spec(path: str | Path) -> UncertaintySpec:
 # the counterpart transformation
 # ----------------------------------------------------------------------
 
-def _copy_model(model: MilpModel, name: str) -> MilpModel:
-    out = MilpModel(name)
-    for var in model.variables.values():
-        out.add_variable(var.name, var.lb, var.ub, var.binary)
-    out.set_objective(model.objective)
-    out.warnings.extend(model.warnings)
-    return out
-
-
 def _magnitude_var(model: MilpModel, var_name: str,
                    created: dict[str, str]) -> str:
     """A variable bounding |x| for x that can be negative; x itself if not."""
@@ -127,7 +118,8 @@ def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
         if missing:
             raise ModelError(f"{key}: deviations name unknown variables {missing}")
 
-    out = _copy_model(model, f"{model.name}:robust")
+    out = model.copy()
+    out.name, out.rows = f"{model.name}:robust", []
     abs_vars: dict[str, str] = {}
     counter = 0
     for row in model.rows:

@@ -16,7 +16,9 @@ whole-network model built elsewhere, such as a robust counterpart.  An
 entry point given no solver makes one :class:`~rlnd.milp.EmbeddedSolver`
 for all of its solves, so each root starts from the last one of its shape
 (the baseline's for the throughput solve, the previous step's in
-calibration).  Every solve still builds its own model.
+calibration).  Every solve on a new instance builds its own model; a
+solve on an instance already built from, such as a trade-off grid point,
+gets a fresh copy of that model (see :mod:`rlnd.builders`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
 import dataclasses
+import gc
 import hashlib
+import weakref
 from collections import Counter
 
 import pytest
 
+from helpers import netgen_instance
+from rlnd import builders, scenarios
 from rlnd.builders import (build_system_model, build_user_model_i,
                            build_user_model_ii)
-from rlnd.domain import Arc, PolicyData, with_total_capacity
+from rlnd.domain import PolicyData, validate, with_total_capacity, with_trip_factor
 from rlnd.milp import EmbeddedSolver, ModelError, Status
+from rlnd.multiobjective import SystemEpsilonFamily, epsilon_sweep
 from rlnd.objectives import collected_quantities
 from rlnd.robust import capacity_preset, robustify_artifacts
+from rlnd.scenarios import add_epsilon_row
 
 
 def row_families(model):
@@ -378,3 +384,105 @@ def test_lp_dumps_are_pinned(builder, objective, bundled):
     assert digest(builder(bundled, objective)) == plain
     assert digest(builder(sited, objective)) == with_policy
     assert digest(builder(sited, objective, include_policy=False)) == plain
+
+
+# ----------------------------------------------------------------------
+# one build per instance: every call returns a fresh copy
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The number of times a builder has validated an instance so far."""
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return validate(instance)
+
+    monkeypatch.setattr(builders, "validate", counted)
+    return calls
+
+
+def test_a_repeated_build_is_a_fresh_copy_of_the_first(bundled, validations):
+    inst = dataclasses.replace(bundled)
+    first, second = (build_system_model(inst, "cost") for _ in range(2))
+    assert len(validations) == 1
+    assert first.model is not second.model
+    assert first.model.rows is not second.model.rows
+    assert first.model.rows[0] is second.model.rows[0]  # shared, never changed
+    text = second.model.to_lp_format()
+    assert first.model.to_lp_format() == text
+    add_epsilon_row(first.model, first.stages.total("emission"), 0, 1e6, 1e-4,
+                    first.model.objective)
+    assert second.model.to_lp_format() == text
+    assert build_system_model(inst, "cost").model.to_lp_format() == text
+    assert build_system_model(inst, "emission").model.to_lp_format() != text
+    assert len(validations) == 2
+
+
+def test_a_changed_copy_of_an_instance_is_built_again(bundled, validations):
+    def trip_cost(instance):
+        """The trip leg's and the objective's coefficients of one RTD share."""
+        art = build_system_model(instance, "cost")
+        name = art.vars.rtd["prod1", "area1", "drop1"]
+        return art.stages.transport_cost["residence-dropoff"].terms[name], \
+            art.model.objective.terms[name]
+
+    once = with_trip_factor(bundled, 1.0)
+    trip, total = trip_cost(once)
+    assert trip_cost(once) == (trip, total)
+    assert len(validations) == 1
+    assert trip_cost(with_trip_factor(once, 2.0)) == pytest.approx((2.0 * trip, total + trip))
+    arc = once.arcs["res_drop"]["area1"]["drop1"]
+    res_drop = {**once.arcs["res_drop"],
+                "area1": {**once.arcs["res_drop"]["area1"],
+                          "drop1": dataclasses.replace(arc, cost=3.0 * arc.cost)}}
+    dearer = dataclasses.replace(once, arcs={**once.arcs, "res_drop": res_drop})
+    assert trip_cost(dearer) == pytest.approx((3.0 * trip, total + 2.0 * trip))
+    assert len(validations) == 3
+
+
+def test_what_was_built_goes_with_its_instance(bundled):
+    gc.collect()
+    before = len(builders._BUILT)
+    inst = dataclasses.replace(bundled)
+    build_user_model_i(inst, "cost")
+    assert id(inst) in builders._BUILT
+    alive = weakref.ref(inst)
+    del inst
+    assert alive() is None
+    assert len(builders._BUILT) == before
+    for _ in range(100):
+        build_system_model(dataclasses.replace(bundled), "cost")
+    assert len(builders._BUILT) == before
+
+
+def test_a_user_ii_copy_takes_the_collected_mass_of_its_call(bundled, validations):
+    split = lambda share: {i: {"drop1": share * bundled.total_supply(i),
+                               "drop2": (1.0 - share) * bundled.total_supply(i)}
+                           for i in bundled.products}
+    inst = dataclasses.replace(bundled)
+    build_user_model_ii(inst, split(0.5), "cost")
+    hit = build_user_model_ii(inst, split(0.25), "cost")
+    assert len(validations) == 1
+    fresh = build_user_model_ii(dataclasses.replace(bundled), split(0.25), "cost")
+    assert hit.model.to_lp_format() == fresh.model.to_lp_format()
+    rq = split(0.25)
+    rq["prod2"]["drop1"] += 1.0
+    with pytest.raises(ModelError, match="collected mass"):
+        build_user_model_ii(inst, rq, "cost")
+    assert len(validations) == 2
+
+
+def test_a_sweep_validates_once_per_objective(monkeypatch, validations):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_system_model(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "build_system_model", counted)
+    front = epsilon_sweep(SystemEpsilonFamily(netgen_instance(5, 4, 3, seed=0)))
+    assert len(front) >= 1
+    assert len(builds) == 9
+    assert len(validations) == 2

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -440,3 +441,34 @@ def test_spec_file_errors_name_the_key(tmp_path, capsys):
     assert "trip_factor" in capsys.readouterr().err
     assert main(ERROR_CASES["uncertainty-row-without-gamma"](tmp_path)) == 1
     assert "rows.capacity[dropoff,prod1,drop1].gamma" in capsys.readouterr().err
+
+
+# every subcommand that reads an instance, and the line that says how it ended;
+# `distances` reads a coordinate table, not an instance, and is tested above
+CORPUS = {
+    ("validate",): r"^instance '.*' is consistent",
+    **{("solve", "--model", model, "--objective", objective): r"^status: (optimal|infeasible)"
+       for model in ("system", "user") for objective in ("cost", "emission")},
+    **{("pareto", "--model", model, "--points", "4"): r"^anchors: |^error: "
+       for model in ("system", "user")},
+    **{("robust", "--gamma", gamma): r"^status: (optimal|infeasible)" for gamma in "012"},
+    **{("scenario", "--name", "all", "--objective", objective): r"^scenario baseline "
+       for objective in ("cost", "emission")},
+}
+
+
+@pytest.mark.parametrize("seed", [None, *range(4)],
+                         ids=["bundled", *(f"netgen-5x4x3-{seed}" for seed in range(4))])
+def test_every_subcommand_answers_on_every_network(seed, tmp_path, capsys):
+    """Each run ends solved (0) or proven infeasible (2) and prints the line
+    that says which, on standard output or as an ``error:`` line."""
+    args = []
+    if seed is not None:
+        path = tmp_path / "network.json"
+        save_instance(netgen_instance(5, 4, 3, seed=seed), path)
+        args = ["--instance", str(path)]
+    for command, status in CORPUS.items():
+        code = main([*command, *args])
+        captured = capsys.readouterr()
+        assert code in (0, 2), (command, captured.err)
+        assert re.search(status, captured.out + captured.err, re.MULTILINE), command
