@@ -184,24 +184,26 @@ def _add_open_counts(model: MilpModel, instance: NetworkInstance,
 
 def _structural_warnings(instance: NetworkInstance, table: tuple[Tier, ...]) -> list[str]:
     """Capacity shortfalls of the product tiers that make the model
-    infeasible by construction; reported at build time, the solver still
-    renders the verdict."""
+    infeasible by construction: per product, each tier's capacities against
+    what reaches it (the supply at the dropoffs, its non-resold share at the
+    primaries); then, for a tier whose facilities all declare a total
+    capacity, their sum against what reaches the tier over all products.
+    Reported at build time; the solver still renders the verdict."""
     out: list[str] = []
-    proc = instance.processing
+    product_tiers, whats = table[:2], ("supply", "expected inflow")
+    reaching = [0.0] * len(product_tiers)
     for i in instance.products:
-        inflow, what = instance.total_supply(i), "supply"
-        for tier in table[:2]:
+        inflow = instance.total_supply(i)
+        for k, tier in enumerate(product_tiers):
+            reaching[k] += inflow
             capacity = sum(tier.entries[f][i].capacity for f in tier.facilities)
             if capacity < inflow:
-                out.append(f"{tier.name} capacity {capacity:g} below {what} {inflow:g} for {i}")
-            inflow, what = (1.0 - tier.resale[i]) * inflow, "expected inflow"
-    totals = [proc.total_capacity.get(p) for p in instance.primaries]
-    if all(t is not None for t in totals) and totals:
-        mass = sum((1.0 - table[0].resale[i]) * instance.total_supply(i)
-                   for i in instance.products)
-        if sum(totals) < mass:
-            out.append(f"aggregate primary capacity {sum(totals):g} below "
-                       f"expected inflow {mass:g}")
+                out.append(f"{tier.name} capacity {capacity:g} below {whats[k]} {inflow:g} for {i}")
+            inflow *= 1.0 - tier.resale[i]
+    for tier, what, inflow in zip(product_tiers, whats, reaching):
+        totals = [instance.processing.total_capacity.get(f) for f in tier.facilities]
+        if None not in totals and sum(totals) < inflow:
+            out.append(f"aggregate {tier.name} capacity {sum(totals):g} below {what} {inflow:g}")
     return out
 
 

@@ -96,8 +96,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate(instance)
     for violation in report.violations:
         print(f"violation: {violation}")
-    for warning in report.warnings:
-        print(f"warning: {warning}")
     if report.ok:
         print(f"instance {instance.name!r} is consistent "
               f"({len(instance.products)} products, {len(instance.areas)} areas, "

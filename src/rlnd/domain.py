@@ -13,6 +13,7 @@ Per-tier data is keyed by tier as the instance JSON nests it
 (``ProcessingData.entries[tier][facility][item]``,
 ``ProcessingData.resale[tier][item]``, ``NetworkInstance.arcs[lane][tail][head]``),
 and validation, the :mod:`rlnd.io` codec and the model layer loop over the layout.
+The six id sets are named once too, in :data:`SETS`.
 
 An instance is declarative data only; model assembly lives in
 :mod:`rlnd.builders`.  Instances are treated as immutable once validated —
@@ -119,7 +120,7 @@ class NetworkInstance:
     description: str = ""
 
     def facilities(self) -> tuple[str, ...]:
-        return self.dropoffs + self.primaries + self.secondaries
+        return tuple(f for tier in TIERS for f in getattr(self, tier.facilities))
 
     def total_supply(self, product: str) -> float:
         return sum(self.supply.mass[product][h] for h in self.areas)
@@ -151,6 +152,9 @@ class TierLayout:
                 getattr(instance, self.sources))
 
 
+# the id sets, as ``NetworkInstance`` fields and the instance JSON's ``sets`` keys
+SETS = ("products", "materials", "areas", "dropoffs", "primaries", "secondaries")
+
 TIERS = (
     TierLayout("dropoff", "dropoffs", "products", "areas", "res_drop", "drp", "d^res",
                "residence-dropoff", "rtd", "x"),
@@ -175,7 +179,6 @@ class Violation:
 @dataclass
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -229,18 +232,16 @@ def validate(instance: NetworkInstance) -> ValidationReport:
 
 
 def _check_sets(inst: NetworkInstance, r: ValidationReport) -> None:
-    groups = [("products", inst.products), ("materials", inst.materials),
-              ("areas", inst.areas), ("dropoffs", inst.dropoffs),
-              ("primaries", inst.primaries), ("secondaries", inst.secondaries)]
-    for symbol, ids in groups:
+    for symbol in SETS:
+        ids = getattr(inst, symbol)
         if not ids:
             r.add(symbol, (), "identifier list is empty")
         dupes = {x for x in ids if list(ids).count(x) > 1}
         for d in sorted(dupes):
             r.add(symbol, (d,), "duplicate identifier")
     seen: dict[str, str] = {}
-    for symbol, ids in groups[3:]:
-        for f in ids:
+    for symbol in (tier.facilities for tier in TIERS):
+        for f in getattr(inst, symbol):
             if f in seen and seen[f] != symbol:
                 r.add("facilities", (f,), f"id reused across tiers ({seen[f]}, {symbol})")
             seen.setdefault(f, symbol)

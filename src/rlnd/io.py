@@ -2,15 +2,20 @@
 
 An instance is one JSON document with sections ``sets``, ``supply``,
 ``processing``, ``arcs`` and ``policy`` (a ``scenario`` section is allowed
-and ignored here; the scenario engine reads it separately).  The codec reads
-and writes the per-tier parts of ``processing`` and ``arcs`` in one loop over
-:data:`rlnd.domain.TIERS`.  Instances and the scenario and uncertainty spec
-files are all read through :class:`Node`, so a missing key or a value of the
-wrong type raises one :class:`DocumentError` naming the file and the key's
-path, such as ``supply.trips_per_year``.  The CSV importer reads coordinate
-points, ``id, lat, lon[, population]``; a header (the first non-blank row,
-when its ``lat`` cell is not numeric) is detected and skipped, so both bare
-and titled exports load.  :func:`write_csv` writes every CSV export, floats
+and ignored here; the scenario engine reads it separately).  The writer is
+``dataclasses.asdict`` of the instance, reshaped in two places only: the id
+sets (:data:`rlnd.domain.SETS`) sit under ``sets``, and each tier's entries
+directly under ``processing``.  So it writes every field, defaults and
+nulls included, and a saved instance loads back equal.  The reader fills
+in the optional keys and reads the per-tier parts of ``processing`` and
+``arcs`` in one loop over :data:`rlnd.domain.TIERS`.  Instances and the
+scenario and uncertainty spec files are all read through :class:`Node`, so
+a missing key or a value of the wrong type raises one
+:class:`DocumentError` naming the file and the key's path, such as
+``supply.trips_per_year``.  The CSV importer reads coordinate points,
+``id, lat, lon[, population]``; a header (the first non-blank row, when its
+``lat`` cell is not numeric) is detected and skipped, so both bare and
+titled exports load.  :func:`write_csv` writes every CSV export, floats
 with six decimals.
 """
 
@@ -23,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn
 
-from .domain import (TIERS, Arc, InstanceError, NetworkInstance, PolicyData,
+from .domain import (SETS, TIERS, Arc, InstanceError, NetworkInstance, PolicyData,
                      ProcessingData, ProcessingEntry, SupplyData,
                      DEFAULT_CITY_POPULATION_THRESHOLD)
 from .geo import GeoPoint
@@ -110,7 +115,6 @@ def read_document(path: str | Path) -> Node:
 # instance documents
 # ----------------------------------------------------------------------
 
-_SETS = ("products", "materials", "areas", "dropoffs", "primaries", "secondaries")
 _ENTRY_FIELDS = ("cost", "credit", "emission", "offset", "capacity")
 _ARC_FIELDS = ("distance", "cost", "emission")
 
@@ -118,14 +122,6 @@ _ARC_FIELDS = ("distance", "cost", "emission")
 def _entry_from(node: Node) -> ProcessingEntry:
     return ProcessingEntry(*node.fields(_ENTRY_FIELDS),
                            min_shipment=node.get("min_shipment", Node.number, 0.0))
-
-
-def _to_dict(record: ProcessingEntry | Arc, names: tuple[str, ...], extra: str) -> dict[str, Any]:
-    """The ``names`` fields of a record, and its ``extra`` one when it is set."""
-    d = {k: getattr(record, k) for k in names}
-    if getattr(record, extra):
-        d[extra] = getattr(record, extra)
-    return d
 
 
 def _arc_from(node: Node) -> Arc:
@@ -172,7 +168,7 @@ def _instance_from(doc: Node) -> NetworkInstance:
     )
     return NetworkInstance(
         name=doc.get("name", Node.text, "instance"),
-        **{k: doc["sets"][k].texts() for k in _SETS},
+        **{k: doc["sets"][k].texts() for k in SETS},
         supply=supply,
         processing=processing,
         arcs={t.lane: doc["arcs"][t.lane].map(lambda row: row.map(_arc_from)) for t in TIERS},
@@ -188,49 +184,11 @@ def instance_from_dict(data: dict[str, Any]) -> NetworkInstance:
 
 
 def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
-    sup = instance.supply
-    proc = instance.processing
-    supply: dict[str, Any] = {
-        "mass": {i: dict(row) for i, row in sup.mass.items()},
-        "trips_per_year": sup.trips_per_year,
-        "dedicated_fraction": dict(sup.dedicated_fraction),
-    }
-    if sup.population is not None:
-        supply["population"] = dict(sup.population)
-    if sup.household_size is not None:
-        supply["household_size"] = sup.household_size
-    if sup.participation is not None:
-        supply["participation"] = sup.participation
-    if sup.trip_factor:
-        supply["trip_factor"] = dict(sup.trip_factor)
-
-    processing: dict[str, Any] = {
-        t.name: {f: {it: _to_dict(e, _ENTRY_FIELDS, "min_shipment") for it, e in row.items()}
-                 for f, row in proc.entries[t.name].items()}
-        for t in TIERS}
-    processing.update({
-        "resale": {t.name: dict(proc.resale[t.name]) for t in TIERS},
-        "fixed_cost": dict(proc.fixed_cost),
-        "min_open": dict(proc.min_open),
-        "composition": {j: dict(row) for j, row in proc.composition.items()},
-    })
-    if proc.efficiency:
-        processing["efficiency"] = {j: dict(row) for j, row in proc.efficiency.items()}
-    if proc.total_capacity:
-        processing["total_capacity"] = dict(proc.total_capacity)
-
-    arcs = {t.lane: {a: {b: _to_dict(x, _ARC_FIELDS, "forbidden") for b, x in row.items()}
-                     for a, row in instance.arcs[t.lane].items()}
-            for t in TIERS}
-    return {
-        "name": instance.name,
-        "description": instance.description,
-        "sets": {k: list(getattr(instance, k)) for k in _SETS},
-        "supply": supply,
-        "processing": processing,
-        "arcs": arcs,
-        "policy": None if instance.policy is None else asdict(instance.policy),
-    }
+    """The instance in its JSON document's layout (see the module docstring)."""
+    doc = asdict(instance)
+    doc["sets"] = {k: list(doc.pop(k)) for k in SETS}
+    doc["processing"].update(doc["processing"].pop("entries"))
+    return doc
 
 
 def load_instance(path: str | Path) -> NetworkInstance:

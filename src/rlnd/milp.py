@@ -763,16 +763,16 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     """Best-first branch and bound over the model's binary variables; a model
     without binaries is solved as its root relaxation.
 
-    The root starts from the slack basis, and the solve leaves nothing on
-    the model; an :class:`EmbeddedSolver` starts the root from one it kept
-    itself.  Branching picks the most fractional binary (ties: lowest
-    variable index); nodes are explored in proven-bound order, so the first
-    incumbent that matches the best outstanding bound is optimal.  Each
-    child re-solves from its parent's optimal basis, which a bound change
-    leaves dual feasible, and from the updated inverse that parent's LP
-    ended on, so a node inverts only when a residual check finds that
-    inverse drifted.  A heap node is a
-    solved LP state (:class:`_Simplex`).  A child the simplex cannot solve
+    This is a fresh :class:`EmbeddedSolver`'s solve, so the root starts
+    from the slack basis, the solve leaves nothing on the model, and a
+    ``node_budget`` below 1 raises ValueError.  Branching picks the most
+    fractional binary (ties: lowest variable index); nodes are explored in
+    proven-bound order, so the first incumbent that matches the best
+    outstanding bound is optimal.  Each child re-solves from its parent's
+    optimal basis, which a bound change leaves dual feasible, and from the
+    updated inverse that parent's LP ended on, so a node inverts only when a
+    residual check finds that inverse drifted.  A heap node is a solved LP
+    state (:class:`_Simplex`).  A child the simplex cannot solve
     ends the search NUMERICALLY_UNSTABLE instead of being dropped as if
     pruned.  The root is first cut (:func:`_cut`) and the tree runs on the
     cut LP.  An integral child becomes the incumbent when it is solved, so
@@ -785,8 +785,7 @@ def solve_milp(model: MilpModel, node_budget: int = 200_000) -> Solution:
     the same search under a zero objective decides; otherwise the model is
     INFEASIBLE.
     """
-    lp = _Lp(model)
-    return _search(model, lp, lp.root(), node_budget)
+    return EmbeddedSolver(node_budget).solve(model)
 
 
 def _search(model: MilpModel, lp: _Lp, root: _Simplex, node_budget: int) -> Solution:
@@ -895,10 +894,10 @@ def _incumbent_solution(model: MilpModel, lp: _Lp, root: _Simplex, status: Statu
 
 
 class EmbeddedSolver:
-    """Default engine: :func:`solve_milp` under a node budget, each root
-    started from the last optimal root of its matrix shape this solver
-    solved (see :meth:`_Lp.root`).  The solver, not the model, keeps those
-    roots, without the cuts a search appended to them."""
+    """Default engine: the branch and bound of :func:`solve_milp` under a
+    node budget, each root started from the last optimal root of its matrix
+    shape this solver solved (see :meth:`_Lp.root`).  The solver, not the
+    model, keeps those roots, without the cuts a search appended to them."""
 
     def __init__(self, node_budget: int = 200_000):
         if node_budget < 1:

@@ -131,6 +131,15 @@ def test_capacity_shortfalls_warn_per_tier(bundled):
         "aggregate primary capacity 3 below expected inflow 2784.87"]
 
 
+def test_dropoff_totals_below_supply_warn(bundled):
+    short = with_total_capacity(bundled, {c: 1.0 for c in bundled.dropoffs})
+    assert build_system_model(short, "cost").model.warnings == [
+        "aggregate dropoff capacity 2 below supply 3300"]
+    # a tier is checked only when each of its facilities declares a total
+    partial = with_total_capacity(bundled, {bundled.dropoffs[0]: 1.0})
+    assert build_system_model(partial, "cost").model.warnings == []
+
+
 def test_user_model_i_shape(bundled):
     art = build_user_model_i(bundled, "cost")
     assert len(art.vars.rtd) == 8 and len(art.vars.x) == 2

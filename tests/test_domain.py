@@ -13,9 +13,7 @@ def mutable_copy(instance):
 
 
 def test_bundled_instance_is_valid(bundled):
-    report = validate(bundled)
-    assert report.ok
-    assert report.warnings == []
+    assert validate(bundled).ok
 
 
 def test_total_supply(bundled):

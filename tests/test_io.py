@@ -1,7 +1,11 @@
+import dataclasses
+import functools
 import json
+import random
 
 import pytest
 
+from helpers import netgen_instance, random_network_instance
 from rlnd.domain import PolicyData
 from rlnd.io import (instance_from_dict, instance_to_dict, load_bundled_instance,
                      load_instance, read_points_csv, save_instance, write_csv)
@@ -28,9 +32,39 @@ def test_file_round_trip(bundled, tmp_path):
     assert load_instance(path) == bundled
 
 
-def test_policy_round_trip(bundled):
-    import dataclasses
+def _bundled_variant():
+    """The bundled network with a forbidden arc, a policy and demographics,
+    so every optional field holds a value."""
+    inst = load_bundled_instance()
+    lane = inst.arcs["drop_pri"]
+    row = {**lane["drop1"], "prim2": dataclasses.replace(lane["drop1"]["prim2"], forbidden=True)}
+    policy = PolicyData(county_of={"drop1": "u1"}, city_of={"drop2": "t2"},
+                        city_population={"t2": 20000.0}, city_county={"t2": "u1"})
+    supply = dataclasses.replace(inst.supply, population={h: 5000.0 for h in inst.areas},
+                                 household_size=2.5, participation=0.4)
+    return dataclasses.replace(inst, arcs={**inst.arcs, "drop_pri": {**lane, "drop1": row}},
+                               policy=policy, supply=supply)
 
+
+# with the bundled network above, the instances a saved file must give back
+ROUND_TRIP_CORPUS = {
+    **{f"netgen-5x4x3-{seed}": functools.partial(netgen_instance, 5, 4, 3, seed)
+       for seed in range(3)},
+    **{f"random-{seed}": lambda seed=seed: random_network_instance(random.Random(seed))
+       for seed in range(20)},
+    "bundled-variant": _bundled_variant,
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_CORPUS)
+def test_corpus_file_round_trip(name, tmp_path):
+    instance = ROUND_TRIP_CORPUS[name]()
+    path = tmp_path / "inst.json"
+    save_instance(instance, path)
+    assert load_instance(path) == instance
+
+
+def test_policy_round_trip(bundled):
     policy = PolicyData(county_of={"drop1": "u1"}, city_of={"drop2": "t2"},
                         city_population={"t2": 20000.0}, city_county={"t2": "u1"},
                         population_threshold=15000.0)
@@ -48,12 +82,13 @@ def test_scenario_section_tolerated(bundled):
 def test_defaults_backfilled(bundled):
     data = instance_to_dict(bundled)
     # min_shipment, efficiency, total_capacity are all optional
-    entry = data["processing"]["dropoff"]["drop1"]["prod1"]
-    assert "min_shipment" not in entry
-    assert "efficiency" not in data["processing"]
+    del data["processing"]["dropoff"]["drop1"]["prod1"]["min_shipment"]
+    del data["processing"]["efficiency"]
+    del data["processing"]["total_capacity"]
     inst = instance_from_dict(data)
     assert inst.processing.entries["dropoff"]["drop1"]["prod1"].min_shipment == 0.0
     assert inst.processing.eff("mat1", "prim1") == 1.0
+    assert inst.processing.total_capacity == {}
 
 
 def test_read_points_csv(tmp_path):

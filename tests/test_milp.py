@@ -200,6 +200,8 @@ def test_unbounded_relaxation_needs_a_feasible_assignment(coeff, status):
 def test_a_node_budget_below_one_is_rejected(budget):
     with pytest.raises(ValueError, match="node budget"):
         EmbeddedSolver(node_budget=budget)
+    with pytest.raises(ValueError, match="node budget"):
+        solve_milp(_model(), node_budget=budget)
 
 
 def test_budget_exhaustion_reports_bound():
