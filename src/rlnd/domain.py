@@ -15,6 +15,10 @@ Per-tier data is keyed by tier as the instance JSON nests it
 and validation, the :mod:`rlnd.io` codec and the model layer loop over the layout.
 The six id sets are named once too, in :data:`SETS`.
 
+:func:`validate` checks every number by one rule: present, finite and in
+its range, else one violation naming its symbol and index.  The numbers of a
+processing entry and of an arc are their dataclasses' fields.
+
 An instance is declarative data only; model assembly lives in
 :mod:`rlnd.builders`.  Instances are treated as immutable once validated —
 derived scenarios build modified copies instead of mutating.  That is also
@@ -27,7 +31,8 @@ validating or building again, so change a copy (``dataclasses.replace``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 
 DEFAULT_CITY_POPULATION_THRESHOLD = 10_000.0
 
@@ -214,12 +219,33 @@ def trip_multiplier(instance: NetworkInstance, area: str, dropoff: str) -> float
 # validation
 # ----------------------------------------------------------------------
 
-def validate(instance: NetworkInstance) -> ValidationReport:
-    """Structural and range validation; returns all violations found.
+# the ranges a number may take, each (lowest, highest, as written): an open
+# end is the next float inward, so an infinity falls outside as NaN does
+_AT_LEAST_0 = (0.0, sys.float_info.max, "[0, inf)")
+_ABOVE_0 = (math.ulp(0.0), sys.float_info.max, "(0, inf)")
+_SHARE, _POSITIVE_SHARE = (0.0, 1.0, "[0, 1]"), (math.ulp(0.0), 1.0, "(0, 1]")
 
-    Each bad scalar produces exactly one entry naming the symbol and index it
-    belongs to, so reports stay readable on badly broken inputs.
-    """
+# the numbers of a processing entry and of an arc, each with its symbol per tier
+_ENTRY_SYMBOLS = {tier.name: {f.name: f"{tier.symbol}.{f.name}" for f in fields(ProcessingEntry)}
+                  for tier in TIERS}
+_ARC_SYMBOLS = {tier.name: {f.name: f"{tier.lane_symbol}.{f.name}" for f in fields(Arc)
+                            if f.type == "float"} for tier in TIERS}
+
+
+def _in_range(r: ValidationReport, symbol: str, index: tuple[str, ...], value: float | None,
+              name: str, allowed: tuple[float, float, str]) -> bool:
+    """Whether ``value`` is a number in ``allowed``; if it is missing (None)
+    or not, adds the one violation that says so."""
+    low, high, text = allowed
+    if value is not None and low <= value <= high:
+        return True
+    r.add(symbol, index, f"missing {name}" if value is None else f"{name} {value} outside {text}")
+    return False
+
+
+def validate(instance: NetworkInstance) -> ValidationReport:
+    """Structural and range validation; returns all violations found, one per
+    bad scalar, so reports stay readable on badly broken inputs."""
     r = ValidationReport()
     _check_sets(instance, r)
     if r.violations:
@@ -236,8 +262,7 @@ def _check_sets(inst: NetworkInstance, r: ValidationReport) -> None:
         ids = getattr(inst, symbol)
         if not ids:
             r.add(symbol, (), "identifier list is empty")
-        dupes = {x for x in ids if list(ids).count(x) > 1}
-        for d in sorted(dupes):
+        for d in sorted({x for x in ids if ids.count(x) > 1}):
             r.add(symbol, (d,), "duplicate identifier")
     seen: dict[str, str] = {}
     for symbol in (tier.facilities for tier in TIERS):
@@ -251,141 +276,98 @@ def _check_supply(inst: NetworkInstance, r: ValidationReport) -> None:
     s = inst.supply
     for i in inst.products:
         for h in inst.areas:
-            v = s.mass.get(i, {}).get(h)
-            if v is None:
-                r.add("r", (i, h), "missing supply mass")
-            elif v < 0:
-                r.add("r", (i, h), f"negative supply mass {v}")
-    if s.trips_per_year < 0:
-        r.add("ty", (), f"trips per year {s.trips_per_year} < 0")
+            _in_range(r, "r", (i, h), s.mass.get(i, {}).get(h), "supply mass", _AT_LEAST_0)
+    _in_range(r, "ty", (), s.trips_per_year, "trips per year", _AT_LEAST_0)
     for c in inst.dropoffs:
-        df = s.dedicated_fraction.get(c)
-        if df is None:
-            r.add("df", (c,), "missing dedicated fraction")
-        elif not 0.0 < df <= 1.0:
-            r.add("df", (c,), f"dedicated fraction {df} outside (0, 1]")
+        _in_range(r, "df", (c,), s.dedicated_fraction.get(c), "dedicated fraction", _POSITIVE_SHARE)
     if s.population is not None:
         for h in inst.areas:
-            pp = s.population.get(h)
-            if pp is None:
-                r.add("pp", (h,), "missing population")
-            elif pp < 0:
-                r.add("pp", (h,), f"negative population {pp}")
-    if s.household_size is not None and s.household_size <= 0:
-        r.add("hs", (), f"household size {s.household_size} must be > 0")
-    if s.participation is not None and not 0.0 <= s.participation <= 1.0:
-        r.add("pt", (), f"participation {s.participation} outside [0, 1]")
+            _in_range(r, "pp", (h,), s.population.get(h), "population", _AT_LEAST_0)
+    if s.household_size is not None:
+        _in_range(r, "hs", (), s.household_size, "household size", _ABOVE_0)
+    if s.participation is not None:
+        _in_range(r, "pt", (), s.participation, "participation", _SHARE)
     for h, tm in s.trip_factor.items():
         if h not in inst.areas:
             r.add("tm", (h,), "unknown residence area")
-        elif tm < 0:
-            r.add("tm", (h,), f"negative trip factor {tm}")
-
-
-def _check_entry(symbol: str, index: tuple[str, ...], e: ProcessingEntry,
-                 r: ValidationReport) -> None:
-    for fieldname in ("cost", "credit", "emission", "offset"):
-        v = getattr(e, fieldname)
-        if v < 0:
-            r.add(f"{symbol}.{fieldname}", index, f"negative value {v}")
-    if not (math.isfinite(e.capacity) and e.capacity >= 0):
-        r.add(f"{symbol}.capacity", index, f"capacity {e.capacity} must be finite and >= 0")
-    if e.min_shipment < 0:
-        r.add(f"{symbol}.min_shipment", index, f"negative minimum shipment {e.min_shipment}")
-    elif e.min_shipment > e.capacity:
-        r.add(f"{symbol}.min_shipment", index,
-              f"minimum shipment {e.min_shipment} exceeds capacity {e.capacity}")
+        else:
+            _in_range(r, "tm", (h,), tm, "trip factor", _AT_LEAST_0)
 
 
 def _check_processing(inst: NetworkInstance, r: ValidationReport) -> None:
     p = inst.processing
     for tier in TIERS:
         facilities, items, _ = tier.sets(inst)
-        table = p.entries.get(tier.name, {})
+        table, symbols = p.entries.get(tier.name, {}), _ENTRY_SYMBOLS[tier.name]
         for f in facilities:
             for it in items:
                 e = table.get(f, {}).get(it)
                 if e is None:
                     r.add(tier.symbol, (it, f), "missing processing entry")
-                else:
-                    _check_entry(tier.symbol, (it, f), e, r)
-    for tier in TIERS:
+                    continue
+                passed = {name for name, symbol in symbols.items()
+                          if _in_range(r, symbol, (it, f), getattr(e, name), name, _AT_LEAST_0)}
+                if {"capacity", "min_shipment"} <= passed and e.min_shipment > e.capacity:
+                    r.add(symbols["min_shipment"], (it, f),
+                          f"minimum shipment {e.min_shipment} exceeds capacity {e.capacity}")
         resale = p.resale.get(tier.name, {})
-        for it in getattr(inst, tier.items):
-            v = resale.get(it)
-            if v is None:
-                r.add(f"re^{tier.symbol}", (it,), "missing resale fraction")
-            elif not 0.0 <= v <= 1.0:
-                r.add(f"re^{tier.symbol}", (it,), f"resale fraction {v} outside [0, 1]")
+        for it in items:
+            _in_range(r, f"re^{tier.symbol}", (it,), resale.get(it), "resale fraction", _SHARE)
+        _in_range(r, "nof", (tier.name,), p.min_open.get(tier.name, 0), "minimum open count",
+                  (0, len(facilities), f"[0, {len(facilities)}]"))
     for f in inst.facilities():
-        fc = p.fixed_cost.get(f)
-        if fc is None:
-            r.add("fc", (f,), "missing fixed cost")
-        elif fc < 0:
-            r.add("fc", (f,), f"negative fixed cost {fc}")
-    for tier in TIERS:
-        size = len(getattr(inst, tier.facilities))
-        nof = p.min_open.get(tier.name, 0)
-        if not 0 <= nof <= size:
-            r.add("nof", (tier.name,), f"minimum open count {nof} outside [0, {size}]")
+        _in_range(r, "fc", (f,), p.fixed_cost.get(f), "fixed cost", _AT_LEAST_0)
     for i in inst.products:
         total = 0.0
         for j in inst.materials:
             q = p.composition.get(j, {}).get(i)
-            if q is None:
-                r.add("q", (j, i), "missing material fraction")
-            elif q < 0:
-                r.add("q", (j, i), f"negative material fraction {q}")
-            else:
+            if _in_range(r, "q", (j, i), q, "material fraction", _AT_LEAST_0):
                 total += q
         if total > 1.0 + 1e-9:
             r.add("q", (i,), f"material fractions sum to {total:.6g} > 1")
     for j, row in p.efficiency.items():
         for pr, v in row.items():
-            if not 0.0 <= v <= 1.0:
-                r.add("eff", (j, pr), f"efficiency {v} outside [0, 1]")
+            _in_range(r, "eff", (j, pr), v, "efficiency", _SHARE)
     for f, cap in p.total_capacity.items():
         if f not in inst.facilities():
             r.add("capTotal", (f,), "unknown facility")
-        elif not (math.isfinite(cap) and cap >= 0):
-            r.add("capTotal", (f,), f"total capacity {cap} must be finite and >= 0")
+        else:
+            _in_range(r, "capTotal", (f,), cap, "total capacity", _AT_LEAST_0)
 
 
 def _check_arcs(inst: NetworkInstance, r: ValidationReport) -> None:
     for tier in TIERS:
         heads, _, tails = tier.sets(inst)
-        table, symbol = inst.arcs.get(tier.lane, {}), tier.lane_symbol
+        table, symbols = inst.arcs.get(tier.lane, {}), _ARC_SYMBOLS[tier.name]
         for a in tails:
+            row = table.get(a, {})
             for b in heads:
-                arc = table.get(a, {}).get(b)
+                arc = row.get(b)
                 if arc is None:
-                    r.add(symbol, (a, b), "missing arc (mark forbidden explicitly)")
-                    continue
-                if arc.forbidden:
-                    continue
-                for fieldname in ("distance", "cost", "emission"):
-                    v = getattr(arc, fieldname)
-                    if not (math.isfinite(v) and v >= 0):
-                        r.add(f"{symbol}.{fieldname}", (a, b), f"bad value {v}")
-                        break
+                    r.add(tier.lane_symbol, (a, b), "missing arc (mark forbidden explicitly)")
+                elif not arc.forbidden:
+                    for name, symbol in symbols.items():  # one violation per arc at most
+                        if not _in_range(r, symbol, (a, b), getattr(arc, name), name, _AT_LEAST_0):
+                            break
 
 
 def _check_policy(inst: NetworkInstance, r: ValidationReport) -> None:
     pol = inst.policy
     if pol is None:
         return
-    for c in pol.county_of:
-        if c not in inst.dropoffs:
-            r.add("county_of", (c,), "unknown dropoff")
-    for c in pol.city_of:
-        if c not in inst.dropoffs:
-            r.add("city_of", (c,), "unknown dropoff")
+    for symbol in ("county_of", "city_of"):
+        for c in getattr(pol, symbol):
+            if c not in inst.dropoffs:
+                r.add(symbol, (c,), "unknown dropoff")
     for city in pol.city_of.values():
         if city not in pol.city_population:
             r.add("city_population", (city,), "city referenced but population missing")
-    for city in pol.city_population:
+    for city, pop in pol.city_population.items():
+        _in_range(r, "city_population", (city,), pop, "city population", _AT_LEAST_0)
         if city not in pol.city_county:
             r.add("city_county", (city,), "city has no county assignment")
+    _in_range(r, "population_threshold", (), pol.population_threshold,
+              "population threshold", _AT_LEAST_0)
 
 
 def with_trip_factor(instance: NetworkInstance, factor: float) -> NetworkInstance:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn
@@ -80,6 +80,11 @@ class Node:
         except (TypeError, ValueError):
             self.fail(f"expected a number, got {self.value!r}")
 
+    def integer(self) -> int:
+        if not self.number().is_integer():  # nor are NaN and the infinities
+            self.fail(f"expected an integer, got {self.value!r}")
+        return int(float(self.value))
+
     def text(self) -> str:
         if not isinstance(self.value, str):
             self.fail(f"expected a string, got {self.value!r}")
@@ -115,13 +120,16 @@ def read_document(path: str | Path) -> Node:
 # instance documents
 # ----------------------------------------------------------------------
 
-_ENTRY_FIELDS = ("cost", "credit", "emission", "offset", "capacity")
-_ARC_FIELDS = ("distance", "cost", "emission")
+# a record's required keys are its fields without a default, and each other
+# key is read as its default when absent; an arc's, `forbidden`, frees the rest
+_ENTRY_FIELDS, _ARC_FIELDS = (tuple(f.name for f in fields(record) if f.default is MISSING)
+                              for record in (ProcessingEntry, Arc))
+_ENTRY_DEFAULTS = {f.name: f.default for f in fields(ProcessingEntry) if f.default is not MISSING}
 
 
 def _entry_from(node: Node) -> ProcessingEntry:
     return ProcessingEntry(*node.fields(_ENTRY_FIELDS),
-                           min_shipment=node.get("min_shipment", Node.number, 0.0))
+                           **{k: node.get(k, Node.number, v) for k, v in _ENTRY_DEFAULTS.items()})
 
 
 def _arc_from(node: Node) -> Arc:
@@ -161,7 +169,7 @@ def _instance_from(doc: Node) -> NetworkInstance:
         entries={t.name: proc[t.name].map(lambda row: row.map(_entry_from)) for t in TIERS},
         resale={t.name: proc["resale"][t.name].numbers() for t in TIERS},
         fixed_cost=proc["fixed_cost"].numbers(),
-        min_open=proc["min_open"].map(lambda n: int(n.number())),
+        min_open=proc["min_open"].map(Node.integer),
         composition=proc["composition"].map(Node.numbers),
         efficiency=proc.get("efficiency", lambda n: n.map(Node.numbers), {}),
         total_capacity=proc.get("total_capacity", Node.numbers, {}),

@@ -97,15 +97,15 @@ def _magnitude_var(model: MilpModel, var_name: str,
 def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
     """Build the robust counterpart of `model` under `spec`.
 
-    Rows not named in the spec are copied unchanged.  A named row's effective
-    budget is min(gamma, number of its nonzero deviations): at 0 the row is
-    copied unchanged, at the full count each deviation is folded into the
-    coefficient of |x| (x itself when x cannot be negative), and in between
-    the row gets the budget dual ``GAMMA[k|row]`` and one ``DEV[k|row|x]``
-    with a ``robust-dual`` row per nonzero deviation, where k counts the
-    protected rows in row order.  A named equality row is rejected at every
-    budget: protecting only one side flips the row's meaning.  Split it
-    into a pair of inequalities first and protect the side that matters.
+    Rows not named in the spec are kept, shared as ``MilpModel.copy`` shares
+    them.  A named row's effective budget is min(gamma, number of its nonzero
+    deviations): at 0 the row is kept, at the full count each deviation is
+    folded into the coefficient of |x| (x itself when x cannot be negative),
+    and in between the row gets the budget dual ``GAMMA[k|row]`` and one
+    ``DEV[k|row|x]`` with a ``robust-dual`` row per nonzero deviation, where k
+    counts the protected rows in row order.  A named equality row is rejected
+    at every budget: protecting only one side flips the row's meaning.  Split
+    it into a pair of inequalities first and protect the side that matters.
     """
     spec.validate()
     known = {str(row.tag) for row in model.rows}
@@ -126,7 +126,7 @@ def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
         key = str(row.tag)
         entry = spec.rows.get(key)
         if entry is None or not entry.deviations:
-            out.add_row(row.expr, row.relation, row.rhs, row.tag)
+            out.rows.append(row)
             continue
         if row.relation == "==":
             raise ModelError(
@@ -136,7 +136,7 @@ def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
         gamma = min(entry.gamma, len(nonzero))
         flip = -1.0 if row.relation == ">=" else 1.0
         if gamma == 0:
-            out.add_row(row.expr, row.relation, row.rhs, row.tag)
+            out.rows.append(row)
         elif gamma == len(nonzero):
             expr = row.expr.copy()
             for var_name, deviation in nonzero.items():

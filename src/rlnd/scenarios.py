@@ -37,10 +37,6 @@ from .milp import (EmbeddedSolver, LinExpr, MilpModel, ModelError, RowTag, Solut
 from .objectives import (StageBreakdown, breakdown_from_solution, collected_quantities,
                          facility_inflows, merge_phases)
 
-SCENARIO_ORDER = ("baseline", "capacity-80", "capacity-40", "supply-mix-1",
-                  "supply-mix-2")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Overrides applied to a base instance before solving."""
@@ -53,28 +49,27 @@ class ScenarioSpec:
     total_capacity: dict[str, float] | None = None
 
 
+# the five standard what-if cases for the bundled two-area instance, in order
+_BUILTIN = (
+    ScenarioSpec("baseline", "the instance as given"),
+    ScenarioSpec("capacity-80", "every primary capped at 80% of the busiest "
+                 "primary's baseline throughput", total_capacity_fraction=0.80),
+    ScenarioSpec("capacity-40", "every primary capped at 40% of the busiest "
+                 "primary's baseline throughput", total_capacity_fraction=0.40),
+    ScenarioSpec("supply-mix-1", "second area generates most of both products",
+                 supply_mass={"prod1": {"area1": 600.0, "area2": 1050.0},
+                              "prod2": {"area1": 600.0, "area2": 1050.0}}),
+    ScenarioSpec("supply-mix-2", "each area leads on a different product",
+                 supply_mass={"prod1": {"area1": 1050.0, "area2": 600.0},
+                              "prod2": {"area1": 600.0, "area2": 1050.0}}),
+)
+SCENARIO_ORDER = tuple(spec.name for spec in _BUILTIN)
+
+
 def builtin_scenarios() -> dict[str, ScenarioSpec]:
-    """The five standard what-if cases for the bundled two-area instance."""
-    return {
-        "baseline": ScenarioSpec(
-            "baseline", "the instance as given"),
-        "capacity-80": ScenarioSpec(
-            "capacity-80", "every primary capped at 80% of the busiest "
-            "primary's baseline throughput",
-            total_capacity_fraction=0.80),
-        "capacity-40": ScenarioSpec(
-            "capacity-40", "every primary capped at 40% of the busiest "
-            "primary's baseline throughput",
-            total_capacity_fraction=0.40),
-        "supply-mix-1": ScenarioSpec(
-            "supply-mix-1", "second area generates most of both products",
-            supply_mass={"prod1": {"area1": 600.0, "area2": 1050.0},
-                         "prod2": {"area1": 600.0, "area2": 1050.0}}),
-        "supply-mix-2": ScenarioSpec(
-            "supply-mix-2", "each area leads on a different product",
-            supply_mass={"prod1": {"area1": 1050.0, "area2": 600.0},
-                         "prod2": {"area1": 600.0, "area2": 1050.0}}),
-    }
+    """The built-in scenarios by name, in ``SCENARIO_ORDER``; every call
+    hands out the same specs, so replace one, never change it."""
+    return {spec.name: spec for spec in _BUILTIN}
 
 
 def load_scenario_spec(path: str | Path) -> ScenarioSpec:

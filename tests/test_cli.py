@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -387,6 +388,11 @@ ERROR_CASES = {
         tmp_path, lambda d: _first_dropoff_entry(d).pop("capacity")),
     "trips-not-a-number": lambda tmp_path: _validate(
         tmp_path, lambda d: d["supply"].update(trips_per_year="many")),
+    **{f"min-open-{name}": lambda tmp_path, value=value: _validate(
+        tmp_path, lambda d: d["processing"]["min_open"].update(dropoff=value))
+       for name, value in (("infinite", math.inf), ("nan", math.nan), ("fraction", 1.5))},
+    "solve-nan-cost": lambda tmp_path: ["solve", "--instance", str(write_instance(
+        tmp_path, lambda d: _first_dropoff_entry(d).update(cost=math.nan)))],
     "latitude-out-of-range": lambda tmp_path: _distances(
         tmp_path, "a,147.6,-120", "b,47,-121", "c,46,-122", "d,45,-120"),
     "points-row-too-short": _second_point("b,47.7"),
@@ -423,6 +429,23 @@ def test_missing_and_mistyped_instance_keys_are_named(tmp_path, capsys):
     assert "processing.primary.prim1.prod1.capacity" in capsys.readouterr().err
     assert main(_validate(tmp_path, lambda d: d["arcs"].pop("pri_sec"))) == 1
     assert "missing key 'arcs.pri_sec'" in capsys.readouterr().err
+
+
+def test_min_open_must_be_an_integer(tmp_path, capsys):
+    for name, shown in (("infinite", "inf"), ("nan", "nan"), ("fraction", "1.5")):
+        assert main(ERROR_CASES[f"min-open-{name}"](tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert f"processing.min_open.dropoff: expected an integer, got {shown}" in err, name
+
+
+def test_a_number_that_is_not_finite_fails_validation(tmp_path, capsys):
+    assert main(ERROR_CASES["solve-nan-cost"](tmp_path)) == 1
+    captured = capsys.readouterr()
+    violation = "drp.cost[prod1,drop1]: cost nan outside [0, inf)"
+    assert captured.out == "" and violation in captured.err
+    assert main(_validate(tmp_path, lambda d: _first_dropoff_entry(d).update(cost=math.nan))) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"violation: {violation}"] and captured.err == ""
 
 
 def test_a_bad_points_row_names_its_file_and_line(tmp_path, capsys):

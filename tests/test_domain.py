@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import pytest
 
-from rlnd.domain import (InstanceError, PolicyData,
+from rlnd.domain import (TIERS, Arc, InstanceError, PolicyData, ProcessingEntry,
                          trip_multiplier, validate, with_supply_mass,
                          with_total_capacity, with_trip_factor)
 from rlnd.io import instance_from_dict, instance_to_dict
@@ -63,6 +64,77 @@ def test_single_bad_scalar_is_reported_once(bundled, breaker, symbol):
     assert not report.ok
     assert len(report.violations) == 1
     assert report.violations[0].symbol == symbol
+
+
+def _every_number_set(bundled):
+    """The bundled network with each optional number set to a valid value:
+    demographics, an efficiency, a total capacity and a siting policy."""
+    inst = mutable_copy(bundled)
+    supply = dataclasses.replace(inst.supply, population={"area1": 1000.0, "area2": 800.0},
+                                 household_size=2.5, participation=0.625)
+    inst.processing.efficiency["mat1"] = {"prim1": 0.9}
+    inst.processing.total_capacity["prim1"] = 1000.0
+    policy = PolicyData(county_of={"drop1": "u1"}, city_of={"drop1": "t1"},
+                        city_population={"t1": 50000.0}, city_county={"t1": "u1"})
+    return dataclasses.replace(inst, supply=supply, policy=policy)
+
+
+def _set_supply(**change):
+    return lambda i: dataclasses.replace(i, supply=dataclasses.replace(i.supply, **change))
+
+
+def _replace_first(table, name, value):
+    """A breaker that sets ``name`` of the first record in ``table(inst)``'s
+    first row to ``value``."""
+    def breaker(inst):
+        row = next(iter(table(inst).values()))
+        key = next(iter(row))
+        row[key] = dataclasses.replace(row[key], **{name: value})
+    return breaker
+
+
+def _number_cases(value):
+    """(breaker, symbol) for every number of an instance, each set to ``value``."""
+    cases = [
+        (lambda i: i.supply.mass["prod1"].__setitem__("area1", value), "r"),
+        (_set_supply(trips_per_year=value), "ty"),
+        (lambda i: i.supply.dedicated_fraction.__setitem__("drop2", value), "df"),
+        (lambda i: i.supply.population.__setitem__("area2", value), "pp"),
+        (_set_supply(household_size=value), "hs"),
+        (_set_supply(participation=value), "pt"),
+        (lambda i: i.supply.trip_factor.__setitem__("area1", value), "tm"),
+        *((lambda i, t=t: i.processing.resale[t.name].__setitem__(
+            next(iter(i.processing.resale[t.name])), value), f"re^{t.symbol}") for t in TIERS),
+        (lambda i: i.processing.fixed_cost.__setitem__("prim2", value), "fc"),
+        (lambda i: i.processing.composition["mat2"].__setitem__("prod2", value), "q"),
+        (lambda i: i.processing.efficiency["mat1"].__setitem__("prim1", value), "eff"),
+        (lambda i: i.processing.total_capacity.__setitem__("prim1", value), "capTotal"),
+        (lambda i: i.policy.city_population.__setitem__("t1", value), "city_population"),
+        (lambda i: dataclasses.replace(
+            i, policy=dataclasses.replace(i.policy, population_threshold=value)),
+         "population_threshold"),
+    ]
+    cases += [(_replace_first(lambda i, t=t: i.processing.entries[t.name], f.name, value),
+               f"{t.symbol}.{f.name}") for t in TIERS for f in dataclasses.fields(ProcessingEntry)]
+    cases += [(_replace_first(lambda i, t=t: i.arcs[t.lane], f.name, value),
+               f"{t.lane_symbol}.{f.name}")
+              for t in TIERS for f in dataclasses.fields(Arc) if f.name != "forbidden"]
+    return cases
+
+
+BAD_NUMBERS = [(value, breaker, symbol) for value in (math.nan, math.inf, -math.inf, -1.0)
+               for breaker, symbol in _number_cases(value)]
+
+
+@pytest.mark.parametrize("value,breaker,symbol", BAD_NUMBERS,
+                         ids=[f"{symbol}={value}" for value, _, symbol in BAD_NUMBERS])
+def test_a_bad_number_is_reported_once(bundled, value, breaker, symbol):
+    """NaN, either infinity or a number below its range gives one violation
+    with that number's symbol."""
+    inst = _every_number_set(bundled)
+    assert validate(inst).ok
+    inst = breaker(inst) or inst
+    assert [v.symbol for v in validate(inst).violations] == [symbol]
 
 
 TIER_IDS = ["dropoff", "primary", "secondary"]
