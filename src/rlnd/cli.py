@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=POINTS_DEFAULT,
                    help="grid steps between the objective anchors")
     p.add_argument("--theta", type=float, default=THETA_DEFAULT,
-                   help="slack reward keeping grid solves efficient")
+                   help="slack weight: each grid solve minimizes cost + theta * "
+                        "slack, a penalty on the cap's slack")
     p.add_argument("--no-policy", action="store_true")
     p.add_argument("--output", type=Path, default=None, help="front CSV")
     p.set_defaults(func=_cmd_pareto)

@@ -5,11 +5,21 @@ mapping the embedded engine scales) to scipy.optimize.milp (HiGHS)
 unchanged, the row matrix as the sparse matrix its CSR arrays describe, and
 adapts the result to the same Solution type the embedded solver returns, so
 the two backends are interchangeable behind the Solver protocol.
+
+The adapter can also solve one model on one background thread while the
+calling thread goes on, which a trade-off sweep uses to overlap two HiGHS
+solves (see :meth:`ScipySolver.background`).  scipy's HiGHS releases the
+interpreter lock while it solves, so the two solves run side by side.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+from functools import partial
+from typing import Callable, Iterator
 
 from .milp import MilpModel, Solution, SolveStats, Status
 
@@ -21,6 +31,21 @@ _NODE_LIMIT_MESSAGE = "(HiGHS Status 16:"
 # scipy.optimize.milp passes options it does not know to HiGHS verbatim and
 # warns that it did so; this adapter sets such an option on purpose.
 _VERBATIM_WARNING = "Unrecognized options detected"
+
+
+@contextmanager
+def _verbatim_options_silenced() -> Iterator[None]:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _VERBATIM_WARNING, RuntimeWarning)
+        yield
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class ScipySolver:
@@ -46,23 +71,86 @@ class ScipySolver:
         if node_budget < 1:
             raise ValueError(f"node budget must be at least 1, got {node_budget}")
         self.node_budget = node_budget
+        self._worker: ThreadPoolExecutor | None = None
+        self._started: tuple[MilpModel, Future] | None = None
 
-    def solve(self, model: MilpModel) -> Solution:
+    @contextmanager
+    def background(self) -> Iterator[bool]:
+        """A scope in which :meth:`start` may solve a model on one worker
+        thread; it yields whether it may, which it does when the process
+        may use more than one CPU.
+
+        The worker's milp() warns of the verbatim options like any call,
+        and warning filters are global to the process.  So the scope holds
+        one ``warnings.catch_warnings`` that silences that warning for as
+        long as the worker can run, and inside it :meth:`solve` opens no
+        scope of its own: a per-call scope would let the worker's warning
+        through between two calls, and entering one briefly drops the
+        filter it adds again.  On exit, also on error, the scope waits for
+        a started solve nobody asked for, drops it with any exception it
+        raised, and stops the worker, so no started solve outlives it.
+        """
+        if _usable_cpus() < 2:
+            yield False
+            return
+        with _verbatim_options_silenced():
+            self._worker = ThreadPoolExecutor(1, thread_name_prefix="rlnd-highs")
+            try:
+                yield True
+            finally:
+                self._drop()
+                self._worker.shutdown()
+                self._worker = None
+
+    def start(self, model: MilpModel) -> None:
+        """Start solving ``model`` on the worker of :meth:`background`; the
+        next :meth:`solve` of this same model object returns the result.
+
+        At most one model is started at a time: starting another drops the
+        one before it, after waiting for it.  scipy is imported and the
+        arrays HiGHS reads are made here, in the calling thread; only
+        milp() runs on the worker.
+        """
+        if self._worker is None:
+            raise RuntimeError("start() runs only inside background()")
+        self._drop()
+        if model.variables:
+            self._started = (model, self._worker.submit(self._problem(model)))
+
+    def _drop(self) -> None:
+        """Forget the started solve after waiting for it to end, and swallow
+        what it raised, since nobody asked for its answer."""
+        started, self._started = self._started, None
+        if started is not None:
+            started[1].exception()
+
+    def _problem(self, model: MilpModel) -> Callable:
+        """milp() of ``model``'s arrays, waiting to be called."""
         from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.sparse import csr_array
 
-        names = list(model.variables)
-        if not names:
-            return Solution(Status.OPTIMAL, model.objective.constant, {},
-                            SolveStats(), model.objective.constant)
         c, (indptr, indices, data), row_lb, row_ub, lb, ub, binary = model.to_arrays()
-        a = csr_array((data, indices, indptr), shape=(len(model.rows), len(names)))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _VERBATIM_WARNING, RuntimeWarning)
-            res = milp(c, constraints=[LinearConstraint(a, row_lb, row_ub)] if model.rows else [],
+        a = csr_array((data, indices, indptr), shape=(len(model.rows), len(c)))
+        return partial(milp, c,
+                       constraints=[LinearConstraint(a, row_lb, row_ub)] if model.rows else [],
                        integrality=binary, bounds=Bounds(lb, ub),
                        options={"presolve": False, "node_limit": self.node_budget,
                                 "mip_heuristic_run_feasibility_jump": False})
+
+    def solve(self, model: MilpModel) -> Solution:
+        """Solve ``model``; when it is the model :meth:`start` started,
+        wait for that solve instead, and raise what it raised."""
+        if not model.variables:
+            return Solution(Status.OPTIMAL, model.objective.constant, {},
+                            SolveStats(), model.objective.constant)
+        if self._started is not None and self._started[0] is model:
+            future = self._started[1]
+            self._started = None
+            res = future.result()
+        else:
+            problem = self._problem(model)
+            with nullcontext() if self._worker is not None else _verbatim_options_silenced():
+                res = problem()
 
         if res.status == 4 and _NODE_LIMIT_MESSAGE in (res.message or ""):
             status = Status.BUDGET_EXCEEDED
@@ -79,7 +167,7 @@ class ScipySolver:
         if getattr(res, "mip_dual_bound", None) is not None:
             bound = float(res.mip_dual_bound) + model.objective.constant
         if res.x is not None:
-            values = dict(zip(names, res.x.tolist()))
+            values = dict(zip(model.variables, res.x.tolist()))
             objective = float(res.fun) + model.objective.constant
             if bound is None:
                 bound = objective

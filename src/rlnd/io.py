@@ -12,11 +12,13 @@ in the optional keys and reads the per-tier parts of ``processing`` and
 scenario and uncertainty spec files are all read through :class:`Node`, so
 a missing key or a value of the wrong type raises one
 :class:`DocumentError` naming the file and the key's path, such as
-``supply.trips_per_year``.  The CSV importer reads coordinate points,
-``id, lat, lon[, population]``; a header (the first non-blank row, when its
-``lat`` cell is not numeric) is detected and skipped, so both bare and
-titled exports load.  :func:`write_csv` writes every CSV export, floats
-with six decimals.
+``supply.trips_per_year``.  A number must be a JSON number, not a string
+such as ``"500"`` nor ``true``, and a flag such as an arc's ``forbidden``
+must be ``true`` or ``false``; a null reads as an absent key.  The CSV
+importer reads coordinate points, ``id, lat, lon[, population]``; a header
+(the first non-blank row, when its ``lat`` cell is not numeric) is detected
+and skipped, so both bare and titled exports load.  :func:`write_csv`
+writes every CSV export, floats with six decimals.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ from .geo import GeoPoint
 
 class DocumentError(InstanceError):
     """A JSON document lacks a key or holds a value of the wrong type."""
+
+
+# the types json.load gives a number; bool, a subclass of int, is not one.
+# The bulk readers pass a float through without this lookup, which keeps a
+# load as fast as the float() it replaces.
+_AS_FLOAT = {int: float, float: float}
 
 
 class Node:
@@ -75,15 +83,21 @@ class Node:
                 for k, v in self.table().items()}
 
     def number(self) -> float:
+        """A JSON number as a float; not a string, nor ``true`` or ``false``."""
         try:
-            return float(self.value)
-        except (TypeError, ValueError):
+            return _AS_FLOAT[type(self.value)](self.value)
+        except (KeyError, OverflowError):
             self.fail(f"expected a number, got {self.value!r}")
 
     def integer(self) -> int:
         if not self.number().is_integer():  # nor are NaN and the infinities
             self.fail(f"expected an integer, got {self.value!r}")
-        return int(float(self.value))
+        return int(self.value)
+
+    def flag(self) -> bool:
+        if not isinstance(self.value, bool):
+            self.fail(f"expected true or false, got {self.value!r}")
+        return self.value
 
     def text(self) -> str:
         if not isinstance(self.value, str):
@@ -97,16 +111,18 @@ class Node:
 
     def numbers(self) -> dict[str, float]:
         try:
-            return {k: float(v) for k, v in self.table().items()}
-        except (TypeError, ValueError):
+            return {k: v if type(v) is float else _AS_FLOAT[type(v)](v)
+                    for k, v in self.table().items()}
+        except (KeyError, OverflowError):
             return self.map(Node.number)  # raises, naming the value
 
     def fields(self, names: tuple[str, ...]) -> list[float]:
         """The numbers under ``names``, in that order."""
         table = self.table()
         try:
-            return [float(table[k]) for k in names]
-        except (KeyError, TypeError, ValueError):
+            return [v if type(v := table[k]) is float else _AS_FLOAT[type(v)](v)
+                    for k in names]
+        except (KeyError, OverflowError):
             return [self[k].number() for k in names]  # raises, naming the key
 
 
@@ -133,8 +149,11 @@ def _entry_from(node: Node) -> ProcessingEntry:
 
 
 def _arc_from(node: Node) -> Arc:
-    if node.table().get("forbidden"):
+    forbidden = node.table().get("forbidden")
+    if forbidden is True:
         return Arc(*(node.get(k, Node.number, 0.0) for k in _ARC_FIELDS), forbidden=True)
+    if forbidden is not None and forbidden is not False:
+        node["forbidden"].flag()  # raises, naming the key
     return Arc(*node.fields(_ARC_FIELDS))
 
 

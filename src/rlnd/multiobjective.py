@@ -29,6 +29,28 @@ feasible.  No grid solve rebuilds its model: the builders keep what they
 built for the family's instance, and each grid solve adds its epsilon row
 to a fresh copy of the anchor's model (see :mod:`rlnd.builders`).
 
+On a solver that can start a solve on a background thread, the sweep
+overlaps two solves: :class:`~rlnd.external.ScipySolver` can
+(``background`` and ``start``) when the process may use more than one CPU,
+and the family must be able to build a step's first model ahead
+(``build``): the whole-network model, or the two-phase program's phase one.
+Before the sweep solves a step that nobody started, it builds the next
+step's first model in the calling thread and starts it: the emission anchor
+while the cost anchor solves, then the next cap of the walk, which the
+sweep knows before the current cap ends because the bypass only ever skips
+caps.  A started step only waits for its answer.  So at most two solves run
+at once, and the solver needs one worker thread.  A started cap that the
+bypass skips is waited for and dropped, with anything it raised.  Every
+model is still built, handed to the solver's ``solve()`` and reported in
+the calling thread, in the sequential walk's order of solves; only HiGHS's
+``milp()`` runs on the worker, so the fronts are the same.  The sweep holds
+the solver's background scope for as long as the worker can run: the scope
+holds the one warnings filter the worker's solves need, and on exit, also
+on error, it waits for and drops a started solve, so none outlives the
+sweep.  The embedded engine, and any solver without ``background``, keeps
+the sequential walk: the engine holds the interpreter lock, and its kept
+roots make its answers depend on the order of its solves.
+
 Families adapt concrete model shapes to the sweep.  The sweep reads only
 totals from them: each anchor's cost and emission, and each grid solve's
 cost, emission and reach; the solution values stay with the family.  The
@@ -38,11 +60,12 @@ each cap bounds from :data:`rlnd.objectives.TOTALS`:
 * :class:`ExpressionFamily` — any single MilpModel with a cost and an
   emission expression.
 * :class:`SystemEpsilonFamily` — the whole-network program, on
-  :func:`~rlnd.scenarios.solve_system`: an anchor is the plain solve of one
+  :func:`~rlnd.scenarios.build_system` and
+  :func:`~rlnd.scenarios.solve_first`: an anchor is the plain solve of one
   objective, the same optimum ``rlnd solve`` prints, and a grid solve is the
   cost solve under an :class:`~rlnd.scenarios.EmissionCap`.
 * :class:`UserEpsilonFamily` — the same family on the two-phase program,
-  :func:`~rlnd.scenarios.solve_user`.  Its emission anchor is thus the
+  :func:`~rlnd.scenarios.build_user`.  Its emission anchor is thus the
   residents' own trip-emission optimum followed by the operator's
   emission-optimal routing.  The two-phase cap holds back that anchor's
   phase-two emission from phase one, so that phase two can still fit under
@@ -60,8 +83,8 @@ from .builders import build_system_model, build_user_model_i, build_user_model_i
 from .domain import NetworkInstance
 from .io import write_csv
 from .milp import EmbeddedSolver, LinExpr, MilpModel, ModelError, Solution, Solver, Status
-from .scenarios import (EmissionCap, SideResult, add_epsilon_row, solve_system,
-                        solve_user)
+from .scenarios import (EmissionCap, FirstModel, add_epsilon_row, build_system, build_user,
+                        solve_first)
 
 THETA_DEFAULT = 1e-4
 THETA_RANGE = (1e-6, 1e-3)
@@ -116,7 +139,13 @@ class ParetoFront:
 class TradeoffFamily(Protocol):
     """What the sweep needs from a problem family: the cost and emission
     totals of the two anchors and of each grid solve, and the tightest cap
-    each grid answer fits."""
+    each grid answer fits.
+
+    A family whose ``solver`` can start a solve in the background may also
+    offer ``build(step)``, the first model of a step (an anchor's objective
+    or a grid point ``(v, epsilon, theta)``) built ahead of its solve, and
+    take it back as the ``built`` argument of ``anchor`` or
+    ``solve_point``; the sweep then overlaps two solves."""
 
     def anchor(self, objective: str) -> tuple[float, float]:
         """(cost, emission) after minimizing the named objective."""
@@ -162,15 +191,46 @@ def _nondominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
 def epsilon_sweep(family: TradeoffFamily, points: int = POINTS_DEFAULT,
                   theta: float = THETA_DEFAULT) -> ParetoFront:
     """Walk the emission range in `points` uniform steps, loosest cap first
-    (at most points+1 solves)."""
+    (at most points+1 solves).
+
+    A family that can build a step's first model ahead, on a solver that
+    can start it in the background, overlaps two solves (see the module
+    docstring).
+    """
     if not THETA_RANGE[0] <= theta <= THETA_RANGE[1]:
         raise ValueError(f"theta must lie in [{THETA_RANGE[0]:g}, {THETA_RANGE[1]:g}], "
                          f"got {theta:g}")
     if points < 1:
         raise ValueError("the grid needs at least one step")
+    background = getattr(getattr(family, "solver", None), "background", None)
+    if background is None or not hasattr(family, "build"):
+        return _walk(family, points, theta, None)
+    with background() as overlapping:
+        return _walk(family, points, theta, family.solver.start if overlapping else None)
 
-    cost_c, em_c = family.anchor("cost")
-    cost_e, em_e = family.anchor("emission")
+
+def _walk(family: TradeoffFamily, points: int, theta: float,
+          start: Callable[[MilpModel], None] | None) -> ParetoFront:
+    """The sweep; with ``start``, each step solved in the calling thread
+    that nobody started first starts the next step's first model."""
+    started = None  # (step, its FirstModel) whose solve ``start`` began
+
+    def solve(step, upcoming=None):
+        nonlocal started
+        kwargs = {}
+        if started is not None and started[0] == step:
+            kwargs["built"] = started[1]
+            started = None
+        elif start is not None and upcoming is not None:
+            ahead = family.build(upcoming)
+            start(ahead.model)
+            started = (upcoming, ahead)
+        if isinstance(step, str):
+            return family.anchor(step, **kwargs)
+        return family.solve_point(*step, **kwargs)
+
+    cost_c, em_c = solve("cost", "emission")
+    cost_e, em_e = solve("emission")
     em_min, em_max = em_e, max(em_e, em_c)
 
     found: list[ParetoPoint] = []
@@ -184,7 +244,7 @@ def epsilon_sweep(family: TradeoffFamily, points: int = POINTS_DEFAULT,
     while k >= 0:
         v, eps = grid[k]
         k -= 1
-        result = family.solve_point(v, eps, theta)
+        result = solve((v, eps, theta), (*grid[k], theta) if k >= 0 else None)
         if result is None:
             skipped.append(SkippedPoint(v, eps, "no solution fits this emission cap"))
             continue
@@ -245,6 +305,8 @@ class ExpressionFamily:
 class SystemEpsilonFamily:
     """Trade-off family for the whole-network program."""
 
+    _build = staticmethod(build_system)
+
     def __init__(self, instance: NetworkInstance, include_policy: bool = True,
                  solver: Solver | None = None):
         self.instance = instance
@@ -252,25 +314,35 @@ class SystemEpsilonFamily:
         self.solver = solver or EmbeddedSolver()
         self._held_back: float | None = None
 
-    def _solve(self, objective: str, cap: EmissionCap | None = None) -> SideResult:
-        return solve_system(self.instance, objective, self.solver, self.include_policy, cap)
+    def _cap(self, v: int, epsilon: float, theta: float) -> EmissionCap:
+        return EmissionCap(v, epsilon, theta)
 
-    def anchor(self, objective: str) -> tuple[float, float]:
-        side = self._solve(objective).require_optimal("anchor solve")
+    def build(self, step: str | tuple[int, float, float]) -> FirstModel:
+        """The first model of a sweep step, built ahead of its solve: of
+        ``anchor(step)`` for an objective, of ``solve_point(*step)`` for a
+        grid point; hand it to that call as ``built``."""
+        if isinstance(step, str):
+            return self._build(self.instance, step, self.include_policy)
+        return self._build(self.instance, "cost", self.include_policy, self._cap(*step))
+
+    def anchor(self, objective: str, built: FirstModel | None = None) -> tuple[float, float]:
+        side = solve_first(built or self.build(objective), self.solver)
+        side.require_optimal("anchor solve")
         if objective == "emission":  # later phases' emission, held back from phase one
             self._held_back = sum(artifacts.stages.total("emission").evaluate(solution.values)
                                   for artifacts, solution in side.phases[1:])
         return side.total_cost, side.total_emission
 
-    def solve_point(self, v: int, epsilon: float, theta: float
-                    ) -> tuple[float, float, float] | None:
-        return self._grid_solve(EmissionCap(v, epsilon, theta))
+    def solve_point(self, v: int, epsilon: float, theta: float,
+                    built: FirstModel | None = None) -> tuple[float, float, float] | None:
+        return self._grid_solve(v, epsilon, theta, built)
 
-    def _grid_solve(self, cap: EmissionCap) -> tuple[float, float, float] | None:
-        side = self._solve("cost", cap)
+    def _grid_solve(self, v: int, epsilon: float, theta: float,
+                    built: FirstModel | None) -> tuple[float, float, float] | None:
+        side = solve_first(built or self.build((v, epsilon, theta)), self.solver)
         if side.status is Status.INFEASIBLE:
             return None
-        side.require_optimal(f"grid solve {cap.v}")
+        side.require_optimal(f"grid solve {v}")
         return side.total_cost, side.total_emission, side.reach
 
 
@@ -284,11 +356,15 @@ class UserEpsilonFamily(SystemEpsilonFamily):
     the anchors solves the emission anchor first.
     """
 
-    def _solve(self, objective: str, cap: EmissionCap | None = None) -> SideResult:
-        return solve_user(self.instance, objective, self.solver, self.include_policy, cap)
+    _build = staticmethod(build_user)
 
-    def solve_point(self, v: int, epsilon: float, theta: float
-                    ) -> tuple[float, float, float] | None:
+    def _cap(self, v: int, epsilon: float, theta: float) -> EmissionCap:
         if self._held_back is None:
             self.anchor("emission")
-        return self._grid_solve(EmissionCap(v, epsilon, theta, self._held_back))
+        return EmissionCap(v, epsilon, theta, self._held_back)
+
+    # Each family defines its own solve_point, so that wrapping one family's
+    # method (as perfbench's tracer does, per class) leaves the other's alone.
+    def solve_point(self, v: int, epsilon: float, theta: float,
+                    built: FirstModel | None = None) -> tuple[float, float, float] | None:
+        return self._grid_solve(v, epsilon, theta, built)

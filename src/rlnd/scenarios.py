@@ -8,17 +8,21 @@ and the two-phase program on the materialized instance and reports both as
 per-stage breakdowns; `run_scenario` does the same and raises when a solve
 does not end optimal.
 
-`solve_system` and `solve_user` are the one build, solve and report path for
-the two programs; every other caller, the CLI and the trade-off families
-included, goes through them.  An optional `EmissionCap` turns either into a
-grid solve of the epsilon-constraint sweep, and `solve_built` reports a
-whole-network model built elsewhere, such as a robust counterpart.  An
-entry point given no solver makes one :class:`~rlnd.milp.EmbeddedSolver`
-for all of its solves, so each root starts from the last one of its shape
-(the baseline's for the throughput solve, the previous step's in
-calibration).  Every solve on a new instance builds its own model; a
-solve on an instance already built from, such as a trade-off grid point,
-gets a fresh copy of that model (see :mod:`rlnd.builders`).
+`solve_system` and `solve_user` are the one build, solve and report path
+for the two programs, and each is two steps: `build_system` or `build_user`
+builds the program's first model, a `FirstModel`, and `solve_first` solves
+and reports it.  Every other caller, the CLI and the trade-off families
+included, goes through them; the families take the two steps apart, so that
+a sweep can build the next grid point's model ahead of its solve.  An
+optional `EmissionCap` turns either program into a grid solve of the
+epsilon-constraint sweep, and `solve_built` reports a whole-network model
+built elsewhere, such as a robust counterpart.  An entry point given no
+solver makes one :class:`~rlnd.milp.EmbeddedSolver` for all of its solves,
+so each root starts from the last one of its shape (the baseline's for the
+throughput solve, the previous step's in calibration).  Every solve on a
+new instance builds its own model; a solve on an instance already built
+from, such as a trade-off grid point, gets a fresh copy of that model (see
+:mod:`rlnd.builders`).
 """
 
 from __future__ import annotations
@@ -277,41 +281,70 @@ def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
     return SideResult(solution.status, phases, breakdown, opens, dict(solution.values))
 
 
-def solve_system(instance: NetworkInstance, objective: str = "cost",
-                 solver: Solver | None = None, include_policy: bool = True,
-                 cap: EmissionCap | None = None) -> SideResult:
-    """One decision maker routes everything."""
+@dataclass
+class FirstModel:
+    """A program's first model, built and, under a cap, capped, waiting for
+    its solve: the whole-network model, or the two-phase program's phase
+    one.  ``capped`` is the emission total the cap row bounds."""
+
+    instance: NetworkInstance
+    objective: str
+    artifacts: ModelArtifacts
+    two_phase: bool
+    cap: EmissionCap | None = None
+    capped: LinExpr | None = None
+
+    @property
+    def model(self) -> MilpModel:
+        return self.artifacts.model
+
+
+def build_system(instance: NetworkInstance, objective: str = "cost",
+                 include_policy: bool = True, cap: EmissionCap | None = None) -> FirstModel:
+    """The whole-network model, with the cap's epsilon row if there is a cap."""
     artifacts = build_system_model(instance, objective, include_policy)
-    if cap is None:
-        return solve_built(instance, artifacts, solver)
-    emission = artifacts.stages.total("emission")
-    add_epsilon_row(artifacts.model, emission, cap.v, cap.epsilon, cap.theta,
-                    artifacts.model.objective)
-    side = solve_built(instance, artifacts, solver)
-    if side.values:
-        side.reach = emission.evaluate(side.values)
-    return side
+    first = FirstModel(instance, objective, artifacts, False, cap)
+    if cap is not None:
+        first.capped = artifacts.stages.total("emission")
+        add_epsilon_row(artifacts.model, first.capped, cap.v, cap.epsilon, cap.theta,
+                        artifacts.model.objective)
+    return first
 
 
-def solve_user(instance: NetworkInstance, objective: str = "cost",
-               solver: Solver | None = None, include_policy: bool = True,
-               cap: EmissionCap | None = None) -> SideResult:
-    """Residents choose dropoffs first; the operator routes what arrives."""
-    solver = solver or EmbeddedSolver()
+def build_user(instance: NetworkInstance, objective: str = "cost",
+               include_policy: bool = True, cap: EmissionCap | None = None) -> FirstModel:
+    """The two-phase program's phase one; under a cap, the emission it
+    settles alone is capped at the cap less what it holds back."""
     phase1 = build_user_model_i(instance, objective, include_policy)
+    first = FirstModel(instance, objective, phase1, True, cap)
     if cap is not None:
         # what the users' phase settles alone: trips and dropoff processing, less offsets
-        collection = phase1.stages.total("emission", {TIERS[0].leg, TIERS[0].name})
-        add_epsilon_row(phase1.model, collection, cap.v, cap.epsilon - cap.held_back,
+        first.capped = phase1.stages.total("emission", {TIERS[0].leg, TIERS[0].name})
+        add_epsilon_row(phase1.model, first.capped, cap.v, cap.epsilon - cap.held_back,
                         cap.theta, phase1.model.objective)
+    return first
+
+
+def solve_first(first: FirstModel, solver: Solver | None = None) -> SideResult:
+    """Solve a built first model and report it; the two-phase program then
+    builds, caps and solves the operator's phase on what phase one
+    collected.  Under a cap, the result's ``reach`` is the tightest cap its
+    answer fits."""
+    if not first.two_phase:
+        side = solve_built(first.instance, first.artifacts, solver)
+        if first.cap is not None and side.values:
+            side.reach = first.capped.evaluate(side.values)
+        return side
+    instance, cap, phase1 = first.instance, first.cap, first.artifacts
+    solver = solver or EmbeddedSolver()
     s1 = solver.solve(phase1.model)
     phases = [(phase1, s1)]
     if s1.status is not Status.OPTIMAL:
         return SideResult(s1.status, phases)
     rq = collected_quantities(instance, phase1.vars, s1.values)
-    phase2 = build_user_model_ii(instance, rq, objective)
+    phase2 = build_user_model_ii(instance, rq, first.objective)
     if cap is not None:
-        collected = collection.evaluate(s1.values)
+        collected = first.capped.evaluate(s1.values)
         downstream = phase2.stages.total("emission")
         add_epsilon_row(phase2.model, downstream, cap.v, cap.epsilon - collected,
                         cap.theta, phase2.model.objective)
@@ -326,6 +359,20 @@ def solve_user(instance: NetworkInstance, objective: str = "cost",
     if cap is not None:
         side.reach = collected + max(cap.held_back, downstream.evaluate(s2.values))
     return side
+
+
+def solve_system(instance: NetworkInstance, objective: str = "cost",
+                 solver: Solver | None = None, include_policy: bool = True,
+                 cap: EmissionCap | None = None) -> SideResult:
+    """One decision maker routes everything."""
+    return solve_first(build_system(instance, objective, include_policy, cap), solver)
+
+
+def solve_user(instance: NetworkInstance, objective: str = "cost",
+               solver: Solver | None = None, include_policy: bool = True,
+               cap: EmissionCap | None = None) -> SideResult:
+    """Residents choose dropoffs first; the operator routes what arrives."""
+    return solve_first(build_user(instance, objective, include_policy, cap), solver)
 
 
 def _builtin(name: str) -> ScenarioSpec:

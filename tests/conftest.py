@@ -1,6 +1,6 @@
 import pytest
 
-from rlnd import load_bundled_instance
+from rlnd import external, load_bundled_instance
 from rlnd.scenarios import builtin_scenarios, materialize
 
 
@@ -12,3 +12,9 @@ def bundled():
 @pytest.fixture(scope="session")
 def tight40(bundled):
     return materialize(builtin_scenarios()["capacity-40"], bundled)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The HiGHS adapter's background worker runs on a one-CPU machine too."""
+    monkeypatch.setattr(external, "_usable_cpus", lambda: 2)

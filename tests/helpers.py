@@ -11,6 +11,7 @@ import functools
 import importlib.util
 import itertools
 import random
+import threading
 from pathlib import Path
 
 from rlnd.domain import NetworkInstance
@@ -32,6 +33,51 @@ class RecordingSolver(EmbeddedSolver):
         solution = super().solve(model) if self.warm else solve_milp(model, self.node_budget)
         self.solves.append((model, solution))
         return solution
+
+
+class SolveOnly:
+    """A solver seen through ``solve()`` alone, which a trade-off sweep
+    walks one solve after another."""
+
+    def __init__(self, solver):
+        self.solver = solver
+
+    def solve(self, model: MilpModel) -> Solution:
+        return self.solver.solve(model)
+
+
+def on_highs_worker(thread: str) -> bool:
+    """Whether a thread name is that of ``ScipySolver``'s background worker."""
+    return thread.startswith("rlnd-highs")
+
+
+class MilpSpy:
+    """Stands in for ``scipy.optimize.milp``: counts the calls running at
+    once and the most that ever did, keeps each call's thread name, and
+    raises ``RuntimeError`` from the calls ``fail(k, thread_name)`` picks,
+    where ``k`` counts that thread's earlier calls.  Calls on two threads
+    may enter in either order, so only the per-thread count repeats."""
+
+    def __init__(self, milp, fail=lambda k, thread: False):
+        self.milp, self.fail = milp, fail
+        self.lock = threading.Lock()
+        self.running = self.most = 0
+        self.threads: list[str] = []
+
+    def __call__(self, *args, **kwargs):
+        thread = threading.current_thread().name
+        with self.lock:
+            k = self.threads.count(thread)
+            self.threads.append(thread)
+            self.running += 1
+            self.most = max(self.most, self.running)
+        try:
+            if self.fail(k, thread):
+                raise RuntimeError(f"milp call {k} on {thread} failed")
+            return self.milp(*args, **kwargs)
+        finally:
+            with self.lock:
+                self.running -= 1
 
 
 class UnstableSolver(EmbeddedSolver):

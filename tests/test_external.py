@@ -1,6 +1,8 @@
 """Agreement between the bundled branch-and-bound solver and HiGHS, and the
 options and statuses of the HiGHS adapter."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,13 +10,15 @@ import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult, OptimizeWarning
 
-from helpers import ExactHighs, netgen_instance
+from helpers import ExactHighs, MilpSpy, netgen_instance, on_highs_worker
+from rlnd import external
 from rlnd.builders import build_system_model, build_user_model_i, build_user_model_ii
 from rlnd.cli import main
 from rlnd.external import ScipySolver
 from rlnd.milp import EmbeddedSolver, LinExpr, MilpModel, RowTag, Status, solve_milp
 from rlnd.objectives import collected_quantities
 from rlnd.robust import capacity_preset, robustify_artifacts
+from rlnd.scenarios import EmissionCap, build_system
 
 scipy_solver = ScipySolver()
 exact_highs = ExactHighs()
@@ -179,3 +183,79 @@ def test_a_node_limit_stop_is_budget_exceeded(monkeypatch, x, fun):
     else:
         assert solution.objective == 15.0
         assert solution.values == {"a": 1.0, "b": 0.0}
+
+
+def _no_worker_alive() -> bool:
+    return not any(on_highs_worker(t.name) for t in threading.enumerate())
+
+
+def test_a_started_solve_raises_when_asked_for_and_is_swallowed_when_dropped(
+        two_cpus, monkeypatch, bundled):
+    spy = MilpSpy(scipy.optimize.milp, fail=lambda k, thread: on_highs_worker(thread))
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    solver = ScipySolver()
+    cost, emission = (build_system_model(bundled, o).model for o in ("cost", "emission"))
+    with solver.background() as overlapping:
+        assert overlapping
+        solver.start(cost)
+        solver.start(emission)  # drops the cost model's solve, and what it raised
+        with pytest.raises(RuntimeError, match="milp call 1 on rlnd-highs"):
+            solver.solve(emission)
+        # a model no longer started is solved in the calling thread
+        assert solver.solve(cost).status is Status.OPTIMAL
+    assert [on_highs_worker(t) for t in spy.threads] == [True, True, False]
+    assert spy.running == 0 and _no_worker_alive()
+
+
+def test_start_needs_the_background_scope_and_more_than_one_cpu(monkeypatch, bundled):
+    model = build_system_model(bundled, "cost").model
+    solver = ScipySolver()
+    with pytest.raises(RuntimeError, match="only inside background"):
+        solver.start(model)
+    monkeypatch.setattr(external, "_usable_cpus", lambda: 1)
+    with solver.background() as overlapping:
+        assert not overlapping
+        assert _no_worker_alive()
+        with pytest.raises(RuntimeError, match="only inside background"):
+            solver.start(model)
+
+
+def _ladder_models() -> list[MilpModel]:
+    """For each of five networks of the benchmark's 20x8x5 ladder, the
+    whole-network model of each objective and under an emission cap, and
+    the user phase one of each objective: 25 models of several sizes."""
+    models = []
+    for seed in range(5):
+        instance = netgen_instance(20, 8, 5, seed)
+        models += [build_system_model(instance, "cost").model,
+                   build_system_model(instance, "emission").model,
+                   build_user_model_i(instance, "cost").model,
+                   build_user_model_i(instance, "emission").model]
+        emission = models[-3]
+        loose = solve_milp(emission).objective * 1.2
+        models.append(build_system(instance, "cost", cap=EmissionCap(5, loose, 1e-4)).model)
+    return models
+
+
+def test_pairs_of_concurrent_solves_equal_their_sequential_results(two_cpus):
+    """Fifty pairs: one model started on the worker while the calling
+    thread solves another, each answer equal to the model's own sequential
+    one, and no warning escapes either thread."""
+    models = _ladder_models()
+    sequential = [scipy_solver.solve(m) for m in models]
+    solver = ScipySolver()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with solver.background() as overlapping:
+                assert overlapping
+                for k in range(50):
+                    a, b = k % len(models), (k + 1 + k // len(models)) % len(models)
+                    solver.start(models[a])
+                    assert solver.solve(models[b]) == sequential[b], (a, b)
+                    assert solver.solve(models[a]) == sequential[a], (a, b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _no_worker_alive()

@@ -30,6 +30,21 @@ def test_solve_paths_and_grid_solves_exist():
     assert callable(multiobjective.UserEpsilonFamily.solve_point)
 
 
+def test_each_family_wraps_its_own_grid_solves(monkeypatch):
+    """perfbench wraps solve_point on each family class; a user grid solve
+    that went through the system family's method would be counted twice."""
+    calls = []
+    for family in (multiobjective.SystemEpsilonFamily, multiobjective.UserEpsilonFamily):
+        def counted(self, *args, _solve=family.solve_point, _name=family.__name__, **kwargs):
+            calls.append(_name)
+            return _solve(self, *args, **kwargs)
+        monkeypatch.setattr(family, "solve_point", counted)
+    monkeypatch.setattr(multiobjective.SystemEpsilonFamily, "_grid_solve",
+                        lambda self, *args: (0.0, 0.0, 0.0))
+    multiobjective.UserEpsilonFamily(None).solve_point(0, 0.0, 1e-4)
+    assert calls == ["UserEpsilonFamily"]
+
+
 @pytest.mark.parametrize("name", ["robustify_artifacts", "epsilon_sweep", "EmbeddedSolver"])
 def test_cli_binds_what_the_benchmark_records(name):
     assert callable(getattr(cli, name))

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import netgen_instance, random_network_instance
 from rlnd.domain import PolicyData
-from rlnd.io import (instance_from_dict, instance_to_dict, load_bundled_instance,
+from rlnd.io import (DocumentError, instance_from_dict, instance_to_dict, load_bundled_instance,
                      load_instance, read_points_csv, save_instance, write_csv)
 
 
@@ -129,3 +129,37 @@ def test_bundled_identity():
     a = load_bundled_instance()
     b = load_bundled_instance()
     assert a == b
+
+
+# (key path, a value of the wrong type): numbers read one at a time, in a
+# table, in a record's required fields and as integers, and a lane's flag
+STRICT_CASES = [
+    (("supply", "trips_per_year"), True),
+    (("supply", "trips_per_year"), "500"),
+    (("supply", "mass", "prod1", "area2"), "1050"),
+    (("supply", "dedicated_fraction", "drop1"), False),
+    (("processing", "primary", "prim1", "prod1", "capacity"), True),
+    (("processing", "primary", "prim1", "prod1", "min_shipment"), "0"),
+    (("processing", "min_open", "dropoff"), True),
+    (("arcs", "drop_pri", "drop1", "prim2", "distance"), "12.5"),
+    (("arcs", "res_drop", "area1", "drop1", "forbidden"), "no"),
+    (("arcs", "res_drop", "area1", "drop1", "forbidden"), 1),
+    (("arcs", "res_drop", "area1", "drop1", "forbidden"), 0.0),
+]
+
+
+@pytest.mark.parametrize("path, value", STRICT_CASES,
+                         ids=lambda x: ".".join(x) if isinstance(x, tuple) else repr(x))
+def test_only_json_numbers_and_booleans_are_read(bundled, path, value):
+    data = instance_to_dict(bundled)
+    table = functools.reduce(dict.__getitem__, path[:-1], data)
+    table[path[-1]] = value
+    with pytest.raises(DocumentError, match=f"^{'[.]'.join(path)}: expected .*, got {value!r}$"):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("value, forbidden", [(True, True), (False, False), (None, False)])
+def test_a_lane_is_forbidden_only_by_true(bundled, value, forbidden):
+    data = instance_to_dict(bundled)
+    data["arcs"]["res_drop"]["area1"]["drop1"]["forbidden"] = value
+    assert instance_from_dict(data).arcs["res_drop"]["area1"]["drop1"].forbidden is forbidden

@@ -1,7 +1,13 @@
-import pytest
+import threading
 
-from helpers import RecordingSolver, netgen_instance, three_plan_tradeoff
-from rlnd.milp import LinExpr, MilpModel, RowTag, Status, solve_milp
+import pytest
+import scipy.optimize
+
+from helpers import (MilpSpy, RecordingSolver, SolveOnly, netgen_instance, on_highs_worker,
+                     three_plan_tradeoff)
+from rlnd import scenarios
+from rlnd.external import ScipySolver
+from rlnd.milp import EmbeddedSolver, LinExpr, MilpModel, RowTag, Status, solve_milp
 from rlnd.multiobjective import (THETA_DEFAULT, ExpressionFamily, SystemEpsilonFamily,
                                  UserEpsilonFamily, epsilon_sweep)
 
@@ -246,3 +252,117 @@ def test_user_grid_solve_before_the_anchors_holds_back_the_same_emission():
     first = UserEpsilonFamily(instance).solve_point(0, emission, THETA_DEFAULT)
     assert first == anchored.solve_point(0, emission, THETA_DEFAULT)
     assert first[:2] == pytest.approx((148280.37, 145545.75), abs=0.01)
+
+
+# ----------------------------------------------------------------------
+# HiGHS sweeps that overlap two solves
+# ----------------------------------------------------------------------
+
+class RecordingHighs(ScipySolver):
+    """HiGHS, keeping each model it is asked to solve in the order of the
+    calls, as the benchmark's recorder keeps them."""
+
+    def __init__(self):
+        super().__init__()
+        self.solved = []
+
+    def solve(self, model):
+        self.solved.append(model)
+        return super().solve(model)
+
+
+def _worker_idle(solver: ScipySolver, spy: MilpSpy) -> bool:
+    return (spy.running == 0 and solver._started is None and solver._worker is None
+            and not any(on_highs_worker(t.name) for t in threading.enumerate()))
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)],
+                         ids=lambda s: "bundled" if s is None else f"netgen-20x8x5-{s}")
+def test_overlapped_highs_sweeps_print_the_sequential_fronts(seed, bundled, two_cpus,
+                                                             tmp_path):
+    """As text and as CSV, byte for byte; and ``solve()`` sees the same
+    models in the same order."""
+    instance = bundled if seed is None else netgen_instance(20, 8, 5, seed)
+    for family in (SystemEpsilonFamily, UserEpsilonFamily):
+        label = family.__name__
+        overlapped, sequential = RecordingHighs(), RecordingHighs()
+        fronts = [epsilon_sweep(family(instance, solver=overlapped), points=10),
+                  epsilon_sweep(family(instance, solver=SolveOnly(sequential)), points=10)]
+        assert fronts[0].format_text() == fronts[1].format_text(), label
+        for front, name in zip(fronts, ("overlapped.csv", "sequential.csv")):
+            front.to_csv(tmp_path / name)
+        assert ((tmp_path / "overlapped.csv").read_bytes()
+                == (tmp_path / "sequential.csv").read_bytes()), label
+        assert ([m.to_lp_format() for m in overlapped.solved]
+                == [m.to_lp_format() for m in sequential.solved]), label
+
+
+def test_an_overlapped_sweep_leaves_no_started_solve(two_cpus, monkeypatch):
+    """Two solves ran at once, and after the sweep none runs and the solver
+    holds none."""
+    spy = MilpSpy(scipy.optimize.milp)
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    solver = ScipySolver()
+    front = epsilon_sweep(SystemEpsilonFamily(netgen_instance(20, 8, 5, 0), solver=solver))
+    assert len(front) == 11
+    assert spy.most == 2
+    assert _worker_idle(solver, spy)
+
+
+def test_a_started_cap_the_bypass_skips_is_dropped_with_its_error(two_cpus, monkeypatch):
+    """On netgen 5x4x3 seed 0 the answer at cap 6 reaches below caps 5 to
+    2.  Cap 5 was started while cap 6 solved; its solve, made to fail
+    here, is waited for and dropped, and the front is the sequential one."""
+    instance = netgen_instance(5, 4, 3, 0)
+    sequential = epsilon_sweep(SystemEpsilonFamily(instance, solver=SolveOnly(ScipySolver())))
+    # the worker solves the emission anchor and caps 9, 7 and 5, then cap 0
+    spy = MilpSpy(scipy.optimize.milp, fail=lambda k, thread: on_highs_worker(thread) and k == 3)
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    solver = ScipySolver()
+    front = epsilon_sweep(SystemEpsilonFamily(instance, solver=solver))
+    assert [p.v for p in front] == [0, 1, 2, 7, 8, 9, 10]
+    assert front.format_text() == sequential.format_text()
+    # 2 anchors and 7 caps asked for, and cap 5 dropped
+    assert sum(map(on_highs_worker, spy.threads)) == 5 and len(spy.threads) == 10
+    assert _worker_idle(solver, spy)
+
+
+@pytest.mark.parametrize("on_worker", [False, True], ids=["calling", "worker"])
+def test_a_grid_solve_that_raises_leaves_no_started_solve(on_worker, two_cpus, monkeypatch):
+    """Cap 8 fails in the calling thread while cap 7 runs on the worker, or
+    cap 7 fails on the worker and raises when the sweep asks for it."""
+    spy = MilpSpy(scipy.optimize.milp,
+                  fail=lambda k, thread: k == 2 and on_highs_worker(thread) == on_worker)
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    solver = ScipySolver()
+    with pytest.raises(RuntimeError, match="milp call 2 on"):
+        epsilon_sweep(SystemEpsilonFamily(netgen_instance(5, 4, 3, 1), solver=solver))
+    assert _worker_idle(solver, spy)
+
+
+@pytest.mark.parametrize("family, steps", [
+    (SystemEpsilonFamily, ["system:cost", "system:emission"] + ["system:cost"] * 11),
+    (UserEpsilonFamily, ["user-I:cost", "user-II:cost", "user-I:emission", "user-II:emission"]
+     + ["user-I:cost", "user-II:cost"] * 11)], ids=["system", "user"])
+def test_an_embedded_sweep_builds_each_model_just_before_its_solve(family, steps, monkeypatch):
+    """The embedded engine keeps the sequential walk: the cost anchor, the
+    emission anchor, then the caps from the loosest, each model solved
+    right after it was built."""
+    events = []
+    for name in ("build_system_model", "build_user_model_i", "build_user_model_ii"):
+        def logged(*args, _build=getattr(scenarios, name), **kwargs):
+            artifacts = _build(*args, **kwargs)
+            events.append(("build", artifacts.model))
+            return artifacts
+        monkeypatch.setattr(scenarios, name, logged)
+
+    class Logged(EmbeddedSolver):
+        def solve(self, model):
+            events.append(("solve", model))
+            return super().solve(model)
+
+    front = epsilon_sweep(family(netgen_instance(5, 4, 3, 1), solver=Logged()))
+    assert len(front) == 11
+    solved = [model for event, model in events if event == "solve"]
+    assert events == [(event, m) for m in solved for event in ("build", "solve")]
+    assert [m.name.split(":", 1)[1] for m in solved] == steps
