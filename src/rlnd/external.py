@@ -7,9 +7,12 @@ adapts the result to the same Solution type the embedded solver returns, so
 the two backends are interchangeable behind the Solver protocol.
 
 The adapter can also solve one model on one background thread while the
-calling thread goes on, which a trade-off sweep uses to overlap two HiGHS
-solves (see :meth:`ScipySolver.background`).  scipy's HiGHS releases the
-interpreter lock while it solves, so the two solves run side by side.
+calling thread goes on (see :meth:`ScipySolver.background`).  A trade-off
+sweep uses it to overlap two HiGHS solves, and a scenario to solve its
+whole-network model while the calling thread solves both two-phase models;
+the scenario takes the whole-network answer after the two-phase side.
+scipy's HiGHS releases the interpreter lock while it solves, so the two
+solves run side by side.
 """
 
 from __future__ import annotations
@@ -89,7 +92,14 @@ class ScipySolver:
         filter it adds again.  On exit, also on error, the scope waits for
         a started solve nobody asked for, drops it with any exception it
         raised, and stops the worker, so no started solve outlives it.
+
+        A scope entered inside another yields True and leaves the worker,
+        the warnings filter and the final drop to the outer one, so a
+        scenario solve may run inside a caller's scope.
         """
+        if self._worker is not None:
+            yield True
+            return
         if _usable_cpus() < 2:
             yield False
             return

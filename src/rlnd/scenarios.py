@@ -13,7 +13,9 @@ for the two programs, and each is two steps: `build_system` or `build_user`
 builds the program's first model, a `FirstModel`, and `solve_first` solves
 and reports it.  Every other caller, the CLI and the trade-off families
 included, goes through them; the families take the two steps apart, so that
-a sweep can build the next grid point's model ahead of its solve.  An
+a sweep can build the next grid point's model ahead of its solve, and so
+does `solve_scenario`, to solve the whole-network model on HiGHS's
+background worker while the two-phase program solves.  An
 optional `EmissionCap` turns either program into a grid solve of the
 epsilon-constraint sweep, and `solve_built` reports a whole-network model
 built elsewhere, such as a robust counterpart.  An entry point given no
@@ -27,6 +29,7 @@ from, such as a trade-off grid point, gets a fresh copy of that model (see
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
@@ -193,8 +196,8 @@ class SideResult:
 
 @dataclass
 class ScenarioResult:
-    """A scenario solved both ways; the two-phase program is solved only
-    when the whole-network one ends optimal, and ``user`` is None otherwise.
+    """A scenario solved both ways; the two-phase result is kept only when
+    the whole-network one ends optimal, and ``user`` is None otherwise.
 
     A scenario whose caps could not be derived, because the base throughput
     solve failed, has that solve's status as its ``system`` status, with no
@@ -386,13 +389,36 @@ def solve_scenario(spec: ScenarioSpec | str, objective: str = "cost",
                    base: NetworkInstance | None = None,
                    solver: Solver | None = None) -> ScenarioResult:
     """Materialize a scenario and solve it both ways.  A solve that does not
-    end optimal keeps its status (see :attr:`ScenarioResult.failure`)."""
+    end optimal keeps its status (see :attr:`ScenarioResult.failure`).
+
+    On a solver that can start a solve in the background, when the process
+    may use more than one CPU (see
+    :meth:`~rlnd.external.ScipySolver.background`), the whole-network model
+    is started on the worker once the scenario is materialized, and both
+    two-phase models are solved in the calling thread meanwhile; the
+    whole-network answer is taken after them.  So the two-phase side runs
+    speculatively, and it is dropped when the whole-network side does not
+    end optimal: the result is the one-at-a-time result.  A capacity
+    scenario's throughput solve still runs first, alone.  The embedded
+    engine, and any solver without ``background``, solves the two-phase
+    program only after an optimal whole-network one.
+    """
     if isinstance(spec, str):
         spec = _builtin(spec)
     solver = solver or EmbeddedSolver()
     instance = materialize(spec, base, solver)
-    system = solve_system(instance, objective, solver)
-    user = solve_user(instance, objective, solver) if system.status is Status.OPTIMAL else None
+    background = getattr(solver, "background", None)
+    with background() if background is not None else nullcontext(False) as overlapping:
+        first = build_system(instance, objective)
+        user = None
+        if overlapping:
+            solver.start(first.model)
+            user = solve_user(instance, objective, solver)
+        system = solve_first(first, solver)
+    if system.status is not Status.OPTIMAL:
+        user = None
+    elif user is None:
+        user = solve_user(instance, objective, solver)
     return ScenarioResult(spec.name, objective, instance, system, user)
 
 

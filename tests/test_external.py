@@ -18,7 +18,7 @@ from rlnd.external import ScipySolver
 from rlnd.milp import EmbeddedSolver, LinExpr, MilpModel, RowTag, Status, solve_milp
 from rlnd.objectives import collected_quantities
 from rlnd.robust import capacity_preset, robustify_artifacts
-from rlnd.scenarios import EmissionCap, build_system
+from rlnd.scenarios import EmissionCap, build_system, solve_scenario
 
 scipy_solver = ScipySolver()
 exact_highs = ExactHighs()
@@ -218,6 +218,30 @@ def test_start_needs_the_background_scope_and_more_than_one_cpu(monkeypatch, bun
         assert _no_worker_alive()
         with pytest.raises(RuntimeError, match="only inside background"):
             solver.start(model)
+
+
+def test_a_nested_background_scope_leaves_the_worker_to_the_outer_one(two_cpus, bundled):
+    """The inner scope yields True and keeps no worker, filter or drop of its
+    own; a solve started in it is still there for the outer scope, and a
+    scenario solved inside a caller's scope leaves that scope working."""
+    cost, emission = (build_system_model(bundled, o).model for o in ("cost", "emission"))
+    sequential = scipy_solver.solve(cost)
+    solver = ScipySolver()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with solver.background() as outer:
+            worker, filters = solver._worker, list(warnings.filters)
+            with solver.background() as inner:
+                assert outer and inner
+                assert solver._worker is worker and warnings.filters == filters
+                solver.start(cost)
+            assert solver._worker is worker and warnings.filters == filters
+            assert solver.solve(cost) == sequential
+            assert solve_scenario("baseline", base=bundled, solver=solver).status is Status.OPTIMAL
+            assert solver._worker is worker
+            solver.start(emission)  # left for the outer scope to drop
+        assert solver._worker is None and solver._started is None
+    assert _no_worker_alive()
 
 
 def _ladder_models() -> list[MilpModel]:

@@ -1,14 +1,20 @@
-import pytest
+import threading
 
-from helpers import RecordingSolver, UnstableSolver, netgen_instance
-from rlnd import scenarios
+import pytest
+import scipy.optimize
+
+from helpers import MilpSpy, RecordingSolver, UnstableSolver, netgen_instance, on_highs_worker
+from rlnd import external, scenarios
+from rlnd.cli import main
 from rlnd.domain import with_total_capacity
+from rlnd.external import ScipySolver
+from rlnd.io import save_instance
 from rlnd.milp import EmbeddedSolver, ModelError, RowTag, Status
 from rlnd.scenarios import (SCENARIO_ORDER, EmissionCap, builtin_scenarios,
                             calibrate_trip_factor, comparison_rows,
                             derive_throughput, load_scenario_spec, materialize,
-                            run_all, run_scenario, solve_system, solve_user,
-                            write_comparison_csv)
+                            run_all, run_scenario, solve_scenario, solve_system,
+                            solve_user, write_comparison_csv)
 
 BASE_THROUGHPUT = 2784.87  # busiest primary inflow on the unmodified instance
 
@@ -198,25 +204,27 @@ def test_unknown_scenario_name_is_a_value_error(bundled):
         run_scenario("bogus", base=bundled)
 
 
-def test_run_all_solves_the_base_throughput_once(bundled):
+def test_run_all_solves_the_base_throughput_once(bundled, two_cpus):
     """Five scenarios solved both ways (one system and two user phases
-    each) plus one throughput solve shared by both capacity scenarios."""
+    each) plus one throughput solve shared by both capacity scenarios, on
+    the embedded engine and on HiGHS, where each scenario overlaps them."""
+    for backend in (EmbeddedSolver, ScipySolver):
 
-    class Counting(EmbeddedSolver):
-        def __init__(self):
-            super().__init__()
-            self.solves = 0
+        class Counting(backend):
+            def __init__(self):
+                super().__init__()
+                self.solves = 0
 
-        def solve(self, model):
-            self.solves += 1
-            return super().solve(model)
+            def solve(self, model):
+                self.solves += 1
+                return super().solve(model)
 
-    solver = Counting()
-    results = run_all("cost", bundled, solver)
-    assert solver.solves == 16
-    one_by_one = [run_scenario(name, "cost", bundled) for name in SCENARIO_ORDER]
-    assert comparison_rows(results) == comparison_rows(one_by_one)
-    assert [r.instance for r in results] == [r.instance for r in one_by_one]
+        solver = Counting()
+        results = run_all("cost", bundled, solver)
+        assert solver.solves == 16, backend.__name__
+        one_by_one = [run_scenario(name, "cost", bundled, backend()) for name in SCENARIO_ORDER]
+        assert comparison_rows(results) == comparison_rows(one_by_one), backend.__name__
+        assert [r.instance for r in results] == [r.instance for r in one_by_one]
 
 
 def test_run_all_shares_its_solver_roots(bundled):
@@ -339,3 +347,93 @@ def test_run_all_records_a_failed_scenario_and_runs_the_rest():
         (r.name, mode) for r in results if r is not failed for mode in ("system", "user")]
     with pytest.raises(ModelError, match="^whole-network cost solve ended infeasible$"):
         run_scenario("capacity-40", "cost", instance)
+
+
+# ----------------------------------------------------------------------
+# HiGHS scenarios that overlap the two programs
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [None, *range(6)],
+                         ids=lambda s: "bundled" if s is None else f"netgen-20x8x5-{s}")
+def test_overlapped_highs_scenarios_print_the_sequential_results(seed, bundled, two_cpus,
+                                                                 monkeypatch):
+    """The same text and comparison rows with the overlap on and with one
+    usable CPU, which turns it off."""
+    instance = bundled if seed is None else netgen_instance(20, 8, 5, seed)
+    cases = [(name, objective) for name in ("baseline", "capacity-80")
+             for objective in ("cost", "emission")]
+    overlapped = [solve_scenario(name, objective, instance, ScipySolver())
+                  for name, objective in cases]
+    monkeypatch.setattr(external, "_usable_cpus", lambda: 1)
+    sequential = [solve_scenario(name, objective, instance, ScipySolver())
+                  for name, objective in cases]
+    assert all(r.failure is None for r in overlapped)
+    assert [r.format_text() for r in overlapped] == [r.format_text() for r in sequential]
+    assert comparison_rows(overlapped) == comparison_rows(sequential)
+
+
+class OrderedHighs(ScipySolver):
+    """HiGHS, logging each model it starts, each solve it returns and each
+    started solve it drops unasked."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def start(self, model):
+        self.events.append(("start", model.name))
+        super().start(model)
+
+    def solve(self, model):
+        solution = super().solve(model)
+        self.events.append(("solved", model.name))
+        return solution
+
+    def _drop(self):
+        if self._started is not None:
+            self.events.append(("dropped", self._started[0].name))
+        super()._drop()
+
+
+def test_a_scenario_starts_the_whole_network_model_and_takes_it_last(bundled, two_cpus,
+                                                                      monkeypatch):
+    """The whole-network model runs on the worker while both user phases
+    are solved in the calling thread; its answer is asked for after them,
+    and no started solve is dropped."""
+    spy = MilpSpy(scipy.optimize.milp)
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    solver = OrderedHighs()
+    result = solve_scenario("baseline", "cost", bundled, solver)
+    assert result.failure is None
+    name = f"{bundled.name}:baseline"
+    assert solver.events == [("start", f"{name}:system:cost"),
+                             ("solved", f"{name}:user-I:cost"),
+                             ("solved", f"{name}:user-II:cost"),
+                             ("solved", f"{name}:system:cost")]
+    assert sorted(map(on_highs_worker, spy.threads)) == [False, False, True]
+    assert spy.running == 0 and solver._worker is None and solver._started is None
+
+
+def test_an_infeasible_whole_network_side_drops_the_two_phase_one(two_cpus, tmp_path,
+                                                                   capsys):
+    """On netgen 5x4x3 seed 0 the capacity-40 caps leave no whole-network
+    plan: the two-phase side solved meanwhile is dropped, the command exits 2
+    with the one line it prints without the overlap, and no worker is left."""
+    instance = netgen_instance(5, 4, 3, 0)
+    solver = OrderedHighs()
+    result = solve_scenario("capacity-40", "cost", instance, solver)
+    assert result.status is Status.INFEASIBLE and result.user is None
+    assert result.failure == "whole-network cost solve ended infeasible"
+    name = f"{instance.name}:capacity-40"
+    assert solver.events == [("solved", f"{instance.name}:system:cost"),  # the throughput
+                             ("start", f"{name}:system:cost"),
+                             ("solved", f"{name}:user-I:cost"),
+                             ("solved", f"{name}:user-II:cost"),
+                             ("solved", f"{name}:system:cost")]
+    path = tmp_path / "netgen.json"
+    save_instance(instance, path)
+    assert main(["scenario", "--name", "capacity-40", "--solver", "scipy",
+                 "--instance", str(path)]) == 2
+    assert capsys.readouterr().out == ("scenario capacity-40 (cost objective): "
+                                       "whole-network cost solve ended infeasible\n\n")
+    assert not any(on_highs_worker(t.name) for t in threading.enumerate())
