@@ -9,8 +9,9 @@ the first call validates the instance and builds, and every call, the first
 included, returns a fresh copy (:meth:`rlnd.milp.MilpModel.copy`) with its
 own variable, row and objective containers, so a caller may add an epsilon
 row or siting rows to its copy freely.  The copies share the built
-``Variable`` and ``Row`` records, the ``VariableMap`` and the
-``StageExpressions``, which nothing changes once built.  The operator's
+``Variable`` and ``Row`` records, the ``VariableMap``, the
+``StageExpressions`` and the tier table (:func:`rlnd.objectives.tiers`),
+which nothing changes once built.  The operator's
 phase is kept without its collected mass: each call checks ``rq`` against
 the supply and writes it into the copy's dropoff balance rows.  What was
 built from an instance lives exactly as long as the instance (a
@@ -38,11 +39,14 @@ OBJECTIVES = tuple(TOTALS)
 
 @dataclass
 class ModelArtifacts:
-    """A built model plus everything needed to interpret its solution."""
+    """A built model plus everything needed to read its solution: its
+    variables' names, its stage expressions and the tier table they were
+    built over, which every report reads."""
 
     model: MilpModel
     vars: VariableMap
     stages: StageExpressions
+    tiers: tuple[Tier, ...]
 
 
 # what each live instance was built into, by id(instance), then by builder
@@ -165,21 +169,14 @@ def _add_primary_balance(model: MilpModel, instance: NetworkInstance,
             for i in instance.products:
                 factor = (proc.composition[j][i] * proc.eff(j, p)
                           * (1.0 - primary.resale[i]))
-                for c in instance.dropoffs:
-                    name = primary.flows.get((i, c, p))
-                    if name is not None:
-                        expr.add(name, -factor)
+                expr.add_expr(primary.inflow(i, p), -factor)
             model.add_row(expr, "==", 0.0, RowTag("flow-balance", ("primary", j, p)))
 
 
-def _add_open_counts(model: MilpModel, instance: NetworkInstance,
-                     counted: tuple[Tier, ...]) -> None:
+def _add_open_counts(model: MilpModel, counted: tuple[Tier, ...]) -> None:
     for tier in counted:
-        expr = LinExpr()
-        for name in tier.opens.values():
-            expr.add(name, 1.0)
-        nof = instance.processing.min_open.get(tier.name, 0)
-        model.add_row(expr, ">=", float(nof), RowTag("open-count", (tier.name,)))
+        model.add_row(LinExpr(dict.fromkeys(tier.opens.values(), 1.0)), ">=",
+                      float(tier.min_open), RowTag("open-count", (tier.name,)))
 
 
 def _structural_warnings(instance: NetworkInstance, table: tuple[Tier, ...]) -> list[str]:
@@ -222,11 +219,11 @@ def _system_model(instance: NetworkInstance, objective: str,
     _add_gates(model, instance, table[:1])
     _add_primary_balance(model, instance, table)
     _add_gates(model, instance, table[1:])
-    _add_open_counts(model, instance, table)
+    _add_open_counts(model, table)
 
     stages = build_stage_expressions(instance, table)
     model.set_objective(stages.total(objective))
-    artifacts = ModelArtifacts(model, vars, stages)
+    artifacts = ModelArtifacts(model, vars, stages, table)
     return add_policy_constraints(artifacts, instance) if include_policy else artifacts
 
 
@@ -245,11 +242,11 @@ def _user_model_i(instance: NetworkInstance, objective: str,
     model, vars, table = _new_model(instance, objective, "user-I", TIERS[:1])
     _add_trip_balance(model, instance, table[0])
     _add_gates(model, instance, table[:1])
-    _add_open_counts(model, instance, table[:1])
+    _add_open_counts(model, table[:1])
 
     stages = build_stage_expressions(instance, table)
     model.set_objective(stages.total(objective, {TIERS[0].leg}))
-    artifacts = ModelArtifacts(model, vars, stages)
+    artifacts = ModelArtifacts(model, vars, stages, table)
     return add_policy_constraints(artifacts, instance) if include_policy else artifacts
 
 
@@ -272,11 +269,11 @@ def _user_model_ii(instance: NetworkInstance, objective: str) -> ModelArtifacts:
     _add_dropoff_balance(model, instance, table)
     _add_primary_balance(model, instance, table)
     _add_gates(model, instance, table[1:])
-    _add_open_counts(model, instance, table[1:])
+    _add_open_counts(model, table[1:])
 
     stages = build_stage_expressions(instance, table)
     model.set_objective(stages.total(objective))
-    return ModelArtifacts(model, vars, stages)
+    return ModelArtifacts(model, vars, stages, table)
 
 
 def add_policy_constraints(artifacts: ModelArtifacts,
@@ -292,7 +289,7 @@ def add_policy_constraints(artifacts: ModelArtifacts,
     pol = instance.policy
     if pol is None:
         return artifacts
-    model, x = artifacts.model, getattr(artifacts.vars, TIERS[0].opens)
+    model, x = artifacts.model, artifacts.tiers[0].opens
     if not x:
         raise ModelError("policy constraints need dropoff indicators (X)")
 
@@ -308,16 +305,12 @@ def add_policy_constraints(artifacts: ModelArtifacts,
         if len(members) < rhs:
             model.warnings.append(
                 f"county {u} needs {rhs} open dropoffs but has {len(members)} candidates")
-        expr = LinExpr()
-        for c in members:
-            expr.add(x[c], 1.0)
-        model.add_row(expr, ">=", float(rhs), RowTag("policy", ("county", u)))
+        model.add_row(LinExpr({x[c]: 1.0 for c in members}), ">=", float(rhs),
+                      RowTag("policy", ("county", u)))
     for t in qualifying:
         members = [c for c in instance.dropoffs if pol.city_of.get(c) == t]
         if not members:
             model.warnings.append(f"qualifying city {t} has no candidate dropoff")
-        expr = LinExpr()
-        for c in members:
-            expr.add(x[c], 1.0)
-        model.add_row(expr, ">=", 1.0, RowTag("policy", ("city", t)))
+        model.add_row(LinExpr({x[c]: 1.0 for c in members}), ">=", 1.0,
+                      RowTag("policy", ("city", t)))
     return artifacts

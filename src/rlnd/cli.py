@@ -166,7 +166,7 @@ def _cmd_robust(args: argparse.Namespace) -> int:
         print(f"preset: {len(spec.rows)} capacity rows protected at "
               f"+-{args.fraction:.0%}, budget {args.gamma:g}")
     robust = robustify_artifacts(artifacts, spec)
-    return _report(args, solve_built(instance, robust, solver))
+    return _report(args, solve_built(robust, solver))
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import Iterable
 
 DEFAULT_CITY_POPULATION_THRESHOLD = 10_000.0
 
@@ -272,15 +273,27 @@ def _check_sets(inst: NetworkInstance, r: ValidationReport) -> None:
             seen.setdefault(f, symbol)
 
 
+def _check_keys(r: ValidationReport, symbol: str, index: tuple[str, ...],
+                keys: Iterable[str], known: tuple[str, ...], what: str) -> None:
+    """One violation per key that no ``known`` id matches: no entry is ignored."""
+    for key in keys:
+        if key not in known:
+            r.add(symbol, (*index, key), f"unknown {what}")
+
+
 def _check_supply(inst: NetworkInstance, r: ValidationReport) -> None:
     s = inst.supply
+    _check_keys(r, "r", (), s.mass, inst.products, "product")
     for i in inst.products:
+        _check_keys(r, "r", (i,), s.mass.get(i, {}), inst.areas, "residence area")
         for h in inst.areas:
             _in_range(r, "r", (i, h), s.mass.get(i, {}).get(h), "supply mass", _AT_LEAST_0)
     _in_range(r, "ty", (), s.trips_per_year, "trips per year", _AT_LEAST_0)
+    _check_keys(r, "df", (), s.dedicated_fraction, inst.dropoffs, "dropoff")
     for c in inst.dropoffs:
         _in_range(r, "df", (c,), s.dedicated_fraction.get(c), "dedicated fraction", _POSITIVE_SHARE)
     if s.population is not None:
+        _check_keys(r, "pp", (), s.population, inst.areas, "residence area")
         for h in inst.areas:
             _in_range(r, "pp", (h,), s.population.get(h), "population", _AT_LEAST_0)
     if s.household_size is not None:
@@ -356,9 +369,7 @@ def _check_policy(inst: NetworkInstance, r: ValidationReport) -> None:
     if pol is None:
         return
     for symbol in ("county_of", "city_of"):
-        for c in getattr(pol, symbol):
-            if c not in inst.dropoffs:
-                r.add(symbol, (c,), "unknown dropoff")
+        _check_keys(r, symbol, (), getattr(pol, symbol), inst.dropoffs, "dropoff")
     for city in pol.city_of.values():
         if city not in pol.city_population:
             r.add("city_population", (city,), "city referenced but population missing")

@@ -24,7 +24,7 @@ from contextlib import contextmanager, nullcontext
 from functools import partial
 from typing import Callable, Iterator
 
-from .milp import MilpModel, Solution, SolveStats, Status
+from .milp import FEASIBILITY_TOL, MilpModel, Solution, SolveStats, Status
 
 # scipy.optimize.milp has no status of its own for HiGHS's node limit: it
 # returns status 4 and keeps HiGHS's model status (kSolutionLimit) in the
@@ -49,6 +49,11 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _holds_at_zero(relation: str, rhs: float) -> bool:
+    """Whether a row without terms, ``0 relation rhs``, holds."""
+    return {"<=": -rhs, ">=": rhs, "==": abs(rhs)}[relation] <= FEASIBILITY_TOL
 
 
 class ScipySolver:
@@ -149,10 +154,14 @@ class ScipySolver:
 
     def solve(self, model: MilpModel) -> Solution:
         """Solve ``model``; when it is the model :meth:`start` started,
-        wait for that solve instead, and raise what it raised."""
+        wait for that solve instead, and raise what it raised.  A model
+        without variables is judged here, each row as ``0 relation rhs``
+        within the embedded engine's feasibility tolerance."""
         if not model.variables:
-            return Solution(Status.OPTIMAL, model.objective.constant, {},
-                            SolveStats(), model.objective.constant)
+            if all(_holds_at_zero(row.relation, row.rhs) for row in model.rows):
+                return Solution(Status.OPTIMAL, model.objective.constant, {},
+                                SolveStats(), model.objective.constant)
+            return Solution(Status.INFEASIBLE, None, {}, SolveStats())
         if self._started is not None and self._started[0] is model:
             future = self._started[1]
             self._started = None

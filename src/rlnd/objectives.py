@@ -21,9 +21,10 @@ secondary inflow is PTS.
 The three processing tiers share one layout, declared once in
 :data:`rlnd.domain.TIERS`, which also names each tier's transport leg in the
 reports and its fields in :class:`VariableMap`.  The tier table :func:`tiers`
-joins the layout with a model's variables; the stage expressions, the inflow
-reports, the effective open set, the phase merge and the builders'
-registration, balance and gate rows loop over it.
+joins the layout with a model's variables and the instance's tier data once
+per build, and :class:`~rlnd.builders.ModelArtifacts` keeps it: the
+builders' rows and stage expressions loop over it, and every read of a
+solved model (inflows, open set, breakdown, phase merge) goes through it.
 """
 
 from __future__ import annotations
@@ -150,14 +151,16 @@ def _require(condition: bool, message: str) -> None:
 # stage expression builders
 # ----------------------------------------------------------------------
 
-@dataclass  # not frozen: the table is rebuilt per report, and a frozen init costs 2x
+@dataclass(frozen=True)
 class Tier:
     """One processing tier as a model sees it.
 
     ``opens`` and ``flows`` are the model's open indicators and inflow
     variables for the tier; both are empty when the model has none.  The
     dropoff tier's flows are shares of each area's ``supply`` and trips, the
-    other tiers' flows are kg and their ``supply`` is None.
+    other tiers' flows are kg and their ``supply`` is None.  A tier holds
+    the instance's dicts, never the instance, so a built model does not
+    keep its instance alive.
     """
 
     name: str
@@ -170,6 +173,8 @@ class Tier:
     opens: Mapping[str, str]                         # [facility]
     flows: Mapping[tuple[str, str, str], str]        # [item, source, facility]
     supply: Mapping[str, Mapping[str, float]] | None  # [item][area] kg
+    fixed_cost: Mapping[str, float]                  # [facility]
+    min_open: int                                    # the tier's open-count floor
     _inflows: dict[tuple[str, str], LinExpr] = field(default_factory=dict, repr=False)
 
     def inflow(self, item: str, facility: str) -> LinExpr:
@@ -188,12 +193,8 @@ class Tier:
 
     def outflow(self, item: str, source: str) -> LinExpr:
         """The flows of ``item`` from ``source`` into this tier."""
-        expr = LinExpr()
-        for f in self.facilities:
-            name = self.flows.get((item, source, f))
-            if name is not None:
-                expr.add(name, 1.0)
-        return expr
+        return LinExpr({name: 1.0 for f in self.facilities
+                        if (name := self.flows.get((item, source, f))) is not None})
 
 
 def tiers(instance: NetworkInstance, vars: VariableMap) -> tuple[Tier, Tier, Tier]:
@@ -202,7 +203,8 @@ def tiers(instance: NetworkInstance, vars: VariableMap) -> tuple[Tier, Tier, Tie
     return tuple(Tier(layout.name, *layout.sets(instance), proc.entries[layout.name],
                       proc.resale[layout.name], instance.arcs[layout.lane],
                       getattr(vars, layout.opens), getattr(vars, layout.flows),
-                      instance.supply.mass if layout is TIERS[0] else None)
+                      instance.supply.mass if layout is TIERS[0] else None,
+                      proc.fixed_cost, proc.min_open.get(layout.name, 0))
                  for layout in TIERS)
 
 
@@ -242,10 +244,9 @@ def build_stage_expressions(instance: NetworkInstance, table: tuple[Tier, ...]
                 cost, emission
             stages.resale_revenue[tier.name], stages.emission_offset[tier.name] = credit, offset
         if tier.opens:
-            fixed = LinExpr()
-            for f, name in tier.opens.items():
-                fixed.add(name, instance.processing.fixed_cost[f])
-            stages.fixed_cost[tier.name] = fixed
+            stages.fixed_cost[tier.name] = LinExpr({name: tier.fixed_cost[f]
+                                                    for f, name in tier.opens.items()
+                                                    if tier.fixed_cost[f]})
     return stages
 
 
@@ -253,31 +254,19 @@ def build_stage_expressions(instance: NetworkInstance, table: tuple[Tier, ...]
 # solution post-processing
 # ----------------------------------------------------------------------
 
-def facility_inflows(instance: NetworkInstance, vars: VariableMap,
+def facility_inflows(table: tuple[Tier, ...],
                      values: Mapping[str, float]) -> dict[str, float]:
-    """Total inflow mass (kg) per facility under the given assignment."""
+    """Total inflow mass (kg) per facility the model routes mass to."""
     out: dict[str, float] = {}
-    for (_, f), mass in item_inflows(instance, vars, values).items():
-        out[f] = out.get(f, 0.0) + mass
-    return out
-
-
-def item_inflows(instance: NetworkInstance, vars: VariableMap,
-                 values: Mapping[str, float]) -> dict[tuple[str, str], float]:
-    """Inflow mass per (item, facility): products at dropoffs/primaries,
-    materials at secondaries."""
-    out: dict[tuple[str, str], float] = {}
-    for tier in tiers(instance, vars):
+    for tier in table:
         for f in tier.facilities:
-            for it in tier.items:
-                expr = tier.inflow(it, f)
-                if expr.terms:
-                    out[(it, f)] = expr.evaluate(values)
+            inflows = [expr for it in tier.items if (expr := tier.inflow(it, f)).terms]
+            if inflows:
+                out[f] = sum((expr.evaluate(values) for expr in inflows), 0.0)
     return out
 
 
-def effective_opens(instance: NetworkInstance, vars: VariableMap,
-                    values: Mapping[str, float]) -> dict[str, bool]:
+def effective_opens(table: tuple[Tier, ...], values: Mapping[str, float]) -> dict[str, bool]:
     """Open/closed per facility for reporting.
 
     Emission objectives (and the phase-I user objective) carry no fixed-cost
@@ -286,64 +275,59 @@ def effective_opens(instance: NetworkInstance, vars: VariableMap,
     actually receives mass; indicated-but-idle facilities are added back only
     as needed to honour the tier's minimum-open floor (lowest index first).
     """
-    inflow = facility_inflows(instance, vars, values)
+    inflow = facility_inflows(table, values)
     opens: dict[str, bool] = {}
-    for tier in tiers(instance, vars):
+    for tier in table:
         if not tier.opens:
             continue
         active = {f: inflow.get(f, 0.0) > _FLOW_TOL for f in tier.facilities}
-        floor = instance.processing.min_open.get(tier.name, 0)
-        short = floor - sum(active.values())
-        if short > 0:
-            for f in tier.facilities:
-                if short <= 0:
-                    break
-                indicated = values.get(tier.opens[f], 0.0) > 0.5
-                if indicated and not active[f]:
-                    active[f] = True
-                    short -= 1
+        short = tier.min_open - sum(active.values())
+        for f in tier.facilities:
+            if short > 0 and not active[f] and values.get(tier.opens[f], 0.0) > 0.5:
+                active[f] = True
+                short -= 1
         opens.update(active)
     return opens
 
 
-def breakdown_from_solution(instance: NetworkInstance, vars: VariableMap,
-                            stages: StageExpressions, solution: Solution
-                            ) -> tuple[StageBreakdown, dict[str, bool]]:
+def breakdown_from_solution(table: tuple[Tier, ...], stages: StageExpressions,
+                            solution: Solution) -> tuple[StageBreakdown, dict[str, bool]]:
     """Stage breakdown of a solved model and its effective open set, with
     fixed costs charged to that set rather than to raw (possibly degenerate)
-    indicators.  ``stages`` are the builder's expressions over ``vars``."""
+    indicators.  ``stages`` are the builder's expressions over ``table``."""
     _require(solution.status in (Status.OPTIMAL, Status.BUDGET_EXCEEDED),
              f"cannot build a breakdown from a {solution.status.value} solution")
     breakdown = stages.evaluate(solution.values)
-    opens = effective_opens(instance, vars, solution.values)
-    fixed = instance.processing.fixed_cost
-    for tier in tiers(instance, vars):
+    opens = effective_opens(table, solution.values)
+    for tier in table:
         if tier.name in breakdown.fixed_cost:
-            breakdown.fixed_cost[tier.name] = sum((fixed[f] for f in tier.facilities
+            breakdown.fixed_cost[tier.name] = sum((tier.fixed_cost[f] for f in tier.facilities
                                                    if opens.get(f)), 0.0)
     return breakdown, opens
 
 
-def collected_quantities(instance: NetworkInstance, vars: VariableMap,
+def collected_quantities(table: tuple[Tier, ...],
                          values: Mapping[str, float]) -> dict[str, dict[str, float]]:
     """rq[i][c]: mass of product i arriving at dropoff c (pre-resale)."""
-    dropoff = tiers(instance, vars)[0]
-    return {i: {c: dropoff.inflow(i, c).evaluate(values) for c in instance.dropoffs}
-            for i in instance.products}
+    dropoff = table[0]
+    return {i: {c: dropoff.inflow(i, c).evaluate(values) for c in dropoff.facilities}
+            for i in dropoff.items}
 
 
-def merge_phases(phase1_vars: VariableMap, phase1: Solution,
-                 phase2_vars: VariableMap, phase2: Solution) -> tuple[VariableMap, Solution]:
+def merge_phases(phase1_tiers: tuple[Tier, ...], phase1: Solution,
+                 phase2_tiers: tuple[Tier, ...], phase2: Solution
+                 ) -> tuple[tuple[Tier, ...], Solution]:
     """One whole-network solution from the two solved user phases.
 
     Phase I fixes the residence->dropoff assignment and the dropoff openings;
-    phase II covers everything downstream.  The merged solution has no
+    phase II covers everything downstream, and each tier comes from the
+    phase that has its flows or opens.  The merged solution has no
     objective of its own: its totals are the two phases' stage expressions,
     one table followed by the other (:meth:`StageExpressions.followed_by`),
     evaluated on the concatenated values (see :func:`breakdown_from_solution`).
     """
     _require(phase1.status is Status.OPTIMAL, "phase I solution is not optimal")
     _require(phase2.status is Status.OPTIMAL, "phase II solution is not optimal")
-    vars = VariableMap(**{f.name: getattr(phase1_vars, f.name) or getattr(phase2_vars, f.name)
-                          for f in fields(VariableMap)})
-    return vars, Solution(Status.OPTIMAL, None, {**phase1.values, **phase2.values})
+    table = tuple(first if first.flows or first.opens else second
+                  for first, second in zip(phase1_tiers, phase2_tiers))
+    return table, Solution(Status.OPTIMAL, None, {**phase1.values, **phase2.values})

@@ -20,11 +20,10 @@ deviations), in one of three ways, all linear:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .builders import ModelArtifacts
-from .domain import TIERS
 from .io import read_document
 from .milp import LinExpr, MilpModel, ModelError, RowTag
 
@@ -158,9 +157,8 @@ def robustify(model: MilpModel, spec: UncertaintySpec) -> MilpModel:
 
 
 def robustify_artifacts(artifacts: ModelArtifacts, spec: UncertaintySpec) -> ModelArtifacts:
-    """Counterpart of a built model, keeping its interpretation maps."""
-    model = robustify(artifacts.model, spec)
-    return ModelArtifacts(model, artifacts.vars, artifacts.stages)
+    """Counterpart of a built model, keeping what reads its solution."""
+    return replace(artifacts, model=robustify(artifacts.model, spec))
 
 
 def violation_bound(gamma: float, n: int) -> float:
@@ -185,9 +183,8 @@ def capacity_preset(artifacts: ModelArtifacts, fraction: float = 0.1,
     """
     if not 0.0 <= fraction:
         raise ValueError("fraction must be nonnegative")
-    vars = artifacts.vars
-    uncertain = {name for layout in TIERS for name in getattr(vars, layout.opens).values()}
-    uncertain.update(getattr(vars, TIERS[0].flows).values())
+    uncertain = {name for tier in artifacts.tiers for name in tier.opens.values()}
+    uncertain.update(artifacts.tiers[0].flows.values())
     rows: dict[str, RowUncertainty] = {}
     for row in artifacts.model.rows:
         if row.tag.family != "capacity" or row.relation == "==":

@@ -29,6 +29,7 @@ from, such as a trade-off grid point, gets a fresh copy of that model (see
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -106,7 +107,7 @@ def derive_throughput(instance: NetworkInstance,
     """
     side = solve_system(instance, "cost", solver).require_optimal("throughput solve")
     artifacts, _ = side.phases[0]
-    inflows = facility_inflows(instance, artifacts.vars, side.values)
+    inflows = facility_inflows(artifacts.tiers, side.values)
     per_primary = {p: inflows.get(p, 0.0) for p in instance.primaries}
     busiest = max(instance.primaries, key=lambda p: per_primary[p])
     return busiest, per_primary[busiest], per_primary
@@ -269,8 +270,7 @@ def add_epsilon_row(model: MilpModel, emission: LinExpr, v: int, epsilon: float,
     model.set_objective(objective)
 
 
-def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
-                solver: Solver | None = None) -> SideResult:
+def solve_built(artifacts: ModelArtifacts, solver: Solver | None = None) -> SideResult:
     """Solve a built whole-network model, robust counterparts included, and
     report it: an optimal answer, or the incumbent of a search that ran out
     of budget.  Any other verdict comes back as its status alone."""
@@ -279,8 +279,7 @@ def solve_built(instance: NetworkInstance, artifacts: ModelArtifacts,
     if not (solution.status is Status.OPTIMAL
             or solution.status is Status.BUDGET_EXCEEDED and solution.values):
         return SideResult(solution.status, phases)
-    breakdown, opens = breakdown_from_solution(instance, artifacts.vars, artifacts.stages,
-                                               solution)
+    breakdown, opens = breakdown_from_solution(artifacts.tiers, artifacts.stages, solution)
     return SideResult(solution.status, phases, breakdown, opens, dict(solution.values))
 
 
@@ -334,7 +333,7 @@ def solve_first(first: FirstModel, solver: Solver | None = None) -> SideResult:
     collected.  Under a cap, the result's ``reach`` is the tightest cap its
     answer fits."""
     if not first.two_phase:
-        side = solve_built(first.instance, first.artifacts, solver)
+        side = solve_built(first.artifacts, solver)
         if first.cap is not None and side.values:
             side.reach = first.capped.evaluate(side.values)
         return side
@@ -344,7 +343,7 @@ def solve_first(first: FirstModel, solver: Solver | None = None) -> SideResult:
     phases = [(phase1, s1)]
     if s1.status is not Status.OPTIMAL:
         return SideResult(s1.status, phases)
-    rq = collected_quantities(instance, phase1.vars, s1.values)
+    rq = collected_quantities(phase1.tiers, s1.values)
     phase2 = build_user_model_ii(instance, rq, first.objective)
     if cap is not None:
         collected = first.capped.evaluate(s1.values)
@@ -355,9 +354,9 @@ def solve_first(first: FirstModel, solver: Solver | None = None) -> SideResult:
     phases.append((phase2, s2))
     if s2.status is not Status.OPTIMAL:
         return SideResult(s2.status, phases)
-    vars, merged = merge_phases(phase1.vars, s1, phase2.vars, s2)
+    table, merged = merge_phases(phase1.tiers, s1, phase2.tiers, s2)
     stages = phase1.stages.followed_by(phase2.stages)
-    breakdown, opens = breakdown_from_solution(instance, vars, stages, merged)
+    breakdown, opens = breakdown_from_solution(table, stages, merged)
     side = SideResult(Status.OPTIMAL, phases, breakdown, opens, merged.values)
     if cap is not None:
         side.reach = collected + max(cap.held_back, downstream.evaluate(s2.values))
@@ -524,6 +523,8 @@ def calibrate_trip_factor(target_total_cost: float,
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    if not math.isfinite(target_total_cost):
+        raise ValueError(f"target total cost must be finite, got {target_total_cost}")
     instance = base if base is not None else load_bundled_instance()
     solver = solver or EmbeddedSolver()
     factor = 1.0

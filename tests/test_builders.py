@@ -195,7 +195,7 @@ def test_row_order_of_every_model(bundled):
     phase1 = build_user_model_i(inst, "cost")
     assert tags(phase1) == TRIP_ROWS + DROPOFF_GATE_ROWS + ["open-count[dropoff]"]
     s1 = EmbeddedSolver().solve(phase1.model)
-    phase2 = build_user_model_ii(inst, collected_quantities(inst, phase1.vars, s1.values))
+    phase2 = build_user_model_ii(inst, collected_quantities(phase1.tiers, s1.values))
     assert tags(phase2) == (DROPOFF_BALANCE_ROWS + DOWNSTREAM_ROWS
                             + ["open-count[primary]", "open-count[secondary]"])
 
@@ -249,7 +249,7 @@ def test_user_model_ii_rejects_mass_mismatch(bundled):
 def test_user_composition_consistent(bundled):
     phase1 = build_user_model_i(bundled, "cost")
     s1 = EmbeddedSolver().solve(phase1.model)
-    rq = collected_quantities(bundled, phase1.vars, s1.values)
+    rq = collected_quantities(phase1.tiers, s1.values)
     phase2 = build_user_model_ii(bundled, rq, "cost")
     s2 = EmbeddedSolver().solve(phase2.model)
     assert s2.status is Status.OPTIMAL

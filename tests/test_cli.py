@@ -402,6 +402,9 @@ ERROR_CASES = {
         tmp_path, "scenario", "--spec", {"trip_factor": 0.5}),
     "scenario-spec-mistyped": lambda tmp_path: _spec_file(
         tmp_path, "scenario", "--spec", {"name": "x", "trip_factor": "half"}),
+    "scenario-spec-unknown-area": lambda tmp_path: _spec_file(
+        tmp_path, "scenario", "--spec",
+        {"name": "typo", "supply_mass": {"prod1": {"area1": 600.0, "aera2": 1050.0}}}),
     "uncertainty-row-without-gamma": lambda tmp_path: _spec_file(
         tmp_path, "robust", "--uncertainty",
         {"rows": {"capacity[dropoff,prod1,drop1]": {"deviations": {"X[drop1]": 1.0}}}}),
@@ -429,6 +432,13 @@ def test_missing_and_mistyped_instance_keys_are_named(tmp_path, capsys):
     assert "processing.primary.prim1.prod1.capacity" in capsys.readouterr().err
     assert main(_validate(tmp_path, lambda d: d["arcs"].pop("pri_sec"))) == 1
     assert "missing key 'arcs.pri_sec'" in capsys.readouterr().err
+
+
+def test_a_scenario_supply_entry_for_an_unknown_area_is_named(tmp_path, capsys):
+    assert main(ERROR_CASES["scenario-spec-unknown-area"](tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "r[prod1,aera2]: unknown residence area" in captured.err
 
 
 def test_min_open_must_be_an_integer(tmp_path, capsys):

@@ -212,6 +212,29 @@ def test_policy_validation(bundled):
     assert [v.symbol for v in validate(inst).violations] == ["county_of"]
 
 
+def _with_population(inst, population):
+    return dataclasses.replace(inst, supply=dataclasses.replace(inst.supply,
+                                                                population=population))
+
+
+@pytest.mark.parametrize("breaker, violations", [
+    (lambda i: with_supply_mass(i, {"prod1": {"area1": 600.0, "aera2": 1050.0}}),
+     ["r[prod1,aera2]: unknown residence area"]),
+    (lambda i: with_supply_mass(i, {"prod1": {"aera2": 1.0}, "prod9": {"area1": 1.0}}),
+     ["r[prod9]: unknown product", "r[prod1,aera2]: unknown residence area"]),
+    (lambda i: dataclasses.replace(i, supply=dataclasses.replace(
+        i.supply, dedicated_fraction={**i.supply.dedicated_fraction, "drop9": 0.5})),
+     ["df[drop9]: unknown dropoff"]),
+    (lambda i: dataclasses.replace(i, supply=dataclasses.replace(
+        i.supply, population={"area1": 10.0, "area2": 10.0, "area9": 1.0})),
+     ["pp[area9]: unknown residence area"]),
+])
+def test_unknown_supply_keys_are_reported(bundled, breaker, violations):
+    """An entry keyed by an id the instance lacks is data the model would
+    silently ignore; unknown products are named before unknown areas."""
+    assert [str(v) for v in validate(breaker(bundled)).violations] == violations
+
+
 def test_with_trip_factor(bundled):
     scaled = with_trip_factor(bundled, 0.5)
     assert trip_multiplier(scaled, "area1", "drop1") == pytest.approx(125.0)

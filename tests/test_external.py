@@ -79,6 +79,17 @@ def test_a_model_without_rows_solves_on_both_backends():
         assert solution.values == pytest.approx({"x": 0.0, "y": 1.0})
 
 
+@pytest.mark.parametrize("relation, rhs", [(">=", -1.0), ("<=", 0.0), ("==", 0.0),
+                                           ("==", 1e-9), (">=", 1e-3)])
+def test_a_model_without_variables_judges_its_rows_alike_on_both_backends(relation, rhs):
+    model = MilpModel("empty")
+    model.add_row(LinExpr(), relation, rhs, RowTag("r"))
+    ours, theirs = EmbeddedSolver().solve(model), scipy_solver.solve(model)
+    assert theirs.status is ours.status
+    assert theirs.objective == ours.objective
+    assert ours.status is (Status.INFEASIBLE if rhs == 1e-3 else Status.OPTIMAL)
+
+
 def test_values_are_usable(bundled):
     model = build_system_model(bundled, "cost").model
     theirs = scipy_solver.solve(model)
@@ -94,8 +105,7 @@ def test_scipy_solver_matches_zero_gap_highs_on_the_ladder(seed):
     presolved zero-gap oracle."""
     instance = netgen_instance(20, 8, 5, seed)
     phase1 = build_user_model_i(instance, "cost")
-    collected = collected_quantities(instance, phase1.vars,
-                                     exact_highs.solve(phase1.model).values)
+    collected = collected_quantities(phase1.tiers, exact_highs.solve(phase1.model).values)
     for label, artifacts in (("system cost", build_system_model(instance, "cost")),
                              ("system emission", build_system_model(instance, "emission")),
                              ("user phase I cost", phase1),

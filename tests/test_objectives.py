@@ -2,11 +2,13 @@ import dataclasses
 
 import pytest
 
+from rlnd import builders, objectives
 from rlnd.builders import build_system_model, build_user_model_i, build_user_model_ii
 from rlnd.milp import EmbeddedSolver, Status
 from rlnd.objectives import (breakdown_from_solution, collected_quantities,
-                             effective_opens, facility_inflows, item_inflows,
-                             merge_phases)
+                             effective_opens, facility_inflows, merge_phases)
+from rlnd.robust import capacity_preset, robustify_artifacts
+from rlnd.scenarios import derive_throughput, solve_system, solve_user
 
 # exact optima of the bundled instance (unit trip factor), frozen from an
 # independently verified hand computation of the closed-form plan
@@ -168,7 +170,7 @@ def test_model_objective_equals_breakdown(bundled):
     for objective, total in (("cost", "total_cost"), ("emission", "total_emission")):
         art = build_system_model(bundled, objective)
         sol = EmbeddedSolver().solve(art.model)
-        breakdown, _ = breakdown_from_solution(bundled, art.vars, art.stages, sol)
+        breakdown, _ = breakdown_from_solution(art.tiers, art.stages, sol)
         assert sol.objective == pytest.approx(getattr(breakdown, total), rel=1e-9)
 
 
@@ -183,13 +185,13 @@ def test_zero_flow_evaluates_to_zero(bundled):
 def test_inflows_and_effective_opens(bundled):
     art = build_system_model(bundled, "cost")
     sol = EmbeddedSolver().solve(art.model)
-    inflows = facility_inflows(bundled, art.vars, sol.values)
+    inflows = facility_inflows(art.tiers, sol.values)
     assert inflows["prim3"] == pytest.approx(2784.87, abs=1e-6)
     assert inflows["drop1"] == pytest.approx(3300.0, abs=1e-6)
     assert inflows["drop2"] == pytest.approx(0.0, abs=1e-6)
-    per_item = item_inflows(bundled, art.vars, sol.values)
-    assert per_item[("prod1", "drop1")] == pytest.approx(2100.0, abs=1e-6)
-    opens = effective_opens(bundled, art.vars, sol.values)
+    dropoff = art.tiers[0]
+    assert dropoff.inflow("prod1", "drop1").evaluate(sol.values) == pytest.approx(2100.0, abs=1e-6)
+    opens = effective_opens(art.tiers, sol.values)
     assert opens["drop1"] and opens["prim3"] and opens["sec1"]
     assert not opens["drop2"] and not opens["prim1"] and not opens["prim2"]
 
@@ -198,7 +200,7 @@ def test_effective_opens_ignores_hollow_indicators(bundled):
     art = build_system_model(bundled, "cost")
     values = hand_plan_values(bundled, art.vars)
     values[art.vars.x["drop2"]] = 1.0  # indicated open, receives nothing
-    opens = effective_opens(bundled, art.vars, values)
+    opens = effective_opens(art.tiers, values)
     assert not opens["drop2"]
 
 
@@ -210,7 +212,7 @@ def test_effective_opens_tops_up_to_floor(bundled):
     values[art.vars.y["prim2"]] = 1.0
     values[art.vars.y["prim3"]] = 1.0
     values[art.vars.r["sec1"]] = 1.0
-    opens = effective_opens(bundled, art.vars, values)
+    opens = effective_opens(art.tiers, values)
     # the one-per-tier floor is honoured from the indicated set, lowest first
     assert opens["drop2"] and not opens["drop1"]
     assert opens["prim2"] and not opens["prim3"] and not opens["prim1"]
@@ -221,7 +223,7 @@ def test_collected_quantities_user_phase(bundled):
     phase1 = build_user_model_i(bundled, "cost")
     s1 = EmbeddedSolver().solve(phase1.model)
     assert s1.status is Status.OPTIMAL
-    rq = collected_quantities(bundled, phase1.vars, s1.values)
+    rq = collected_quantities(phase1.tiers, s1.values)
     # each area uses its nearest dropoff
     assert rq["prod1"]["drop1"] == pytest.approx(1050.0, abs=1e-6)
     assert rq["prod1"]["drop2"] == pytest.approx(1050.0, abs=1e-6)
@@ -232,12 +234,12 @@ def test_collected_quantities_user_phase(bundled):
 def test_merged_user_phases_match_reference(bundled):
     phase1 = build_user_model_i(bundled, "cost")
     s1 = EmbeddedSolver().solve(phase1.model)
-    rq = collected_quantities(bundled, phase1.vars, s1.values)
+    rq = collected_quantities(phase1.tiers, s1.values)
     phase2 = build_user_model_ii(bundled, rq, "cost")
     s2 = EmbeddedSolver().solve(phase2.model)
-    vars, merged_solution = merge_phases(phase1.vars, s1, phase2.vars, s2)
+    table, merged_solution = merge_phases(phase1.tiers, s1, phase2.tiers, s2)
     breakdown, _ = breakdown_from_solution(
-        bundled, vars, phase1.stages.followed_by(phase2.stages), merged_solution)
+        table, phase1.stages.followed_by(phase2.stages), merged_solution)
 
     art = build_system_model(bundled, "cost")
     merged = {name: 0.0 for name in art.model.variables}
@@ -256,7 +258,7 @@ def test_revenue_invariant_under_dropoff_reordering(bundled):
     reordered = dataclasses.replace(bundled, dropoffs=("drop2", "drop1"))
     art = build_system_model(reordered, "cost")
     sol = EmbeddedSolver().solve(art.model)
-    breakdown, _ = breakdown_from_solution(reordered, art.vars, art.stages, sol)
+    breakdown, _ = breakdown_from_solution(art.tiers, art.stages, sol)
     assert sum(breakdown.resale_revenue.values()) == pytest.approx(
         FROZEN_REVENUE, abs=1e-6)
     assert breakdown.total_cost == pytest.approx(FROZEN_TOTAL_COST, abs=1e-6)
@@ -265,7 +267,7 @@ def test_revenue_invariant_under_dropoff_reordering(bundled):
 def test_user_phases_report_only_their_own_tiers(bundled):
     phase1 = build_user_model_i(bundled, "cost")
     s1 = EmbeddedSolver().solve(phase1.model)
-    rq = collected_quantities(bundled, phase1.vars, s1.values)
+    rq = collected_quantities(phase1.tiers, s1.values)
     phase2 = build_user_model_ii(bundled, rq, "cost")
     s2 = EmbeddedSolver().solve(phase2.model)
     for art, sol, arcs, tiers, facilities in (
@@ -277,7 +279,44 @@ def test_user_phases_report_only_their_own_tiers(bundled):
         for table in (stages.processing_cost, stages.processing_emission,
                       stages.fixed_cost, stages.resale_revenue, stages.emission_offset):
             assert list(table) == tiers
-        assert list(facility_inflows(bundled, art.vars, sol.values)) == list(facilities)
-        assert {f for _, f in item_inflows(bundled, art.vars, sol.values)} == set(facilities)
-    assert facility_inflows(bundled, phase1.vars, s1.values)["drop1"] == pytest.approx(
+        assert list(facility_inflows(art.tiers, sol.values)) == list(facilities)
+    assert facility_inflows(phase1.tiers, s1.values)["drop1"] == pytest.approx(
         sum(rq[i]["drop1"] for i in bundled.products), abs=1e-9)
+
+
+def test_the_tier_table_is_joined_once_per_build(bundled, monkeypatch):
+    """Reports, the phase merge and the throughput read use the table the
+    builder joined: the joins, wherever a module binds ``tiers``, are the
+    builds."""
+    joins = []
+
+    def counted(*args, _tiers=objectives.tiers):
+        joins.append(args)
+        return _tiers(*args)
+
+    monkeypatch.setattr(builders, "tiers", counted)
+    monkeypatch.setattr(objectives, "tiers", counted)
+    first, second = dataclasses.replace(bundled), dataclasses.replace(bundled)
+    assert solve_system(first, "emission").breakdown is not None
+    assert solve_user(first, "emission").breakdown is not None
+    derive_throughput(second)
+    builds = sum(len(builders._BUILT[id(instance)]) for instance in (first, second))
+    assert builds == 4  # system emission, both user phases, system cost
+    assert len(joins) == builds
+
+
+def test_copies_and_counterparts_share_the_tier_table(bundled):
+    art = build_system_model(bundled, "cost")
+    assert build_system_model(bundled, "cost").tiers is art.tiers
+    assert robustify_artifacts(art, capacity_preset(art)).tiers is art.tiers
+
+
+def test_merge_phases_takes_each_tier_from_the_phase_that_routes_it(bundled):
+    phase1 = build_user_model_i(bundled, "cost")
+    s1 = EmbeddedSolver().solve(phase1.model)
+    phase2 = build_user_model_ii(bundled, collected_quantities(phase1.tiers, s1.values), "cost")
+    s2 = EmbeddedSolver().solve(phase2.model)
+    table, _ = merge_phases(phase1.tiers, s1, phase2.tiers, s2)
+    assert [tier.name for tier in table] == ["dropoff", "primary", "secondary"]
+    assert table[0] is phase1.tiers[0]
+    assert table[1] is phase2.tiers[1] and table[2] is phase2.tiers[2]

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import pytest
@@ -132,6 +133,16 @@ def test_calibration_raises_when_iterations_run_out(bundled):
 def test_calibration_needs_at_least_one_iteration(iterations, bundled):
     with pytest.raises(ValueError, match=f"max_iterations must be at least 1, got {iterations}"):
         calibrate_trip_factor(57978.0, bundled, max_iterations=iterations)
+
+
+@pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+def test_calibration_rejects_a_target_that_is_not_finite(target, bundled):
+    """An infinite target would pass the convergence test at once, and a
+    nan one fail later naming the factor; neither may reach a solve."""
+    solver = RecordingSolver()
+    with pytest.raises(ValueError, match=f"target total cost must be finite, got {target}"):
+        calibrate_trip_factor(target, bundled, solver)
+    assert solver.solves == []
 
 
 def test_calibration_rejects_unreachable_target(bundled):
