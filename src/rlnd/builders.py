@@ -5,10 +5,11 @@ All rows are tagged by constraint family so dumps, tests and the robust
 transformer can address them; see :class:`rlnd.milp.RowTag`.
 
 Each builder builds its model once per instance, objective and policy flag:
-the first call validates the instance and builds, and every call, the first
-included, returns a fresh copy (:meth:`rlnd.milp.MilpModel.copy`) with its
-own variable, row and objective containers, so a caller may add an epsilon
-row or siting rows to its copy freely.  The copies share the built
+the first call for an instance validates it, the first call for each
+objective and flag builds, and every call, the first included, returns a
+fresh copy (:meth:`rlnd.milp.MilpModel.copy`) with its own variable, row
+and objective containers, so a caller may add an epsilon row or siting
+rows to its copy freely.  The copies share the built
 ``Variable`` and ``Row`` records, the ``VariableMap``, the
 ``StageExpressions`` and the tier table (:func:`rlnd.objectives.tiers`),
 which nothing changes once built.  The operator's
@@ -57,9 +58,11 @@ _BUILT: dict[int, dict[tuple, ModelArtifacts]] = {}
 def _built(build: Callable[..., ModelArtifacts], instance: NetworkInstance,
            *args) -> ModelArtifacts:
     """A fresh copy of ``build(instance, *args)``, which runs once per live
-    instance and arguments."""
+    instance and arguments; an instance is validated once, before its first
+    build, and only an instance that passed gets an entry."""
     models = _BUILT.get(id(instance))
     if models is None:
+        validate(instance).assert_valid()
         models = _BUILT[id(instance)] = {}
         weakref.finalize(instance, _BUILT.pop, id(instance), None)
     key = (build, *args)
@@ -71,12 +74,11 @@ def _built(build: Callable[..., ModelArtifacts], instance: NetworkInstance,
 
 def _new_model(instance: NetworkInstance, objective: str, phase: str,
                picked: tuple[TierLayout, ...]) -> tuple[MilpModel, VariableMap, tuple[Tier, ...]]:
-    """Every builder's prologue: check the objective, validate the instance,
-    and start the model with the picked tiers' variables.  Returns the
-    model, its variables and the tier table over them."""
+    """Every builder's prologue: check the objective and start the model
+    with the picked tiers' variables.  Returns the model, its variables and
+    the tier table over them."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    validate(instance).assert_valid()
     model = MilpModel(f"{instance.name}:{phase}:{objective}")
     vars = _register(model, instance, picked)
     return model, vars, tiers(instance, vars)

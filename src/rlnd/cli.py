@@ -190,15 +190,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_distances(args: argparse.Namespace) -> int:
     points = read_points_csv(args.points)
-
-    def pick(raw: str) -> dict:
-        names = [p.strip() for p in raw.split(",") if p.strip()]
-        missing = [p for p in names if p not in points]
-        if missing:
-            raise InstanceError(f"points file lacks {missing}")
-        return {name: points[name] for name in names}
-
-    sites = [pick(getattr(args, tier.facilities)) for tier in TIERS]
+    names = [[p.strip() for p in getattr(args, tier.facilities).split(",") if p.strip()]
+             for tier in TIERS]
+    named = [name for tier_names in names for name in tier_names]
+    missing = [name for name in named if name not in points]
+    if missing:
+        raise InstanceError(f"points file lacks {missing}")
+    twice = sorted({name for name in named if named.count(name) > 1})
+    if twice:
+        raise InstanceError(f"points {twice} are named as more than one facility")
+    sites = [{name: points[name] for name in tier_names} for tier_names in names]
     residences = {k: v for k, v in points.items() if not any(k in s for s in sites)}
     if not residences:
         raise InstanceError("every point is assigned to a facility tier; "

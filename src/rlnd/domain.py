@@ -281,11 +281,24 @@ def _check_keys(r: ValidationReport, symbol: str, index: tuple[str, ...],
             r.add(symbol, (*index, key), f"unknown {what}")
 
 
+# what one id of each id set is called in a violation
+_ID_WORDS = dict(zip(SETS, ("product", "material", "residence area", "dropoff", "primary",
+                            "secondary")))
+
+
+def _check_grid(r: ValidationReport, inst: NetworkInstance, symbol: str,
+                table: dict[str, dict], rows: str, columns: str) -> None:
+    """:func:`_check_keys` of a table keyed by the id sets named ``rows``,
+    then ``columns``: its rows, then the keys of each declared row."""
+    _check_keys(r, symbol, (), table, getattr(inst, rows), _ID_WORDS[rows])
+    for k in getattr(inst, rows):
+        _check_keys(r, symbol, (k,), table.get(k, {}), getattr(inst, columns), _ID_WORDS[columns])
+
+
 def _check_supply(inst: NetworkInstance, r: ValidationReport) -> None:
     s = inst.supply
-    _check_keys(r, "r", (), s.mass, inst.products, "product")
+    _check_grid(r, inst, "r", s.mass, "products", "areas")
     for i in inst.products:
-        _check_keys(r, "r", (i,), s.mass.get(i, {}), inst.areas, "residence area")
         for h in inst.areas:
             _in_range(r, "r", (i, h), s.mass.get(i, {}).get(h), "supply mass", _AT_LEAST_0)
     _in_range(r, "ty", (), s.trips_per_year, "trips per year", _AT_LEAST_0)
@@ -312,6 +325,7 @@ def _check_processing(inst: NetworkInstance, r: ValidationReport) -> None:
     for tier in TIERS:
         facilities, items, _ = tier.sets(inst)
         table, symbols = p.entries.get(tier.name, {}), _ENTRY_SYMBOLS[tier.name]
+        _check_grid(r, inst, tier.symbol, table, tier.facilities, tier.items)
         for f in facilities:
             for it in items:
                 e = table.get(f, {}).get(it)
@@ -324,12 +338,16 @@ def _check_processing(inst: NetworkInstance, r: ValidationReport) -> None:
                     r.add(symbols["min_shipment"], (it, f),
                           f"minimum shipment {e.min_shipment} exceeds capacity {e.capacity}")
         resale = p.resale.get(tier.name, {})
+        _check_keys(r, f"re^{tier.symbol}", (), resale, items, _ID_WORDS[tier.items])
         for it in items:
             _in_range(r, f"re^{tier.symbol}", (it,), resale.get(it), "resale fraction", _SHARE)
         _in_range(r, "nof", (tier.name,), p.min_open.get(tier.name, 0), "minimum open count",
                   (0, len(facilities), f"[0, {len(facilities)}]"))
+    _check_keys(r, "nof", (), p.min_open, tuple(tier.name for tier in TIERS), "tier")
+    _check_keys(r, "fc", (), p.fixed_cost, inst.facilities(), "facility")
     for f in inst.facilities():
         _in_range(r, "fc", (f,), p.fixed_cost.get(f), "fixed cost", _AT_LEAST_0)
+    _check_grid(r, inst, "q", p.composition, "materials", "products")
     for i in inst.products:
         total = 0.0
         for j in inst.materials:
@@ -338,6 +356,7 @@ def _check_processing(inst: NetworkInstance, r: ValidationReport) -> None:
                 total += q
         if total > 1.0 + 1e-9:
             r.add("q", (i,), f"material fractions sum to {total:.6g} > 1")
+    _check_grid(r, inst, "eff", p.efficiency, "materials", "primaries")
     for j, row in p.efficiency.items():
         for pr, v in row.items():
             _in_range(r, "eff", (j, pr), v, "efficiency", _SHARE)
@@ -352,6 +371,7 @@ def _check_arcs(inst: NetworkInstance, r: ValidationReport) -> None:
     for tier in TIERS:
         heads, _, tails = tier.sets(inst)
         table, symbols = inst.arcs.get(tier.lane, {}), _ARC_SYMBOLS[tier.name]
+        _check_grid(r, inst, tier.lane_symbol, table, tier.sources, tier.facilities)
         for a in tails:
             row = table.get(a, {})
             for b in heads:

@@ -33,6 +33,8 @@ class GeoPoint:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not -180.0 < self.lon <= 180.0:
             raise ValueError(f"longitude {self.lon} outside (-180, 180]")
+        if self.population is not None and not 0.0 <= self.population < math.inf:
+            raise ValueError(f"population {self.population} outside [0, inf)")
 
 
 def haversine(a: GeoPoint, b: GeoPoint) -> float:

@@ -1,18 +1,18 @@
 """Instance files, spec files and table imports.
 
 An instance is one JSON document with sections ``sets``, ``supply``,
-``processing``, ``arcs`` and ``policy`` (a ``scenario`` section is allowed
-and ignored here; the scenario engine reads it separately).  The writer is
-``dataclasses.asdict`` of the instance, reshaped in two places only: the id
-sets (:data:`rlnd.domain.SETS`) sit under ``sets``, and each tier's entries
-directly under ``processing``.  So it writes every field, defaults and
-nulls included, and a saved instance loads back equal.  The reader fills
-in the optional keys and reads the per-tier parts of ``processing`` and
+``processing``, ``arcs`` and ``policy``; a ``scenario`` section is allowed
+and read by nothing.  The writer is ``dataclasses.asdict`` of the instance,
+reshaped in two places only: the id sets (:data:`rlnd.domain.SETS`) sit
+under ``sets``, and each tier's entries directly under ``processing``.  So
+it writes every field, defaults and nulls included, and a saved instance
+loads back equal.  The reader reads each record from its dataclass
+(:func:`read_record`), and the per-tier parts of ``processing`` and
 ``arcs`` in one loop over :data:`rlnd.domain.TIERS`.  Instances and the
 scenario and uncertainty spec files are all read through :class:`Node`, so
-a missing key or a value of the wrong type raises one
-:class:`DocumentError` naming the file and the key's path, such as
-``supply.trips_per_year``.  A number must be a JSON number, not a string
+a missing key, a key that names no field or a value of the wrong type
+raises one :class:`DocumentError` naming the file and the key's path, such
+as ``supply.trips_per_year``.  A number must be a JSON number, not a string
 such as ``"500"`` nor ``true``, and a flag such as an arc's ``forbidden``
 must be ``true`` or ``false``; a null reads as an absent key.  The CSV
 importer reads coordinate points, ``id, lat, lon[, population]``; a header
@@ -28,11 +28,10 @@ import json
 from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn
+from typing import Any, Callable, Collection, Iterable, NoReturn
 
 from .domain import (SETS, TIERS, Arc, InstanceError, NetworkInstance, PolicyData,
-                     ProcessingData, ProcessingEntry, SupplyData,
-                     DEFAULT_CITY_POPULATION_THRESHOLD)
+                     ProcessingData, ProcessingEntry, SupplyData)
 from .geo import GeoPoint
 
 
@@ -73,6 +72,13 @@ class Node:
         if key not in self.table():
             Node(None, (), self.source).fail(f"missing key '{'.'.join(self.path + (key,))}'")
         return Node(self.value[key], self.path + (key,), self.source)
+
+    def only(self, known: Collection[str]) -> Node:
+        """This object, once each of its keys is one of the set ``known``."""
+        if not self.table().keys() <= known:
+            key = next(k for k in self.value if k not in known)
+            Node(None, (), self.source).fail(f"unknown key '{'.'.join(self.path + (key,))}'")
+        return self
 
     def get(self, key: str, convert: Callable[[Node], Any], default: Any = None) -> Any:
         """``convert`` of the value under ``key``; ``default`` when it is absent or null."""
@@ -136,20 +142,48 @@ def read_document(path: str | Path) -> Node:
 # instance documents
 # ----------------------------------------------------------------------
 
-# a record's required keys are its fields without a default, and each other
-# key is read as its default when absent; an arc's, `forbidden`, frees the rest
+# the reader of each type a record's field may have, by its annotation's text
+# (``from __future__ import annotations`` keeps it text) without ``| None``
+_READERS: dict[str, Callable[[Node], Any]] = {
+    "float": Node.number, "str": Node.text, "dict[str, float]": Node.numbers,
+    "dict[str, int]": lambda n: n.map(Node.integer),
+    "dict[str, str]": lambda n: n.map(Node.text),
+    "dict[str, dict[str, float]]": lambda n: n.map(Node.numbers),
+}
+
+
+def read_record(cls: type, node: Node, given: dict[str, Any] | None = None,
+                extra: Collection[str] = ()) -> Any:
+    """The dataclass ``cls`` from the object at ``node``: each field not in
+    ``given`` from the key of its name, by the reader of its type (looked up
+    even when the key is absent).  A field without a default is required,
+    any other may be absent or null.  A key that names no field and is not
+    in ``extra`` raises a DocumentError naming its path."""
+    values, record = dict(given or {}), fields(cls)
+    table = node.only({f.name for f in record}.union(extra)).value
+    for f in record:
+        if f.name not in values:
+            read = _READERS[f.type.removesuffix(" | None")]
+            if f.default is f.default_factory is MISSING or table.get(f.name) is not None:
+                values[f.name] = read(node[f.name])
+    return cls(**values)
+
+
+# an entry's and an arc's keys are their fields; the required ones are those
+# without a default, and an arc's `forbidden` frees the rest
+_ENTRY_KEYS, _ARC_KEYS = (frozenset(f.name for f in fields(r)) for r in (ProcessingEntry, Arc))
 _ENTRY_FIELDS, _ARC_FIELDS = (tuple(f.name for f in fields(record) if f.default is MISSING)
                               for record in (ProcessingEntry, Arc))
 _ENTRY_DEFAULTS = {f.name: f.default for f in fields(ProcessingEntry) if f.default is not MISSING}
 
 
 def _entry_from(node: Node) -> ProcessingEntry:
-    return ProcessingEntry(*node.fields(_ENTRY_FIELDS),
+    return ProcessingEntry(*node.only(_ENTRY_KEYS).fields(_ENTRY_FIELDS),
                            **{k: node.get(k, Node.number, v) for k, v in _ENTRY_DEFAULTS.items()})
 
 
 def _arc_from(node: Node) -> Arc:
-    forbidden = node.table().get("forbidden")
+    forbidden = node.only(_ARC_KEYS).value.get("forbidden")
     if forbidden is True:
         return Arc(*(node.get(k, Node.number, 0.0) for k in _ARC_FIELDS), forbidden=True)
     if forbidden is not None and forbidden is not False:
@@ -157,56 +191,30 @@ def _arc_from(node: Node) -> Arc:
     return Arc(*node.fields(_ARC_FIELDS))
 
 
-def _policy_from(node: Node) -> PolicyData | None:
-    if not node.table():
-        return None
-    names = lambda n: n.map(Node.text)
-    return PolicyData(
-        county_of=node.get("county_of", names, {}),
-        city_of=node.get("city_of", names, {}),
-        city_population=node.get("city_population", Node.numbers, {}),
-        city_county=node.get("city_county", names, {}),
-        population_threshold=node.get("population_threshold", Node.number,
-                                      DEFAULT_CITY_POPULATION_THRESHOLD),
-    )
-
-
 def _instance_from(doc: Node) -> NetworkInstance:
-    sup = doc["supply"]
-    proc = doc["processing"]
-
-    supply = SupplyData(
-        mass=sup["mass"].map(Node.numbers),
-        trips_per_year=sup["trips_per_year"].number(),
-        dedicated_fraction=sup["dedicated_fraction"].numbers(),
-        population=sup.get("population", Node.numbers) or None,
-        household_size=sup.get("household_size", Node.number),
-        participation=sup.get("participation", Node.number),
-        trip_factor=sup.get("trip_factor", Node.numbers, {}),
-    )
-    processing = ProcessingData(
-        entries={t.name: proc[t.name].map(lambda row: row.map(_entry_from)) for t in TIERS},
-        resale={t.name: proc["resale"][t.name].numbers() for t in TIERS},
-        fixed_cost=proc["fixed_cost"].numbers(),
-        min_open=proc["min_open"].map(Node.integer),
-        composition=proc["composition"].map(Node.numbers),
-        efficiency=proc.get("efficiency", lambda n: n.map(Node.numbers), {}),
-        total_capacity=proc.get("total_capacity", Node.numbers, {}),
-    )
-    return NetworkInstance(
-        name=doc.get("name", Node.text, "instance"),
-        **{k: doc["sets"][k].texts() for k in SETS},
-        supply=supply,
-        processing=processing,
-        arcs={t.lane: doc["arcs"][t.lane].map(lambda row: row.map(_arc_from)) for t in TIERS},
-        policy=doc.get("policy", _policy_from),
-        description=doc.get("description", Node.text, ""),
-    )
+    sup, proc, tiers = doc["supply"], doc["processing"], {t.name for t in TIERS}
+    resale = proc["resale"].only(tiers)
+    # an empty population reads as none, as a null one does
+    population = sup.get("population", Node.numbers) or None
+    supply = read_record(SupplyData, sup, {"population": population})
+    processing = read_record(ProcessingData, proc, {
+        "entries": {t.name: proc[t.name].map(lambda row: row.map(_entry_from)) for t in TIERS},
+        "resale": {t.name: resale[t.name].numbers() for t in TIERS},
+    }, extra=tiers)
+    sets, arcs = doc["sets"].only(set(SETS)), doc["arcs"].only({t.lane for t in TIERS})
+    return read_record(NetworkInstance, doc, {
+        "name": doc.get("name", Node.text, "instance"),
+        **{k: sets[k].texts() for k in SETS},
+        "supply": supply, "processing": processing,
+        "arcs": {t.lane: arcs[t.lane].map(lambda row: row.map(_arc_from)) for t in TIERS},
+        # so does an empty policy
+        "policy": doc.get("policy", lambda n: read_record(PolicyData, n) if n.table() else None),
+    }, extra=("sets", "scenario"))
 
 
 def instance_from_dict(data: dict[str, Any]) -> NetworkInstance:
-    """The instance in a JSON document's layout; a missing key or a value of
-    the wrong type raises a DocumentError that names its path."""
+    """The instance in a JSON document's layout; a missing or unknown key or
+    a value of the wrong type raises a DocumentError that names its path."""
     return _instance_from(Node(data))
 
 
@@ -219,8 +227,8 @@ def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
 
 
 def load_instance(path: str | Path) -> NetworkInstance:
-    """An instance file; a missing key or a value of the wrong type raises a
-    DocumentError that names the file and the key."""
+    """An instance file; a missing or unknown key or a value of the wrong type
+    raises a DocumentError that names the file and the key."""
     return _instance_from(read_document(path))
 
 
@@ -256,18 +264,22 @@ def _data_rows(path: str | Path, numeric_col: int) -> Iterable[tuple[int, list[s
 
 
 def read_points_csv(path: str | Path) -> dict[str, GeoPoint]:
-    """Geo points: id, lat, lon[, population].  A malformed row raises
-    ValueError naming the file, the row's line and the problem."""
+    """Geo points: id, lat, lon[, population].  A malformed row or an id
+    given twice raises ValueError naming the file, the lines and the problem."""
     points: dict[str, GeoPoint] = {}
+    lines: dict[str, int] = {}
     for line, row in _data_rows(path, 1):
         try:
             if len(row) < 3:
                 raise ValueError(f"{len(row)} field(s) where id, lat, lon[, population] "
                                  "are expected")
             population = float(row[3]) if len(row) > 3 and row[3] else None
-            points[row[0]] = GeoPoint(float(row[1]), float(row[2]), population)
+            point = GeoPoint(float(row[1]), float(row[2]), population)
         except ValueError as exc:
             raise ValueError(f"{path}, line {line}: {exc}") from None
+        if row[0] in lines:
+            raise ValueError(f"{path}, lines {lines[row[0]]} and {line}: id {row[0]!r} repeated")
+        points[row[0]], lines[row[0]] = point, line
     return points
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .builders import ModelArtifacts
-from .io import read_document
+from .io import read_document, read_record
 from .milp import LinExpr, MilpModel, ModelError, RowTag
 
 _ABS_PREFIX = "ABS"
@@ -62,12 +62,12 @@ class UncertaintySpec:
 
 
 def load_uncertainty_spec(path: str | Path) -> UncertaintySpec:
-    """A spec file ``{"rows": {tag: {"gamma": g, "deviations": {var: d}}}}``;
-    a missing key or a value of the wrong type raises a DocumentError that
-    names it."""
+    """A spec file ``{"rows": {tag: {"gamma": g, "deviations": {var: d}}}}``,
+    every key required; a missing key, a key that names no field or a value
+    of the wrong type raises a DocumentError that names it."""
     doc = read_document(path)
-    spec = UncertaintySpec(doc["rows"].map(lambda entry: RowUncertainty(
-        entry["gamma"].number(), entry["deviations"].numbers())))
+    spec = read_record(UncertaintySpec, doc, {"rows": doc["rows"].map(lambda row: read_record(
+        RowUncertainty, row, {"deviations": row["deviations"].numbers()}))})
     spec.validate()
     return spec
 

@@ -39,7 +39,7 @@ from .builders import (ModelArtifacts, build_system_model, build_user_model_i,
                        build_user_model_ii)
 from .domain import (TIERS, NetworkInstance, with_supply_mass, with_total_capacity,
                      with_trip_factor)
-from .io import Node, load_bundled_instance, read_document, write_csv
+from .io import load_bundled_instance, read_document, read_record, write_csv
 from .milp import (EmbeddedSolver, LinExpr, MilpModel, ModelError, RowTag, Solution,
                    Solver, Status)
 from .objectives import (StageBreakdown, breakdown_from_solution, collected_quantities,
@@ -81,17 +81,9 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
 
 
 def load_scenario_spec(path: str | Path) -> ScenarioSpec:
-    """A spec file, its numbers converted; a missing key or a value of the
-    wrong type raises a DocumentError that names the file and the key."""
-    doc = read_document(path)
-    return ScenarioSpec(
-        name=doc["name"].text(),
-        description=doc.get("description", Node.text, ""),
-        supply_mass=doc.get("supply_mass", lambda n: n.map(Node.numbers)),
-        trip_factor=doc.get("trip_factor", Node.number),
-        total_capacity_fraction=doc.get("total_capacity_fraction", Node.number),
-        total_capacity=doc.get("total_capacity", Node.numbers),
-    )
+    """A spec file; a missing key, a key that names no field or a value of
+    the wrong type raises a DocumentError that names the file and the key."""
+    return read_record(ScenarioSpec, read_document(path))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from helpers import netgen_instance
 from rlnd import builders, scenarios
 from rlnd.builders import (build_system_model, build_user_model_i,
                            build_user_model_ii)
-from rlnd.domain import PolicyData, validate, with_total_capacity, with_trip_factor
+from rlnd.domain import InstanceError, PolicyData, validate, with_total_capacity, with_trip_factor
 from rlnd.milp import EmbeddedSolver, ModelError, Status
 from rlnd.multiobjective import SystemEpsilonFamily, epsilon_sweep
 from rlnd.objectives import collected_quantities
@@ -426,7 +426,15 @@ def test_a_repeated_build_is_a_fresh_copy_of_the_first(bundled, validations):
     assert second.model.to_lp_format() == text
     assert build_system_model(inst, "cost").model.to_lp_format() == text
     assert build_system_model(inst, "emission").model.to_lp_format() != text
-    assert len(validations) == 2
+    assert len(validations) == 1  # once per instance, not per objective
+
+
+def test_an_invalid_instance_fails_every_build(bundled, validations):
+    bad = dataclasses.replace(bundled, products=())
+    for _ in range(2):
+        with pytest.raises(InstanceError, match="identifier list is empty"):
+            build_system_model(bad, "cost")
+    assert len(validations) == 2 and id(bad) not in builders._BUILT
 
 
 def test_a_changed_copy_of_an_instance_is_built_again(bundled, validations):
@@ -483,7 +491,7 @@ def test_a_user_ii_copy_takes_the_collected_mass_of_its_call(bundled, validation
     assert len(validations) == 2
 
 
-def test_a_sweep_validates_once_per_objective(monkeypatch, validations):
+def test_a_sweep_validates_its_instance_once(monkeypatch, validations):
     builds = []
 
     def counted(*args, **kwargs):
@@ -494,4 +502,4 @@ def test_a_sweep_validates_once_per_objective(monkeypatch, validations):
     front = epsilon_sweep(SystemEpsilonFamily(netgen_instance(5, 4, 3, seed=0)))
     assert len(front) >= 1
     assert len(builds) == 9
-    assert len(validations) == 2
+    assert len(validations) == 1

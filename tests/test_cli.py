@@ -410,6 +410,20 @@ ERROR_CASES = {
         {"rows": {"capacity[dropoff,prod1,drop1]": {"deviations": {"X[drop1]": 1.0}}}}),
     "uncertainty-spec-is-a-list": lambda tmp_path: _spec_file(
         tmp_path, "robust", "--uncertainty", []),
+    "scenario-spec-misspelled-key": lambda tmp_path: _spec_file(
+        tmp_path, "scenario", "--spec", {"name": "typo", "trip_factr": 3.0}),
+    "uncertainty-row-misspelled-key": lambda tmp_path: _spec_file(
+        tmp_path, "robust", "--uncertainty",
+        {"rows": {"capacity[dropoff,prod1,drop1]": {"gamma": 1, "gama": 2,
+                                                    "deviations": {"X[drop1]": 1.0}}}}),
+    "points-id-repeated": lambda tmp_path: _distances(
+        tmp_path, "a,47.6,-122.3", "b,47.7,-122.2", "c,47.5,-122.1", "d,47.4,-122.0",
+        "a,10.0,10.0"),
+    "points-population-negative": _second_point("b,47.7,-122.2,-5"),
+    "points-population-nan": _second_point("b,47.7,-122.2,nan"),
+    "distances-point-in-two-tiers": lambda tmp_path: _distances(
+        tmp_path, "a,47.6,-122.3", "b,47.7,-122.2", "c,47.5,-122.1", "d,47.4,-122.0")[:-2]
+        + ["--secondaries", "c"],
 }
 
 
@@ -467,6 +481,20 @@ def test_a_bad_points_row_names_its_file_and_line(tmp_path, capsys):
         assert err.startswith(f"error: {argv[2]}, line 3: ") and problem in err, case
 
 
+def test_a_points_file_problem_names_the_file_lines_and_id(tmp_path, capsys):
+    argv = ERROR_CASES["points-id-repeated"](tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {argv[2]}, lines 2 and 6: id 'a' repeated\n"
+    for case, shown in (("points-population-negative", "-5.0"),
+                        ("points-population-nan", "nan")):
+        argv = ERROR_CASES[case](tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[2]}, line 3: population {shown} outside [0, inf)\n", case
+    assert main(ERROR_CASES["distances-point-in-two-tiers"](tmp_path)) == 1
+    assert "['c'] are named as more than one facility" in capsys.readouterr().err
+
+
 def test_spec_file_errors_name_the_key(tmp_path, capsys):
     assert main(ERROR_CASES["scenario-spec-without-name"](tmp_path)) == 1
     assert "missing key 'name'" in capsys.readouterr().err
@@ -474,6 +502,11 @@ def test_spec_file_errors_name_the_key(tmp_path, capsys):
     assert "trip_factor" in capsys.readouterr().err
     assert main(ERROR_CASES["uncertainty-row-without-gamma"](tmp_path)) == 1
     assert "rows.capacity[dropoff,prod1,drop1].gamma" in capsys.readouterr().err
+    assert main(ERROR_CASES["scenario-spec-misspelled-key"](tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown key 'trip_factr'" in captured.err
+    assert main(ERROR_CASES["uncertainty-row-misspelled-key"](tmp_path)) == 1
+    assert "unknown key 'rows.capacity[dropoff,prod1,drop1].gama'" in capsys.readouterr().err
 
 
 # every subcommand that reads an instance, and the line that says how it ended;

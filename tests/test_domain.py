@@ -235,6 +235,34 @@ def test_unknown_supply_keys_are_reported(bundled, breaker, violations):
     assert [str(v) for v in validate(breaker(bundled)).violations] == violations
 
 
+def test_unknown_processing_and_arc_keys_are_reported(bundled):
+    """Each id the instance does not declare, one violation per key, under
+    its table's symbol and indexed as the table nests it."""
+    data = instance_to_dict(bundled)
+    proc, arcs = data["processing"], data["arcs"]
+    proc["efficiency"] = {"mat9": {"prim1": 0.5}, "mat1": {"prim9": 0.5}}
+    proc["composition"]["mat1"]["prod9"] = 0.1
+    proc["fixed_cost"]["drp9"] = 1.0
+    proc["primary"]["prim1"]["prod9"] = proc["primary"]["prim1"]["prod1"]
+    proc["secondary"]["sec9"] = proc["secondary"]["sec1"]
+    proc["resale"]["dropoff"]["prod9"] = 0.1
+    proc["min_open"]["dropof"] = 1
+    arcs["res_drop"]["area9"] = arcs["res_drop"]["area1"]
+    arcs["pri_sec"]["prim1"]["sec9"] = arcs["pri_sec"]["prim1"]["sec1"]
+    assert [str(v) for v in validate(instance_from_dict(data)).violations] == [
+        "re^drp[prod9]: unknown product",
+        "pri[prim1,prod9]: unknown product",
+        "sec[sec9]: unknown secondary",
+        "nof[dropof]: unknown tier",
+        "fc[drp9]: unknown facility",
+        "q[mat1,prod9]: unknown product",
+        "eff[mat9]: unknown material",
+        "eff[mat1,prim9]: unknown primary",
+        "d^res[area9]: unknown residence area",
+        "d^pri[prim1,sec9]: unknown secondary",
+    ]
+
+
 def test_with_trip_factor(bundled):
     scaled = with_trip_factor(bundled, 0.5)
     assert trip_multiplier(scaled, "area1", "drop1") == pytest.approx(125.0)

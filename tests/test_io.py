@@ -2,13 +2,18 @@ import dataclasses
 import functools
 import json
 import random
+import re
 
 import pytest
 
 from helpers import netgen_instance, random_network_instance
+from rlnd import io
 from rlnd.domain import PolicyData
-from rlnd.io import (DocumentError, instance_from_dict, instance_to_dict, load_bundled_instance,
-                     load_instance, read_points_csv, save_instance, write_csv)
+from rlnd.io import (DocumentError, Node, instance_from_dict, instance_to_dict,
+                     load_bundled_instance, load_instance, read_points_csv, read_record,
+                     save_instance, write_csv)
+from rlnd.robust import RowUncertainty, UncertaintySpec, load_uncertainty_spec
+from rlnd.scenarios import ScenarioSpec, load_scenario_spec
 
 
 def test_bundled_loads(bundled):
@@ -91,6 +96,91 @@ def test_defaults_backfilled(bundled):
     assert inst.processing.total_capacity == {}
 
 
+def test_a_nameless_instance_is_called_instance(bundled):
+    data = instance_to_dict(bundled)
+    del data["name"]
+    assert instance_from_dict(data) == dataclasses.replace(bundled, name="instance")
+
+
+def test_empty_population_and_policy_read_as_none(bundled):
+    data = instance_to_dict(bundled)
+    data["supply"]["population"], data["policy"] = {}, {}
+    assert instance_from_dict(data) == bundled
+
+
+ROW = "capacity[dropoff,prod1,drop1]"
+
+# a valid document of each kind, its loader, and what it loads as
+DOCUMENTS = {
+    "instance": (lambda: {**instance_to_dict(load_bundled_instance()),
+                          "policy": {"population_threshold": PolicyData().population_threshold}},
+                 load_instance, dataclasses.replace(load_bundled_instance(), policy=PolicyData())),
+    "scenario": (lambda: {"name": "typo"}, load_scenario_spec, ScenarioSpec("typo")),
+    "uncertainty": (lambda: {"rows": {ROW: {"gamma": 1, "deviations": {"X[drop1]": 1.0}}}},
+                    load_uncertainty_spec,
+                    UncertaintySpec({ROW: RowUncertainty(1.0, {"X[drop1]": 1.0})})),
+}
+
+# (document, the path of an object in it, a key that names no field there)
+MISSPELT_KEYS = [
+    ("instance", (), "arc"),
+    ("instance", ("sets",), "product"),
+    ("instance", ("supply",), "trip_factr"),
+    ("instance", ("processing",), "fixed_cst"),
+    ("instance", ("processing",), "secundary"),
+    ("instance", ("processing", "resale"), "primay"),
+    ("instance", ("processing", "dropoff", "drop1", "prod1"), "min_shipmnet"),
+    ("instance", ("arcs",), "res_dorp"),
+    ("instance", ("arcs", "res_drop", "area1", "drop1"), "forbiden"),
+    ("instance", ("policy",), "populaton_threshold"),
+    ("scenario", (), "trip_factr"),
+    ("uncertainty", (), "row"),
+    ("uncertainty", ("rows", ROW), "gama"),
+]
+
+
+@pytest.mark.parametrize("kind, path, key", MISSPELT_KEYS,
+                         ids=lambda x: ".".join(x) if isinstance(x, tuple) else x)
+def test_a_key_that_names_no_field_is_named(kind, path, key, tmp_path):
+    document, load, expected = DOCUMENTS[kind]
+    file = tmp_path / "doc.json"
+    data = document()
+    file.write_text(json.dumps(data), encoding="utf-8")
+    assert load(file) == expected
+    functools.reduce(dict.__getitem__, path, data)[key] = 2.0
+    file.write_text(json.dumps(data), encoding="utf-8")
+    where = ".".join((*path, key))
+    with pytest.raises(DocumentError, match=f"^{re.escape(f'{file}: unknown key {where!r}')}$"):
+        load(file)
+
+
+def test_every_field_type_a_document_holds_has_a_reader(monkeypatch, tmp_path):
+    """read_record looks up the reader of each field it may read, key or no
+    key, so loading a document of each kind meets every type it holds."""
+    met = set()
+
+    class Recorded(dict):
+        def __getitem__(self, annotation):
+            met.add(annotation)
+            return super().__getitem__(annotation)
+
+    monkeypatch.setattr(io, "_READERS", Recorded(io._READERS))
+    for document, load, expected in DOCUMENTS.values():
+        file = tmp_path / "doc.json"
+        file.write_text(json.dumps(document()), encoding="utf-8")
+        assert load(file) == expected
+    assert met == set(io._READERS)
+
+
+def test_a_field_type_without_a_reader_fails_though_its_key_is_absent():
+    @dataclasses.dataclass
+    class Tagged:
+        tags: "set[str]" = dataclasses.field(default_factory=set)
+
+    with pytest.raises(KeyError, match=re.escape("set[str]")):
+        read_record(Tagged, Node({}))
+
+
 def test_read_points_csv(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("id,lat,lon,population\n"
@@ -108,6 +198,15 @@ def test_read_points_csv(tmp_path):
     late = tmp_path / "late.csv"
     late.write_text("\n  ,\nid,lat,lon,population\nblk1,47.6,-122.33,1200\n", encoding="utf-8")
     assert read_points_csv(late) == {"blk1": points["blk1"]}
+
+
+def test_a_repeated_point_id_is_an_error(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("id,lat,lon\na,47.6,-122.3\nb,47.5,-122.3\n\nc,47.4,-122.3\n"
+                    "a,10.0,10.0\n", encoding="utf-8")
+    message = f"{path}, lines 2 and 6: id 'a' repeated"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_points_csv(path)
 
 
 def test_write_breakdown_csv(tmp_path):
