@@ -1,46 +1,81 @@
 """Optional scipy-backed solver.
 
 `ScipySolver` hands a MilpModel's arrays (:meth:`MilpModel.to_arrays`, the
-mapping the embedded engine scales) to scipy.optimize.milp (HiGHS)
-unchanged, the row matrix as the sparse matrix its CSR arrays describe, and
-adapts the result to the same Solution type the embedded solver returns, so
-the two backends are interchangeable behind the Solver protocol.
+mapping the embedded engine scales) to HiGHS unchanged, through the HiGHS
+project's own binding that scipy ships (``scipy.optimize._highspy``, the
+layer under scipy.optimize.milp), and adapts the result to the Solution
+type the embedded solver returns, so the two backends are interchangeable
+behind the Solver protocol.
 
 The adapter can also solve one model on one background thread while the
 calling thread goes on (see :meth:`ScipySolver.background`).  A trade-off
 sweep uses it to overlap two HiGHS solves, and a scenario to solve its
 whole-network model while the calling thread solves both two-phase models;
 the scenario takes the whole-network answer after the two-phase side.
-scipy's HiGHS releases the interpreter lock while it solves, so the two
+HiGHS's ``run()`` releases the interpreter lock while it solves, so the two
 solves run side by side.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .milp import FEASIBILITY_TOL, MilpModel, Solution, SolveStats, Status
 
-# scipy.optimize.milp has no status of its own for HiGHS's node limit: it
-# returns status 4 and keeps HiGHS's model status (kSolutionLimit) in the
-# message.
-_NODE_LIMIT_MESSAGE = "(HiGHS Status 16:"
+# HiGHS's model statuses by name, as this adapter reports them; any other,
+# kUnboundedOrInfeasible among them, is NUMERICALLY_UNSTABLE.
+_STATUSES = {"kOptimal": Status.OPTIMAL, "kTimeLimit": Status.BUDGET_EXCEEDED,
+             "kIterationLimit": Status.BUDGET_EXCEEDED,
+             "kSolutionLimit": Status.BUDGET_EXCEEDED,  # the node limit
+             "kInfeasible": Status.INFEASIBLE, "kModelError": Status.INFEASIBLE,
+             "kUnbounded": Status.UNBOUNDED}
 
-# scipy.optimize.milp passes options it does not know to HiGHS verbatim and
-# warns that it did so; this adapter sets such an option on purpose.
-_VERBATIM_WARNING = "Unrecognized options detected"
+# A HiGHS too old to know this switch also lacks the heuristic it turns off.
+_FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
 
 
-@contextmanager
-def _verbatim_options_silenced() -> Iterator[None]:
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _VERBATIM_WARNING, RuntimeWarning)
-        yield
+class _Run(NamedTuple):
+    """One HiGHS run's model status, incumbent objective and column values
+    (None without one), proven bound, nodes and simplex pivots."""
+    status: Any
+    objective: float | None
+    x: list[float] | None
+    bound: float | None
+    nodes: int
+    pivots: int
+
+
+def _run_highs(highs: Any, name: str, arrays: tuple, node_budget: int) -> _Run:
+    """Run a fresh object of the HiGHS binding module ``highs`` on a model's
+    :meth:`MilpModel.to_arrays`.  As scipy.optimize.milp does, it reads an
+    incumbent when HiGHS ends optimal or, on a MIP, when a limit stops it
+    with a finite objective, and a MIP's bound and nodes when it ends
+    either way; an LP's bound is its objective."""
+    c, (indptr, indices, data), row_lb, row_ub, lb, ub, binary = arrays
+    solver = highs._Highs()
+    for option, value in (("output_flag", False), ("presolve", "off"),
+                          ("mip_max_nodes", node_budget), (_FEASIBILITY_JUMP, False)):
+        if (solver.setOptionValue(option, value) == highs.HighsStatus.kError
+                and option != _FEASIBILITY_JUMP):
+            raise RuntimeError(f"HiGHS rejects its option {option} = {value!r}")
+    if solver.passModel(len(c), len(row_lb), len(data), highs.MatrixFormat.kRowwise,
+                        highs.ObjSense.kMinimize, 0.0, c, lb, ub, row_lb, row_ub,
+                        indptr, indices, data, binary) == highs.HighsStatus.kError:
+        raise RuntimeError(f"HiGHS rejects the model {name!r}")
+    solver.run()
+    status, info = solver.getModelStatus(), solver.getInfo()
+    mip = bool(binary.any())
+    kind = _STATUSES.get(status.name)
+    ended = kind is Status.OPTIMAL or (mip and kind is Status.BUDGET_EXCEEDED)
+    found = ended and info.objective_function_value < highs.kHighsInf
+    objective = info.objective_function_value if found else None
+    return _Run(status, objective, solver.getSolution().col_value if found else None,
+                info.mip_dual_bound if mip and ended else objective,
+                info.mip_node_count if mip and ended else 0, info.simplex_iteration_count)
 
 
 def _usable_cpus() -> int:
@@ -57,7 +92,7 @@ def _holds_at_zero(relation: str, rhs: float) -> bool:
 
 
 class ScipySolver:
-    """Solver protocol adapter around scipy.optimize.milp.
+    """Solver protocol adapter around HiGHS, one HiGHS object per solve.
 
     rlnd's models close at HiGHS's root node, so HiGHS runs without two
     parts of its MIP machinery whose cost there is overhead: its MIP
@@ -67,11 +102,11 @@ class ScipySolver:
     phase-one models of the benchmark's 20x8x5 ladder took 0.25 s, against
     0.44 s with feasibility jump on, with the same statuses, objectives and
     node counts (one BLAS thread, shared 2-vCPU machine).  The row matrix
-    goes over as a sparse matrix of the model's CSR arrays; no dense copy
-    is made.  HiGHS stops at its default relative MIP gap (1e-4), so an
+    goes over as the model's CSR arrays, row-wise; no dense or column-wise
+    copy is made.  HiGHS stops at its default relative MIP gap (1e-4), so an
     ``optimal`` answer may sit above the optimum by up to that gap; the
     returned ``bound`` says by how much. ``node_budget`` caps HiGHS's
-    branch-and-bound nodes (``node_limit``); a stop there returns
+    branch-and-bound nodes (``mip_max_nodes``); a stop there returns
     BUDGET_EXCEEDED with the incumbent, if any, and the proven bound.
     """
 
@@ -88,19 +123,11 @@ class ScipySolver:
         thread; it yields whether it may, which it does when the process
         may use more than one CPU.
 
-        The worker's milp() warns of the verbatim options like any call,
-        and warning filters are global to the process.  So the scope holds
-        one ``warnings.catch_warnings`` that silences that warning for as
-        long as the worker can run, and inside it :meth:`solve` opens no
-        scope of its own: a per-call scope would let the worker's warning
-        through between two calls, and entering one briefly drops the
-        filter it adds again.  On exit, also on error, the scope waits for
-        a started solve nobody asked for, drops it with any exception it
-        raised, and stops the worker, so no started solve outlives it.
-
-        A scope entered inside another yields True and leaves the worker,
-        the warnings filter and the final drop to the outer one, so a
-        scenario solve may run inside a caller's scope.
+        On exit, also on error, the scope waits for a started solve nobody
+        asked for, drops it with any exception it raised, and stops the
+        worker, so no started solve outlives it.  A scope entered inside
+        another yields True and leaves the worker and the final drop to the
+        outer one, so a scenario solve may run inside a caller's scope.
         """
         if self._worker is not None:
             yield True
@@ -108,14 +135,13 @@ class ScipySolver:
         if _usable_cpus() < 2:
             yield False
             return
-        with _verbatim_options_silenced():
-            self._worker = ThreadPoolExecutor(1, thread_name_prefix="rlnd-highs")
-            try:
-                yield True
-            finally:
-                self._drop()
-                self._worker.shutdown()
-                self._worker = None
+        self._worker = ThreadPoolExecutor(1, thread_name_prefix="rlnd-highs")
+        try:
+            yield True
+        finally:
+            self._drop()
+            self._worker.shutdown()
+            self._worker = None
 
     def start(self, model: MilpModel) -> None:
         """Start solving ``model`` on the worker of :meth:`background`; the
@@ -123,8 +149,8 @@ class ScipySolver:
 
         At most one model is started at a time: starting another drops the
         one before it, after waiting for it.  scipy is imported and the
-        arrays HiGHS reads are made here, in the calling thread; only
-        milp() runs on the worker.
+        arrays HiGHS reads are made here, in the calling thread; only the
+        HiGHS run runs on the worker.
         """
         if self._worker is None:
             raise RuntimeError("start() runs only inside background()")
@@ -139,18 +165,11 @@ class ScipySolver:
         if started is not None:
             started[1].exception()
 
-    def _problem(self, model: MilpModel) -> Callable:
-        """milp() of ``model``'s arrays, waiting to be called."""
-        from scipy.optimize import Bounds, LinearConstraint, milp
-        from scipy.sparse import csr_array
+    def _problem(self, model: MilpModel) -> Callable[[], _Run]:
+        """The HiGHS run of ``model``'s arrays, waiting to be called."""
+        from scipy.optimize._highspy import _core
 
-        c, (indptr, indices, data), row_lb, row_ub, lb, ub, binary = model.to_arrays()
-        a = csr_array((data, indices, indptr), shape=(len(model.rows), len(c)))
-        return partial(milp, c,
-                       constraints=[LinearConstraint(a, row_lb, row_ub)] if model.rows else [],
-                       integrality=binary, bounds=Bounds(lb, ub),
-                       options={"presolve": False, "node_limit": self.node_budget,
-                                "mip_heuristic_run_feasibility_jump": False})
+        return partial(_run_highs, _core, model.name, model.to_arrays(), self.node_budget)
 
     def solve(self, model: MilpModel) -> Solution:
         """Solve ``model``; when it is the model :meth:`start` started,
@@ -163,32 +182,12 @@ class ScipySolver:
                                 SolveStats(), model.objective.constant)
             return Solution(Status.INFEASIBLE, None, {}, SolveStats())
         if self._started is not None and self._started[0] is model:
-            future = self._started[1]
-            self._started = None
-            res = future.result()
+            future, self._started = self._started[1], None
+            run = future.result()
         else:
-            problem = self._problem(model)
-            with nullcontext() if self._worker is not None else _verbatim_options_silenced():
-                res = problem()
-
-        if res.status == 4 and _NODE_LIMIT_MESSAGE in (res.message or ""):
-            status = Status.BUDGET_EXCEEDED
-        else:
-            status = {0: Status.OPTIMAL, 1: Status.BUDGET_EXCEEDED,
-                      2: Status.INFEASIBLE, 3: Status.UNBOUNDED}.get(
-                          res.status, Status.NUMERICALLY_UNSTABLE)
-        if res.x is None and status is Status.OPTIMAL:
-            status = Status.NUMERICALLY_UNSTABLE
-
-        values: dict[str, float] = {}
-        objective = None
-        bound = None
-        if getattr(res, "mip_dual_bound", None) is not None:
-            bound = float(res.mip_dual_bound) + model.objective.constant
-        if res.x is not None:
-            values = dict(zip(model.variables, res.x.tolist()))
-            objective = float(res.fun) + model.objective.constant
-            if bound is None:
-                bound = objective
-        nodes = int(getattr(res, "mip_node_count", 0) or 0)
-        return Solution(status, objective, values, SolveStats(0, nodes, []), bound)
+            run = self._problem(model)()
+        shifted = lambda v: None if v is None else v + model.objective.constant
+        return Solution(_STATUSES.get(run.status.name, Status.NUMERICALLY_UNSTABLE),
+                        shifted(run.objective),
+                        {} if run.x is None else dict(zip(model.variables, run.x)),
+                        SolveStats(run.pivots, run.nodes, []), shifted(run.bound))

@@ -157,15 +157,17 @@ def read_record(cls: type, node: Node, given: dict[str, Any] | None = None,
     """The dataclass ``cls`` from the object at ``node``: each field not in
     ``given`` from the key of its name, by the reader of its type (looked up
     even when the key is absent).  A field without a default is required,
-    any other may be absent or null.  A key that names no field and is not
-    in ``extra`` raises a DocumentError naming its path."""
-    values, record = dict(given or {}), fields(cls)
+    any other may be absent or null.  A key that names no field read here
+    and is not in ``extra`` raises a DocumentError naming its path, so a
+    caller that reads a given field from this object's key of its name
+    lists that name in ``extra``."""
+    values = dict(given or {})
+    record = [f for f in fields(cls) if f.name not in values]
     table = node.only({f.name for f in record}.union(extra)).value
     for f in record:
-        if f.name not in values:
-            read = _READERS[f.type.removesuffix(" | None")]
-            if f.default is f.default_factory is MISSING or table.get(f.name) is not None:
-                values[f.name] = read(node[f.name])
+        read = _READERS[f.type.removesuffix(" | None")]
+        if f.default is f.default_factory is MISSING or table.get(f.name) is not None:
+            values[f.name] = read(node[f.name])
     return cls(**values)
 
 
@@ -196,11 +198,11 @@ def _instance_from(doc: Node) -> NetworkInstance:
     resale = proc["resale"].only(tiers)
     # an empty population reads as none, as a null one does
     population = sup.get("population", Node.numbers) or None
-    supply = read_record(SupplyData, sup, {"population": population})
+    supply = read_record(SupplyData, sup, {"population": population}, extra=("population",))
     processing = read_record(ProcessingData, proc, {
         "entries": {t.name: proc[t.name].map(lambda row: row.map(_entry_from)) for t in TIERS},
         "resale": {t.name: resale[t.name].numbers() for t in TIERS},
-    }, extra=tiers)
+    }, extra={"resale", *tiers})
     sets, arcs = doc["sets"].only(set(SETS)), doc["arcs"].only({t.lane for t in TIERS})
     return read_record(NetworkInstance, doc, {
         "name": doc.get("name", Node.text, "instance"),
@@ -209,7 +211,7 @@ def _instance_from(doc: Node) -> NetworkInstance:
         "arcs": {t.lane: arcs[t.lane].map(lambda row: row.map(_arc_from)) for t in TIERS},
         # so does an empty policy
         "policy": doc.get("policy", lambda n: read_record(PolicyData, n) if n.table() else None),
-    }, extra=("sets", "scenario"))
+    }, extra=("name", "supply", "processing", "arcs", "policy", "sets", "scenario"))
 
 
 def instance_from_dict(data: dict[str, Any]) -> NetworkInstance:

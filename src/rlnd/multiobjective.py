@@ -43,13 +43,13 @@ at once, and the solver needs one worker thread.  A started cap that the
 bypass skips is waited for and dropped, with anything it raised.  Every
 model is still built, handed to the solver's ``solve()`` and reported in
 the calling thread, in the sequential walk's order of solves; only HiGHS's
-``milp()`` runs on the worker, so the fronts are the same.  The sweep holds
-the solver's background scope for as long as the worker can run: the scope
-holds the one warnings filter the worker's solves need, and on exit, also
-on error, it waits for and drops a started solve, so none outlives the
-sweep.  The embedded engine, and any solver without ``background``, keeps
-the sequential walk: the engine holds the interpreter lock, and its kept
-roots make its answers depend on the order of its solves.
+``run()`` runs on the worker, so the fronts are the same.  The sweep holds
+the solver's background scope for as long as the worker can run: on exit,
+also on error, the scope waits for and drops a started solve, so none
+outlives the sweep.  The embedded engine, and any solver without
+``background``, keeps the sequential walk: the engine holds the
+interpreter lock, and its kept roots make its answers depend on the order
+of its solves.
 
 Families adapt concrete model shapes to the sweep.  The sweep reads only
 totals from them: each anchor's cost and emission, and each grid solve's

@@ -67,7 +67,8 @@ def load_uncertainty_spec(path: str | Path) -> UncertaintySpec:
     of the wrong type raises a DocumentError that names it."""
     doc = read_document(path)
     spec = read_record(UncertaintySpec, doc, {"rows": doc["rows"].map(lambda row: read_record(
-        RowUncertainty, row, {"deviations": row["deviations"].numbers()}))})
+        RowUncertainty, row, {"deviations": row["deviations"].numbers()}, extra=("deviations",)))},
+        extra=("rows",))
     spec.validate()
     return spec
 

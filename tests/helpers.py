@@ -12,6 +12,7 @@ import importlib.util
 import itertools
 import random
 import threading
+import warnings
 from pathlib import Path
 
 from rlnd.domain import NetworkInstance
@@ -51,15 +52,16 @@ def on_highs_worker(thread: str) -> bool:
     return thread.startswith("rlnd-highs")
 
 
-class MilpSpy:
-    """Stands in for ``scipy.optimize.milp``: counts the calls running at
-    once and the most that ever did, keeps each call's thread name, and
-    raises ``RuntimeError`` from the calls ``fail(k, thread_name)`` picks,
-    where ``k`` counts that thread's earlier calls.  Calls on two threads
-    may enter in either order, so only the per-thread count repeats."""
+class HighsSpy:
+    """Stands in for ``rlnd.external._run_highs``, the HiGHS run of one
+    solve: counts the runs going at once and the most that ever did, keeps
+    each run's thread name, and raises ``RuntimeError`` from the runs
+    ``fail(k, thread_name)`` picks, where ``k`` counts that thread's earlier
+    runs.  Runs on two threads may enter in either order, so only the
+    per-thread count repeats."""
 
-    def __init__(self, milp, fail=lambda k, thread: False):
-        self.milp, self.fail = milp, fail
+    def __init__(self, run, fail=lambda k, thread: False):
+        self.run, self.fail = run, fail
         self.lock = threading.Lock()
         self.running = self.most = 0
         self.threads: list[str] = []
@@ -73,8 +75,8 @@ class MilpSpy:
             self.most = max(self.most, self.running)
         try:
             if self.fail(k, thread):
-                raise RuntimeError(f"milp call {k} on {thread} failed")
-            return self.milp(*args, **kwargs)
+                raise RuntimeError(f"HiGHS run {k} on {thread} failed")
+            return self.run(*args, **kwargs)
         finally:
             with self.lock:
                 self.running -= 1
@@ -165,6 +167,38 @@ class ExactHighs:
         objective = float(res.fun) + model.objective.constant
         values = {name: float(res.x[j]) for j, name in enumerate(names)}
         return Solution(status, objective, values, SolveStats(), objective)
+
+
+def milp_reference(model: MilpModel, node_budget: int) -> Solution:
+    """``model`` solved through the public ``scipy.optimize.milp`` with the
+    options ``rlnd.external.ScipySolver`` sets, and read as milp's result
+    reads: the answer the adapter's own HiGHS run must equal."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    c, (indptr, indices, data), row_lb, row_ub, lb, ub, binary = model.to_arrays()
+    a = csr_array((data, indices, indptr), shape=(len(model.rows), len(c)))
+    with warnings.catch_warnings():
+        # milp warns that it passes the feasibility-jump switch to HiGHS verbatim,
+        # and a HiGHS too old to know the switch warns that it does not
+        warnings.filterwarnings("ignore", "Unrecognized options detected")
+        res = milp(c, constraints=[LinearConstraint(a, row_lb, row_ub)] if model.rows else [],
+                   integrality=binary, bounds=Bounds(lb, ub),
+                   options={"presolve": False, "node_limit": node_budget,
+                            "mip_heuristic_run_feasibility_jump": False})
+    # milp keeps HiGHS's node-limit status (kSolutionLimit, 16) in its message only
+    if res.status == 4 and "(HiGHS Status 16:" in res.message:
+        status = Status.BUDGET_EXCEEDED
+    else:
+        status = {0: Status.OPTIMAL, 1: Status.BUDGET_EXCEEDED, 2: Status.INFEASIBLE,
+                  3: Status.UNBOUNDED}.get(res.status, Status.NUMERICALLY_UNSTABLE)
+    if res.x is None:
+        return Solution(status, None, {}, SolveStats())
+    objective = float(res.fun) + model.objective.constant
+    bound = (objective if res.mip_dual_bound is None
+             else float(res.mip_dual_bound) + model.objective.constant)
+    return Solution(status, objective, dict(zip(model.variables, res.x.tolist())),
+                    SolveStats(0, int(res.mip_node_count or 0), []), bound)
 
 
 def random_network_instance(rng: random.Random, areas: int | None = None,

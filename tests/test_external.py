@@ -5,12 +5,10 @@ import sys
 import threading
 import warnings
 
-import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import OptimizeResult, OptimizeWarning
+from scipy.optimize._highspy import _core
 
-from helpers import ExactHighs, MilpSpy, netgen_instance, on_highs_worker
+from helpers import ExactHighs, HighsSpy, milp_reference, netgen_instance, on_highs_worker
 from rlnd import external
 from rlnd.builders import build_system_model, build_user_model_i, build_user_model_ii
 from rlnd.cli import main
@@ -118,18 +116,58 @@ def test_scipy_solver_matches_zero_gap_highs_on_the_ladder(seed):
             assert ours.objective == pytest.approx(ref.objective, rel=1e-4), label
 
 
+class RecordingHighs:
+    """A HiGHS object of the binding that keeps the options set on it in
+    ``options``, and answers ``kError`` to the calls ``refuse`` names."""
+
+    def __init__(self, real, options: list[dict], refuse=()):
+        self.highs, self.options, self.refuse = real(), options, refuse
+        options.append({})
+
+    def setOptionValue(self, option, value):
+        self.options[-1][option] = value
+        if option in self.refuse:
+            return _core.HighsStatus.kError
+        return self.highs.setOptionValue(option, value)
+
+    def passModel(self, *args):
+        if "passModel" in self.refuse:
+            return _core.HighsStatus.kError
+        return self.highs.passModel(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+
+def _record_highs(monkeypatch, refuse=()) -> list[dict]:
+    real, options = _core._Highs, []
+    monkeypatch.setattr(_core, "_Highs", lambda: RecordingHighs(real, options, refuse))
+    return options
+
+
 def test_the_cli_hands_highs_its_options(monkeypatch, capsys):
-    real, options = scipy.optimize.milp, []
-
-    def recording(*args, **kwargs):
-        options.append(dict(kwargs["options"]))  # milp pops from the dict it is given
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "milp", recording)
+    options = _record_highs(monkeypatch)
     assert main(["solve", "--model", "user", "--solver", "scipy", "--node-budget", "7"]) == 0
     assert len(options) == 2
-    assert all(o == {"presolve": False, "node_limit": 7,
+    assert all(o == {"output_flag": False, "presolve": "off", "mip_max_nodes": 7,
                      "mip_heuristic_run_feasibility_jump": False} for o in options)
+
+
+@pytest.mark.parametrize("refused, error", [
+    ("presolve", "HiGHS rejects its option presolve = 'off'"),
+    ("mip_max_nodes", "HiGHS rejects its option mip_max_nodes = 200000"),
+    ("passModel", "HiGHS rejects the model 'ewaste-two-area-example:system:cost'"),
+    ("mip_heuristic_run_feasibility_jump", None)])
+def test_highs_refusing_an_option_or_the_model_raises(monkeypatch, bundled, refused, error):
+    """Except the feasibility-jump switch: a HiGHS too old to know it also
+    lacks the heuristic it turns off."""
+    model = build_system_model(bundled, "cost").model
+    _record_highs(monkeypatch, refuse=(refused,))
+    if error is None:
+        assert ScipySolver().solve(model).status is Status.OPTIMAL
+    else:
+        with pytest.raises(RuntimeError, match=error):
+            ScipySolver().solve(model)
 
 
 def test_the_adapter_lets_no_warning_escape(bundled):
@@ -142,43 +180,17 @@ def test_the_adapter_lets_no_warning_escape(bundled):
     assert solution.status is Status.OPTIMAL
 
 
-def test_only_the_verbatim_options_warning_is_silenced(monkeypatch, bundled):
-    """An older HiGHS that does not know an option says so with an
-    OptimizeWarning, which gets through like any other warning."""
-    real = scipy.optimize.milp
-
-    def warning(*args, **kwargs):
-        warnings.warn("Unrecognized options detected: {'x'}. These will be passed to "
-                      "HiGHS verbatim.", RuntimeWarning)
-        warnings.warn("Unrecognized options detected: {'x': False}", OptimizeWarning)
-        warnings.warn("another runtime warning", RuntimeWarning)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "milp", warning)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        scipy_solver.solve(build_system_model(bundled, "cost").model)
-    assert [(w.category, str(w.message)) for w in caught] == [
-        (OptimizeWarning, "Unrecognized options detected: {'x': False}"),
-        (RuntimeWarning, "another runtime warning")]
-
-
 def test_a_node_budget_below_one_is_rejected():
     with pytest.raises(ValueError, match="node budget must be at least 1, got 0"):
         ScipySolver(node_budget=0)
 
 
-NODE_LIMIT = ("The HiGHS status code was not recognized. "
-              "(HiGHS Status 16: Solution limit reached)")
-
-
 @pytest.mark.parametrize("x, fun", [([1.0, 0.0], 5.0), (None, None)])
 def test_a_node_limit_stop_is_budget_exceeded(monkeypatch, x, fun):
-    """scipy reports HiGHS's node limit as status 4 with HiGHS's own status
-    in the message; the stop keeps its incumbent, if any, and its bound."""
-    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: OptimizeResult(
-        status=4, message=NODE_LIMIT, x=None if x is None else np.array(x), fun=fun,
-        mip_node_count=1, mip_dual_bound=3.0))
+    """HiGHS reports its node limit as the model status kSolutionLimit; the
+    stop keeps its incumbent, if any, and its bound."""
+    monkeypatch.setattr(external, "_run_highs", lambda *args: external._Run(
+        _core.HighsModelStatus.kSolutionLimit, fun, x, 3.0, 1, 4))
     model = MilpModel("stub")
     for name in ("a", "b"):
         model.add_variable(name, 0.0, 1.0, binary=True)
@@ -195,21 +207,57 @@ def test_a_node_limit_stop_is_budget_exceeded(monkeypatch, x, fun):
         assert solution.values == {"a": 1.0, "b": 0.0}
 
 
+def _identity_models() -> list[MilpModel]:
+    """Every model kind the benchmark's HiGHS flows solve on its 20x8x5
+    ladder: the whole-network and user phase-one models of each objective
+    and the user phase two of cost (seeds 0 to 5), and one capped grid
+    model."""
+    models = []
+    for seed in range(6):
+        instance = netgen_instance(20, 8, 5, seed)
+        phase1 = build_user_model_i(instance, "cost")
+        collected = collected_quantities(phase1.tiers, scipy_solver.solve(phase1.model).values)
+        models += [build_system_model(instance, "cost").model,
+                   build_system_model(instance, "emission").model,
+                   phase1.model, build_user_model_i(instance, "emission").model,
+                   build_user_model_ii(instance, collected, "cost").model]
+    instance = netgen_instance(20, 8, 5, 0)
+    loose = scipy_solver.solve(build_system_model(instance, "emission").model).objective * 1.2
+    return models + [build_system(instance, "cost", cap=EmissionCap(5, loose, 1e-4)).model]
+
+
+@pytest.mark.parametrize("node_budget", [200_000, 1])
+def test_the_highs_binding_answers_as_public_milp_does(node_budget):
+    """The adapter calls scipy's private HiGHS binding; a scipy release that
+    moves or changes it fails here."""
+    solver = ScipySolver(node_budget)
+    for model in _identity_models():
+        ours, ref = solver.solve(model), milp_reference(model, node_budget)
+        assert ((ours.status, ours.objective, ours.values, ours.bound, ours.stats.nodes)
+                == (ref.status, ref.objective, ref.values, ref.bound, ref.stats.nodes)), \
+            model.name
+
+
+def test_a_highs_solve_reports_its_simplex_pivots(bundled):
+    solution = scipy_solver.solve(build_system_model(bundled, "cost").model)
+    assert solution.status is Status.OPTIMAL and solution.stats.simplex_iterations > 0
+
+
 def _no_worker_alive() -> bool:
     return not any(on_highs_worker(t.name) for t in threading.enumerate())
 
 
 def test_a_started_solve_raises_when_asked_for_and_is_swallowed_when_dropped(
         two_cpus, monkeypatch, bundled):
-    spy = MilpSpy(scipy.optimize.milp, fail=lambda k, thread: on_highs_worker(thread))
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    spy = HighsSpy(external._run_highs, fail=lambda k, thread: on_highs_worker(thread))
+    monkeypatch.setattr(external, "_run_highs", spy)
     solver = ScipySolver()
     cost, emission = (build_system_model(bundled, o).model for o in ("cost", "emission"))
     with solver.background() as overlapping:
         assert overlapping
         solver.start(cost)
         solver.start(emission)  # drops the cost model's solve, and what it raised
-        with pytest.raises(RuntimeError, match="milp call 1 on rlnd-highs"):
+        with pytest.raises(RuntimeError, match="HiGHS run 1 on rlnd-highs"):
             solver.solve(emission)
         # a model no longer started is solved in the calling thread
         assert solver.solve(cost).status is Status.OPTIMAL

@@ -121,8 +121,11 @@ DOCUMENTS = {
                     UncertaintySpec({ROW: RowUncertainty(1.0, {"X[drop1]": 1.0})})),
 }
 
-# (document, the path of an object in it, a key that names no field there)
+# (document, the path of an object in it, a key that names no field read there)
 MISSPELT_KEYS = [
+    # fields the document keeps elsewhere: under `sets`, and per tier
+    ("instance", (), "products"),
+    ("instance", ("processing",), "entries"),
     ("instance", (), "arc"),
     ("instance", ("sets",), "product"),
     ("instance", ("supply",), "trip_factr"),

@@ -1,11 +1,10 @@
 import threading
 
 import pytest
-import scipy.optimize
 
-from helpers import (MilpSpy, RecordingSolver, SolveOnly, netgen_instance, on_highs_worker,
+from helpers import (HighsSpy, RecordingSolver, SolveOnly, netgen_instance, on_highs_worker,
                      three_plan_tradeoff)
-from rlnd import scenarios
+from rlnd import external, scenarios
 from rlnd.external import ScipySolver
 from rlnd.milp import EmbeddedSolver, LinExpr, MilpModel, RowTag, Status, solve_milp
 from rlnd.multiobjective import (THETA_DEFAULT, ExpressionFamily, SystemEpsilonFamily,
@@ -271,7 +270,7 @@ class RecordingHighs(ScipySolver):
         return super().solve(model)
 
 
-def _worker_idle(solver: ScipySolver, spy: MilpSpy) -> bool:
+def _worker_idle(solver: ScipySolver, spy: HighsSpy) -> bool:
     return (spy.running == 0 and solver._started is None and solver._worker is None
             and not any(on_highs_worker(t.name) for t in threading.enumerate()))
 
@@ -300,8 +299,8 @@ def test_overlapped_highs_sweeps_print_the_sequential_fronts(seed, bundled, two_
 def test_an_overlapped_sweep_leaves_no_started_solve(two_cpus, monkeypatch):
     """Two solves ran at once, and after the sweep none runs and the solver
     holds none."""
-    spy = MilpSpy(scipy.optimize.milp)
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    spy = HighsSpy(external._run_highs)
+    monkeypatch.setattr(external, "_run_highs", spy)
     solver = ScipySolver()
     front = epsilon_sweep(SystemEpsilonFamily(netgen_instance(20, 8, 5, 0), solver=solver))
     assert len(front) == 11
@@ -316,8 +315,8 @@ def test_a_started_cap_the_bypass_skips_is_dropped_with_its_error(two_cpus, monk
     instance = netgen_instance(5, 4, 3, 0)
     sequential = epsilon_sweep(SystemEpsilonFamily(instance, solver=SolveOnly(ScipySolver())))
     # the worker solves the emission anchor and caps 9, 7 and 5, then cap 0
-    spy = MilpSpy(scipy.optimize.milp, fail=lambda k, thread: on_highs_worker(thread) and k == 3)
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    spy = HighsSpy(external._run_highs, fail=lambda k, thread: on_highs_worker(thread) and k == 3)
+    monkeypatch.setattr(external, "_run_highs", spy)
     solver = ScipySolver()
     front = epsilon_sweep(SystemEpsilonFamily(instance, solver=solver))
     assert [p.v for p in front] == [0, 1, 2, 7, 8, 9, 10]
@@ -331,11 +330,11 @@ def test_a_started_cap_the_bypass_skips_is_dropped_with_its_error(two_cpus, monk
 def test_a_grid_solve_that_raises_leaves_no_started_solve(on_worker, two_cpus, monkeypatch):
     """Cap 8 fails in the calling thread while cap 7 runs on the worker, or
     cap 7 fails on the worker and raises when the sweep asks for it."""
-    spy = MilpSpy(scipy.optimize.milp,
+    spy = HighsSpy(external._run_highs,
                   fail=lambda k, thread: k == 2 and on_highs_worker(thread) == on_worker)
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    monkeypatch.setattr(external, "_run_highs", spy)
     solver = ScipySolver()
-    with pytest.raises(RuntimeError, match="milp call 2 on"):
+    with pytest.raises(RuntimeError, match="HiGHS run 2 on"):
         epsilon_sweep(SystemEpsilonFamily(netgen_instance(5, 4, 3, 1), solver=solver))
     assert _worker_idle(solver, spy)
 

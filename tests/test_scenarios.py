@@ -2,9 +2,8 @@ import math
 import threading
 
 import pytest
-import scipy.optimize
 
-from helpers import MilpSpy, RecordingSolver, UnstableSolver, netgen_instance, on_highs_worker
+from helpers import HighsSpy, RecordingSolver, UnstableSolver, netgen_instance, on_highs_worker
 from rlnd import external, scenarios
 from rlnd.cli import main
 from rlnd.domain import with_total_capacity
@@ -411,8 +410,8 @@ def test_a_scenario_starts_the_whole_network_model_and_takes_it_last(bundled, tw
     """The whole-network model runs on the worker while both user phases
     are solved in the calling thread; its answer is asked for after them,
     and no started solve is dropped."""
-    spy = MilpSpy(scipy.optimize.milp)
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    spy = HighsSpy(external._run_highs)
+    monkeypatch.setattr(external, "_run_highs", spy)
     solver = OrderedHighs()
     result = solve_scenario("baseline", "cost", bundled, solver)
     assert result.failure is None
